@@ -56,13 +56,16 @@ class RationalCircuit:
             if i in seen:
                 continue
             seen.add(i)
-            stack.extend(self.nodes[i][1:] if self.nodes[i][0] != "const"
-                         and self.nodes[i][0] != "var" else [])
+            stack.extend(_children(self.nodes[i]))
         return sorted(seen)
 
     @cached_property
     def size(self) -> int:
         return len(self.reachable())
+
+
+def _children(node: tuple) -> tuple:
+    return () if node[0] in ("const", "var") else node[1:]
 
 
 class CircuitBuilder:
@@ -151,42 +154,53 @@ class _Parser:
         self.i += 1
         return tok
 
+    def _at_op(self, ops: str) -> bool:
+        tok = self.peek()
+        return tok[0] == "op" and tok[1] in ops
+
     def parse(self) -> RationalCircuit:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return self.b.build(node)
-
-    def expr(self) -> int:
-        node = self.term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.take()[1]
-            rhs = self.term()
-            node = self.b.add(node, rhs) if op == "+" else self.b.sub(node, rhs)
-        return node
-
-    def term(self) -> int:
-        node = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] == "*":
-            self.take()
-            node = self.b.mul(node, self.factor())
-        return node
-
-    def factor(self) -> int:
-        tok = self.peek()
-        if tok[0] == "inv":
-            self.take()
-            self.take("op", "(")
-            node = self.expr()
-            self.take("op", ")")
-            node = self.b.inv(node)
-        else:
+        """Recursive descent (grammar in the README) with an explicit stack:
+        `frames` saves the state outside each open "(" or "inv(", which is
+        `acc` (terms so far), `op` (the operator before the current term)
+        and `term` (factors so far).  Nodes come out in post-order."""
+        b = self.b
+        frames: list[tuple] = []
+        acc = op = term = None
+        while True:
+            tok = self.peek()
+            if tok[0] == "inv" or self._at_op("("):
+                self.take()
+                if tok[0] == "inv":
+                    self.take("op", "(")
+                frames.append((tok[0], acc, op, term))
+                acc = op = term = None
+                continue
             node = self.atom()
-        while self.peek()[0] == "pinv":
-            self.take()
-            node = self.b.inv(node)
-        return node
+            while True:  # node is a complete atom; close what it completes
+                while self.peek()[0] == "pinv":
+                    self.take()
+                    node = b.inv(node)
+                term = node if term is None else b.mul(term, node)
+                if self._at_op("*"):
+                    self.take()
+                    break
+                if op is None:
+                    acc = term
+                else:
+                    acc = b.add(acc, term) if op == "+" else b.sub(acc, term)
+                term = None
+                if self._at_op("+-"):
+                    op = self.take()[1]
+                    break
+                if not frames:
+                    tok = self.peek()
+                    if tok[0] != "eof":
+                        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+                    return b.build(acc)
+                self.take("op", ")")
+                opener, outer_acc, op, term = frames.pop()
+                node = b.inv(acc) if opener == "inv" else acc
+                acc = outer_acc
 
     def atom(self) -> int:
         tok = self.peek()
@@ -196,16 +210,13 @@ class _Parser:
         if tok[0] == "int":
             self.take()
             num = int(tok[1])
-            if self.peek()[0] == "op" and self.peek()[1] == "/":
+            if self._at_op("/"):
                 self.take()
                 den = self.take("int")
+                if int(den[1]) == 0:
+                    raise ParseError("zero denominator", den[2])
                 return self.b.const(Fraction(num, int(den[1])))
             return self.b.const(num)
-        if tok[0] == "op" and tok[1] == "(":
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
         raise ParseError(f"expected an atom, found {tok[1]!r}", tok[2])
 
 
@@ -277,14 +288,6 @@ def eval_circuit(c: RationalCircuit, t: MatrixTuple) -> DenseMatrix:
     return vals[c.output]
 
 
-def defined_at(c: RationalCircuit, t: MatrixTuple) -> bool:
-    try:
-        eval_circuit(c, t)
-        return True
-    except Undefined:
-        return False
-
-
 # -- algebraic branching programs ------------------------------------------
 
 
@@ -292,8 +295,7 @@ def defined_at(c: RationalCircuit, t: MatrixTuple) -> bool:
 class Abp:
     """Layered branching program in normal form: the layer matrices have
     shapes w0 x w1, ..., w_{d-1} x w_d with w0 = w_d = 1; entries are
-    affine forms {var index -> Fraction} with key 0 the constant part.
-    Source and sink are the single boundary nodes."""
+    affine forms {var index -> Fraction} with key 0 the constant part."""
 
     layers: tuple
     nvars: int
@@ -317,9 +319,6 @@ class Abp:
     def size(self) -> int:
         return sum(self.widths)
 
-    source = 1
-    sink = 1
-
 
 def _form_scale(form: LinForm, c: Fraction) -> LinForm:
     if c == 0:
@@ -338,52 +337,53 @@ def _form_add(a: LinForm, b: LinForm) -> LinForm:
     return out
 
 
-_ID_LAYER = (((),),)  # placeholder, identity layers built by _unit_layer
-
-
-def _unit_layer():
-    return [[{0: Fraction(1)}]]
-
-
 def _pad(layers: list, extra: int) -> list:
-    return layers + [_unit_layer() for _ in range(extra)]
+    """Append identity layers: 1 x 1 with the constant form 1."""
+    return layers + [[[{0: Fraction(1)}]] for _ in range(extra)]
 
 
-def _abp_layers(c: RationalCircuit, node: int) -> list:
-    kind = c.nodes[node][0]
-    if kind == "var":
-        return [[[{c.nodes[node][1]: Fraction(1)}]]]
-    if kind == "const":
-        return [[[{0: Fraction(c.nodes[node][1])}]]]
-    if kind == "mul":
-        a = _abp_layers(c, c.nodes[node][1])
-        b = _abp_layers(c, c.nodes[node][2])
-        return a + b
-    if kind in ("add", "sub"):
-        a = _abp_layers(c, c.nodes[node][1])
-        b = _abp_layers(c, c.nodes[node][2])
-        if kind == "sub":
-            b = [[[_form_scale(f, Fraction(-1)) for f in row] for row in b[0]]] + b[1:]
-        if len(a) < len(b):
-            a = _pad(a, len(b) - len(a))
-        elif len(b) < len(a):
-            b = _pad(b, len(a) - len(b))
-        if len(a) == 1:
-            return [[[_form_add(a[0][0][0], b[0][0][0])]]]
-        out = []
-        out.append([a[0][0] + b[0][0]])  # 1 x (wa+wb)
-        for t in range(1, len(a) - 1):
-            ra, ca = len(a[t]), len(a[t][0])
-            rb, cb = len(b[t]), len(b[t][0])
-            blk = []
-            for i in range(ra):
-                blk.append(a[t][i] + [{} for _ in range(cb)])
-            for i in range(rb):
-                blk.append([{} for _ in range(ca)] + b[t][i])
-            out.append(blk)
-        out.append([row for row in a[-1]] + [row for row in b[-1]])  # (ra+rb) x 1
-        return out
-    raise ValueError(f"node kind {kind!r} is not allowed in an inverse-free formula")
+def _abp_sum(a: list, b: list, negate_b: bool) -> list:
+    if negate_b:
+        b = [[[_form_scale(f, Fraction(-1)) for f in row] for row in b[0]]] + b[1:]
+    if len(a) < len(b):
+        a = _pad(a, len(b) - len(a))
+    elif len(b) < len(a):
+        b = _pad(b, len(a) - len(b))
+    if len(a) == 1:
+        return [[[_form_add(a[0][0][0], b[0][0][0])]]]
+    out = []
+    out.append([a[0][0] + b[0][0]])  # 1 x (wa+wb)
+    for t in range(1, len(a) - 1):
+        ra, ca = len(a[t]), len(a[t][0])
+        rb, cb = len(b[t]), len(b[t][0])
+        blk = []
+        for i in range(ra):
+            blk.append(a[t][i] + [{} for _ in range(cb)])
+        for i in range(rb):
+            blk.append([{} for _ in range(ca)] + b[t][i])
+        out.append(blk)
+    out.append([row for row in a[-1]] + [row for row in b[-1]])  # (ra+rb) x 1
+    return out
+
+
+def _abp_layers(c: RationalCircuit) -> list:
+    """Layers of the output's branching program, folded forward over the
+    node array: each node's layers are built from its children's entries
+    in `table`, which are dropped once used (a formula uses each once)."""
+    table: dict[int, list] = {}
+    for i in c.reachable():
+        node = c.nodes[i]
+        kind = node[0]
+        if kind == "var":
+            table[i] = [[[{node[1]: Fraction(1)}]]]
+        elif kind == "const":
+            table[i] = [[[{0: Fraction(node[1])}]]]
+        elif kind == "mul":
+            table[i] = table.pop(node[1]) + table.pop(node[2])
+        else:                            # add or sub; the caller rules out inv
+            table[i] = _abp_sum(table.pop(node[1]), table.pop(node[2]),
+                                kind == "sub")
+    return table[c.output]
 
 
 def formula_to_abp(c: RationalCircuit) -> Abp:
@@ -394,7 +394,7 @@ def formula_to_abp(c: RationalCircuit) -> Abp:
         raise ValueError("formula contains inverse gates")
     if not info.is_formula:
         raise ValueError("input must be tree-shaped")
-    layers = _abp_layers(c, c.output)
+    layers = _abp_layers(c)
     nvars = max((k for m in layers for row in m for f in row for k in f), default=0)
     frozen = tuple(tuple(tuple(dict(f) for f in row) for row in m) for m in layers)
     return Abp(layers=frozen, nvars=nvars)
@@ -489,29 +489,38 @@ class IdrCircuit:
         return self.top.size + sum(s.size + 1 for s in self.subs)
 
 
-def _expand_tree(c: RationalCircuit, cap_nodes: int) -> tuple[CircuitBuilder, int]:
+def _expand_tree(c: RationalCircuit, cap_nodes: int) -> RationalCircuit:
+    """Copy c below its output as a tree, duplicating shared nodes, in one
+    depth-first pass with an explicit stack.  The copy is in post-order,
+    so every subtree of it occupies a contiguous range of indices."""
     b = CircuitBuilder()
     count = 0
-
-    def go(i: int) -> int:
-        nonlocal count
+    done: list[int] = []                 # copies of finished subtrees
+    stack = [(c.output, False)]          # (node, children already copied)
+    while stack:
+        i, closing = stack.pop()
+        node = c.nodes[i]
+        kind = node[0]
+        if closing:
+            if kind == "inv":
+                done.append(b.inv(done.pop()))
+            else:
+                r = done.pop()
+                done.append(b._push((kind, done.pop(), r)))
+            continue
         count += 1
         if count > cap_nodes:
             raise BlowupExceeded(
                 f"tree expansion exceeded {cap_nodes} nodes; the circuit shares "
                 "subexpressions too aggressively for duplication")
-        node = c.nodes[i]
-        kind = node[0]
         if kind == "const":
-            return b.const(node[1])
-        if kind == "var":
-            return b.var(node[1])
-        if kind == "inv":
-            return b.inv(go(node[1]))
-        return b._push((kind, go(node[1]), go(node[2])))
-
-    out = go(c.output)
-    return b, out
+            done.append(b.const(node[1]))
+        elif kind == "var":
+            done.append(b.var(node[1]))
+        else:
+            stack.append((i, True))
+            stack.extend((ch, False) for ch in reversed(node[1:]))
+    return b.build(done.pop(), nvars=c.nvars)
 
 
 def to_idrrsc(c: RationalCircuit, blowup_cap: float = 8.0) -> IdrCircuit:
@@ -521,51 +530,41 @@ def to_idrrsc(c: RationalCircuit, blowup_cap: float = 8.0) -> IdrCircuit:
     DAG sharing is resolved by duplication up to blowup_cap times the
     original size."""
     cap = max(int(blowup_cap * c.size), c.size)
-    b, out = _expand_tree(c, cap)
-    tree = b.build(out, nvars=c.nvars)
-    return _decompose(tree, tree.output, c.nvars)
+    tree = _expand_tree(c, cap)
+    start: list[int] = []    # node i's subtree is the index range start[i]..i
+    for i, node in enumerate(tree.nodes):
+        start.append(start[node[1]] if _children(node) else i)
+    return _decompose(tree.nodes, start, tree.output, c.nvars)
 
 
-def _decompose(tree: RationalCircuit, root: int, nx: int) -> IdrCircuit:
-    subs: list[RationalCircuit] = []
+def _decompose(nodes: tuple, start: list[int], root: int, nx: int) -> IdrCircuit:
+    """Split the subtree at root of a post-order tree.  Walking down from
+    root and skipping each inverse gate's subtree range leaves the top:
+    the inverse-free nodes above the top-level inverse gates, and those
+    gates, which a forward loop turns into placeholders in index order."""
+    top_idx = []
+    i = root
+    while i >= start[root]:
+        top_idx.append(i)
+        i = start[i] - 1 if nodes[i][0] == "inv" else i - 1
     top = CircuitBuilder()
-
-    def go(i: int) -> int:
-        node = tree.nodes[i]
+    new: dict[int, int] = {}
+    subs: list[int] = []                 # roots of the inverse gates' children
+    for i in reversed(top_idx):
+        node = nodes[i]
         kind = node[0]
         if kind == "const":
-            return top.const(node[1])
-        if kind == "var":
-            return top.var(node[1])
-        if kind == "inv":
-            sub = _extract(tree, node[1])
-            subs.append(sub)
-            return top.var(nx + len(subs))
-        return top._push((kind, go(node[1]), go(node[2])))
-
-    out = go(root)
-    top_circ = top.build(out, nvars=nx + len(subs))
-    abp = formula_to_abp(top_circ)
+            new[i] = top.const(node[1])
+        elif kind == "var":
+            new[i] = top.var(node[1])
+        elif kind == "inv":
+            subs.append(node[1])
+            new[i] = top.var(nx + len(subs))
+        else:
+            new[i] = top._push((kind, new[node[1]], new[node[2]]))
+    abp = formula_to_abp(top.build(new[root], nvars=nx + len(subs)))
     return IdrCircuit(top=abp, nx=nx,
-                      subs=tuple(_decompose(s, s.output, nx) for s in subs))
-
-
-def _extract(tree: RationalCircuit, root: int) -> RationalCircuit:
-    b = CircuitBuilder()
-
-    def go(i: int) -> int:
-        node = tree.nodes[i]
-        kind = node[0]
-        if kind == "const":
-            return b.const(node[1])
-        if kind == "var":
-            return b.var(node[1])
-        if kind == "inv":
-            return b.inv(go(node[1]))
-        return b._push((kind, go(node[1]), go(node[2])))
-
-    out = go(root)
-    return b.build(out, nvars=tree.nvars)
+                      subs=tuple(_decompose(nodes, start, s, nx) for s in subs))
 
 
 def eval_idrrsc(idr: IdrCircuit, t: MatrixTuple) -> DenseMatrix:
@@ -593,7 +592,7 @@ def variable_reduction(c: RationalCircuit, h: int) -> RationalCircuit:
     if h < classify(c).height:
         raise ValueError("h must be at least the inversion height")
     b = CircuitBuilder()
-    cache: dict[int, int] = {}
+    new: dict[int, int] = {}              # old index -> index in b
 
     def encode_var(i: int) -> int:
         total = None
@@ -605,24 +604,18 @@ def variable_reduction(c: RationalCircuit, h: int) -> RationalCircuit:
             total = term if total is None else b.add(total, term)
         return total
 
-    def go(i: int) -> int:
-        if i in cache:
-            return cache[i]
+    for i in c.reachable():
         node = c.nodes[i]
         kind = node[0]
         if kind == "const":
-            out = b.const(node[1])
+            new[i] = b.const(node[1])
         elif kind == "var":
-            out = encode_var(node[1])
+            new[i] = encode_var(node[1])
         elif kind == "inv":
-            out = b.inv(go(node[1]))
+            new[i] = b.inv(new[node[1]])
         else:
-            out = b._push((kind, go(node[1]), go(node[2])))
-        cache[i] = out
-        return out
-
-    out = go(c.output)
-    return b.build(out, nvars=2 * (h + 1))
+            new[i] = b._push((kind, new[node[1]], new[node[2]]))
+    return b.build(new[c.output], nvars=2 * (h + 1))
 
 
 def bivariate_encode(c: RationalCircuit) -> RationalCircuit:
@@ -671,60 +664,73 @@ def dump_circuit(c: RationalCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ARITY = {"const": 1, "var": 1, "inv": 1, "add": 2, "sub": 2, "mul": 2}
+
+
 def parse_circuit(text: str) -> RationalCircuit:
+    """Lines `<id> <kind> <args>` in any order, plus `output <id>`; node ids
+    are renumbered in topological order.  Malformed input raises
+    ValueError naming the line."""
     raw: dict[int, tuple] = {}
-    output = None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    line_of: dict[int, int] = {}
+    output = output_line = None
+    for lineno, ln in enumerate(text.splitlines(), 1):
         parts = ln.split()
-        if parts[0] == "output":
-            output = int(parts[1])
+        if not parts or parts[0].startswith("#"):
             continue
-        nid = int(parts[0])
-        kind = parts[1]
-        if kind == "const":
-            raw[nid] = ("const", Fraction(parts[2]))
-        elif kind == "var":
-            raw[nid] = ("var", int(parts[2]))
-        elif kind == "inv":
-            raw[nid] = ("inv", int(parts[2]))
-        elif kind in ("add", "sub", "mul"):
-            raw[nid] = (kind, int(parts[2]), int(parts[3]))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
+        try:
+            if parts[0] == "output":
+                if len(parts) != 2:
+                    raise ValueError("output takes one node id")
+                output, output_line = int(parts[1]), lineno
+                continue
+            if len(parts) < 2 or parts[1] not in _ARITY:
+                raise ValueError(f"expected `<id> <kind> <args>`, found {ln.strip()!r}")
+            kind = parts[1]
+            if len(parts) != 2 + _ARITY[kind]:
+                raise ValueError(f"{kind} takes {_ARITY[kind]} argument(s)")
+            nid = int(parts[0])
+            if kind == "const":
+                raw[nid] = ("const", Fraction(parts[2]))
+            else:
+                raw[nid] = (kind,) + tuple(int(x) for x in parts[2:])
+            if kind == "var" and raw[nid][1] < 1:
+                raise ValueError("variable indices are 1-based")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        line_of[nid] = lineno
     if output is None:
-        raise ValueError("missing output line")
-    order: list[int] = []
-    state: dict[int, int] = {}
-
-    def visit(i: int):
-        st = state.get(i, 0)
-        if st == 1:
-            raise ValueError("circuit file contains a cycle")
-        if st == 2:
-            return
-        state[i] = 1
-        node = raw[i]
-        if node[0] not in ("const", "var"):
-            for ch in node[1:]:
-                visit(ch)
-        state[i] = 2
-        order.append(i)
-
-    for i in raw:
-        visit(i)
-    remap = {old: new for new, old in enumerate(order)}
+        raise ValueError(f"line {len(text.splitlines()) + 1}: end of file, "
+                         "missing output line")
+    if output not in raw:
+        raise ValueError(f"line {output_line}: node {output} is not defined")
+    for nid, node in raw.items():
+        for ch in _children(node):
+            if ch not in raw:
+                raise ValueError(f"line {line_of[nid]}: node {ch} is not defined")
+    # depth-first topological sort, numbering each node as it is closed
+    remap: dict[int, int] = {}
+    on_path: set[int] = set()
+    for root in raw:
+        stack = [(root, False)]            # (node, children already sorted)
+        while stack:
+            i, closing = stack.pop()
+            if closing:
+                on_path.discard(i)
+                remap[i] = len(remap)
+            elif i in on_path:
+                raise ValueError(f"line {line_of[i]}: circuit file contains "
+                                 f"a cycle through node {i}")
+            elif i not in remap:
+                on_path.add(i)
+                stack.append((i, True))
+                stack.extend((ch, False) for ch in reversed(_children(raw[i])))
     nodes = []
-    for old in order:
+    for old in remap:
         node = raw[old]
-        if node[0] in ("const", "var"):
-            nodes.append(node)
-        elif node[0] == "inv":
-            nodes.append(("inv", remap[node[1]]))
-        else:
-            nodes.append((node[0], remap[node[1]], remap[node[2]]))
+        if _children(node):
+            node = (node[0],) + tuple(remap[ch] for ch in node[1:])
+        nodes.append(node)
     return RationalCircuit(tuple(nodes), remap[output],
                            max((n[1] for n in nodes if n[0] == "var"), default=0))
 
@@ -732,8 +738,3 @@ def parse_circuit(text: str) -> RationalCircuit:
 def read_circuit(path: str) -> RationalCircuit:
     with open(path) as fh:
         return parse_circuit(fh.read())
-
-
-def write_circuit(c: RationalCircuit, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_circuit(c))

@@ -101,6 +101,10 @@ class PrimeField:
     def rand(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
 
+    def sample_set_size(self) -> int:
+        """Number of values rand draws from (the Schwartz-Zippel set)."""
+        return self.p
+
     def format(self, a: int) -> str:
         return str(a)
 
@@ -148,6 +152,10 @@ class RationalField:
 
     def rand(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randrange(-(1 << 16), 1 << 16))
+
+    def sample_set_size(self) -> int:
+        """Number of values rand draws from (the Schwartz-Zippel set)."""
+        return 1 << 17
 
     def format(self, a: Fraction) -> str:
         if a.denominator == 1:

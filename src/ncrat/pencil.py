@@ -17,15 +17,14 @@ rather than silently duplicated.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _modnum
 from .circuit import Abp, IdrCircuit
-from .field import (DenseMatrix, Field, MatrixTuple, Singular, kron,
-                    rank_of, solve)
+from .field import (QQ, DenseMatrix, Field, MatrixTuple, PrimeField, Singular,
+                    kron, rank_of, solve)
 
 
 class DimensionMismatch(Exception):
@@ -108,13 +107,6 @@ class RealizedEntry:
             for b in range(t.d):
                 out.data[a * t.d + b] = sol.at((self.row - 1) * t.d + a, b)
         return out
-
-    def defined_at(self, t: MatrixTuple) -> bool:
-        try:
-            self.value_at(t)
-            return True
-        except Singular:
-            return False
 
 
 def zero_entry(field: Field, nvars: int) -> RealizedEntry:
@@ -587,12 +579,8 @@ class PencilOracle:
         return self.rank_at(t) == self.size * t.d
 
 
-def pencil_rank_at(L: LinearPencil, t: MatrixTuple) -> int:
-    return rank_of(eval_pencil(L, t))
-
-
 def is_invertible_at(L: LinearPencil, t: MatrixTuple) -> bool:
-    return pencil_rank_at(L, t) == L.size * t.d
+    return rank_of(eval_pencil(L, t)) == L.size * t.d
 
 
 # -- pencil file format --------------------------------------------------------
@@ -619,52 +607,67 @@ def dump_pencil(L: LinearPencil, realize: tuple[int, int] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_realized(e: RealizedEntry) -> str:
-    return dump_pencil(e.pencil, realize=(e.row, e.col))
+def _bounded_int(text: str, what: str, lo: int, hi: int | None = None) -> int:
+    v = int(text)
+    if v < lo or (hi is not None and v > hi):
+        raise ValueError(f"{what} {v} is out of range")
+    return v
 
 
 def parse_pencil(text: str):
-    """Returns (LinearPencil, realize-or-None)."""
-    from .field import QQ, PrimeField
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    idx = 0
-    field: Field | None = None
-    if lines[idx].startswith("field "):
-        parts = lines[idx].split()
-        field = PrimeField(int(parts[2])) if parts[1] == "prime" else QQ
-        idx += 1
-    else:
-        raise ValueError("missing field header")
-    if not lines[idx].startswith("size "):
-        raise ValueError("missing size header")
-    size = int(lines[idx].split()[1])
-    idx += 1
-    if not lines[idx].startswith("nvars "):
-        raise ValueError("missing nvars header")
-    nvars = int(lines[idx].split()[1])
-    idx += 1
-    coeffs = [DenseMatrix.zeros(field, size, size) for _ in range(nvars + 1)]
-    realize = None
-    while idx < len(lines):
-        ln = lines[idx]
-        if ln.startswith("realize "):
-            parts = ln.split()
-            realize = (int(parts[1]), int(parts[2]))
-            idx += 1
+    """Returns (LinearPencil, realize-or-None).  Malformed input raises
+    ValueError naming the line."""
+    field = size = nvars = realize = None
+    coeffs: list[DenseMatrix] = []
+    block = None                 # k while reading the lines of `coeff k`
+    for lineno, ln in enumerate(text.splitlines(), 1):
+        parts = ln.split()
+        if not parts:
             continue
-        if not ln.startswith("coeff "):
-            raise ValueError(f"expected coeff block, found {ln!r}")
-        k = int(ln.split()[1])
-        if k > nvars:
-            raise ValueError("coefficient index out of range")
-        idx += 1
-        while idx < len(lines) and lines[idx] != "end":
-            r, c, v = lines[idx].split()
-            coeffs[k].data[(int(r) - 1) * size + (int(c) - 1)] = field.parse(v)
-            idx += 1
-        if idx == len(lines):
-            raise ValueError("unterminated coeff block")
-        idx += 1
+        try:
+            if field is None:
+                if parts[0] != "field":
+                    raise ValueError("missing field header")
+                if parts[1:] == ["rational"]:
+                    field = QQ
+                elif len(parts) == 3 and parts[1] == "prime":
+                    field = PrimeField(int(parts[2]))
+                else:
+                    raise ValueError("expected `field prime <p>` or `field rational`")
+            elif size is None or nvars is None:
+                key = "size" if size is None else "nvars"
+                if parts[0] != key or len(parts) != 2:
+                    raise ValueError(f"missing {key} header")
+                if key == "size":
+                    size = _bounded_int(parts[1], "size", 1)
+                else:
+                    nvars = _bounded_int(parts[1], "nvars", 0)
+                    coeffs = [DenseMatrix.zeros(field, size, size)
+                              for _ in range(nvars + 1)]
+            elif block is not None:
+                if parts == ["end"]:
+                    block = None
+                    continue
+                if len(parts) != 3:
+                    raise ValueError("expected `row col value` or `end`")
+                r = _bounded_int(parts[0], "row", 1, size)
+                c = _bounded_int(parts[1], "column", 1, size)
+                coeffs[block].data[(r - 1) * size + (c - 1)] = field.parse(parts[2])
+            elif parts[0] == "coeff" and len(parts) == 2:
+                block = _bounded_int(parts[1], "coefficient index", 0, nvars)
+            elif parts[0] == "realize" and len(parts) == 3:
+                realize = (_bounded_int(parts[1], "realize row", 1, size),
+                           _bounded_int(parts[2], "realize column", 1, size))
+            else:
+                raise ValueError(f"expected coeff block, found {ln.strip()!r}")
+        except (ValueError, ZeroDivisionError, Singular) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    eof = f"line {len(text.splitlines()) + 1}: end of file"
+    if nvars is None:
+        missing = "field" if field is None else "size" if size is None else "nvars"
+        raise ValueError(f"{eof}, missing {missing} header")
+    if block is not None:
+        raise ValueError(f"{eof} inside coeff block {block}")
     return LinearPencil(field, size, nvars, tuple(coeffs)), realize
 
 
@@ -678,13 +681,3 @@ def write_pencil(L: LinearPencil, path: str,
     with open(path, "w") as fh:
         fh.write(dump_pencil(L, realize))
 
-
-def random_invertible_point(L: LinearPencil, d: int, rng: random.Random,
-                            tries: int = 64) -> MatrixTuple | None:
-    """A tuple where the pencil evaluates invertibly, or None."""
-    from .field import sample_tuple
-    for _ in range(tries):
-        t = sample_tuple(L.field, max(L.nvars, 1), d, rng)
-        if is_invertible_at(L, t):
-            return t
-    return None

@@ -272,7 +272,7 @@ def parse_skew_file(text: str, field: Field, base_dir: str = ".",
             kind, _, rest = ln.partition(" ")
             rest = rest.strip()
             if kind == "expr":
-                if classify_is_zero_literal(rest):
+                if rest == "0":
                     row.append(None)
                     continue
                 row.append(compile_idrrsc(to_idrrsc(parse_expr(rest)), field))
@@ -285,10 +285,6 @@ def parse_skew_file(text: str, field: Field, base_dir: str = ".",
                 raise ValueError(f"unknown entry kind {kind!r}")
         grid.append(row)
     return make_skew_matrix(grid, field, check=check)
-
-
-def classify_is_zero_literal(text: str) -> bool:
-    return text.strip() == "0"
 
 
 def read_skew_file(path: str, field: Field, check: bool = True) -> SkewMatrix:

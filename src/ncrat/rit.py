@@ -53,7 +53,7 @@ class RitVerdict:
     pencil_size: int = 0
     trials_run: int = 0
     max_dim: int = 0
-    error_bound_num: int = 0           # per-trial numerator over the field size
+    error_bound_num: int = 0           # per-trial, over the sampled set size
     error_bound_den: int = 1
 
     @property
@@ -112,7 +112,7 @@ def rit_test(c: RationalCircuit, field: Field,
     return RitVerdict("zero", pencil_size=gate.size, trials_run=trials_run,
                       max_dim=max_dim,
                       error_bound_num=gate.size * max_dim,
-                      error_bound_den=field.p if field.kind == "prime" else 1 << 62)
+                      error_bound_den=field.sample_set_size())
 
 
 def strong_witness(c: RationalCircuit, field: Field,

@@ -57,7 +57,7 @@ class SeriesVerdict:
     witness: MatrixTuple | None
     dimension: int
     trials: int
-    error_bound_num: int           # per-trial numerator of (s-1)*d / p
+    error_bound_num: int           # per-trial (s-1)*d over the sampled set size
     error_bound_den: int
 
 
@@ -98,12 +98,13 @@ def series_is_zero(S: RecognizableSeries, trials: int = 16,
     nv = max(S.nvars, 1)
     if all(S.field.is_zero(x) for x in S.c.data) or \
             all(S.field.is_zero(x) for x in S.b.data):
-        return SeriesVerdict("zero", None, d, 0, s - 1, _field_size(S.field))
+        return SeriesVerdict("zero", None, d, 0, s - 1, S.field.sample_set_size())
     for _ in range(trials):
         t = sample_tuple(S.field, nv, d, rng)
         if not truncated_eval(S, s - 1, t).is_zero():
             return SeriesVerdict("nonzero", t, d, trials, 0, 1)
-    return SeriesVerdict("zero", None, d, trials, (s - 1) * d, _field_size(S.field))
+    return SeriesVerdict("zero", None, d, trials, (s - 1) * d,
+                         S.field.sample_set_size())
 
 
 def _field_size(f: Field) -> int:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_formula
 from ncrat import freepoly as fp
@@ -57,6 +59,9 @@ def test_parse_errors_carry_position():
         parse_expr("inv x1")
     with pytest.raises(ParseError):
         parse_expr("x0")  # variables are 1-based
+    with pytest.raises(ParseError) as exc:
+        parse_expr("x1 + 1/0")
+    assert exc.value.pos == 7
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -301,3 +306,49 @@ def test_circuit_file_fraction_constants():
     c = parse_expr("2/3 * x1")
     back = parse_circuit(dump_circuit(c))
     assert any(n[0] == "const" and n[1] == Fraction(2, 3) for n in back.nodes)
+
+
+@st.composite
+def trees(draw):
+    """Random post-order trees, built like a reverse-Polish program."""
+    b = CircuitBuilder()
+    stack = []
+    ops = draw(st.lists(st.sampled_from(["leaf", "leaf", "inv", "add", "sub", "mul"]),
+                        min_size=1, max_size=40))
+    for op in ops:
+        if op == "inv" and stack:
+            stack.append(b.inv(stack.pop()))
+        elif op in ("add", "sub", "mul") and len(stack) >= 2:
+            r = stack.pop()
+            stack.append(b._push((op, stack.pop(), r)))
+        elif draw(st.booleans()):
+            stack.append(b.var(draw(st.integers(1, 6))))
+        else:
+            stack.append(b.const(draw(st.fractions(max_denominator=40))))
+    while len(stack) > 1:
+        r = stack.pop()
+        stack.append(b.add(stack.pop(), r))
+    return b.build(stack[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees())
+def test_circuit_file_round_trips_generated_trees(c):
+    assert parse_circuit(dump_circuit(c)) == c
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "line 1"),
+    ("0 var 1\n", "line 2"),                   # no output line
+    ("0 var 1\noutput 3\n", "line 2"),         # output is not a node
+    ("0 add 1 2\noutput 0\n", "line 1"),       # child never defined
+    ("0 var\noutput 0\n", "line 1"),           # short line
+    ("0\noutput 0\n", "line 1"),
+    ("0 var 1\n1 inv\noutput 1\n", "line 2"),
+    ("0 const 1/0\noutput 0\n", "line 1"),
+    ("0 var 0\noutput 0\n", "line 1"),
+    ("0 var 1\n1 pow 0 0\noutput 1\n", "line 2"),
+])
+def test_circuit_file_errors_name_the_line(text, where):
+    with pytest.raises(ValueError, match=f"^{where}: "):
+        parse_circuit(text)

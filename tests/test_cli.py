@@ -1,6 +1,8 @@
 import io
 from contextlib import redirect_stdout
 
+import pytest
+
 from ncrat.cli import main
 
 HUA = "inv(x1 + x1*inv(x2)*x1) + inv(x1+x2) - inv(x1)"
@@ -142,3 +144,43 @@ def test_input_error_exit_code():
     assert status == 2
     status, _ = run(["ncrank", "--file", "/nonexistent/file.skm"])
     assert status == 2
+
+
+BAD_PENCIL_FILES = {
+    "empty": "",
+    "truncated": "field prime 7\nsize 2\n",
+    "column-out-of-range": "field prime 7\nsize 2\nnvars 1\ncoeff 1\n1 3 5\nend\nrealize 1 1\n",
+    "row-below-one": "field prime 7\nsize 2\nnvars 1\ncoeff 1\n0 1 4\nend\nrealize 1 1\n",
+    "unterminated-block": "field prime 7\nsize 2\nnvars 1\ncoeff 1\n1 2 1\n",
+}
+
+BAD_CIRCUIT_FILES = {
+    "undefined-child": "0 add 1 2\noutput 0\n",
+    "short-line": "0 var\noutput 0\n",
+    "undefined-output": "0 var 1\noutput 7\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PENCIL_FILES))
+def test_malformed_pencil_file_exits_two(tmp_path, capsys, name):
+    path = tmp_path / "bad.lp"
+    path.write_text(BAD_PENCIL_FILES[name])
+    status, _ = run(["series-zero", "--file", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CIRCUIT_FILES))
+def test_malformed_circuit_file_exits_two(tmp_path, capsys, name):
+    path = tmp_path / "bad.circ"
+    path.write_text(BAD_CIRCUIT_FILES[name])
+    status, _ = run(["compile", "--file", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1
+
+
+def test_rational_zero_bound_is_over_the_sampled_set():
+    # RationalField.rand draws from the 2^17 integers in [-2^16, 2^16)
+    status, out = run(["rit", "--rational", "x1 - x1", "--trials", "2"])
+    assert status == 0 and "verdict ZERO" in out
+    assert "error_bound_per_trial 9/131072\n" in out   # pencil size 3, max_dim 3

@@ -1,0 +1,56 @@
+"""Inputs far deeper than Python's recursion limit.
+
+Formula size, not nesting depth, bounds what the parser, the tree
+expansion, the decomposition and the circuit-file reader accept; every
+test here runs at the default recursion limit."""
+
+from test_cli import run
+
+from ncrat.circuit import classify, parse_circuit, parse_expr
+
+
+def test_sum_of_ten_thousand_leaves_compiles_and_tests():
+    expr = " + ".join(f"x{k % 5 + 1}" if k % 3 else str(k % 7 + 1)
+                      for k in range(10000))
+    status, out = run(["compile", expr])
+    assert status == 0 and "size_bound_16s2 True" in out
+    status, out = run(["rit", expr])
+    assert status == 0 and "verdict NONZERO" in out
+
+
+def test_sum_of_degree_two_monomials_compiles_and_tests():
+    expr = " + ".join(f"x{k % 3 + 1}*x{(k + 1) % 3 + 1}" for k in range(1500))
+    status, out = run(["compile", expr])
+    assert status == 0 and "pencil_size 1502" in out
+    # The gate's oracle core keeps all 1501 middle rows; one rank of that
+    # size takes ~20 s with the M61 kernel, so rit runs over 2^31 - 1.
+    status, out = run(["rit", "--prime", "2147483647", expr])
+    assert status == 0 and "verdict NONZERO" in out
+
+
+def test_five_thousand_nested_parentheses():
+    c = parse_expr("(" * 5000 + "x1 + 2" + ")" * 5000)
+    assert c.nodes == (("var", 1), ("const", 2), ("add", 0, 1))
+
+
+def test_inverse_nested_two_thousand_deep():
+    c = parse_expr("inv(" * 2000 + "x1" + ")" * 2000)
+    assert len(c.nodes) == 2001 and classify(c).height == 2000
+
+
+def _deep_chain_file(depth: int) -> str:
+    """add-chain of the given depth with parents listed before children."""
+    lines = [f"{k} add {k + 1} {depth + k}" for k in range(depth - 1)]
+    lines.append(f"{depth - 1} var 1")
+    lines += [f"{depth + k} var {k % 4 + 1}" for k in range(depth - 1)]
+    return "\n".join(lines) + "\noutput 0\n"
+
+
+def test_deep_circuit_file_parses_and_compiles(tmp_path):
+    text = _deep_chain_file(5000)
+    c = parse_circuit(text)
+    assert len(c.nodes) == 9999 and c.nodes[-1] == ("add", 9996, 9997)
+    path = tmp_path / "deep.circ"
+    path.write_text(text)
+    status, out = run(["compile", "--file", str(path)])
+    assert status == 0 and "\nsize 9999\n" in out

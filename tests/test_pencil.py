@@ -517,3 +517,25 @@ def test_pencil_file_round_trip(rng):
 def test_pencil_file_rejects_bad_headers():
     with pytest.raises(ValueError):
         parse_pencil("size 2\nnvars 0\ncoeff 0\nend\n")
+
+
+HEAD = "field prime 7\nsize 2\nnvars 0\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "line 1"),
+    ("field prime 7\n", "line 2"),
+    ("field prime 7\nsize 2\n", "line 3"),
+    ("field prime 7\nsize\nnvars 0\n", "line 2"),
+    ("field prime 8\nsize 2\nnvars 0\n", "line 1"),
+    (HEAD + "coeff 0\n1 3 5\nend\n", "line 5"),          # column past size
+    (HEAD + "coeff 0\n0 1 4\nend\n", "line 5"),          # row below 1
+    (HEAD + "coeff 0\n1 1\nend\n", "line 5"),            # short triplet
+    (HEAD + "coeff 0\n1 1 4\n", "line 6"),               # truncated block
+    (HEAD + "coeff 1\nend\n", "line 4"),                 # coefficient past nvars
+    (HEAD + "coeff 0\n1 1 1/7\nend\n", "line 5"),        # zero denominator mod 7
+    (HEAD + "realize 1 3\n", "line 4"),
+])
+def test_pencil_file_errors_name_the_line(text, where):
+    with pytest.raises(ValueError, match=f"^{where}: "):
+        parse_pencil(text)

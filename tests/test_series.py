@@ -311,3 +311,14 @@ def test_shifted_entry_series_matches_entry(rng):
             continue
         rhs = entry.value_at(shifted)
         assert lhs.data[0] == rhs.at(0, 0)
+
+
+def test_rational_zero_bound_is_over_the_sampled_set():
+    from ncrat.field import QQ
+    # c M^k b = 0 for every word: M = x1 E_12 is nilpotent and c = e_2, b = e_1
+    c = DenseMatrix.from_rows(QQ, [[0, 1]])
+    b = DenseMatrix.from_rows(QQ, [[1], [0]])
+    M = LinearPencil(QQ, 2, 1, (DenseMatrix.zeros(QQ, 2, 2),
+                                DenseMatrix.from_rows(QQ, [[0, 1], [0, 0]])))
+    v = series_is_zero(RecognizableSeries(c, M, b), trials=2)
+    assert v.kind == "zero" and v.error_bound_den == QQ.sample_set_size() == 1 << 17
