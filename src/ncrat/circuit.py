@@ -482,11 +482,20 @@ class IdrCircuit:
 
     @property
     def height(self) -> int:
-        return 0 if not self.subs else 1 + max(s.height for s in self.subs)
+        h, level = 0, self.subs
+        while level:                     # one level of subs per inversion
+            h += 1
+            level = [s for node in level for s in node.subs]
+        return h
 
     @property
     def size(self) -> int:
-        return self.top.size + sum(s.size + 1 for s in self.subs)
+        total, stack = 0, [self]
+        while stack:                     # each top, plus one per inverse gate
+            node = stack.pop()
+            total += node.top.size + node.m
+            stack.extend(node.subs)
+        return total
 
 
 def _expand_tree(c: RationalCircuit, cap_nodes: int) -> RationalCircuit:
@@ -538,10 +547,29 @@ def to_idrrsc(c: RationalCircuit, blowup_cap: float = 8.0) -> IdrCircuit:
 
 
 def _decompose(nodes: tuple, start: list[int], root: int, nx: int) -> IdrCircuit:
-    """Split the subtree at root of a post-order tree.  Walking down from
-    root and skipping each inverse gate's subtree range leaves the top:
-    the inverse-free nodes above the top-level inverse gates, and those
-    gates, which a forward loop turns into placeholders in index order."""
+    """Decompose the subtree at root of a post-order tree: split off its
+    top, then the top of every subtree below one of its inverse gates, and
+    so on, with an explicit stack; the IdrCircuits are then built
+    bottom-up, so inversion height is not bounded by the recursion limit."""
+    split: dict[int, tuple] = {}         # subtree root -> (top abp, sub roots)
+    stack = [root]
+    while stack:
+        r = stack.pop()
+        split[r] = _split_top(nodes, start, r, nx)
+        stack.extend(split[r][1])
+    built: dict[int, IdrCircuit] = {}
+    for r in reversed(split):            # every sub was found after its host
+        abp, subs = split[r]
+        built[r] = IdrCircuit(top=abp, nx=nx, subs=tuple(built[s] for s in subs))
+    return built[root]
+
+
+def _split_top(nodes: tuple, start: list[int], root: int, nx: int):
+    """Walking down from root and skipping each inverse gate's subtree
+    range leaves the top: the inverse-free nodes above the top-level
+    inverse gates, and those gates, which a forward loop turns into
+    placeholders in index order.  Returns the top's branching program and
+    the roots of the gates' children."""
     top_idx = []
     i = root
     while i >= start[root]:
@@ -562,24 +590,30 @@ def _decompose(nodes: tuple, start: list[int], root: int, nx: int) -> IdrCircuit
             new[i] = top.var(nx + len(subs))
         else:
             new[i] = top._push((kind, new[node[1]], new[node[2]]))
-    abp = formula_to_abp(top.build(new[root], nvars=nx + len(subs)))
-    return IdrCircuit(top=abp, nx=nx,
-                      subs=tuple(_decompose(nodes, start, s, nx) for s in subs))
+    return formula_to_abp(top.build(new[root], nvars=nx + len(subs))), subs
 
 
 def eval_idrrsc(idr: IdrCircuit, t: MatrixTuple) -> DenseMatrix:
     """Evaluate the decomposition directly: placeholders take the inverses
     of the evaluated subs.  Raises Undefined(-1) when a sub value or the
-    composition is singular."""
-    vals = list(t.mats)
-    for sub in idr.subs:
-        v = eval_idrrsc(sub, t)
+    composition is singular.  Post-order with an explicit stack."""
+    inverses: list[DenseMatrix] = []     # of evaluated subs awaiting their host
+    stack = [(idr, False)]
+    while stack:
+        node, subs_done = stack.pop()
+        if not subs_done:
+            stack.append((node, True))
+            stack.extend((sub, False) for sub in reversed(node.subs))
+            continue
+        vals = inverses[len(inverses) - node.m:]
+        del inverses[len(inverses) - node.m:]
+        value = eval_abp(node.top, MatrixTuple(t.field, t.d, t.mats + tuple(vals)))
+        if not stack:
+            return value
         try:
-            vals.append(invert(v))
+            inverses.append(invert(value))
         except Singular:
             raise Undefined(-1) from None
-    ext = MatrixTuple(t.field, t.d, tuple(vals))
-    return eval_abp(idr.top, ext)
 
 
 # -- variable substitutions -------------------------------------------------

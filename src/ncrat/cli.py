@@ -208,7 +208,7 @@ def cmd_eval(args) -> int:
 
 def cmd_series_zero(args) -> int:
     L, realize = read_pencil(args.file)
-    if not L.coeffs[0].is_zero():
+    if any(0 in e for e in L.entries.values()):
         raise InputError("transition pencil must be homogeneous (A0 = 0)")
     if realize is None:
         raise InputError("pencil file needs a `realize u v` trailer")

@@ -489,33 +489,57 @@ def write_tuple(t: MatrixTuple, path: str) -> None:
         fh.write(dump_tuple(t))
 
 
+def _header_int(parts: list[str], key: str, lo: int) -> int:
+    if len(parts) != 2 or parts[0] != key:
+        raise ValueError(f"expected `{key} <integer>`")
+    v = int(parts[1])
+    if v < lo:
+        raise ValueError(f"{key} {v} is out of range")
+    return v
+
+
 def parse_tuple(text: str) -> MatrixTuple:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("field "):
-        raise ValueError("missing field header")
-    head = lines[0].split()
-    if head[1] == "prime":
-        field: Field = PrimeField(int(head[2]))
-    elif head[1] == "rational":
-        field = QQ
-    else:
-        raise ValueError(f"unknown field kind {head[1]!r}")
-    if not lines[1].startswith("nvars ") or not lines[2].startswith("dim "):
-        raise ValueError("missing nvars/dim headers")
-    n = int(lines[1].split()[1])
-    d = int(lines[2].split()[1])
-    body = lines[3:]
-    if len(body) != n * d:
-        raise ValueError(f"expected {n * d} matrix rows, found {len(body)}")
-    mats = []
-    for k in range(n):
-        rows = []
-        for i in range(d):
-            parts = body[k * d + i].split()
-            if len(parts) != d:
-                raise ValueError(f"row {i} of matrix {k} has {len(parts)} entries")
-            rows.append([field.parse(x) for x in parts])
-        mats.append(DenseMatrix.from_rows(field, rows))
+    """Header lines `field prime <p>` (or `field rational`), `nvars <n>` and
+    `dim <d>`, then n matrices of d rows of d entries each; blank lines are
+    ignored.  Malformed input raises ValueError naming the line."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    end = len(text.splitlines()) + 1
+
+    def at(i: int) -> tuple[int, list[str]]:
+        return lines[i] if i < len(lines) else (end, [])
+
+    no, head = at(0)
+    try:
+        if head[:1] != ["field"]:
+            raise ValueError("missing field header")
+        if head[1:] == ["rational"]:
+            field: Field = QQ
+        elif len(head) == 3 and head[1] == "prime":
+            field = PrimeField(int(head[2]))
+        else:
+            raise ValueError("expected `field prime <p>` or `field rational`")
+        no, parts = at(1)
+        n = _header_int(parts, "nvars", 0)
+        no, parts = at(2)
+        d = _header_int(parts, "dim", 1)
+        mats = []
+        for k in range(n):
+            rows = []
+            for i in range(d):
+                no, parts = at(3 + k * d + i)
+                if no == end:
+                    raise ValueError(f"end of file, expected {n * d} matrix rows")
+                if len(parts) != d:
+                    raise ValueError(f"row {i + 1} of matrix {k + 1} has "
+                                     f"{len(parts)} entries, expected {d}")
+                rows.append([field.parse(x) for x in parts])
+            mats.append(DenseMatrix.from_rows(field, rows))
+        no, parts = at(3 + n * d)
+        if no != end:
+            raise ValueError(f"expected {n * d} matrix rows, found more")
+    except (ValueError, ZeroDivisionError, Singular) as exc:
+        raise ValueError(f"line {no}: {exc}") from None
     return MatrixTuple(field, d, tuple(mats))
 
 

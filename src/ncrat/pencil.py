@@ -13,6 +13,11 @@ one entry of the host pencil.  That is precisely the shape produced by
 the tree-normalized compiler (each inverse gate feeds one edge of the
 top branching program); sharing a placeholder across entries is rejected
 rather than silently duplicated.
+
+Storage is sparse, (row, col) -> {k: value} with no zero stored: the
+compiler's pencils hold a few nonzeros per row at sizes in the thousands.
+Builders write blocks into that map with `place_block`; only evaluation
+densifies, `eval_pencil` for one call and the oracle for its reduced core.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from . import _modnum
 from .circuit import Abp, IdrCircuit
 from .field import (QQ, DenseMatrix, Field, MatrixTuple, PrimeField, Singular,
-                    kron, rank_of, solve)
+                    rank_of, solve)
 
 
 class DimensionMismatch(Exception):
@@ -35,42 +40,107 @@ class DisjointnessViolation(ValueError):
     """A placeholder variable occurs in more than one host pencil entry."""
 
 
+Entries = dict            # (row, col) -> {k: value}, see the module docstring
+
+
 @dataclass(frozen=True)
 class LinearPencil:
-    """Coefficient matrices A0..An, all square of equal size."""
+    """A0 + sum_k Ak x_k, all square of equal size, stored as the nonzero
+    entries (row, col) -> {k: value} (0-indexed, values canonical field
+    elements).  Treat as immutable: builders share entry dicts."""
 
     field: Field
     size: int
     nvars: int
-    coeffs: tuple[DenseMatrix, ...]
+    entries: Entries
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.nvars + 1:
-            raise ValueError("need one coefficient matrix per variable plus A0")
-        for m in self.coeffs:
-            if m.rows != self.size or m.cols != self.size:
-                raise ValueError("coefficient matrices must be size x size")
+    @property
+    def coeffs(self) -> tuple[DenseMatrix, ...]:
+        """Dense A0..An, built on each access and never kept: a read-only
+        view for checks and tracing, size^2 (nvars+1) slots long."""
+        N = self.size
+        mats = tuple(DenseMatrix.zeros(self.field, N, N)
+                     for _ in range(self.nvars + 1))
+        for (r, c), e in self.entries.items():
+            for k, v in e.items():
+                mats[k].data[r * N + c] = v
+        return mats
 
     def _np_coeffs(self):
-        return np.stack([m._np() for m in self.coeffs])
+        """The coefficients scattered into an (nvars+1, size, size) uint64
+        array (fast prime fields only)."""
+        arr = np.zeros((self.nvars + 1, self.size, self.size), dtype=np.uint64)
+        if self.entries:
+            ks, rs, cs, vs = zip(*((k, r, c, v)
+                                   for (r, c), e in self.entries.items()
+                                   for k, v in e.items()))
+            arr[ks, rs, cs] = np.array(vs, dtype=np.uint64)
+        return arr
+
+
+def place_block(dst: Entries, block: Entries, ro: int = 0, co: int = 0,
+                coeff=None) -> None:
+    """Write block, a map (i, j) -> {k: value}, into dst at offset (ro, co).
+    Each component is assigned, as in a dense coefficient matrix: other
+    components already at (ro + i, co + j) stay, a zero value removes one.
+    coeff, when given, rewrites each {k: value} of the block first
+    (renaming, negating or dropping coefficients)."""
+    shifted = {(ro + i, co + j): e if coeff is None else coeff(e)
+               for (i, j), e in block.items()}
+    for key in shifted.keys() & dst.keys():
+        shifted[key] = {**dst[key], **shifted[key]}
+    dst.update(shifted)
+    # canonical zeros compare equal to 0 in F_p and in Q
+    for key in [key for key, e in shifted.items() if not e or 0 in e.values()]:
+        e = {k: v for k, v in shifted[key].items() if v != 0}
+        if e:
+            dst[key] = e
+        else:
+            del dst[key]
+
+
+def _identity(n: int, one) -> Entries:
+    return {(i, i): {0: one} for i in range(n)}
+
+
+def dense_block(m: DenseMatrix, k: int) -> Entries:
+    """The nonzero entries of m as coefficient k."""
+    return {divmod(q, m.cols): {k: v} for q, v in enumerate(m.data) if v != 0}
 
 
 def pencil_from_rows(field: Field, rows_per_coeff: list) -> LinearPencil:
-    coeffs = tuple(DenseMatrix.from_rows(field, rows) for rows in rows_per_coeff)
-    return LinearPencil(field, coeffs[0].rows, len(coeffs) - 1, coeffs)
+    """The pencil with dense coefficients A0..An given as lists of rows."""
+    mats = [DenseMatrix.from_rows(field, rows) for rows in rows_per_coeff]
+    size = mats[0].rows
+    if any(m.rows != size or m.cols != size for m in mats):
+        raise ValueError("coefficient matrices must be size x size")
+    entries: Entries = {}
+    for k, m in enumerate(mats):
+        place_block(entries, dense_block(m, k))
+    return LinearPencil(field, size, len(mats) - 1, entries)
 
 
 def eval_pencil(L: LinearPencil, t: MatrixTuple) -> DenseMatrix:
     """A0 x I_d + sum Ai x t_i, an (s d) x (s d) matrix."""
     if L.nvars > t.n:
         raise ValueError("tuple has fewer matrices than the pencil has variables")
-    if L.field.kind == "prime" and _modnum.supported(L.field.p):
-        arr = _modnum.eval_pencil_mod(L._np_coeffs(), t._np_stack(), t.d, L.field.p)
-        return DenseMatrix._from_np(L.field, arr)
-    acc = kron(L.coeffs[0], DenseMatrix.identity(L.field, t.d))
-    for i in range(L.nvars):
-        acc = acc.add(kron(L.coeffs[i + 1], t.mats[i]))
-    return acc
+    f, d = L.field, t.d
+    if f.kind == "prime" and _modnum.supported(f.p):
+        arr = _modnum.eval_pencil_mod(L._np_coeffs(), t._np_stack(), d, f.p)
+        return DenseMatrix._from_np(f, arr)
+    # generic fields: add each entry's blocks v * t_k (t_0 = I) in place
+    n = L.size * d
+    out = DenseMatrix.zeros(f, n, n)
+    mats = (DenseMatrix.identity(f, d),) + t.mats
+    for (r, c), e in L.entries.items():
+        for k, v in e.items():
+            m = mats[k]
+            for a in range(d):
+                base = (r * d + a) * n + c * d
+                for b in range(d):
+                    out.data[base + b] = f.add(out.data[base + b],
+                                               f.mul(v, m.at(a, b)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,10 +181,8 @@ class RealizedEntry:
 
 def zero_entry(field: Field, nvars: int) -> RealizedEntry:
     """The zero element realized by an everywhere-invertible 2x2 pencil."""
-    a0 = DenseMatrix.from_rows(field, [[0, 1], [1, 0]])
-    zs = DenseMatrix.zeros(field, 2, 2)
-    pencil = LinearPencil(field, 2, nvars, (a0,) + (zs,) * nvars)
-    return RealizedEntry(pencil, 1, 1)
+    swap = {(0, 1): {0: field.one}, (1, 0): {0: field.one}}
+    return RealizedEntry(LinearPencil(field, 2, nvars, swap), 1, 1)
 
 
 # -- branching program to pencil ---------------------------------------------
@@ -127,22 +195,16 @@ def from_abp(a: Abp, field: Field, nvars: int | None = None) -> RealizedEntry:
     widths = a.widths
     n = a.nvars if nvars is None else nvars
     N = sum(widths)
-    offs = [0]
-    for w in widths:
-        offs.append(offs[-1] + w)
-    coeffs = [DenseMatrix.zeros(field, N, N) for _ in range(n + 1)]
-    for i in range(N):
-        coeffs[0].data[i * N + i] = field.one
-    for t, layer in enumerate(a.layers):
-        ro = offs[t]
-        co = offs[t + 1]
-        for i, row in enumerate(layer):
-            for j, form in enumerate(row):
-                for k, v in form.items():
-                    coeffs[k].data[(ro + i) * N + co + j] = \
-                        field.neg(field.normalize(v))
-    pencil = LinearPencil(field, N, n, tuple(coeffs))
-    return RealizedEntry(pencil, 1, N - widths[-1] + 1)
+    entries = _identity(N, field.one)
+    off = 0
+    for layer, w in zip(a.layers, widths):
+        # each layer joins the width-w block at off to the next block
+        place_block(entries, {(i, j): form for i, row in enumerate(layer)
+                              for j, form in enumerate(row)}, off, off + w,
+                    lambda form: {k: field.neg(field.normalize(v))
+                                  for k, v in form.items()})
+        off += w
+    return RealizedEntry(LinearPencil(field, N, n, entries), 1, N - widths[-1] + 1)
 
 
 # -- inverse gadgets and composition ------------------------------------------
@@ -154,20 +216,10 @@ def realize_inverse(g: RealizedEntry) -> RealizedEntry:
     t and g(t) is invertible."""
     f = g.pencil.field
     s = g.size
-    n = g.nvars
-    coeffs = []
-    for k in range(n + 1):
-        big = DenseMatrix.zeros(f, s + 1, s + 1)
-        src = g.pencil.coeffs[k]
-        for i in range(s):
-            row = src.row(i)
-            big.data[i * (s + 1):i * (s + 1) + s] = row
-        if k == 0:
-            big.data[(g.col - 1) * (s + 1) + s] = f.one          # e_v column
-            big.data[s * (s + 1) + (g.row - 1)] = f.neg(f.one)   # -e_u^T row
-        coeffs.append(big)
-    pencil = LinearPencil(f, s + 1, n, tuple(coeffs))
-    return RealizedEntry(pencil, s + 1, s + 1)
+    entries = dict(g.pencil.entries)
+    place_block(entries, {(g.col - 1, s): {0: f.one},           # e_v column
+                          (s, g.row - 1): {0: f.neg(f.one)}})   # -e_u^T row
+    return RealizedEntry(LinearPencil(f, s + 1, g.nvars, entries), s + 1, s + 1)
 
 
 def hat_pencil(gs: list[RealizedEntry]) -> tuple[LinearPencil, list[tuple[int, int]]]:
@@ -176,24 +228,15 @@ def hat_pencil(gs: list[RealizedEntry]) -> tuple[LinearPencil, list[tuple[int, i
     if not gs:
         raise ValueError("need at least one realized entry")
     f = gs[0].pencil.field
-    n = max(g.nvars for g in gs)
-    sizes = [g.size + 1 for g in gs]
-    N = sum(sizes)
-    coeffs = [DenseMatrix.zeros(f, N, N) for _ in range(n + 1)]
+    entries: Entries = {}
     positions = []
     off = 0
     for g in gs:
         blk = realize_inverse(g)
-        bs = blk.pencil.size
-        for k in range(n + 1):
-            if k <= blk.pencil.nvars:
-                src = blk.pencil.coeffs[k]
-                dst = coeffs[k]
-                for i in range(bs):
-                    dst.data[(off + i) * N + off:(off + i) * N + off + bs] = src.row(i)
-        positions.append((off + bs, off + bs))
-        off += bs
-    return LinearPencil(f, N, n, tuple(coeffs)), positions
+        place_block(entries, blk.pencil.entries, off, off)
+        off += blk.size
+        positions.append((off, off))
+    return LinearPencil(f, off, max(g.nvars for g in gs), entries), positions
 
 
 @dataclass(frozen=True)
@@ -212,21 +255,16 @@ class RealizedGrid:
 
 
 def _y_occurrences(L: LinearPencil, nx: int) -> list[tuple[int, int, object] | None]:
-    occ = []
-    f = L.field
-    for k in range(nx + 1, L.nvars + 1):
-        coeff = L.coeffs[k]
-        found = None
-        for i in range(L.size):
-            for j in range(L.size):
-                v = coeff.at(i, j)
-                if not f.is_zero(v):
-                    if found is not None:
-                        raise DisjointnessViolation(
-                            f"placeholder variable {k} occurs in more than one "
-                            "entry of the host pencil")
-                    found = (i, j, v)
-        occ.append(found)
+    """For each placeholder nx+1..nvars, its one (row, col, coefficient)."""
+    occ: list = [None] * (L.nvars - nx)
+    for (i, j), e in L.entries.items():
+        for k, v in e.items():
+            if k > nx:
+                if occ[k - nx - 1] is not None:
+                    raise DisjointnessViolation(
+                        f"placeholder variable {k} occurs in more than one "
+                        "entry of the host pencil")
+                occ[k - nx - 1] = (i, j, v)
     return occ
 
 
@@ -254,60 +292,56 @@ def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
     f = L.field
     s = L.size
     occ = _y_occurrences(L, nx)
-    sizes = [g.size + 1 for g in gs]
-    shat = sum(sizes)
-    N = shat + 2 * s * s + s
-    o1, oH, o3, oL = 0, s * s, s * s + shat, 2 * s * s + shat
-    coeffs = [DenseMatrix.zeros(f, N, N) for _ in range(nx + 1)]
-    c0 = coeffs[0]
-    for q in range(s * s):
-        c0.data[(o1 + q) * N + (o1 + q)] = f.one
-        c0.data[(o3 + q) * N + (o3 + q)] = f.one
-    # inverse gadgets on the diagonal of the H block
-    corners = []
-    off = oH
-    for g in gs:
-        blk = realize_inverse(g)
-        bs = blk.pencil.size
-        for k in range(nx + 1):
-            if k <= blk.pencil.nvars:
-                src = blk.pencil.coeffs[k]
-                for i in range(bs):
-                    coeffs[k].data[(off + i) * N + off:(off + i) * N + off + bs] = src.row(i)
-        corners.append(off + bs - 1)
-        off += bs
+    H, positions = hat_pencil(gs)
+    N = H.size + 2 * s * s + s
+    o1, oH, o3, oL = 0, s * s, s * s + H.size, 2 * s * s + H.size
+    entries = _identity(s * s, f.one)
+    place_block(entries, H.entries, oH, oH)              # inverse gadgets
+    place_block(entries, _identity(s * s, f.one), o3, o3)
     # constant-plus-x part of the host in the last diagonal block
-    for k in range(nx + 1):
-        src = L.coeffs[k]
-        for i in range(s):
-            coeffs[k].data[(oL + i) * N + oL:(oL + i) * N + oL + s] = src.row(i)
-    # connectors
-    for k in range(m):
-        if occ[k] is None:
-            continue
-        i0, j0, beta = occ[k]
-        q = i0 * s + j0
-        c0.data[(o1 + q) * N + corners[k]] = f.normalize(beta)
-        c0.data[corners[k] * N + (o3 + q)] = f.one
+    place_block(entries, L.entries, oL, oL,
+                lambda e: {k: v for k, v in e.items() if k <= nx})
+    links: Entries = {}
+    for found, (corner, _) in zip(occ, positions):
+        if found is not None:       # corner: the gadget's exit, 1-indexed in H
+            i0, j0, beta = found
+            q = i0 * s + j0
+            links[(o1 + q, oH + corner - 1)] = {0: f.normalize(beta)}
+            links[(oH + corner - 1, o3 + q)] = {0: f.one}
     for i in range(s):
         for j in range(s):
             q = i * s + j
-            c0.data[(o3 + q) * N + (oL + j)] = f.one
-            c0.data[(oL + i) * N + (o1 + q)] = f.neg(f.one)
-    pencil = LinearPencil(f, N, nx, tuple(coeffs))
+            links[(o3 + q, oL + j)] = {0: f.one}
+            links[(oL + i, o1 + q)] = {0: f.neg(f.one)}
+    place_block(entries, links)
+    pencil = LinearPencil(f, N, nx, entries)
     assert pencil.size == sum(g.size for g in gs) + m + 2 * s * s + s
     return RealizedGrid(pencil, oL, s)
 
 
 def compile_idrrsc(idr: IdrCircuit, field: Field) -> RealizedEntry:
     """Compile the recursive decomposition into a single pencil realization:
-    branching-program base case, composition step for the inverses."""
-    if idr.m == 0:
-        return from_abp(idr.top, field, nvars=idr.nx)
-    gs = [compile_idrrsc(sub, field) for sub in idr.subs]
-    host = from_abp(idr.top, field, nvars=idr.nx + idr.m)
-    grid = compose(host.pencil, gs, idr.nx)
-    return RealizedEntry(grid.pencil, grid.offset + host.row, grid.offset + host.col)
+    branching-program base case, composition step for the inverses.  The
+    decomposition is walked in post-order with an explicit stack, so
+    inversion height is not bounded by the recursion limit."""
+    done: list[RealizedEntry] = []       # compiled subs awaiting their host
+    stack = [(idr, False)]
+    while stack:
+        node, subs_done = stack.pop()
+        if not subs_done:
+            stack.append((node, True))
+            stack.extend((sub, False) for sub in reversed(node.subs))
+            continue
+        if node.m == 0:
+            done.append(from_abp(node.top, field, nvars=node.nx))
+            continue
+        gs = done[len(done) - node.m:]
+        del done[len(done) - node.m:]
+        host = from_abp(node.top, field, nvars=node.nx + node.m)
+        grid = compose(host.pencil, gs, node.nx)
+        done.append(RealizedEntry(grid.pencil, grid.offset + host.row,
+                                  grid.offset + host.col))
+    return done.pop()
 
 
 # -- generic-matrix blow-up with shift ----------------------------------------
@@ -323,18 +357,13 @@ def blowup_shift(L: LinearPencil, m: int, shift: MatrixTuple) -> LinearPencil:
         raise ValueError("shift tuple must match the pencil's variable count")
     if shift.d != m:
         raise ValueError("shift dimension must equal the blow-up dimension")
-    f = L.field
-    n = L.nvars
-    a0 = eval_pencil(L, shift)
-    coeffs = [a0]
-    for i in range(n):
-        Ai = L.coeffs[i + 1]
-        for j in range(m):
-            for k in range(m):
-                E = DenseMatrix.zeros(f, m, m)
-                E.data[j * m + k] = f.one
-                coeffs.append(kron(Ai, E))
-    return LinearPencil(f, L.size * m, n * m * m, tuple(coeffs))
+    entries = dense_block(eval_pencil(L, shift), 0)
+    for (r, c), e in L.entries.items():
+        # entry (r, c) of Ai x E_jk sits at (r m + j, c m + k)
+        place_block(entries, {(j, k): {(i - 1) * m * m + j * m + k + 1: v
+                                       for i, v in e.items() if i}
+                              for j in range(m) for k in range(m)}, r * m, c * m)
+    return LinearPencil(L.field, L.size * m, L.nvars * m * m, entries)
 
 
 # -- padding and relocation ---------------------------------------------------
@@ -345,17 +374,13 @@ def relocate_entry(e: RealizedEntry) -> RealizedEntry:
     realized value and invertibility at every tuple are unchanged."""
     if e.row == 1 and e.col == 1:
         return e
-    f = e.pencil.field
-    s = e.size
-    u, v = e.row - 1, e.col - 1
-    coeffs = []
-    for src in e.pencil.coeffs:
-        rows = src.to_lists()
-        rows[0], rows[v] = rows[v], rows[0]
-        for r in rows:
-            r[0], r[u] = r[u], r[0]
-        coeffs.append(DenseMatrix.from_rows(f, rows))
-    return RealizedEntry(LinearPencil(f, s, e.pencil.nvars, tuple(coeffs)), 1, 1)
+    rows = {0: e.col - 1, e.col - 1: 0}         # swap rows 1 and col
+    cols = {0: e.row - 1, e.row - 1: 0}         # swap columns 1 and row
+    entries: Entries = {}
+    place_block(entries, {(rows.get(r, r), cols.get(c, c)): v
+                          for (r, c), v in e.pencil.entries.items()})
+    return RealizedEntry(LinearPencil(e.pencil.field, e.size, e.nvars, entries),
+                         1, 1)
 
 
 def pad_entry(e: RealizedEntry, size: int) -> RealizedEntry:
@@ -366,17 +391,9 @@ def pad_entry(e: RealizedEntry, size: int) -> RealizedEntry:
     if size == e.size:
         return e
     f = e.pencil.field
-    coeffs = []
-    for k, src in enumerate(e.pencil.coeffs):
-        big = DenseMatrix.zeros(f, size, size)
-        for i in range(e.size):
-            big.data[i * size:i * size + e.size] = src.row(i)
-        if k == 0:
-            for i in range(e.size, size):
-                big.data[i * size + i] = f.one
-        coeffs.append(big)
-    return RealizedEntry(LinearPencil(f, size, e.pencil.nvars, tuple(coeffs)),
-                         e.row, e.col)
+    entries = dict(e.pencil.entries)
+    place_block(entries, _identity(size - e.size, f.one), e.size, e.size)
+    return RealizedEntry(LinearPencil(f, size, e.nvars, entries), e.row, e.col)
 
 
 def widen_entry(e: RealizedEntry, nvars: int) -> RealizedEntry:
@@ -385,10 +402,7 @@ def widen_entry(e: RealizedEntry, nvars: int) -> RealizedEntry:
         raise ValueError("cannot drop variables")
     if nvars == e.nvars:
         return e
-    f = e.pencil.field
-    extra = tuple(DenseMatrix.zeros(f, e.size, e.size)
-                  for _ in range(nvars - e.nvars))
-    pencil = LinearPencil(f, e.size, nvars, e.pencil.coeffs + extra)
+    pencil = LinearPencil(e.pencil.field, e.size, nvars, e.pencil.entries)
     return RealizedEntry(pencil, e.row, e.col)
 
 
@@ -407,21 +421,17 @@ class _SparseReducer:
     identity-heavy pencils the compiler produces."""
 
     def __init__(self, L: LinearPencil):
-        f = self.field = L.field
+        self.field = L.field
         self.n = L.nvars
         self.rows: dict[int, dict[int, dict]] = {r: {} for r in range(L.size)}
         self.colrows: dict[int, set] = {c: set() for c in range(L.size)}
         self.row_varcnt = [0] * L.size
         self.col_varcnt = [0] * L.size
-        for k, m in enumerate(L.coeffs):
-            data = m.data
-            N = L.size
-            for r in range(N):
-                base = r * N
-                for c in range(N):
-                    v = data[base + c]
-                    if not f.is_zero(v):
-                        self.rows[r].setdefault(c, {})[k] = v
+        # a copy of the entries in coefficient-major order (within a row,
+        # the columns met in A0 first, then A1, ...), which fixes the pivots
+        for (r, c), e in sorted(L.entries.items(),
+                                key=lambda it: (it[0][0], min(it[1]), it[0][1])):
+            self.rows[r][c] = {k: e[k] for k in sorted(e)}
         for r, row in self.rows.items():
             for c, e in row.items():
                 self.colrows[c].add(r)
@@ -532,19 +542,14 @@ class _SparseReducer:
             self.base += 1
 
     def core_pencil(self) -> LinearPencil:
-        f = self.field
         live_rows = sorted(self.rows)
         live_cols = sorted(self.colrows)
-        nc = len(live_rows)
-        assert nc == len(live_cols)
+        assert len(live_rows) == len(live_cols)
         rmap = {r: i for i, r in enumerate(live_rows)}
         cmap = {c: j for j, c in enumerate(live_cols)}
-        coeffs = [DenseMatrix.zeros(f, nc, nc) for _ in range(self.n + 1)]
-        for r, row in self.rows.items():
-            for c, entry in row.items():
-                for k, v in entry.items():
-                    coeffs[k].data[rmap[r] * nc + cmap[c]] = v
-        return LinearPencil(f, nc, self.n, tuple(coeffs))
+        entries = {(rmap[r], cmap[c]): entry
+                   for r, row in self.rows.items() for c, entry in row.items()}
+        return LinearPencil(self.field, len(live_rows), self.n, entries)
 
 
 class PencilOracle:
@@ -579,10 +584,6 @@ class PencilOracle:
         return self.rank_at(t) == self.size * t.d
 
 
-def is_invertible_at(L: LinearPencil, t: MatrixTuple) -> bool:
-    return rank_of(eval_pencil(L, t)) == L.size * t.d
-
-
 # -- pencil file format --------------------------------------------------------
 
 
@@ -592,15 +593,13 @@ def dump_pencil(L: LinearPencil, realize: tuple[int, int] | None = None) -> str:
         lines.insert(0, f"field prime {L.field.p}")
     else:
         lines.insert(0, "field rational")
-    f = L.field
-    for k in range(L.nvars + 1):
+    blocks: list[list[str]] = [[] for _ in range(L.nvars + 1)]
+    for (i, j), e in sorted(L.entries.items()):
+        for k, v in e.items():
+            blocks[k].append(f"{i + 1} {j + 1} {L.field.format(v)}")
+    for k, block in enumerate(blocks):
         lines.append(f"coeff {k}")
-        m = L.coeffs[k]
-        for i in range(L.size):
-            for j in range(L.size):
-                v = m.at(i, j)
-                if not f.is_zero(v):
-                    lines.append(f"{i + 1} {j + 1} {f.format(v)}")
+        lines.extend(block)
         lines.append("end")
     if realize is not None:
         lines.append(f"realize {realize[0]} {realize[1]}")
@@ -618,7 +617,7 @@ def parse_pencil(text: str):
     """Returns (LinearPencil, realize-or-None).  Malformed input raises
     ValueError naming the line."""
     field = size = nvars = realize = None
-    coeffs: list[DenseMatrix] = []
+    entries: Entries = {}        # filled line by line, nothing from the header
     block = None                 # k while reading the lines of `coeff k`
     for lineno, ln in enumerate(text.splitlines(), 1):
         parts = ln.split()
@@ -642,8 +641,6 @@ def parse_pencil(text: str):
                     size = _bounded_int(parts[1], "size", 1)
                 else:
                     nvars = _bounded_int(parts[1], "nvars", 0)
-                    coeffs = [DenseMatrix.zeros(field, size, size)
-                              for _ in range(nvars + 1)]
             elif block is not None:
                 if parts == ["end"]:
                     block = None
@@ -652,7 +649,7 @@ def parse_pencil(text: str):
                     raise ValueError("expected `row col value` or `end`")
                 r = _bounded_int(parts[0], "row", 1, size)
                 c = _bounded_int(parts[1], "column", 1, size)
-                coeffs[block].data[(r - 1) * size + (c - 1)] = field.parse(parts[2])
+                place_block(entries, {(r - 1, c - 1): {block: field.parse(parts[2])}})
             elif parts[0] == "coeff" and len(parts) == 2:
                 block = _bounded_int(parts[1], "coefficient index", 0, nvars)
             elif parts[0] == "realize" and len(parts) == 3:
@@ -668,7 +665,7 @@ def parse_pencil(text: str):
         raise ValueError(f"{eof}, missing {missing} header")
     if block is not None:
         raise ValueError(f"{eof} inside coeff block {block}")
-    return LinearPencil(field, size, nvars, tuple(coeffs)), realize
+    return LinearPencil(field, size, nvars, entries), realize
 
 
 def read_pencil(path: str):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
                     rank_of, sample_tuple)
-from .pencil import (LinearPencil, PencilOracle, RealizedEntry,
+from .pencil import (LinearPencil, PencilOracle, RealizedEntry, place_block,
                      pad_entry, relocate_entry, widen_entry, zero_entry)
 
 
@@ -114,22 +114,17 @@ def build_reduction_pencil(M: SkewMatrix) -> LinearPencil:
     corner; size exactly m^2 s + m."""
     f = M.field
     m, s = M.m, M.common_size
-    N = m * m * s + m
-    coeffs = [DenseMatrix.zeros(f, N, N) for _ in range(M.nvars + 1)]
+    corner = m * m * s
+    entries: dict = {}
     for i in range(m):
         for j in range(m):
             blk = (i * m + j) * s
-            e = M.entries[i][j]
-            for k in range(M.nvars + 1):
-                src = e.pencil.coeffs[k]
-                dst = coeffs[k]
-                for a in range(s):
-                    dst.data[(blk + a) * N + blk:(blk + a) * N + blk + s] = src.row(a)
-            # right border: first row of the block connects to corner column j
-            coeffs[0].data[blk * N + (m * m * s + j)] = f.one
+            place_block(entries, M.entries[i][j].pencil.entries, blk, blk)
+            # right border: first row of the block connects to corner column j;
             # bottom border: corner row i connects to the block's first column
-            coeffs[0].data[(m * m * s + i) * N + blk] = f.neg(f.one)
-    return LinearPencil(f, N, M.nvars, tuple(coeffs))
+            place_block(entries, {(blk, corner + j): {0: f.one},
+                                  (corner + i, blk): {0: f.neg(f.one)}})
+    return LinearPencil(f, corner + m, M.nvars, entries)
 
 
 def assemble_at(M: SkewMatrix, t: MatrixTuple) -> DenseMatrix:

@@ -75,11 +75,11 @@ def _compile_cached(c: RationalCircuit, field: Field) -> RealizedEntry:
 
 @functools.lru_cache(maxsize=16)
 def _gate_oracle(c: RationalCircuit, field: Field):
-    """Bordered pencil for the circuit's inverse plus its reduced oracle:
-    invertible at t exactly when the circuit is defined at t with an
-    invertible value."""
+    """Size of the bordered pencil for the circuit's inverse, and its
+    reduced oracle: invertible at t exactly when the circuit is defined at
+    t with an invertible value.  The pencil itself is not kept."""
     gate = realize_inverse(_compile_cached(c, field))
-    return gate, PencilOracle(gate.pencil)
+    return gate.size, PencilOracle(gate.pencil)
 
 
 def rit_test(c: RationalCircuit, field: Field,
@@ -88,10 +88,10 @@ def rit_test(c: RationalCircuit, field: Field,
     which the circuit is defined with an invertible value, re-verified by
     direct evaluation."""
     try:
-        gate, oracle = _gate_oracle(c, field)
+        size, oracle = _gate_oracle(c, field)
     except BlowupExceeded as exc:
         raise CompileFailed(str(exc)) from exc
-    max_dim = params.max_dim or min(gate.size, params.dim_cap)
+    max_dim = params.max_dim or min(size, params.dim_cap)
     nv = max(c.nvars, 1)
     trials_run = 0
     rng = random.Random(params.seed)
@@ -107,11 +107,11 @@ def rit_test(c: RationalCircuit, field: Field,
                 continue
             if is_invertible(value):
                 return RitVerdict("nonzero", witness=t, dimension=d,
-                                  pencil_size=gate.size, trials_run=trials_run,
+                                  pencil_size=size, trials_run=trials_run,
                                   max_dim=max_dim)
-    return RitVerdict("zero", pencil_size=gate.size, trials_run=trials_run,
+    return RitVerdict("zero", pencil_size=size, trials_run=trials_run,
                       max_dim=max_dim,
-                      error_bound_num=gate.size * max_dim,
+                      error_bound_num=size * max_dim,
                       error_bound_den=field.sample_set_size())
 
 

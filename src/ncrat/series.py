@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from . import freepoly
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert, kron,
                     sample_tuple)
-from .pencil import LinearPencil, RealizedEntry, eval_pencil
+from .pencil import (LinearPencil, RealizedEntry, dense_block, eval_pencil,
+                     place_block)
 
 
 class FieldTooSmall(Exception):
@@ -35,7 +36,7 @@ class RecognizableSeries:
         s = self.M.size
         if self.c.rows != 1 or self.c.cols != s or self.b.rows != s or self.b.cols != 1:
             raise ValueError("boundary vector shapes must be 1 x s and s x 1")
-        if not self.M.coeffs[0].is_zero():
+        if any(0 in e for e in self.M.entries.values()):
             raise ValueError("transition pencil must be homogeneous (A0 = 0)")
 
     @property
@@ -148,12 +149,8 @@ def symbolic_truncation(S: RecognizableSeries, k: int) -> freepoly.NcPoly:
     s = S.size
 
     def entry_poly(i: int, j: int) -> freepoly.NcPoly:
-        terms = {}
-        for v in range(1, S.nvars + 1):
-            coeff = S.M.coeffs[v].at(i, j)
-            if not f.is_zero(coeff):
-                terms[(v,)] = coeff
-        return freepoly.NcPoly(f, terms)
+        e = S.M.entries.get((i, j), {})
+        return freepoly.NcPoly(f, {(v,): c for v, c in e.items() if v})
 
     Mp = [[entry_poly(i, j) for j in range(s)] for i in range(s)]
     # state = c^t M^i as a row of polynomials
@@ -216,17 +213,21 @@ def shifted_entry_series(entry: RealizedEntry, shift: MatrixTuple,
     d = shift.d
     base = eval_pencil(L, shift)
     base_inv = invert(base)      # Singular here means the shift is unusable
-    n = L.nvars
     sd = L.size * d
-    coeffs = [DenseMatrix.zeros(f, sd, sd)]
-    for i in range(n):
-        Ai = L.coeffs[i + 1]
+    entries: dict = {}
+    for i in range(1, L.nvars + 1):
+        Ai = LinearPencil(f, L.size, 0, {rc: {0: e[i]} for rc, e in L.entries.items()
+                                         if i in e})
+        # P = -L(shift)^{-1} (Ai x I_d); the coefficient of z^{(i)}_{jk},
+        # -L(shift)^{-1} (Ai x E_jk), is P's columns c d + j moved to c d + k
+        AiI = eval_pencil(Ai, MatrixTuple(f, d, ()))      # Ai x I_d
+        P = dense_block(base_inv.matmul(AiI).neg(), 0)
         for j in range(d):
+            cols = {ab: e for ab, e in P.items() if ab[1] % d == j}
             for k in range(d):
-                E = DenseMatrix.zeros(f, d, d)
-                E.data[j * d + k] = f.one
-                coeffs.append(base_inv.matmul(kron(Ai, E)).neg())
-    M = LinearPencil(f, sd, n * d * d, tuple(coeffs))
+                q = (i - 1) * d * d + j * d + k + 1
+                place_block(entries, cols, 0, k - j, lambda e: {q: e[0]})
+    M = LinearPencil(f, sd, L.nvars * d * d, entries)
     crow = DenseMatrix.zeros(f, 1, sd)
     crow.data[(entry.row - 1) * d + block_row] = f.one
     bcol = DenseMatrix.zeros(f, sd, 1)

@@ -23,7 +23,7 @@ from ncrat.rit import (RitParams, compile_circuit, corpus,
                        verify_strong)
 from ncrat.series import (RecognizableSeries, scaling_search, series_is_zero,
                           symbolic_truncation)
-from ncrat.pencil import LinearPencil, compile_idrrsc
+from ncrat.pencil import compile_idrrsc
 from ncrat.circuit import to_idrrsc
 
 F = prime_field()
@@ -288,7 +288,8 @@ def _random_series(rng, size, force_zero):
             for i in range(size):
                 diag.data[i * size + i] = rng.randrange(F.p)
             coeffs.append(diag)
-        return RecognizableSeries(c, LinearPencil(F, size, 2, tuple(coeffs)), b)
+        return RecognizableSeries(
+            c, pencil_from_rows(F, [m.to_lists() for m in coeffs]), b)
     c = DenseMatrix.random(F, 1, size, rng)
     b = DenseMatrix.random(F, size, 1, rng)
     coeffs = [zero]
@@ -298,7 +299,8 @@ def _random_series(rng, size, force_zero):
             if rng.random() < 0.5:
                 m.data[i] = rng.randrange(F.p)
         coeffs.append(m)
-    return RecognizableSeries(c, LinearPencil(F, size, 2, tuple(coeffs)), b)
+    return RecognizableSeries(
+        c, pencil_from_rows(F, [m.to_lists() for m in coeffs]), b)
 
 
 @criterion(9, "variable-reduction-verdicts-and-transport")

@@ -90,11 +90,10 @@ def test_eval_defined_and_undefined(tmp_path):
 
 
 def test_series_zero_subcommand(tmp_path):
-    from ncrat.field import DenseMatrix, prime_field
-    from ncrat.pencil import LinearPencil, write_pencil
+    from ncrat.field import prime_field
+    from ncrat.pencil import pencil_from_rows, write_pencil
     F = prime_field()
-    M = LinearPencil(F, 1, 1, (DenseMatrix.zeros(F, 1, 1),
-                               DenseMatrix.from_rows(F, [[1]])))
+    M = pencil_from_rows(F, [[[0]], [[1]]])
     pf = str(tmp_path / "geo.lp")
     write_pencil(M, pf, realize=(1, 1))
     status, out = run(["series-zero", "--file", pf])
@@ -184,3 +183,19 @@ def test_rational_zero_bound_is_over_the_sampled_set():
     status, out = run(["rit", "--rational", "x1 - x1", "--trials", "2"])
     assert status == 0 and "verdict ZERO" in out
     assert "error_bound_per_trial 9/131072\n" in out   # pencil size 3, max_dim 3
+
+
+BAD_POINT_FILES = {
+    "short-field-line": "field prime\n",
+    "missing-dim": "field prime 7\nnvars 1\n",
+    "missing-row": "field prime 7\nnvars 1\ndim 2\n1 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_POINT_FILES))
+def test_malformed_point_file_exits_two(tmp_path, capsys, name):
+    path = tmp_path / "bad.mt"
+    path.write_text(BAD_POINT_FILES[name])
+    status, _ = run(["eval", "x1", "--point", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1

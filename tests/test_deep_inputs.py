@@ -6,7 +6,9 @@ test here runs at the default recursion limit."""
 
 from test_cli import run
 
-from ncrat.circuit import classify, parse_circuit, parse_expr
+from ncrat.circuit import (classify, eval_circuit, eval_idrrsc, parse_circuit,
+                           parse_expr, to_idrrsc)
+from ncrat.field import prime_field, sample_tuple
 
 
 def test_sum_of_ten_thousand_leaves_compiles_and_tests():
@@ -36,6 +38,18 @@ def test_five_thousand_nested_parentheses():
 def test_inverse_nested_two_thousand_deep():
     c = parse_expr("inv(" * 2000 + "x1" + ")" * 2000)
     assert len(c.nodes) == 2001 and classify(c).height == 2000
+
+
+def test_inverse_nested_six_hundred_deep_compiles_and_evaluates():
+    # each level composes a size-2 host around the level below: 11 rows more
+    expr = "inv(" * 600 + "x1" + ")" * 600
+    status, out = run(["compile", expr])
+    assert status == 0 and "\nheight 600\n" in out and "\npencil_size 6602\n" in out
+    c = parse_expr(expr)
+    idr = to_idrrsc(c)
+    assert idr.height == 600 and idr.size == 1802
+    t = sample_tuple(prime_field(), 1, 2, 5)
+    assert eval_idrrsc(idr, t) == eval_circuit(c, t)
 
 
 def _deep_chain_file(depth: int) -> str:

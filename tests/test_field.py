@@ -249,3 +249,35 @@ def test_tuple_text_round_trip_rational():
 def test_tuple_text_rejects_garbage():
     with pytest.raises(ValueError):
         parse_tuple("nvars 2\ndim 1\n1\n2\n")
+
+
+TUPLE_HEAD = "field prime 7\nnvars 1\ndim 2\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "line 1"),
+    ("field prime\n", "line 1"),                       # short field line
+    ("field real\nnvars 0\ndim 1\n", "line 1"),
+    ("field prime 8\nnvars 0\ndim 1\n", "line 1"),     # not prime
+    ("field prime 7\n", "line 2"),                     # missing nvars
+    ("field prime 7\nnvars 1\n", "line 3"),           # missing dim
+    ("field prime 7\nnvars\ndim 1\n", "line 2"),       # short nvars line
+    ("field prime 7\nnvars x\ndim 1\n", "line 2"),     # non-integer
+    ("field prime 7\nnvars -1\ndim 1\n", "line 2"),
+    ("field prime 7\nnvars 1\ndim 0\n", "line 3"),
+    ("field prime 7\ndim 1\nnvars 1\n1\n", "line 2"),  # headers out of order
+    (TUPLE_HEAD + "1 2\n", "line 5"),                   # too few rows
+    (TUPLE_HEAD + "1 2\n3\n", "line 5"),               # short row
+    (TUPLE_HEAD + "1 2\n3 4 5\n", "line 5"),           # long row
+    (TUPLE_HEAD + "1 2\n3 4\n5 6\n", "line 6"),        # too many rows
+    (TUPLE_HEAD + "1 2\n3 1/7\n", "line 5"),           # zero denominator mod 7
+])
+def test_tuple_file_errors_name_the_line(text, where):
+    with pytest.raises(ValueError, match=f"^{where}: "):
+        parse_tuple(text)
+
+
+def test_tuple_file_skips_blank_lines():
+    t = parse_tuple("\nfield prime 7\n\nnvars 1\ndim 2\n\n1 2\n\n3 4\n\n")
+    assert t.n == 1
+    assert t.mats[0] == DenseMatrix.from_rows(PrimeField(7), [[1, 2], [3, 4]])

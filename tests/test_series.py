@@ -5,7 +5,7 @@ import pytest
 from ncrat import freepoly as fp
 from ncrat.field import (DenseMatrix, MatrixTuple, PrimeField, Singular,
                          invert, kron, prime_field, sample_tuple)
-from ncrat.pencil import LinearPencil, eval_pencil
+from ncrat.pencil import eval_pencil, pencil_from_rows
 from ncrat.series import (FieldTooSmall, RecognizableSeries, full_eval,
                           scaling_search, series_is_zero, shifted_entry_series,
                           symbolic_truncation, truncated_eval)
@@ -17,8 +17,7 @@ F7 = PrimeField(7)
 def geometric(field=F):
     c = DenseMatrix.from_rows(field, [[1]])
     b = DenseMatrix.from_rows(field, [[1]])
-    M = LinearPencil(field, 1, 1, (DenseMatrix.zeros(field, 1, 1),
-                                   DenseMatrix.from_rows(field, [[1]])))
+    M = pencil_from_rows(field, [[[0]], [[1]]])
     return RecognizableSeries(c, M, b)
 
 
@@ -37,8 +36,8 @@ def random_series(rng, size, nvars=2, field=F, force_zero=False):
             for i in range(size):
                 diag.data[i * size + i] = rng.randrange(field.p)
             coeffs.append(diag)
-        return RecognizableSeries(c, LinearPencil(field, size, nvars,
-                                                  tuple(coeffs)), b)
+        return RecognizableSeries(
+            c, pencil_from_rows(field, [m.to_lists() for m in coeffs]), b)
     c = DenseMatrix.random(field, 1, size, rng)
     b = DenseMatrix.random(field, size, 1, rng)
     coeffs = [zero]
@@ -48,12 +47,12 @@ def random_series(rng, size, nvars=2, field=F, force_zero=False):
             if rng.random() < 0.5:
                 m.data[i] = rng.randrange(field.p)
         coeffs.append(m)
-    return RecognizableSeries(c, LinearPencil(field, size, nvars, tuple(coeffs)), b)
+    return RecognizableSeries(
+        c, pencil_from_rows(field, [m.to_lists() for m in coeffs]), b)
 
 
 def test_series_requires_homogeneous_transition():
-    bad = LinearPencil(F, 1, 1, (DenseMatrix.from_rows(F, [[1]]),
-                                 DenseMatrix.from_rows(F, [[1]])))
+    bad = pencil_from_rows(F, [[[1]], [[1]]])
     with pytest.raises(ValueError):
         RecognizableSeries(DenseMatrix.from_rows(F, [[1]]), bad,
                            DenseMatrix.from_rows(F, [[1]]))
@@ -184,7 +183,7 @@ def test_full_eval_nilpotent_equals_truncation(rng):
                 m.data[i * size + j] = rng.randrange(F.p)
         coeffs.append(m)
     S = RecognizableSeries(DenseMatrix.random(F, 1, size, rng),
-                           LinearPencil(F, size, 2, tuple(coeffs)),
+                           pencil_from_rows(F, [m.to_lists() for m in coeffs]),
                            DenseMatrix.random(F, size, 1, rng))
     t = sample_tuple(F, 2, 2, rng)
     assert full_eval(S, t) == truncated_eval(S, size * t.d, t)
@@ -213,7 +212,7 @@ def test_scaling_polynomial_series_tau_one(rng):
     m.data[1] = 1
     coeffs.append(m)
     S = RecognizableSeries(DenseMatrix.from_rows(F, [[1, 0]]),
-                           LinearPencil(F, size, 1, tuple(coeffs)),
+                           pencil_from_rows(F, [m.to_lists() for m in coeffs]),
                            DenseMatrix.from_rows(F, [[0], [1]]))
     t = sample_tuple(F, 1, 1, rng)
     tau, value = scaling_search(S, t)
@@ -318,7 +317,6 @@ def test_rational_zero_bound_is_over_the_sampled_set():
     # c M^k b = 0 for every word: M = x1 E_12 is nilpotent and c = e_2, b = e_1
     c = DenseMatrix.from_rows(QQ, [[0, 1]])
     b = DenseMatrix.from_rows(QQ, [[1], [0]])
-    M = LinearPencil(QQ, 2, 1, (DenseMatrix.zeros(QQ, 2, 2),
-                                DenseMatrix.from_rows(QQ, [[0, 1], [0, 0]])))
+    M = pencil_from_rows(QQ, [[[0, 0], [0, 0]], [[0, 1], [0, 0]]])
     v = series_is_zero(RecognizableSeries(c, M, b), trials=2)
     assert v.kind == "zero" and v.error_bound_den == QQ.sample_set_size() == 1 << 17
