@@ -5,6 +5,12 @@ whose products are handled with split-limb arithmetic and shift folding,
 and primes below 2^31, where raw 64-bit products cannot overflow.  Other
 moduli are not supported here; callers fall back to exact pure-Python
 elimination.
+
+Matrix products mod p (matmul_mod) are float64 BLAS products of 21-bit
+limbs, exact while the inner dimension of one product is at most 682.
+Ranks (rank_mod_stack) come from block-recursive elimination on top of
+them, over a whole stack of matrices at once, or from Python-int
+elimination for small matrices.
 """
 
 from __future__ import annotations
@@ -26,25 +32,44 @@ def supported(p: int) -> bool:
     return p == M61 or p < (1 << 31)
 
 
-def _mul_m61(a, b):
-    # split a = a1*2^31 + a0, b likewise; 2^61 == 1 (mod p) folds the shifts
+def _reduce_m61(t):
+    """Canonical residue of any uint64 t mod 2^61 - 1; overwrites t."""
+    low = t & _MASK61
+    t >>= _S61
+    t += low                                 # below 2^61 + 8
+    # t - p wraps around when t < p (the ufunc, unlike scalar '-', wraps silently)
+    return np.minimum(t, np.subtract(t, _MASK61))
+
+
+def _mul_m61(a, b, add=None):
+    """a * b (+ add) mod 2^61 - 1 for canonical residues, with a = a1 2^31 + a0
+    and b likewise: the unreduced sum 2 a1 b1 + a0 b0 + (a1 b0 + a0 b1) 2^31,
+    its 2^61 folded down, stays below 5 * 2^61 + 2^32 with the addend."""
     a1 = a >> _S31
     a0 = a & _LOW31
     b1 = b >> _S31
     b0 = b & _LOW31
-    mid = a1 * b0 + a0 * b1
-    lo = a0 * b0
-    t = ((a1 * b1) << _ONE) + (mid >> _S30) + ((mid & _LOW30) << _S31) \
-        + (lo & _MASK61) + (lo >> _S61)
-    t = (t & _MASK61) + (t >> _S61)
-    t = (t & _MASK61) + (t >> _S61)
-    return t - np.where(t >= _MASK61, _MASK61, np.uint64(0))
+    mid = a1 * b0
+    mid += a0 * b1
+    t = a1 * b1
+    t <<= _ONE
+    t += a0 * b0
+    t += mid >> _S30
+    mid &= _LOW30
+    mid <<= _S31
+    t += mid
+    if add is not None:
+        t += add
+    return _reduce_m61(t)
 
 
-def mul_mod(a, b, p: int):
+def mul_mod(a, b, p: int, add=None):
+    """a * b (+ add) mod p, elementwise."""
     if p == M61:
-        return _mul_m61(a, b)
-    return (a * b) % np.uint64(p)
+        return _mul_m61(a, b, add)
+    if add is None:
+        return (a * b) % np.uint64(p)
+    return (a * b + add) % np.uint64(p)
 
 
 def kron_mod(a, b, p: int):
@@ -55,41 +80,255 @@ def kron_mod(a, b, p: int):
     return prod.reshape(r1 * r2, c1 * c2)
 
 
-def eval_pencil_mod(coeffs, mats, d: int, p: int):
-    """coeffs: (n+1, s, s); mats: (>=n, d, d).  Returns A0 x I_d + sum Ai x ti."""
+def eval_pencil_mod(coeffs, mats, d: int, p: int, out=None):
+    """coeffs: (n+1, s, s); mats: (>=n, d, d).  Returns A0 x I_d + sum Ai x ti,
+    written into out (an (s d) x (s d) uint64 array) when it is given."""
     n = coeffs.shape[0] - 1
-    out = kron_mod(coeffs[0], np.eye(d, dtype=np.uint64), p)
+    first = kron_mod(coeffs[0], np.eye(d, dtype=np.uint64), p)
+    if out is None:
+        out = first
+    else:
+        out[...] = first
     pp = np.uint64(p)
     for i in range(n):
-        out = out + kron_mod(coeffs[i + 1], mats[i], p)
+        out += kron_mod(coeffs[i + 1], mats[i], p)
         out -= np.where(out >= pp, pp, np.uint64(0))
     return out
 
 
-def rank_mod(A, p: int) -> int:
-    A = np.array(A, dtype=np.uint64, copy=True)
-    n, m = A.shape
-    pp = np.uint64(p)
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+_LIMB = 21
+_LIMB_MASK = np.uint64((1 << _LIMB) - 1)
+# Inner dimension of one float64 limb product.  A limb sum adds at most
+# three products of 21-bit limbs over the inner dimension K, so it stays
+# an exact integer below 3 * K * 2^42 < 2^53 for K <= 682.
+_KMAX = 682
+# n * m at or below which a matrix is ranked with Python ints, which is the
+# faster path up to 24 x 24 on random and on evaluated-pencil matrices.
+_SMALL = 24 * 24
+_LEAF = 16                 # columns eliminated pivot by pivot
+# Entries of the matrices ranked together.  The kernel's temporaries peak
+# near 4.3 times the bytes it is given, so with the stack itself this
+# bounds the working set near 1.4 MB; larger stacks go in chunks.
+_STACK_ENTRIES = 1 << 15
+
+
+def _limbs(a, order, axis: int):
+    """The 21-bit limbs of a as float64, in the given order of limb
+    indices, side by side along axis (-1 or -2)."""
+    k = a.shape[axis]
+    shape = list(a.shape)
+    shape[axis] *= len(order)
+    out = np.empty(shape)
+    for pos, i in enumerate(order):
+        part = out[..., pos * k:(pos + 1) * k] if axis == -1 else \
+            out[..., pos * k:(pos + 1) * k, :]
+        part[...] = (a >> np.uint64(_LIMB * i)) & _LIMB_MASK
+    return out
+
+
+def matmul_mod(a, b, p: int):
+    """a @ b mod p for uint64 arrays of residues, stacked as np.matmul.
+
+    Both operands are split into 21-bit limbs; each limb sum
+    sum_{i+j=s} a_i b_j is one float64 BLAS product, exact because every
+    partial sum is an integer below 2^53.  The sums are folded back with
+    2^61 == 1 for the Mersenne prime, or reduced term by term for p < 2^31.
+    """
+    k = a.shape[-1]
+    if k > _KMAX:
+        return add_mod(matmul_mod(a[..., :_KMAX], b[..., :_KMAX, :], p),
+                       matmul_mod(a[..., _KMAX:], b[..., _KMAX:, :], p), p)
+    acc = _limb_sums(a, b, p)
+    return _reduce_m61(acc) if p == M61 else acc % np.uint64(p)
+
+
+def _limb_sums(a, b, p: int):
+    """sum_s (sum_{i+j=s} a_i b_j) 2^(21 s), each term reduced below 2^62:
+    matmul_mod before its final reduction."""
+    k = a.shape[-1]
+    count = 3 if p == M61 else 2
+    al = _limbs(a, range(count), -1)                 # a_0 | a_1 | ...
+    bl = _limbs(b, range(count)[::-1], -2)           # ... ; b_1 ; b_0
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    prod = np.empty(shape)
+    top = prod.view(np.uint64)       # scratch once prod is read
+    x = np.empty(shape, dtype=np.uint64)
+    acc = np.zeros(shape, dtype=np.uint64)
+    for s in range(2 * count - 1):
+        lo, hi = max(0, s - count + 1), min(s, count - 1)
+        np.matmul(al[..., lo * k:(hi + 1) * k],
+                  bl[..., (count - 1 - s + lo) * k:(count - s + hi) * k, :], out=prod)
+        x[...] = prod
+        if p == M61:
+            e = _LIMB * s % 61           # 2^(21 s) == 2^e
+            if e:
+                np.right_shift(x, np.uint64(61 - e), out=top)
+                x &= np.uint64((1 << (61 - e)) - 1)
+                x <<= np.uint64(e)
+                x += top
+        elif s:
+            x %= np.uint64(p)
+            x *= np.uint64(pow(2, _LIMB * s, p))
+        acc += x
+    return acc
+
+
+def add_mod(a, b, p: int):
+    out = a + b
+    return np.minimum(out, np.subtract(out, np.uint64(p)))
+
+
+def sub_mod(a, b, p: int):
+    out = np.subtract(a, b)
+    return np.minimum(out, np.add(out, np.uint64(p)))
+
+
+def _rank_small(rows: list, p: int) -> int:
+    """Rank of a matrix given as lists of residues, by Python-int elimination."""
+    rank = 0
+    while rows:
+        top = rows.pop()
+        c = next((j for j, x in enumerate(top) if x), None)
+        if c is None:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = np.uint64(pow(int(A[r, c]), p - 2, p))
-        row = mul_mod(A[r, c:], inv, p)
-        A[r, c:] = row
-        if r + 1 < n:
-            sub = A[r + 1:, c:]
-            upd = mul_mod(A[r + 1:, c][:, None], row[None, :], p)
-            sub += pp - upd
-            sub -= np.where(sub >= pp, pp, np.uint64(0))
-        r += 1
-    return r
+        inv = pow(top[c], -1, p)
+        rank += 1
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f:
+                f = f * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+    return rank
+
+
+def _rows(T, piv):
+    """Rows piv[b] of each T[b]: (B, n, w), (B, k) -> (B, k, w)."""
+    return T[np.arange(T.shape[0])[:, None], piv]
+
+
+def _leaf(X, p: int, want_h: bool):
+    """Pivot-by-pivot elimination of the columns of X (B, n, w).
+
+    Column c pivots each matrix on its first nonzero row r and subtracts
+    X[:, c] / X[r, c] times row r from every row, r included, so a pivot
+    row is zero afterwards and is never chosen again: no swaps, and a
+    matrix without a pivot in c subtracts nothing.  Returns (piv, has, H)
+    over the pivot slots that some matrix filled: piv (B, k) pivot rows,
+    has (B, k) which slots are filled, and H (B, n, k) with T - H @ T[piv]
+    the same elimination applied to any block T beside X (None unless
+    want_h).  H is carried as w extra columns that the row updates act on,
+    unscaled (column c holds X[:, c], not X[:, c] / X[r, c]) until the end.
+    """
+    B, n, w = X.shape
+    W = np.zeros((B, n, 2 * w if want_h else w), dtype=np.uint64)
+    W[:, :, :w] = X
+    ar = np.arange(B)
+    slots, pivs, invs = [], [], []
+    for c in range(w):
+        col = W[:, :, c]
+        r = (col != 0).argmax(axis=1)
+        pv = col[ar, r].tolist()
+        if not any(pv):
+            continue
+        inv = [pow(v, -1, p) if v else 0 for v in pv]
+        slots.append(c)
+        pivs.append(r)
+        invs.append(inv)
+        end = w + c if want_h else w
+        if c + 1 < end:
+            # -(pivot row / pivot), a few entries per matrix: Python ints
+            neg = np.array([[-x * iv % p for x in row] for row, iv in
+                            zip(W[ar, r, c + 1:end].tolist(), inv)], dtype=np.uint64)
+            rest = W[:, :, c + 1:end]
+            rest[...] = mul_mod(col[:, :, None], neg[:, None, :], p, add=rest)
+        if want_h:
+            W[:, :, w + c] = col
+    piv = np.array(pivs, dtype=np.intp).T.reshape(B, len(slots))
+    inv = np.array(invs, dtype=np.uint64).T.reshape(B, len(slots))
+    H = mul_mod(W[:, :, [w + c for c in slots]], inv[:, None, :], p) if want_h else None
+    return piv, inv != 0, H
+
+
+def _split(w: int) -> int:
+    """Width of the left half of w > _LEAF columns, a multiple of _LEAF."""
+    return -(-w // (2 * _LEAF)) * _LEAF
+
+
+def _panel(X, p: int):
+    """_leaf's (piv, has, H) for any width, by column halving: eliminate the
+    left half, apply it to the right half, eliminate that, and compose
+    (I - H2 P2)(I - H1 P1) = I - [H1 - H2 H1[piv2], H2] [P1; P2]."""
+    w = X.shape[2]
+    if w <= _LEAF:
+        return _leaf(X, p, True)
+    h = _split(w)
+    piv1, has1, H1 = _panel(X[:, :, :h], p)
+    X2 = X[:, :, h:]
+    if H1.shape[2]:
+        X2 = sub_mod(X2, matmul_mod(H1, _rows(X2, piv1), p), p)
+    piv2, has2, H2 = _panel(X2, p)
+    if H1.shape[2] and H2.shape[2]:
+        H1 = sub_mod(H1, matmul_mod(H2, _rows(H1, piv2), p), p)
+    return (np.concatenate([piv1, piv2], axis=1), np.concatenate([has1, has2], axis=1),
+            np.concatenate([H1, H2], axis=2))
+
+
+def _drop_pivot_rows(T, piv, has):
+    """Remove from each T[b] as many of its (now zero) pivot rows as every
+    matrix of the stack has."""
+    k = int(has.sum(axis=1).min())
+    if k == 0:
+        return T
+    B, n, w = T.shape
+    first = has & (np.cumsum(has, axis=1) <= k)
+    keep = np.ones((B, n), dtype=bool)
+    keep[np.nonzero(first)[0], piv[first]] = False
+    return T[keep].reshape(B, n - k, w)
+
+
+def _rank_chunk(A, p: int):
+    """Ranks of a (B, n, m) stack: eliminate the left half of the columns,
+    update the right half, drop the pivot rows and go on with the right."""
+    ranks = np.zeros(A.shape[0], dtype=np.int64)
+    while A.shape[1] and A.shape[2]:
+        w = A.shape[2]
+        if w <= _LEAF:
+            return ranks + _leaf(A, p, False)[1].sum(axis=1)
+        h = _split(w)
+        piv, has, H = _panel(A[:, :, :h], p)
+        ranks += has.sum(axis=1)
+        T = A[:, :, h:]
+        if H.shape[2]:
+            T = sub_mod(T, matmul_mod(H, _rows(T, piv), p), p)
+        A = _drop_pivot_rows(T, piv, has)
+    return ranks
+
+
+def stack_count(n: int, m: int) -> int:
+    """How many n x m matrices rank_mod_stack eliminates together."""
+    return max(1, _STACK_ENTRIES // (n * m))
+
+
+def rank_mod_stack(As, p: int) -> list[int]:
+    """Ranks of the matrices of a (B, n, m) stack of residues mod p."""
+    A = np.asarray(As, dtype=np.uint64)
+    B, n, m = A.shape
+    if n == 0 or m == 0:
+        return [0] * B
+    if n * m <= _SMALL:
+        return [_rank_small(a, p) for a in A.tolist()]
+    if m > n:
+        A = A.transpose(0, 2, 1)
+    step = stack_count(n, m)
+    out = []
+    for i in range(0, B, step):
+        out.extend(_rank_chunk(np.ascontiguousarray(A[i:i + step]), p).tolist())
+    return out
+
+
+def rank_mod(A, p: int) -> int:
+    """Rank of one n x m matrix of residues mod p."""
+    return rank_mod_stack(np.asarray(A, dtype=np.uint64)[None], p)[0]
 
 
 def _rref_with(A, aug, p: int) -> int:

@@ -580,6 +580,27 @@ class PencilOracle:
             return self.base * t.d + _modnum.rank_mod(ev, self.field.p)
         return self.base * t.d + rank_of(eval_pencil(self.core, t))
 
+    def ranks_at(self, ts: list[MatrixTuple]) -> list[int]:
+        """rank_at at tuples of one dimension d.  The core is evaluated into
+        a stack, as many tuples at a time as the kernel ranks together."""
+        if not ts:
+            return []
+        d = ts[0].d
+        if any(t.d != d for t in ts):
+            raise ValueError("tuples of one dimension expected")
+        if self.core.size == 0 or not self._fast:
+            return [self.rank_at(t) for t in ts]
+        n = self.core.size * d
+        step = _modnum.stack_count(n, n)
+        stack = np.empty((min(step, len(ts)), n, n), dtype=np.uint64)
+        ranks = []
+        for i in range(0, len(ts), step):
+            part = ts[i:i + step]
+            for ev, t in zip(stack, part):
+                _modnum.eval_pencil_mod(self._core_np, t._np_stack(), d, self.field.p, out=ev)
+            ranks += _modnum.rank_mod_stack(stack[:len(part)], self.field.p)
+        return [self.base * d + r for r in ranks]
+
     def is_invertible_at(self, t: MatrixTuple) -> bool:
         return self.rank_at(t) == self.size * t.d
 

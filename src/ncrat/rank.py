@@ -15,10 +15,12 @@ import os
 import random
 from dataclasses import dataclass
 
+from .circuit import BlowupExceeded, ParseError, parse_expr, to_idrrsc
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
                     rank_of, sample_tuple)
-from .pencil import (LinearPencil, PencilOracle, RealizedEntry, place_block,
-                     pad_entry, relocate_entry, widen_entry, zero_entry)
+from .pencil import (LinearPencil, PencilOracle, RealizedEntry, compile_idrrsc,
+                     pad_entry, place_block, read_pencil, relocate_entry,
+                     widen_entry, zero_entry)
 
 
 class NotInvertiblePencil(Exception):
@@ -163,9 +165,9 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
         trials = params.trials
         attempt = 0
         while True:
-            for _ in range(trials):
-                t = sample_tuple(L.field, max(L.nvars, 1), d, rng)
-                rk = oracle.rank_at(t)
+            ts = [sample_tuple(L.field, max(L.nvars, 1), d, rng)
+                  for _ in range(trials)]
+            for t, rk in zip(ts, oracle.ranks_at(ts)):
                 if rk > max_rank:
                     max_rank, max_t = rk, t
             if max_rank % d == 0:
@@ -247,39 +249,55 @@ def parse_skew_file(text: str, field: Field, base_dir: str = ".",
                     check: bool = True) -> SkewMatrix:
     """Header `m <m>`, then m^2 row-major entry lines: `expr <expression>`
     (compiled through the circuit pipeline) or `pencil <path>` (a pencil
-    file with a realize trailer)."""
-    from .circuit import parse_expr, to_idrrsc
-    from .pencil import compile_idrrsc, read_pencil
-
-    lines = [ln.strip() for ln in text.splitlines()
+    file with a realize trailer).  Blank lines and `#` comments are
+    skipped.  Malformed input raises ValueError naming the line."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
              if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("m "):
-        raise ValueError("missing m header")
-    m = int(lines[0].split()[1])
+    eof = len(text.splitlines()) + 1
+    if not lines:
+        raise ValueError(f"line {eof}: end of file, missing m header")
+    no, head = lines[0]
+    parts = head.split()
+    try:
+        if parts[0] != "m" or len(parts) != 2:
+            raise ValueError("expected `m <size>` header")
+        m = int(parts[1])
+        if m < 1:
+            raise ValueError(f"m {m} is out of range")
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
     body = lines[1:]
     if len(body) != m * m:
-        raise ValueError(f"expected {m * m} entries, found {len(body)}")
-    grid = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            ln = body[i * m + j]
-            kind, _, rest = ln.partition(" ")
-            rest = rest.strip()
-            if kind == "expr":
-                if rest == "0":
-                    row.append(None)
-                    continue
-                row.append(compile_idrrsc(to_idrrsc(parse_expr(rest)), field))
-            elif kind == "pencil":
-                L, realize = read_pencil(os.path.join(base_dir, rest))
-                if realize is None:
-                    raise ValueError(f"pencil file {rest!r} lacks a realize trailer")
-                row.append(RealizedEntry(L, realize[0], realize[1]))
-            else:
-                raise ValueError(f"unknown entry kind {kind!r}")
-        grid.append(row)
+        where = body[m * m][0] if len(body) > m * m else eof
+        raise ValueError(f"line {where}: expected {m * m} entries, found {len(body)}")
+    grid = [[None] * m for _ in range(m)]
+    for idx, (no, ln) in enumerate(body):
+        try:
+            grid[idx // m][idx % m] = _skew_entry(ln, field, base_dir)
+        except (ValueError, ParseError, BlowupExceeded) as exc:
+            raise ValueError(f"line {no}: {exc}") from None
     return make_skew_matrix(grid, field, check=check)
+
+
+def _skew_entry(line: str, field: Field, base_dir: str) -> RealizedEntry | None:
+    """One entry line of a skew-matrix file; None is the zero entry."""
+    kind, _, rest = line.partition(" ")
+    rest = rest.strip()
+    if kind == "expr":
+        if rest == "0":
+            return None
+        return compile_idrrsc(to_idrrsc(parse_expr(rest)), field)
+    if kind == "pencil":
+        try:
+            L, realize = read_pencil(os.path.join(base_dir, rest))
+        except OSError as exc:
+            raise ValueError(f"cannot read pencil file {rest!r}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ValueError(f"pencil file {rest!r}: {exc}") from None
+        if realize is None:
+            raise ValueError(f"pencil file {rest!r} lacks a realize trailer")
+        return RealizedEntry(L, realize[0], realize[1])
+    raise ValueError(f"unknown entry kind {kind!r}")
 
 
 def read_skew_file(path: str, field: Field, check: bool = True) -> SkewMatrix:

@@ -227,7 +227,9 @@ def shifted_entry_series(entry: RealizedEntry, shift: MatrixTuple,
             for k in range(d):
                 q = (i - 1) * d * d + j * d + k + 1
                 place_block(entries, cols, 0, k - j, lambda e: {q: e[0]})
-    M = LinearPencil(f, sd, L.nvars * d * d, entries)
+    # one fresh variable per (shift matrix, j, k), the layout
+    # assemble_shift_point folds back, even where L has fewer variables
+    M = LinearPencil(f, sd, shift.n * d * d, entries)
     crow = DenseMatrix.zeros(f, 1, sd)
     crow.data[(entry.row - 1) * d + block_row] = f.one
     bcol = DenseMatrix.zeros(f, sd, 1)

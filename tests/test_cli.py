@@ -169,6 +169,14 @@ def test_malformed_pencil_file_exits_two(tmp_path, capsys, name):
     assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1
 
 
+def test_malformed_skew_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.skm"
+    path.write_text("m 0\n")
+    status, _ = run(["ncrank", "--file", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2 and err == "error: line 1: m 0 is out of range\n"
+
+
 @pytest.mark.parametrize("name", sorted(BAD_CIRCUIT_FILES))
 def test_malformed_circuit_file_exits_two(tmp_path, capsys, name):
     path = tmp_path / "bad.circ"

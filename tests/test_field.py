@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,73 @@ def test_rank_generic_matches_fast_path(rng):
         if rng.random() < 0.5:
             m.data[3 * 5:4 * 5] = m.row(1)  # force a dependency
         assert rank_of(m) == _rank_generic(m)
+
+
+@st.composite
+def residue_stacks(draw):
+    """(p, stack): B matrices of one shape over M61 or 2^31 - 1, each a
+    product of planted rank with rows and columns zeroed and entries set
+    to 0, 1 or p - 1."""
+    import numpy as np
+    p = draw(st.sampled_from([DEFAULT_PRIME, (1 << 31) - 1]))
+    B = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    mats = []
+    for _ in range(B):
+        r = draw(st.integers(0, min(n, m)))
+        seed = draw(st.integers(0, 2 ** 32))
+        rng = random.Random(seed)
+        u = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(r)] for _ in range(n)]
+        v = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(m)] for _ in range(r)]
+        a = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*v)] if r else [0] * m
+             for row in u]
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            a[i] = [0] * m
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            for row in a:
+                row[j] = 0
+        for i, j, x in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                               st.integers(0, m - 1), entry), max_size=4)):
+            a[i][j] = x
+        mats.append(a)
+    return p, np.array(mats, dtype=np.uint64).reshape(B, n, m)
+
+
+@given(residue_stacks())
+@settings(max_examples=80, deadline=None)
+def test_rank_mod_stack_matches_generic(case):
+    # every matrix of the stack, through whichever path its shape takes
+    # (Python ints, or the blocked kernel with stack-wide row dropping)
+    from ncrat._modnum import rank_mod_stack
+    from ncrat.field import _rank_generic
+    p, stack = case
+    Fp = PrimeField(p)
+    B, n, m = stack.shape
+    expect = [_rank_generic(DenseMatrix(Fp, n, m, [int(x) for x in a.ravel()]))
+              for a in stack]
+    assert rank_mod_stack(stack, p) == expect
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, (1 << 31) - 1])
+@pytest.mark.parametrize("k,v", [(682, -1), (683, -1), (1401, -2)])
+def test_matmul_mod_worst_case(p, k, v):
+    # all operands p - 1 at the largest inner dimension one float64 limb
+    # product takes (682) and one past it; and p - 2, whose odd limbs make
+    # a limb sum over 1401 terms an odd integer above 2^53, which float64
+    # cannot hold; then random operands
+    import numpy as np
+    from ncrat._modnum import matmul_mod
+    a = np.full((2, 3, k), p + v, dtype=np.uint64)
+    b = np.full((2, k, 4), p + v, dtype=np.uint64)
+    assert matmul_mod(a, b, p).tolist() == [[[k * (p + v) ** 2 % p] * 4] * 3] * 2
+    rng = random.Random(k)
+    x = [[rng.randrange(p) for _ in range(k)] for _ in range(3)]
+    y = [[rng.randrange(p) for _ in range(4)] for _ in range(k)]
+    got = matmul_mod(np.array(x, dtype=np.uint64), np.array(y, dtype=np.uint64), p)
+    assert got.tolist() == [[sum(s * t for s, t in zip(row, col)) % p for col in zip(*y)]
+                            for row in x]
 
 
 def test_rank_rational():

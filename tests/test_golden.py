@@ -1,21 +1,27 @@
-"""Golden digests of compiled output for the reference corpus.
+"""Golden digests of compiled output for the reference corpus, and of
+ncrank results on fixed grids.
 
-Each row holds the SHA-256 of the compiled pencil file (with its realize
-trailer) over the default field, and of the circuit file of the
+Each corpus row holds the SHA-256 of the compiled pencil file (with its
+realize trailer) over the default field, and of the circuit file of the
 variable-reduced circuit at h = inversion height.  The digests were
 recorded before the circuit walkers were made iterative; any change in
 node order, layer layout or pencil placement shows here."""
 
 import hashlib
+import os
+import random
 
 import pytest
 
-from ncrat.circuit import classify, dump_circuit, variable_reduction
-from ncrat.field import prime_field
-from ncrat.pencil import dump_pencil
+from ncrat.circuit import (classify, dump_circuit, parse_expr, to_idrrsc,
+                           variable_reduction)
+from ncrat.field import dump_tuple, prime_field
+from ncrat.pencil import compile_idrrsc, dump_pencil
+from ncrat.rank import RankParams, make_skew_matrix, ncrank_skew, read_skew_file
 from ncrat.rit import compile_circuit, corpus
 
 F = prime_field()
+HIGMAN = os.path.join(os.path.dirname(__file__), "..", "data", "higman.skm")
 
 GOLDEN = (
     ("var", "a6cd790ed47e6b1eb08f404eb30442c4058ebe5a995c4c25035954aa78183d3f",
@@ -103,3 +109,58 @@ def test_compiled_output_is_unchanged(name, c):
     reduced = variable_reduction(c, classify(c).height)
     assert (_sha(dump_pencil(entry.pencil, (entry.row, entry.col))),
             _sha(dump_circuit(reduced))) == golden[name]
+
+
+# -- ncrank results --------------------------------------------------------------
+#
+# SHA-256 of (r, d, certificate, per_dim, anomalies, witness file) from
+# ncrank_skew on fixed grids, recorded with the pivot-by-pivot rank kernel.
+# The rank of every sampled evaluation, and so the first tuple reaching the
+# maximum, must not depend on how the kernel eliminates or batches.
+
+SKEW3 = (("0", "x1", "x2"), ("0 - x1", "0", "x3"), ("0 - x2", "0 - x3", "0"))
+
+
+def _uv_grid(seed: int, m: int, r: int):
+    """m x m grid of sum_t U[i][t] * V[t][j] over seeded affine forms in
+    x1..x3, a rank-r product of an m x r and an r x m grid."""
+    rng = random.Random(seed)
+
+    def form():
+        return "(" + " + ".join([str(rng.randrange(1, 9))] +
+                                [f"{rng.randrange(1, 9)}*x{i}" for i in (1, 2, 3)
+                                 if rng.random() < 0.7]) + ")"
+
+    U = [[form() for _ in range(r)] for _ in range(m)]
+    V = [[form() for _ in range(m)] for _ in range(r)]
+    return tuple(tuple(" + ".join(f"{U[i][t]}*{V[t][j]}" for t in range(r))
+                       for j in range(m)) for i in range(m))
+
+
+def _skew_of(grid):
+    return make_skew_matrix(
+        [[None if src == "0" else compile_idrrsc(to_idrrsc(parse_expr(src)), F)
+          for src in row] for row in grid], F)
+
+
+NCRANK_GOLDEN = (
+    ("higman", None, 5,
+     "a8346a57cb55070492377c08d5e7ca8bdf36444d553f1341524872bc6b0a3ae4"),
+    ("skew3", SKEW3, 11,
+     "e566977895981991dea20808242f79630963450558c85572f93a0a7307717223"),
+    ("uv-2x1", _uv_grid(1, 2, 1), 21,
+     "0253fe4d9dd5ec0adcef85a73fa56988926f1136d395e540f5e3227521a52fbe"),
+    ("uv-3x2", _uv_grid(2, 3, 2), 31,
+     "ffd87e2fb9e088089c53d45e536903cb33f80901b3ba17c2252320efd43f338d"),
+    ("uv-3x1", _uv_grid(3, 3, 1), 41,
+     "286ead00579331b4eea179e46c538c2fc5936b9eb62437d6ae735ee3f2af8763"),
+)
+
+
+@pytest.mark.parametrize("name,grid,seed,digest", NCRANK_GOLDEN)
+def test_ncrank_result_is_unchanged(name, grid, seed, digest):
+    M = read_skew_file(HIGMAN, F) if grid is None else _skew_of(grid)
+    res = ncrank_skew(M, RankParams(trials=8, seed=seed))
+    text = repr((res.r, res.d, res.certificate, res.per_dim, res.anomalies,
+                 dump_tuple(res.witness)))
+    assert _sha(text) == digest

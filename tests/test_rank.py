@@ -329,3 +329,28 @@ def test_skew_file_zero_literal_and_pencil_refs(tmp_path):
 def test_skew_file_bad_count():
     with pytest.raises(ValueError):
         parse_skew_file("m 2\nexpr x1\n", F)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "line 1"),
+    ("# only a comment\n\n", "line 3"),                 # end of file
+    ("expr 1\n", "line 1"),                              # missing header
+    ("m\n", "line 1"),
+    ("m two\nexpr 1\n", "line 1"),                       # non-integer m
+    ("m 0\n", "line 1"),
+    ("m -1\n", "line 1"),
+    ("m 1 1\nexpr 1\n", "line 1"),
+    ("m 2\nexpr 1\nexpr x1\n", "line 4"),               # too few entries
+    ("m 1\nexpr 1\n\nexpr 2\n", "line 4"),               # too many entries
+    ("m 1\nformula x1\n", "line 2"),                     # unknown kind
+    ("m 1\npencil missing.lp\n", "line 2"),              # unreadable path
+    ("m 1\npencil bad.lp\n", "line 2"),                  # malformed pencil file
+    ("m 1\npencil bare.lp\n", "line 2"),                 # no realize trailer
+    ("# grid\nm 2\nexpr 1\n\nexpr x1 +\nexpr 0\nexpr 1\n", "line 5"),  # parse error
+])
+def test_skew_file_errors_name_the_line(tmp_path, text, where):
+    from ncrat.pencil import write_pencil
+    (tmp_path / "bad.lp").write_text("field prime 7\nsize 2\n")
+    write_pencil(entry_of("x1").pencil, str(tmp_path / "bare.lp"))
+    with pytest.raises(ValueError, match=f"^{where}: "):
+        parse_skew_file(text, F, base_dir=str(tmp_path))

@@ -235,3 +235,14 @@ def test_bootstrap_assembled_point_for_rational_member():
     row = rep.rows[0]
     assert row.route == "series" and row.truncation_nonzero
     assert row.assembled_nonzero is True
+
+
+def test_bootstrap_constant_series_route():
+    # no variables: the shift holds one padding matrix, and the series
+    # gets one fresh variable per entry of it, which assemble_shift_point
+    # folds back into a point at dimension d * d_z
+    rep = bootstrap_dimension(parse_expr("2/3"), F, schedule=(1, 2, 3),
+                              trials=4, seed=1)
+    assert [r.route for r in rep.rows] == ["series"] * 3
+    assert all(r.assembled_nonzero is True for r in rep.rows)
+    assert rep.smallest_defined == rep.smallest_invertible == 1
