@@ -10,10 +10,15 @@ Matrix products mod p (matmul_mod) are float64 BLAS products of 21-bit
 limbs, exact while the inner dimension of one product is at most 682.
 Ranks (rank_mod_stack) come from block-recursive elimination on top of
 them, over a whole stack of matrices at once, or from Python-int
-elimination for small matrices.
+elimination for small matrices.  Sparse matrices, given as rows of
+{column: residue}, are ranked by rank_sparse: sparse elimination on Python
+ints, for any prime, that hands a block which has filled in to rank_mod.
 """
 
 from __future__ import annotations
+
+import collections
+import itertools
 
 import numpy as np
 
@@ -80,20 +85,18 @@ def kron_mod(a, b, p: int):
     return prod.reshape(r1 * r2, c1 * c2)
 
 
-def eval_pencil_mod(coeffs, mats, d: int, p: int, out=None):
-    """coeffs: (n+1, s, s); mats: (>=n, d, d).  Returns A0 x I_d + sum Ai x ti,
-    written into out (an (s d) x (s d) uint64 array) when it is given."""
-    n = coeffs.shape[0] - 1
-    first = kron_mod(coeffs[0], np.eye(d, dtype=np.uint64), p)
-    if out is None:
-        out = first
-    else:
-        out[...] = first
-    pp = np.uint64(p)
-    for i in range(n):
-        out += kron_mod(coeffs[i + 1], mats[i], p)
-        out -= np.where(out >= pp, pp, np.uint64(0))
-    return out
+def eval_pencil_mod(coeffs, mats, d: int, p: int):
+    """coeffs: (n+1, s, s); mats: (>=n, d, d).  Returns A0 x I_d + sum Ai x ti:
+    the sum over i is one matmul_mod, (s^2, n) coefficients by (n, d^2)
+    matrices, and A0 goes on the diagonal of each d x d block."""
+    n, s = coeffs.shape[0] - 1, coeffs.shape[1]
+    out = np.zeros((s, d, s, d), dtype=np.uint64)
+    if n:
+        prod = matmul_mod(coeffs[1:].reshape(n, s * s).T, mats[:n].reshape(n, d * d), p)
+        out[...] = prod.reshape(s, s, d, d).transpose(0, 2, 1, 3)
+    a = np.arange(d)
+    out[:, a, :, a] = add_mod(out[:, a, :, a], coeffs[0], p)
+    return out.reshape(s * d, s * d)
 
 
 _LIMB = 21
@@ -304,11 +307,6 @@ def _rank_chunk(A, p: int):
     return ranks
 
 
-def stack_count(n: int, m: int) -> int:
-    """How many n x m matrices rank_mod_stack eliminates together."""
-    return max(1, _STACK_ENTRIES // (n * m))
-
-
 def rank_mod_stack(As, p: int) -> list[int]:
     """Ranks of the matrices of a (B, n, m) stack of residues mod p."""
     A = np.asarray(As, dtype=np.uint64)
@@ -319,7 +317,7 @@ def rank_mod_stack(As, p: int) -> list[int]:
         return [_rank_small(a, p) for a in A.tolist()]
     if m > n:
         A = A.transpose(0, 2, 1)
-    step = stack_count(n, m)
+    step = max(1, _STACK_ENTRIES // (n * m))
     out = []
     for i in range(0, B, step):
         out.extend(_rank_chunk(np.ascontiguousarray(A[i:i + step]), p).tolist())
@@ -329,6 +327,98 @@ def rank_mod_stack(As, p: int) -> list[int]:
 def rank_mod(A, p: int) -> int:
     """Rank of one n x m matrix of residues mod p."""
     return rank_mod_stack(np.asarray(A, dtype=np.uint64)[None], p)[0]
+
+
+# rank_sparse hands its active block to rank_mod once the block has at least
+# _DENSE_ROWS rows and more than _DENSE_FILL of its slots hold a nonzero.
+# Measured on a 2-core host, each evaluation timed alone (median of 5):
+# - random cores (n 48-180, d 1/2/4, entry density 2-100%) fill in fast;
+#   with no hand-off they took 5.2 / 3.1 / 2.7 s in all at d = 1 / 2 / 4,
+#   with (96, 0.3) 0.76 / 0.47 / 0.34 s, with (64, 0.3) 0.49 / 0.30 / 0.25 s;
+# - on the evaluations of the benchmark workloads (n <= 204, density
+#   3-20%) (64, 0.3) never hands off, while (48, 0.3) and (64, 0.2) do, on
+#   49- and 71-row blocks of ncrank-grid's n = 72-180 matrices, and
+#   slowed those 56 evaluations from 0.27 s to 0.43 and 0.57 s.
+_DENSE_ROWS = 64
+_DENSE_FILL = 0.3
+
+
+def rank_sparse(rows: dict, p: int) -> int:
+    """Rank mod the prime p of the matrix with rows {i: {j: residue}}, no
+    zero stored.  The rows are consumed.
+
+    Columns are eliminated in increasing order, each on the sparsest row
+    that holds it (the lowest index among equals), and an update that
+    cancels exactly deletes the entry: Python ints, exact for any prime.
+    Over the primes rank_mod supports, the active block (rows left, columns
+    not yet eliminated) goes to rank_mod once it is large and filled in."""
+    live = {i: row for i, row in rows.items() if row}
+    cols = collections.defaultdict(set)      # column -> the live rows holding it
+    for i, row in live.items():
+        for j in row:
+            cols[j].add(i)
+    nnz = sum(map(len, live.values()))
+    order = sorted(cols)
+    dense = supported(p)
+    rank = 0
+    for n, j in enumerate(order):
+        if dense and fills(len(live), len(order) - n, nnz):
+            return rank + _rank_rows_dense(live, order[n:], p)
+        holders = cols.pop(j)
+        if not holders:
+            continue
+        r = min(holders, key=lambda i: (len(live[i]), i)) if len(holders) > 1 \
+            else next(iter(holders))
+        prow = live.pop(r)
+        neg_inv = p - pow(prow.pop(j), -1, p)
+        holders.discard(r)
+        for c in prow:
+            cols[c].discard(r)
+        nnz -= 1 + len(prow)
+        rank += 1
+        if not holders:
+            continue
+        update = [(c, v * neg_inv % p) for c, v in prow.items()]
+        for i in holders:
+            row = live[i]
+            f = row.pop(j)
+            nnz -= 1
+            for c, v in update:
+                x = row.get(c)
+                if x is None:
+                    row[c] = f * v % p
+                    cols[c].add(i)
+                    nnz += 1
+                else:
+                    x = (x + f * v) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        cols[c].discard(i)
+                        nnz -= 1
+            if not row:
+                del live[i]
+    return rank
+
+
+def fills(rows: int, cols: int, nnz: int) -> bool:
+    """Whether rank_sparse hands an active block of this shape and nonzero
+    count to rank_mod (whenever p is supported)."""
+    return rows >= _DENSE_ROWS and nnz > _DENSE_FILL * rows * cols
+
+
+def _rank_rows_dense(live: dict, order: list, p: int) -> int:
+    """rank_mod of the rows in live, whose entries lie in the sorted columns
+    order."""
+    chain = itertools.chain.from_iterable
+    at = {j: q for q, j in enumerate(order)}
+    nnz = sum(map(len, live.values()))
+    A = np.zeros((len(live), len(order)), dtype=np.uint64)
+    A[np.repeat(np.arange(len(live)), list(map(len, live.values()))),
+      np.fromiter(map(at.__getitem__, chain(live.values())), dtype=np.intp, count=nnz)] = \
+        np.fromiter(chain(map(dict.values, live.values())), dtype=np.uint64, count=nnz)
+    return rank_mod(A, p)
 
 
 def _rref_with(A, aug, p: int) -> int:

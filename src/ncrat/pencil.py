@@ -17,7 +17,9 @@ rather than silently duplicated.
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
 Builders write blocks into that map with `place_block`; only evaluation
-densifies, `eval_pencil` for one call and the oracle for its reduced core.
+densifies, `eval_pencil` for one call and the oracle for a reduced core whose
+evaluations would be dense anyway; the oracle evaluates other cores into
+sparse rows.
 """
 
 from __future__ import annotations
@@ -555,7 +557,9 @@ class _SparseReducer:
 class PencilOracle:
     """Rank and invertibility of a pencil at matrix tuples, through an
     exact structural reduction done once at construction: rank(L(t)) =
-    base * d + rank(core(t)) for every tuple t."""
+    base * d + rank(core(t)) for every tuple t.  Over the primes _modnum
+    supports, core(t) is built as sparse rows straight from the core's
+    entries and ranked by _modnum.rank_sparse."""
 
     def __init__(self, L: LinearPencil):
         self.field = L.field
@@ -565,41 +569,83 @@ class PencilOracle:
         self.base = red.base
         self.core = red.core_pencil()
         self._fast = L.field.kind == "prime" and _modnum.supported(L.field.p)
-        self._core_np = self.core._np_coeffs() if self._fast else None
+        # per core row, the columns of its entries with a variable and its
+        # constant-only entries (col, constant); and the entries with a
+        # variable, (constant, ((k, value), ...)), in (row, col) order
+        self._rows = [([], []) for _ in range(self.core.size)]
+        self._var: list[tuple] = []
+        for (r, c), e in sorted(self.core.entries.items()):
+            if len(e) > (0 in e):
+                self._var.append((e.get(0, 0),
+                                  tuple((k, v) for k, v in sorted(e.items()) if k)))
+                self._rows[r][0].append(c)
+            else:
+                self._rows[r][1].append((c, e[0]))
+        self._nconst = sum(len(const) for _, const in self._rows)
+        self._cols: dict[int, list] = {}     # d -> block columns of each core row
+        self._coeffs = None                  # core._np_coeffs(), once needed
 
     @property
     def core_size(self) -> int:
         return self.core.size
 
-    def rank_at(self, t: MatrixTuple) -> int:
-        if self.core.size == 0:
-            return self.base * t.d
-        if self._fast:
-            ev = _modnum.eval_pencil_mod(self._core_np, t._np_stack(), t.d,
-                                         self.field.p)
-            return self.base * t.d + _modnum.rank_mod(ev, self.field.p)
-        return self.base * t.d + rank_of(eval_pencil(self.core, t))
+    def _eval_rows(self, t: MatrixTuple) -> dict:
+        """The nonzeros of eval_pencil(core, t) as rows {i: {j: value}}: an
+        entry with only a constant v0 is the diagonal v0 of its d x d block,
+        one with variables the block v0 I + sum_k vk t_k."""
+        d = t.d
+        lines = self._block_lines(t)      # line a: row a of every block
+        cols = self._cols.get(d)
+        if cols is None:
+            cols = self._cols[d] = [[c * d + b for c in cs for b in range(d)]
+                                    for cs, _ in self._rows]
+        rows = {}
+        lo = 0
+        for r, (cs, const) in enumerate(self._rows):
+            hi = lo + len(cs) * d
+            for a, line in enumerate(lines):
+                seg = line[lo:hi]
+                row = dict(zip(cols[r], seg))
+                if 0 in seg:
+                    row = {j: x for j, x in row.items() if x}
+                for c, v0 in const:
+                    row[c * d + a] = v0
+                rows[r * d + a] = row
+            lo = hi
+        return rows
 
-    def ranks_at(self, ts: list[MatrixTuple]) -> list[int]:
-        """rank_at at tuples of one dimension d.  The core is evaluated into
-        a stack, as many tuples at a time as the kernel ranks together."""
-        if not ts:
-            return []
-        d = ts[0].d
-        if any(t.d != d for t in ts):
-            raise ValueError("tuples of one dimension expected")
-        if self.core.size == 0 or not self._fast:
-            return [self.rank_at(t) for t in ts]
+    def _block_lines(self, t: MatrixTuple) -> list:
+        """d lists: list a holds row a of the d x d block of each entry with
+        a variable, one block after the other."""
+        d, p = t.d, self.field.p
+        mats = [m.data for m in t.mats]
+        blks = []
+        for v0, ((k, v), *more) in self._var:
+            blk = [v * x for x in mats[k - 1]]
+            for k, v in more:
+                blk = [y + v * x for y, x in zip(blk, mats[k - 1])]
+            if v0:
+                for q in range(0, d * d, d + 1):
+                    blk[q] += v0
+            blks.append([x % p for x in blk])
+        return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
+
+    def rank_at(self, t: MatrixTuple) -> int:
+        d = t.d
+        if self.core.size == 0:
+            return self.base * d
+        if not self._fast:
+            return self.base * d + rank_of(eval_pencil(self.core, t))
         n = self.core.size * d
-        step = _modnum.stack_count(n, n)
-        stack = np.empty((min(step, len(ts)), n, n), dtype=np.uint64)
-        ranks = []
-        for i in range(0, len(ts), step):
-            part = ts[i:i + step]
-            for ev, t in zip(stack, part):
-                _modnum.eval_pencil_mod(self._core_np, t._np_stack(), d, self.field.p, out=ev)
-            ranks += _modnum.rank_mod_stack(stack[:len(part)], self.field.p)
-        return [self.base * d + r for r in ranks]
+        if _modnum.fills(n, n, len(self._var) * d * d + self._nconst * d):
+            # rank_sparse would hand these rows to rank_mod as they are; on a
+            # dense core at n = 180, building and scattering them back cost
+            # ~40% of rank_mod, evaluating it densely 5-17%
+            if self._coeffs is None:
+                self._coeffs = self.core._np_coeffs()
+            ev = _modnum.eval_pencil_mod(self._coeffs, t._np_stack(), d, self.field.p)
+            return self.base * d + _modnum.rank_mod(ev, self.field.p)
+        return self.base * d + _modnum.rank_sparse(self._eval_rows(t), self.field.p)
 
     def is_invertible_at(self, t: MatrixTuple) -> bool:
         return self.rank_at(t) == self.size * t.d

@@ -25,7 +25,10 @@ from .pencil import (LinearPencil, PencilOracle, RealizedEntry, compile_idrrsc,
 
 class NotInvertiblePencil(Exception):
     """An entry pencil looks singular at every probed dimension; the entry
-    value is undefined as a skew-field element here."""
+    value is undefined as a skew-field element here.  make_skew_matrix sets
+    `entry`, the 0-indexed (row, col) of the grid entry."""
+
+    entry: tuple[int, int] | None = None
 
 
 class DivisibilityAnomaly(Exception):
@@ -104,8 +107,15 @@ def make_skew_matrix(grid, field: Field, min_size: int = 2,
     filled = [[zero_entry(field, nvars) if e is None else widen_entry(e, nvars)
                for e in row] for row in grid]
     s = max(max(e.size for row in filled for e in row), min_size)
-    norm = tuple(tuple(normalize_entry(e, s, nvars, check=check, seed=17 * i + j)
-                       for j, e in enumerate(row))
+
+    def normalize(i: int, j: int, e: RealizedEntry) -> RealizedEntry:
+        try:
+            return normalize_entry(e, s, nvars, check=check, seed=17 * i + j)
+        except NotInvertiblePencil as exc:
+            exc.entry = (i, j)
+            raise
+
+    norm = tuple(tuple(normalize(i, j, e) for j, e in enumerate(row))
                  for i, row in enumerate(filled))
     return SkewMatrix(m=m, entries=norm, common_size=s, nvars=nvars,
                       field=field, certified=check)
@@ -165,9 +175,9 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
         trials = params.trials
         attempt = 0
         while True:
-            ts = [sample_tuple(L.field, max(L.nvars, 1), d, rng)
-                  for _ in range(trials)]
-            for t, rk in zip(ts, oracle.ranks_at(ts)):
+            for _ in range(trials):
+                t = sample_tuple(L.field, max(L.nvars, 1), d, rng)
+                rk = oracle.rank_at(t)
                 if rk > max_rank:
                     max_rank, max_t = rk, t
             if max_rank % d == 0:
@@ -276,7 +286,11 @@ def parse_skew_file(text: str, field: Field, base_dir: str = ".",
             grid[idx // m][idx % m] = _skew_entry(ln, field, base_dir)
         except (ValueError, ParseError, BlowupExceeded) as exc:
             raise ValueError(f"line {no}: {exc}") from None
-    return make_skew_matrix(grid, field, check=check)
+    try:
+        return make_skew_matrix(grid, field, check=check)
+    except NotInvertiblePencil as exc:
+        i, j = exc.entry
+        raise ValueError(f"line {body[i * m + j][0]}: {exc}") from None
 
 
 def _skew_entry(line: str, field: Field, base_dir: str) -> RealizedEntry | None:

@@ -177,6 +177,15 @@ def test_malformed_skew_file_exits_two(tmp_path, capsys):
     assert status == 2 and err == "error: line 1: m 0 is out of range\n"
 
 
+def test_singular_skew_entry_exits_two(tmp_path, capsys):
+    path = tmp_path / "singular.skm"
+    path.write_text("m 1\nexpr inv(x1 - x1)\n")
+    status, _ = run(["ncrank", "--file", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err == "error: line 2: entry pencil singular at all probed dimensions\n"
+
+
 @pytest.mark.parametrize("name", sorted(BAD_CIRCUIT_FILES))
 def test_malformed_circuit_file_exits_two(tmp_path, capsys, name):
     path = tmp_path / "bad.circ"

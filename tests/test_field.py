@@ -203,6 +203,46 @@ def test_rank_mod_stack_matches_generic(case):
     assert rank_mod_stack(stack, p) == expect
 
 
+@st.composite
+def sparse_matrices(draw):
+    """(p, n, m, rows): a planted-rank product of sparse factors as rows
+    {i: {j: residue}}, some rows and columns emptied and some entries set to
+    p - 1.  Over F_7 updates often cancel exactly."""
+    p = draw(st.sampled_from([7, 101, (1 << 31) - 1, DEFAULT_PRIME]))
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    r = draw(st.integers(0, min(n, m)))
+    density = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def factor(rows, cols):
+        return [[rng.choice((1, p - 1, rng.randrange(p))) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+    u, v = factor(n, r), factor(r, m)
+    a = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*v)] if r else [0] * m
+         for row in u]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        a[i] = [0] * m
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        for row in a:
+            row[j] = 0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                              max_size=4)):
+        a[i][j] = p - 1
+    return p, n, m, a
+
+
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_sparse_matches_generic(case):
+    from ncrat._modnum import rank_sparse
+    from ncrat.field import _rank_generic
+    p, n, m, a = case
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+    expect = _rank_generic(DenseMatrix(PrimeField(p), n, m, [x for row in a for x in row]))
+    assert rank_sparse(rows, p) == expect
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, (1 << 31) - 1])
 @pytest.mark.parametrize("k,v", [(682, -1), (683, -1), (1401, -2)])
 def test_matmul_mod_worst_case(p, k, v):

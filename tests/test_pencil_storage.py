@@ -1,14 +1,17 @@
 """Properties of the one pencil storage, (row, col) -> {k: value}, over
 generated sparse pencils: the .lp round trip, evaluation against its
-definition as a sum of Kronecker products, and the structural oracle
-against plain elimination."""
+definition as a sum of Kronecker products, and the structural oracle,
+its sparse rows and its dense hand-offs against plain elimination."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncrat import _modnum
 from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, kron,
                          rank_of, sample_tuple)
 from ncrat.pencil import (LinearPencil, PencilOracle, dump_pencil, eval_pencil,
@@ -26,8 +29,8 @@ def _values(field):
 
 
 @st.composite
-def sparse_pencils(draw):
-    field = draw(st.sampled_from(FIELDS))
+def sparse_pencils(draw, fields=FIELDS):
+    field = draw(st.sampled_from(fields))
     size = draw(st.integers(1, 12))
     nvars = draw(st.integers(0, 3))
     position = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
@@ -37,9 +40,9 @@ def sparse_pencils(draw):
 
 
 @st.composite
-def pencils_and_points(draw):
-    L = draw(sparse_pencils())
-    d = draw(st.integers(1, 2))
+def pencils_and_points(draw, fields=FIELDS, max_d=2):
+    L = draw(sparse_pencils(fields))
+    d = draw(st.integers(1, max_d))
     return L, sample_tuple(L.field, L.nvars, d, draw(st.integers(0, 2 ** 16)))
 
 
@@ -67,6 +70,58 @@ def test_eval_pencil_is_the_kron_sum_of_the_coefficients(case):
 def test_oracle_rank_is_the_rank_of_the_evaluation(case):
     L, t = case
     assert PencilOracle(L).rank_at(t) == rank_of(eval_pencil(L, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pencils_and_points(FIELDS[:2], max_d=4))
+def test_oracle_rows_are_the_nonzeros_of_the_evaluation(case):
+    L, t = case
+    oracle = PencilOracle(L)
+    ev = eval_pencil(oracle.core, t)
+    want = {i: {j: ev.at(i, j) for j in range(ev.cols) if ev.at(i, j)}
+            for i in range(ev.rows)}
+    assert oracle._eval_rows(t) == want
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1])
+def test_dense_core_is_ranked_densely(monkeypatch, p):
+    # every entry holds a variable, and core rows 0 and 1 are equal: the rows
+    # fill the whole evaluation, so the oracle evaluates it densely
+    field = PrimeField(p)
+    rng = random.Random(p)
+    entries = {(r, c): {0: field.rand(rng), rng.randrange(1, 4): field.rand(rng)}
+               for r in range(1, 24) for c in range(24)}
+    entries.update({(0, c): dict(entries[(1, c)]) for c in range(24)})
+    L = LinearPencil(field, 24, 3, entries)
+    oracle = PencilOracle(L)
+    t = sample_tuple(field, 3, 4, 7)
+    calls = []
+    monkeypatch.setattr(_modnum, "rank_sparse", lambda *a: calls.append(a))
+    assert oracle.rank_at(t) == rank_of(eval_pencil(L, t)) == 23 * 4
+    assert not calls
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1])
+def test_arrow_core_fills_in_and_is_handed_off(monkeypatch, p):
+    # a block arrow: block column 0 and block row 0 full, and the diagonal.
+    # The pivot rows of column 0 come from block row 1 and spread its
+    # diagonal block into every row, so the active block fills in
+    field = PrimeField(p)
+    entries = {}
+    for i in range(12):
+        entries[(i, 0)] = {1: 1}
+        entries[(0, i)] = {2: p - 1}
+        entries[(i, i)] = {0: 1, 3: 1}
+    L = LinearPencil(field, 12, 3, entries)
+    oracle = PencilOracle(L)
+    seen = []                  # (rows, columns) of each block handed off
+    dense = _modnum._rank_rows_dense
+    monkeypatch.setattr(_modnum, "_rank_rows_dense", lambda live, order, p:
+                        seen.append((len(live), len(order))) or dense(live, order, p))
+    for seed in range(3):
+        t = sample_tuple(field, 3, 8, seed)
+        assert oracle.rank_at(t) == rank_of(eval_pencil(L, t))
+    assert seen and all(0 < rows < 96 for rows, _ in seen)
 
 
 def test_entries_hold_no_zeros():

@@ -347,6 +347,7 @@ def test_skew_file_bad_count():
     ("m 1\npencil bad.lp\n", "line 2"),                  # malformed pencil file
     ("m 1\npencil bare.lp\n", "line 2"),                 # no realize trailer
     ("# grid\nm 2\nexpr 1\n\nexpr x1 +\nexpr 0\nexpr 1\n", "line 5"),  # parse error
+    ("m 2\nexpr 1\nexpr 0\n# singular\nexpr inv(x1 - x1)\nexpr x1\n", "line 5"),
 ])
 def test_skew_file_errors_name_the_line(tmp_path, text, where):
     from ncrat.pencil import write_pencil
