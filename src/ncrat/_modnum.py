@@ -12,7 +12,8 @@ Ranks (rank_mod_stack) come from block-recursive elimination on top of
 them, over a whole stack of matrices at once, or from Python-int
 elimination for small matrices.  Sparse matrices, given as rows of
 {column: residue}, are ranked by rank_sparse: sparse elimination on Python
-ints, for any prime, that hands a block which has filled in to rank_mod.
+ints, for any prime, that hands a block which has filled in to rank_mod;
+the same elimination, kept sparse, gives row_basis and nullspace_sparse.
 """
 
 from __future__ import annotations
@@ -343,7 +344,7 @@ _DENSE_ROWS = 64
 _DENSE_FILL = 0.3
 
 
-def rank_sparse(rows: dict, p: int) -> int:
+def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
     """Rank mod the prime p of the matrix with rows {i: {j: residue}}, no
     zero stored.  The rows are consumed.
 
@@ -351,7 +352,12 @@ def rank_sparse(rows: dict, p: int) -> int:
     that holds it (the lowest index among equals), and an update that
     cancels exactly deletes the entry: Python ints, exact for any prime.
     Over the primes rank_mod supports, the active block (rows left, columns
-    not yet eliminated) goes to rank_mod once it is large and filled in."""
+    not yet eliminated) goes to rank_mod once it is large and filled in.
+
+    Given a list, pivots receives each pivot row as it leaves, (column j,
+    -1 / pivot, the rest of the row {c: residue}, all c > j), and the
+    elimination stays sparse to the end: the pivot rows are an echelon
+    basis of the row space (row_basis, nullspace_sparse)."""
     live = {i: row for i, row in rows.items() if row}
     cols = collections.defaultdict(set)      # column -> the live rows holding it
     for i, row in live.items():
@@ -359,7 +365,7 @@ def rank_sparse(rows: dict, p: int) -> int:
             cols[j].add(i)
     nnz = sum(map(len, live.values()))
     order = sorted(cols)
-    dense = supported(p)
+    dense = supported(p) and pivots is None
     rank = 0
     for n, j in enumerate(order):
         if dense and fills(len(live), len(order) - n, nnz):
@@ -371,6 +377,8 @@ def rank_sparse(rows: dict, p: int) -> int:
             else next(iter(holders))
         prow = live.pop(r)
         neg_inv = p - pow(prow.pop(j), -1, p)
+        if pivots is not None:
+            pivots.append((j, neg_inv, prow))
         holders.discard(r)
         for c in prow:
             cols[c].discard(r)
@@ -400,6 +408,37 @@ def rank_sparse(rows: dict, p: int) -> int:
             if not row:
                 del live[i]
     return rank
+
+
+def row_basis(rows: dict, p: int) -> list[dict]:
+    """A basis {j: residue} of the span of the rows {i: {j: residue}}
+    (consumed): rank_sparse's pivot rows scaled to 1 at the pivot column."""
+    pivots: list = []
+    rank_sparse(rows, p, pivots)
+    return [{j: 1, **{c: v * (p - neg_inv) % p for c, v in prow.items()}}
+            for j, neg_inv, prow in pivots]
+
+
+def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
+    """A basis of {x : M x = 0} for M with rows {i: {j: residue}}
+    (consumed) over the columns 0..ncols-1: for each column f without a
+    pivot in rank_sparse, the x {j: residue} with x_f = 1 and 0 at the
+    other pivotless columns, keyed by f.  The pivot rows span M's rows and
+    each reaches only later columns, so x_j = -(1 / pivot) sum_c M_jc x_c
+    is solved from the last pivot back; a pivot after f gets x_j = 0."""
+    pivots: list = []
+    rank_sparse(rows, p, pivots)
+    pivots.reverse()
+    kernel = {}
+    for f in sorted(set(range(ncols)).difference(j for j, _, _ in pivots)):
+        x = {f: 1}
+        for j, neg_inv, prow in pivots:
+            if j < f:
+                acc = sum(v * x[c] for c, v in prow.items() if c in x) % p
+                if acc:
+                    x[j] = acc * neg_inv % p
+        kernel[f] = x
+    return kernel
 
 
 def fills(rows: int, cols: int, nnz: int) -> bool:

@@ -62,18 +62,23 @@ def _parse_dims(text):
 
 def _read_corpus(path):
     """Expression corpus file: one `name: expression` (or bare expression)
-    per non-comment line."""
+    per non-comment line.  A malformed expression raises ValueError naming
+    the line."""
     out = []
     with open(path) as fh:
-        for idx, ln in enumerate(fh):
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
             if ":" in ln:
                 name, _, expr = ln.partition(":")
-                out.append((name.strip(), parse_expr(expr.strip())))
+                name, expr = name.strip(), expr.strip()
             else:
-                out.append((f"line{idx + 1}", parse_expr(ln)))
+                name, expr = f"line{lineno}", ln
+            try:
+                out.append((name, parse_expr(expr)))
+            except ParseError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return out
 
 

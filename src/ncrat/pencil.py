@@ -19,7 +19,9 @@ compiler's pencils hold a few nonzeros per row at sizes in the thousands.
 Builders write blocks into that map with `place_block`; only evaluation
 densifies, `eval_pencil` for one call and the oracle for a reduced core whose
 evaluations would be dense anyway; the oracle evaluates other cores into
-sparse rows.
+sparse rows.  From the same rows it can look for a shrunk subspace of its
+core (the second Wong sequence), which proves the pencil singular at every
+tuple; check_shrunk re-checks one by exact ranks.
 """
 
 from __future__ import annotations
@@ -630,17 +632,21 @@ class PencilOracle:
             blks.append([x % p for x in blk])
         return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
 
+    def _dense_at(self, d: int) -> bool:
+        """Whether core(t) at dimension d is evaluated densely: rank_sparse
+        would hand its rows to rank_mod as they are.  On a dense core at
+        n = 180, building and scattering them back cost ~40% of rank_mod,
+        evaluating it densely 5-17%."""
+        n = self.core.size * d
+        return _modnum.fills(n, n, len(self._var) * d * d + self._nconst * d)
+
     def rank_at(self, t: MatrixTuple) -> int:
         d = t.d
         if self.core.size == 0:
             return self.base * d
         if not self._fast:
             return self.base * d + rank_of(eval_pencil(self.core, t))
-        n = self.core.size * d
-        if _modnum.fills(n, n, len(self._var) * d * d + self._nconst * d):
-            # rank_sparse would hand these rows to rank_mod as they are; on a
-            # dense core at n = 180, building and scattering them back cost
-            # ~40% of rank_mod, evaluating it densely 5-17%
+        if self._dense_at(d):
             if self._coeffs is None:
                 self._coeffs = self.core._np_coeffs()
             ev = _modnum.eval_pencil_mod(self._coeffs, t._np_stack(), d, self.field.p)
@@ -649,6 +655,95 @@ class PencilOracle:
 
     def is_invertible_at(self, t: MatrixTuple) -> bool:
         return self.rank_at(t) == self.size * t.d
+
+    def shrunk_subspace(self, t: MatrixTuple) -> DenseMatrix | None:
+        """A shrunk subspace S of the core, found from A = core(t) and
+        returned as a core.size x dim S matrix whose columns are a basis of
+        S, once check_shrunk accepts it; None when none is found, and off
+        the fast primes or where rank_at evaluates core(t) densely, because
+        the search runs sparse elimination to the end, several times over
+        (n = 120, every core entry holding a variable, d = 1: 8.5 s against
+        80 ms for rank_at).
+
+        Why S proves the pencil singular: dim sum_k A_k S < dim S, with A_0
+        the constant term.  At any tuple t' of any dimension e, core(t') =
+        sum_k A_k x t'_k (t'_0 = I) maps S x F^e into (sum_k A_k S) x F^e,
+        which is smaller, so core(t') has a kernel; and the pencil's rank
+        at t' is base * e + rank core(t') < size * e.
+
+        How S is found: the second Wong sequence of IQS18 on A, over
+        subspaces T of F^n (n = core.size).  From T_0 = 0, U = A^-1(T x F^d)
+        holds the u with A u in T x F^d: the u-parts of the kernel of
+        [A | -W], W a basis of T x F^d.  S is the span of the columns of
+        each u of U read as an n x d matrix (u[i d + a] at (i, a)), the
+        least S with U inside S x F^d, and T' = sum_k A_k S.  The T grow,
+        so within n steps the sequence meets an S that shrinks, stops
+        growing, or gives up when T x F^d leaves im A (some tuple of a
+        larger dimension then has a larger rank).  While T x F^d stays in
+        im A, dim U = nd - rank A + d dim T <= d dim S, so once T stops
+        growing a singular A has dim S > dim T = dim sum_k A_k S."""
+        n, d = self.core.size, t.d
+        if not self._fast or n == 0 or self._dense_at(d):
+            return None
+        p, nd = self.field.p, n * d
+        by_col: dict[int, list] = {}
+        for (r, c), e in self.core.entries.items():
+            by_col.setdefault(c, []).append((r, e))
+        evaluated = self._eval_rows(t)
+        T: list[dict] = []              # basis {i: residue} of T
+        while True:
+            rows = {i: dict(row) for i, row in evaluated.items()}
+            for q, tau in enumerate(T):    # -W: column nd + q d + a is tau x e_a
+                for i, v in tau.items():
+                    for a in range(d):
+                        rows[i * d + a][nd + q * d + a] = p - v
+            kernel = _modnum.nullspace_sparse(rows, nd + len(T) * d, p)
+            if any(nd + c not in kernel for c in range(len(T) * d)):
+                return None
+            slices: dict[tuple, dict] = {}
+            for f, x in kernel.items():
+                for j, v in x.items():
+                    if j < nd:
+                        i, a = divmod(j, d)
+                        slices.setdefault((f, a), {})[i] = v
+            S = _modnum.row_basis(dict(enumerate(slices.values())), p)
+            images: dict[tuple, dict] = {}     # (s, k) -> A_k s
+            for q, s in enumerate(S):
+                for c, x in s.items():
+                    for r, e in by_col.get(c, ()):
+                        for k, v in e.items():
+                            img = images.setdefault((q, k), {})
+                            img[r] = (img.get(r, 0) + v * x) % p
+            grown = _modnum.row_basis(
+                {m: {r: y for r, y in img.items() if y}
+                 for m, img in enumerate(images.values())}, p)
+            if len(grown) < len(S):
+                break
+            if len(grown) == len(T):
+                return None
+            T = grown
+        basis = DenseMatrix(self.field, n, len(S),
+                            [s.get(i, 0) for i in range(n) for s in S])
+        return basis if check_shrunk(self.core, basis) else None
+
+
+def check_shrunk(core: LinearPencil, S: DenseMatrix) -> bool:
+    """Whether the column span of S (core.size rows) is a shrunk subspace
+    of the pencil core: rank [A_0 S | A_1 S | ... | A_m S] < rank S, both
+    exact ranks, the products taken entry by entry from core.entries.  An
+    accepted S proves core singular at every tuple of every dimension (see
+    PencilOracle.shrunk_subspace)."""
+    if S.rows != core.size:
+        raise ValueError("subspace basis must have one row per pencil row")
+    f, s = core.field, S.cols
+    width = (core.nvars + 1) * s
+    images = DenseMatrix.zeros(f, core.size, width)
+    for (r, c), e in core.entries.items():
+        for k, v in e.items():
+            at = r * width + k * s
+            for q in range(s):
+                images.data[at + q] = f.add(images.data[at + q], f.mul(v, S.at(c, q)))
+    return rank_of(images) < rank_of(S)
 
 
 # -- pencil file format --------------------------------------------------------

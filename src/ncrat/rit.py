@@ -5,13 +5,19 @@ defined somewhere, and the compiled pencil of the inverse is invertible
 at a tuple exactly when the circuit is defined there with an invertible
 value.  So the randomized test samples tuples of growing dimension,
 checks pencil invertibility through the reduced core, and re-verifies
-any hit by direct evaluation.  Zero verdicts are one-sided Monte Carlo.
+any hit by direct evaluation.  Zero verdicts are one-sided Monte Carlo,
+except where the oracle finds a shrunk subspace of the core (over the fast
+primes, once every trial of a dimension below the last was singular): that
+proves the pencil singular at every tuple, so the test ends there with the
+ZERO verdict, trial count and error bound the remaining trials would give,
+and the verdict is exact.
 
 The hitting-set generator runs the desk-scale version of the pipeline:
 variable reduction to 2(h+1) variables, generic matrices of an explicit
 dimension d in place of the conditional logarithmic bound, sparse-point
-assignments at prime-power values over exact integers, and transport of
-each assignment back through p_i = sum_j q_{j0} q_{j1}^i q_{j0}.
+assignments at prime-power values (reduced mod p over F_p, exact integers
+over Q), and transport of each assignment back through
+p_i = sum_j q_{j0} q_{j1}^i q_{j0}.
 """
 
 from __future__ import annotations
@@ -96,11 +102,13 @@ def rit_test(c: RationalCircuit, field: Field,
     trials_run = 0
     rng = random.Random(params.seed)
     for d in range(1, max_dim + 1):
+        singular = True                # every trial of d failed the oracle
         for _ in range(params.trials):
             trials_run += 1
             t = sample_tuple(field, nv, d, rng)
             if not oracle.is_invertible_at(t):
                 continue
+            singular = False
             try:
                 value = eval_circuit(c, t)
             except Undefined:
@@ -109,8 +117,13 @@ def rit_test(c: RationalCircuit, field: Field,
                 return RitVerdict("nonzero", witness=t, dimension=d,
                                   pencil_size=size, trials_run=trials_run,
                                   max_dim=max_dim)
-    return RitVerdict("zero", pencil_size=size, trials_run=trials_run,
-                      max_dim=max_dim,
+        # a shrunk subspace fails the oracle at every later trial, so the
+        # loop's verdict is known: the same ZERO, now exact
+        if singular and params.trials and d < max_dim \
+                and oracle.shrunk_subspace(t) is not None:
+            break
+    return RitVerdict("zero", pencil_size=size,
+                      trials_run=max_dim * params.trials, max_dim=max_dim,
                       error_bound_num=size * max_dim,
                       error_bound_den=field.sample_set_size())
 
@@ -137,13 +150,15 @@ def _first_primes(n: int) -> list[int]:
     return primes
 
 
-def sparse_points(nvars: int, kappa: int, base_offset: int = 0) -> list[list[int]]:
-    """Points (q_1^j, ..., q_nvars^j) for j = 0..kappa-1 over exact integers,
-    with distinct primes q_i: distinct monomials take distinct values at the
-    prime vector, so any nonzero kappa-sparse commutative polynomial
-    survives at some point (Vandermonde argument)."""
+def sparse_points(nvars: int, kappa: int, base_offset: int = 0,
+                  p: int | None = None) -> list[list[int]]:
+    """Points (q_1^j, ..., q_nvars^j) for j = 0..kappa-1 over exact integers
+    (reduced mod p when p is given), with distinct primes q_i: distinct
+    monomials take distinct values at the prime vector, so any nonzero
+    kappa-sparse commutative polynomial survives at some point (Vandermonde
+    argument)."""
     primes = _first_primes(nvars + base_offset)[base_offset:]
-    return [[q ** j for q in primes] for j in range(kappa)]
+    return [[pow(q, j, p) for q in primes] for j in range(kappa)]
 
 
 @dataclass(frozen=True)
@@ -161,34 +176,37 @@ def hitting_set_generate(n: int, s: int, h: int, d: int, kappa: int | None,
     """Desk-scale strong hitting set for circuits with at most n variables,
     size s, inversion height h: sparse points assign integer values to the
     2(h+1) d^2 generic-matrix entries, and each assignment is transported
-    through p_i = sum_j q_{j0} q_{j1}^i q_{j0}, reduced into the field at
-    assembly."""
+    through p_i = sum_j q_{j0} q_{j1}^i q_{j0}.  Over F_p every point and
+    product is reduced mod p as it is made; over Q they are exact integers."""
     if kappa is None:
         kappa = 2 * s * d
     nq = 2 * (h + 1)
-    pts = sparse_points(nq * d * d, kappa, base_offset)
+    p = field.p if field.kind == "prime" else None
+    pts = sparse_points(nq * d * d, kappa, base_offset, p)
     tuples = []
     for pt in pts:
         qmats = []
         for k in range(nq):
             vals = pt[k * d * d:(k + 1) * d * d]
             qmats.append([vals[a * d:(a + 1) * d] for a in range(d)])
-        pmats = []
-        for i in range(1, n + 1):
-            acc = [[0] * d for _ in range(d)]
-            for j in range(h + 1):
-                q0, q1 = qmats[2 * j], qmats[2 * j + 1]
-                pw = q1
-                for _ in range(i - 1):
-                    pw = _imatmul(pw, q1)
-                term = _imatmul(_imatmul(q0, pw), q0)
-                acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, term)]
-            pmats.append(DenseMatrix.from_rows(field, acc))
-        tuples.append(MatrixTuple(field, d, tuple(pmats)))
+        accs = [[[0] * d for _ in range(d)] for _ in range(n)]
+        for j in range(h + 1):
+            q0, q1 = qmats[2 * j], qmats[2 * j + 1]
+            pw = q1                               # q1^i for i = 1..n in turn
+            for i, acc in enumerate(accs):
+                if i:
+                    pw = _imatmul(pw, q1, p)
+                term = _imatmul(_imatmul(q0, pw, p), q0, p)
+                for ra, rb in zip(acc, term):
+                    ra[:] = [a + b for a, b in zip(ra, rb)]
+        tuples.append(MatrixTuple(field, d, tuple(DenseMatrix.from_rows(field, acc)
+                                                  for acc in accs)))
     return HittingSet(tuple(tuples), n=n, s=s, h=h, d=d, kappa=kappa)
 
 
-def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _imatmul(a: list[list[int]], b: list[list[int]],
+             p: int | None = None) -> list[list[int]]:
+    """a b over the integers, reduced mod p unless p is None."""
     n, k, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]
     for i in range(n):
@@ -197,6 +215,8 @@ def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
             if v:
                 for j in range(m):
                     out[i][j] += v * b[t][j]
+        if p is not None:
+            out[i] = [x % p for x in out[i]]
     return out
 
 

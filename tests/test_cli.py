@@ -129,6 +129,19 @@ def test_rit_corpus_batch(tmp_path):
     assert "verdict_ident ZERO" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["rit"],
+    ["hitgen", "--nvars", "1", "--size", "2", "--height", "0", "--dim", "1"],
+])
+def test_malformed_corpus_line_exits_two(tmp_path, capsys, argv):
+    cf = tmp_path / "corpus.txt"
+    cf.write_text("a: x1\nb: x1 + (\n")
+    status, _ = run([*argv, "--corpus", str(cf)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err == "error: line 2: expected an atom, found '' (at position 6)\n"
+
+
 def test_hitgen_corpus_verification(tmp_path):
     cf = tmp_path / "corpus.txt"
     cf.write_text("inv-sum: inv(x1) + inv(x2)\n")

@@ -243,6 +243,43 @@ def test_rank_sparse_matches_generic(case):
     assert rank_sparse(rows, p) == expect
 
 
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_and_row_basis_match_generic(case):
+    # the kernel has m - rank vectors, each keyed by its pivotless column
+    # (1 there, 0 at the other keys) and killed by every row; the row basis
+    # has rank vectors and spans the rows
+    from ncrat._modnum import nullspace_sparse, row_basis
+    from ncrat.field import _rank_generic
+    p, n, m, a = case
+    Fp = PrimeField(p)
+
+    def rows():
+        return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+
+    def rank(vectors):
+        return _rank_generic(DenseMatrix(Fp, len(vectors), m,
+                                         [v.get(j, 0) for v in vectors for j in range(m)]))
+    r = _rank_generic(DenseMatrix(Fp, n, m, [x for row in a for x in row]))
+    kernel = nullspace_sparse(rows(), m, p)
+    assert len(kernel) == m - r
+    for f, x in kernel.items():
+        assert all(x.get(g, 0) == (g == f) for g in kernel)
+        assert all(sum(row[j] * v for j, v in x.items()) % p == 0 for row in a)
+    assert rank(list(kernel.values())) == m - r
+    basis = row_basis(rows(), p)
+    assert len(basis) == r == rank(basis)
+    assert rank(basis + [dict(enumerate(row)) for row in a]) == r
+
+
+@pytest.mark.parametrize("p", [7, 101, (1 << 31) - 1, DEFAULT_PRIME])
+def test_nullspace_and_row_basis_of_empty_matrices(p):
+    from ncrat._modnum import nullspace_sparse, row_basis
+    assert nullspace_sparse({}, 0, p) == {} and row_basis({}, p) == []
+    assert nullspace_sparse({0: {}, 1: {}}, 2, p) == {0: {0: 1}, 1: {1: 1}}
+    assert row_basis({0: {}, 1: {}}, p) == []
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, (1 << 31) - 1])
 @pytest.mark.parametrize("k,v", [(682, -1), (683, -1), (1401, -2)])
 def test_matmul_mod_worst_case(p, k, v):

@@ -86,7 +86,8 @@ def test_oracle_rows_are_the_nonzeros_of_the_evaluation(case):
 @pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1])
 def test_dense_core_is_ranked_densely(monkeypatch, p):
     # every entry holds a variable, and core rows 0 and 1 are equal: the rows
-    # fill the whole evaluation, so the oracle evaluates it densely
+    # fill the whole evaluation, so the oracle evaluates it densely, and does
+    # not search it for a shrunk subspace by sparse elimination
     field = PrimeField(p)
     rng = random.Random(p)
     entries = {(r, c): {0: field.rand(rng), rng.randrange(1, 4): field.rand(rng)}
@@ -98,6 +99,7 @@ def test_dense_core_is_ranked_densely(monkeypatch, p):
     calls = []
     monkeypatch.setattr(_modnum, "rank_sparse", lambda *a: calls.append(a))
     assert oracle.rank_at(t) == rank_of(eval_pencil(L, t)) == 23 * 4
+    assert oracle.shrunk_subspace(t) is None
     assert not calls
 
 

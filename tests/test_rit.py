@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrat.circuit import (classify, eval_circuit, parse_expr,
                            transport_tuple, variable_reduction)
-from ncrat.field import DenseMatrix, is_invertible, prime_field
+from ncrat.field import QQ, DenseMatrix, PrimeField, is_invertible, prime_field
 from ncrat.rit import (CompileFailed, RitParams, WitnessNotFound,
                        bootstrap_dimension, corpus, hitting_set_generate,
                        rit_test, sparse_points, strong_witness, verify_strong)
@@ -159,6 +161,20 @@ def test_hitgen_transport_structure():
                        for ra, rb in zip(acc, term)]
             expect = DenseMatrix.from_rows(F, acc)
             assert t.mats[i - 1] == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 1), st.integers(1, 3),
+       st.integers(1, 4), st.integers(0, 2),
+       st.sampled_from([7, 101, (1 << 31) - 1, (1 << 61) - 1]))
+def test_hitgen_mod_p_is_the_exact_construction_reduced(n, s, h, d, kappa, offset, p):
+    # over F_p points and products are reduced as they are made; over Q the
+    # same construction runs on exact integers
+    Fp = PrimeField(p)
+    exact = hitting_set_generate(n, s, h, d, kappa, QQ, base_offset=offset)
+    reduced = hitting_set_generate(n, s, h, d, kappa, Fp, base_offset=offset)
+    assert [[[Fp.normalize(x) for x in m.data] for m in t.mats] for t in exact.tuples] == \
+        [[m.data for m in t.mats] for t in reduced.tuples]
 
 
 def test_verify_strong_empty():

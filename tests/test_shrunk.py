@@ -1,0 +1,134 @@
+"""Shrunk subspaces: the second Wong sequence on the oracle's core finds one
+for every zero member of the reference corpus and never for a nonzero one,
+check_shrunk accepts exactly the strictly shrinking subspaces, and rit_test
+ending early at one gives the verdict of the full trial loop."""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ncrat import rit
+from ncrat.circuit import classify, variable_reduction
+from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, rank_of,
+                         sample_tuple)
+from ncrat.pencil import (LinearPencil, PencilOracle, check_shrunk,
+                          pencil_from_rows)
+from ncrat.rit import RitParams, rit_test
+
+F = PrimeField(MERSENNE61)
+
+
+def _members():
+    """The reference corpus and its variable-reduced forms, with labels."""
+    out = []
+    for name, circ, zero in rit.corpus():
+        out.append((name, circ, zero))
+        out.append((f"{name}-reduced",
+                    variable_reduction(circ, classify(circ).height), zero))
+    return out
+
+
+MEMBERS = _members()
+
+
+def _certificate(circ, dims, seeds):
+    """The first shrunk subspace of the circuit's gate oracle found at a
+    seeded tuple, with the oracle, or (oracle, None)."""
+    _, oracle = rit._gate_oracle(circ, F)
+    for d in dims:
+        for seed in seeds:
+            S = oracle.shrunk_subspace(sample_tuple(F, max(circ.nvars, 1), d, seed))
+            if S is not None:
+                return oracle, S
+    return oracle, None
+
+
+@pytest.mark.parametrize("name,circ", [(n, c) for n, c, z in MEMBERS if z],
+                         ids=[n for n, _, z in MEMBERS if z])
+def test_zero_members_are_certified(name, circ):
+    oracle, S = _certificate(circ, dims=(1,), seeds=(0,))
+    assert S is not None, name
+    assert S.rows == oracle.core_size and 0 < rank_of(S) == S.cols
+    assert check_shrunk(oracle.core, S)
+
+
+@pytest.mark.parametrize("name,circ", [(n, c) for n, c, z in MEMBERS if not z],
+                         ids=[n for n, _, z in MEMBERS if not z])
+def test_nonzero_members_are_never_certified(name, circ):
+    assert _certificate(circ, dims=(1, 2, 3), seeds=(0, 1))[1] is None, name
+
+
+def _hollow(draw, field):
+    """A pencil P L0 Q of size n over 2 variables whose L0 has an r x s zero
+    block with r + s > n and generic entries elsewhere, P and Q invertible
+    scalar matrices; and the seed of a tuple to test it at."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    s = draw(st.integers(n - r + 1, n))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def rand_mat():
+        return DenseMatrix.random(field, n, n, rng)
+    P, Q = rand_mat(), rand_mat()
+    assume(rank_of(P) == rank_of(Q) == n)
+    coeffs = []
+    for _ in range(3):
+        L0 = rand_mat()
+        for i in range(r):
+            for j in range(s):
+                L0.data[i * n + j] = field.zero
+        coeffs.append(P.matmul(L0).matmul(Q).to_lists())
+    return pencil_from_rows(field, coeffs), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([F, PrimeField((1 << 31) - 1)]), st.integers(1, 2))
+def test_hollow_pencils_are_certified(data, field, d):
+    L, seed = _hollow(data.draw, field)
+    oracle = PencilOracle(L)
+    S = oracle.shrunk_subspace(sample_tuple(field, 2, d, seed))
+    assert S is not None and check_shrunk(oracle.core, S)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(7), QQ])
+def test_check_shrunk_wants_a_strictly_smaller_image(field):
+    one = field.one
+    # L = I + x1 E_01: the image of any S contains S itself (A_0 = I)
+    L = LinearPencil(field, 2, 1, {(0, 0): {0: one}, (1, 1): {0: one}, (0, 1): {1: one}})
+    whole = DenseMatrix.identity(field, 2)
+    first = DenseMatrix.from_rows(field, [[1], [0]])
+    assert not check_shrunk(L, whole)          # dim 2 = dim 2
+    assert not check_shrunk(L, first)          # A_0 e_0 = e_0, A_1 e_0 = 0
+    # a spanning set that is not a basis: the ranks count, not the columns
+    assert not check_shrunk(L, DenseMatrix.from_rows(field, [[1, 2], [0, 0]]))
+    assert not check_shrunk(L, DenseMatrix.zeros(field, 2, 0))
+    # [[0, x1], [0, 1]] sends e_0 to 0 in every coefficient
+    H = LinearPencil(field, 2, 1, {(0, 1): {1: one}, (1, 1): {0: one}})
+    assert check_shrunk(H, first)
+    assert not check_shrunk(H, whole)          # A_0 F^2 + A_1 F^2 = F^2
+    assert check_shrunk(H, DenseMatrix.from_rows(field, [[3, 5], [0, 0]]))
+
+
+def test_check_shrunk_rejects_a_wrong_row_count():
+    L = LinearPencil(F, 2, 0, {(0, 0): {0: 1}})
+    with pytest.raises(ValueError):
+        check_shrunk(L, DenseMatrix.identity(F, 3))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rit_verdicts_equal_the_loop_only_run(monkeypatch, seed):
+    params = RitParams(seed=seed)
+    found = []
+    finder = PencilOracle.shrunk_subspace
+
+    def counted(self, t):
+        S = finder(self, t)
+        found.append(S is not None)
+        return S
+    monkeypatch.setattr(PencilOracle, "shrunk_subspace", counted)
+    early = [rit_test(circ, F, params) for _, circ, _ in rit.corpus()]
+    assert sum(found) == sum(z for _, _, z in rit.corpus())
+    monkeypatch.setattr(PencilOracle, "shrunk_subspace", lambda self, t: None)
+    assert early == [rit_test(circ, F, params) for _, circ, _ in rit.corpus()]
