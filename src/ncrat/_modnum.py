@@ -13,7 +13,8 @@ them, over a whole stack of matrices at once, or from Python-int
 elimination for small matrices.  Sparse matrices, given as rows of
 {column: residue}, are ranked by rank_sparse: sparse elimination on Python
 ints, for any prime, that hands a block which has filled in to rank_mod;
-the same elimination, kept sparse, gives row_basis and nullspace_sparse.
+the same elimination, kept sparse, gives row_basis, nullspace_sparse and
+solve_sparse.
 """
 
 from __future__ import annotations
@@ -441,6 +442,18 @@ def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
     return kernel
 
 
+def solve_sparse(rows: dict, n: int, m: int, p: int) -> list[dict] | None:
+    """The m columns {j: residue} of X with A X = B, for A square of size n
+    and B n x m given as the rows {i: {j: residue}} of [A | -B], B's column
+    b at n + b (consumed); None when A is singular.  Column b of X is the
+    j < n part of nullspace_sparse's vector for the pivotless column n + b,
+    since A x = B e_b; a pivotless column of A makes A singular."""
+    kernel = nullspace_sparse(rows, n + m, p)
+    if any(f < n for f in kernel):
+        return None
+    return [{j: v for j, v in kernel[n + b].items() if j < n} for b in range(m)]
+
+
 def fills(rows: int, cols: int, nnz: int) -> bool:
     """Whether rank_sparse hands an active block of this shape and nonzero
     count to rank_mod (whenever p is supported)."""
@@ -497,18 +510,6 @@ def inv_mod(A, p: int):
     n = A.shape[0]
     A = np.array(A, dtype=np.uint64, copy=True)
     aug = np.eye(n, dtype=np.uint64)
-    if _rref_with(A, aug, p) < n:
-        return None
-    return aug
-
-
-def solve_mod(A, B, p: int):
-    """Solution X of A X = B for square invertible A, or None if singular."""
-    n = A.shape[0]
-    A = np.array(A, dtype=np.uint64, copy=True)
-    aug = np.array(B, dtype=np.uint64, copy=True)
-    if aug.ndim == 1:
-        aug = aug[:, None]
     if _rref_with(A, aug, p) < n:
         return None
     return aug

@@ -57,7 +57,13 @@ def _emit(report, as_json: bool):
 
 
 def _parse_dims(text):
-    return tuple(int(x) for x in text.split(",") if x)
+    """A comma-separated list of positive blow-up dimensions."""
+    dims = []
+    for part in text.split(","):
+        if not part.strip().isdigit() or int(part) < 1:
+            raise InputError(f"--dims: {part.strip()!r} is not a positive integer")
+        dims.append(int(part))
+    return tuple(dims)
 
 
 def _read_corpus(path):
@@ -143,7 +149,7 @@ def cmd_rit(args) -> int:
 def cmd_ncrank(args) -> int:
     field = _field(args)
     M = read_skew_file(args.file, field)
-    dims = _parse_dims(args.dims) if args.dims else None
+    dims = _parse_dims(args.dims) if args.dims is not None else None
     res = ncrank_skew(M, RankParams(d_schedule=dims, trials=args.trials,
                                     seed=args.seed))
     report = [("command", "ncrank"), ("m", M.m), ("entry_size", M.common_size),
@@ -247,7 +253,7 @@ def cmd_series_zero(args) -> int:
 def cmd_bootstrap(args) -> int:
     field = _field(args)
     circ = _load_circuit(args)
-    dims = _parse_dims(args.dims) if args.dims else (1, 2, 3, 4)
+    dims = _parse_dims(args.dims) if args.dims is not None else (1, 2, 3, 4)
     rep = bootstrap_dimension(circ, field, schedule=dims, trials=args.trials,
                               seed=args.seed)
     report = [("command", "bootstrap"), ("height", rep.height),

@@ -419,14 +419,21 @@ def invert(m: DenseMatrix) -> DenseMatrix:
 
 
 def solve(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """X with a @ X = b for square invertible a; raises Singular otherwise."""
+    """X with a @ X = b for square invertible a; raises Singular otherwise.
+    Over the fast primes a system that does not fill in (_modnum.fills) is
+    solved by sparse elimination; any other goes through the inverse."""
     if not a.is_square or a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
+    n, m, f = a.rows, b.cols, a.field
     if a._fast():
-        out = _modnum.solve_mod(a._np(), b._np(), a.field.p)
-        if out is None:
-            raise Singular("matrix is singular")
-        return DenseMatrix._from_np(a.field, out)
+        rows = {i: {j: x for j, x in enumerate(a.row(i)) if x} for i in range(n)}
+        for i in range(n):
+            rows[i].update((n + c, f.p - x) for c, x in enumerate(b.row(i)) if x)
+        if not _modnum.fills(n, n + m, sum(map(len, rows.values()))):
+            cols = _modnum.solve_sparse(rows, n, m, f.p)
+            if cols is None:
+                raise Singular("matrix is singular")
+            return DenseMatrix(f, n, m, [col.get(i, 0) for i in range(n) for col in cols])
     return invert(a).matmul(b)
 
 

@@ -19,9 +19,11 @@ compiler's pencils hold a few nonzeros per row at sizes in the thousands.
 Builders write blocks into that map with `place_block`; only evaluation
 densifies, `eval_pencil` for one call and the oracle for a reduced core whose
 evaluations would be dense anyway; the oracle evaluates other cores into
-sparse rows.  From the same rows it can look for a shrunk subspace of its
-core (the second Wong sequence), which proves the pencil singular at every
-tuple; check_shrunk re-checks one by exact ranks.
+sparse rows, and a realized entry's value is solved from such rows.  From
+the same rows the oracle can look for a shrunk subspace of its core (the
+second Wong sequence), which bounds the pencil's rank at every tuple and,
+shrinking by one dimension, proves it singular; check_shrunk re-checks one
+by exact ranks.
 """
 
 from __future__ import annotations
@@ -170,16 +172,35 @@ class RealizedEntry:
 
     def value_at(self, t: MatrixTuple) -> DenseMatrix:
         """The (row, col) block of L(t)^{-1}; raises Singular when L(t) is not
-        invertible (the element is undefined at t)."""
-        ev = eval_pencil(self.pencil, t)
-        rhs = DenseMatrix.zeros(self.pencil.field, ev.rows, t.d)
-        for b in range(t.d):
-            rhs.data[((self.col - 1) * t.d + b) * t.d + b] = self.pencil.field.one
+        invertible (the element is undefined at t).
+
+        Over the fast primes, unless the evaluation fills in (_modnum.fills),
+        the d columns needed are solved from the sparse rows of [L(t) | -E],
+        E the identity's block column col, built straight from the entries;
+        elsewhere L(t) is evaluated densely and solved."""
+        L, d = self.pencil, t.d
+        f = L.field
+        rows_at = _SparseEval(L)
+        n = L.size * d
+        if rows_at.fast and not _modnum.fills(n, n + d, rows_at.nnz(d) + d):
+            rows = rows_at(t)
+            for b in range(d):
+                rows[(self.col - 1) * d + b][n + b] = f.p - 1
+            cols = _modnum.solve_sparse(rows, n, d, f.p)
+            if cols is None:
+                raise Singular("matrix is singular")
+            top = (self.row - 1) * d
+            return DenseMatrix(f, d, d, [cols[b].get(top + a, 0)
+                                         for a in range(d) for b in range(d)])
+        ev = eval_pencil(L, t)
+        rhs = DenseMatrix.zeros(f, ev.rows, d)
+        for b in range(d):
+            rhs.data[((self.col - 1) * d + b) * d + b] = f.one
         sol = solve(ev, rhs)
-        out = DenseMatrix.zeros(self.pencil.field, t.d, t.d)
-        for a in range(t.d):
-            for b in range(t.d):
-                out.data[a * t.d + b] = sol.at((self.row - 1) * t.d + a, b)
+        out = DenseMatrix.zeros(f, d, d)
+        for a in range(d):
+            for b in range(d):
+                out.data[a * d + b] = sol.at((self.row - 1) * d + a, b)
         return out
 
 
@@ -413,6 +434,77 @@ def widen_entry(e: RealizedEntry, nvars: int) -> RealizedEntry:
 # -- structural rank oracle ---------------------------------------------------
 
 
+class _SparseEval:
+    """Evaluations of a pencil at matrix tuples as sparse rows {i: {j:
+    value}} over the fast primes, built straight from its entries: an entry
+    with only a constant v0 is the diagonal v0 of its d x d block, one with
+    variables the block v0 I + sum_k vk t_k, zeros dropped."""
+
+    def __init__(self, L: LinearPencil):
+        self.field = L.field
+        self.nvars = L.nvars
+        self.fast = L.field.kind == "prime" and _modnum.supported(L.field.p)
+        # per row, the columns of its entries with a variable and its
+        # constant-only entries (col, constant); and the entries with a
+        # variable, (constant, ((k, value), ...)), in (row, col) order
+        self._rows = [([], []) for _ in range(L.size)]
+        self._var: list[tuple] = []
+        for (r, c), e in sorted(L.entries.items()):
+            if len(e) > (0 in e):
+                self._var.append((e.get(0, 0),
+                                  tuple((k, v) for k, v in sorted(e.items()) if k)))
+                self._rows[r][0].append(c)
+            else:
+                self._rows[r][1].append((c, e[0]))
+        self._nconst = sum(len(const) for _, const in self._rows)
+        self._cols: dict[int, list] = {}     # d -> block columns of each row
+
+    def nnz(self, d: int) -> int:
+        """The most nonzeros the rows at dimension d can hold."""
+        return len(self._var) * d * d + self._nconst * d
+
+    def __call__(self, t: MatrixTuple) -> dict:
+        """The nonzeros of eval_pencil(L, t), every row present."""
+        if self.nvars > t.n:
+            raise ValueError("tuple has fewer matrices than the pencil has variables")
+        d = t.d
+        lines = self._block_lines(t)      # line a: row a of every block
+        cols = self._cols.get(d)
+        if cols is None:
+            cols = self._cols[d] = [[c * d + b for c in cs for b in range(d)]
+                                    for cs, _ in self._rows]
+        rows = {}
+        lo = 0
+        for r, (cs, const) in enumerate(self._rows):
+            hi = lo + len(cs) * d
+            for a, line in enumerate(lines):
+                seg = line[lo:hi]
+                row = dict(zip(cols[r], seg))
+                if 0 in seg:
+                    row = {j: x for j, x in row.items() if x}
+                for c, v0 in const:
+                    row[c * d + a] = v0
+                rows[r * d + a] = row
+            lo = hi
+        return rows
+
+    def _block_lines(self, t: MatrixTuple) -> list:
+        """d lists: list a holds row a of the d x d block of each entry with
+        a variable, one block after the other."""
+        d, p = t.d, self.field.p
+        mats = [m.data for m in t.mats]
+        blks = []
+        for v0, ((k, v), *more) in self._var:
+            blk = [v * x for x in mats[k - 1]]
+            for k, v in more:
+                blk = [y + v * x for y, x in zip(blk, mats[k - 1])]
+            if v0:
+                for q in range(0, d * d, d + 1):
+                    blk[q] += v0
+            blks.append([x % p for x in blk])
+        return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
+
+
 class _SparseReducer:
     """Exact constant-pivot elimination on a sparse pencil view.
 
@@ -570,67 +662,12 @@ class PencilOracle:
         red.reduce()
         self.base = red.base
         self.core = red.core_pencil()
-        self._fast = L.field.kind == "prime" and _modnum.supported(L.field.p)
-        # per core row, the columns of its entries with a variable and its
-        # constant-only entries (col, constant); and the entries with a
-        # variable, (constant, ((k, value), ...)), in (row, col) order
-        self._rows = [([], []) for _ in range(self.core.size)]
-        self._var: list[tuple] = []
-        for (r, c), e in sorted(self.core.entries.items()):
-            if len(e) > (0 in e):
-                self._var.append((e.get(0, 0),
-                                  tuple((k, v) for k, v in sorted(e.items()) if k)))
-                self._rows[r][0].append(c)
-            else:
-                self._rows[r][1].append((c, e[0]))
-        self._nconst = sum(len(const) for _, const in self._rows)
-        self._cols: dict[int, list] = {}     # d -> block columns of each core row
+        self._eval_rows = _SparseEval(self.core)
         self._coeffs = None                  # core._np_coeffs(), once needed
 
     @property
     def core_size(self) -> int:
         return self.core.size
-
-    def _eval_rows(self, t: MatrixTuple) -> dict:
-        """The nonzeros of eval_pencil(core, t) as rows {i: {j: value}}: an
-        entry with only a constant v0 is the diagonal v0 of its d x d block,
-        one with variables the block v0 I + sum_k vk t_k."""
-        d = t.d
-        lines = self._block_lines(t)      # line a: row a of every block
-        cols = self._cols.get(d)
-        if cols is None:
-            cols = self._cols[d] = [[c * d + b for c in cs for b in range(d)]
-                                    for cs, _ in self._rows]
-        rows = {}
-        lo = 0
-        for r, (cs, const) in enumerate(self._rows):
-            hi = lo + len(cs) * d
-            for a, line in enumerate(lines):
-                seg = line[lo:hi]
-                row = dict(zip(cols[r], seg))
-                if 0 in seg:
-                    row = {j: x for j, x in row.items() if x}
-                for c, v0 in const:
-                    row[c * d + a] = v0
-                rows[r * d + a] = row
-            lo = hi
-        return rows
-
-    def _block_lines(self, t: MatrixTuple) -> list:
-        """d lists: list a holds row a of the d x d block of each entry with
-        a variable, one block after the other."""
-        d, p = t.d, self.field.p
-        mats = [m.data for m in t.mats]
-        blks = []
-        for v0, ((k, v), *more) in self._var:
-            blk = [v * x for x in mats[k - 1]]
-            for k, v in more:
-                blk = [y + v * x for y, x in zip(blk, mats[k - 1])]
-            if v0:
-                for q in range(0, d * d, d + 1):
-                    blk[q] += v0
-            blks.append([x % p for x in blk])
-        return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
 
     def _dense_at(self, d: int) -> bool:
         """Whether core(t) at dimension d is evaluated densely: rank_sparse
@@ -638,13 +675,13 @@ class PencilOracle:
         n = 180, building and scattering them back cost ~40% of rank_mod,
         evaluating it densely 5-17%."""
         n = self.core.size * d
-        return _modnum.fills(n, n, len(self._var) * d * d + self._nconst * d)
+        return _modnum.fills(n, n, self._eval_rows.nnz(d))
 
     def rank_at(self, t: MatrixTuple) -> int:
         d = t.d
         if self.core.size == 0:
             return self.base * d
-        if not self._fast:
+        if not self._eval_rows.fast:
             return self.base * d + rank_of(eval_pencil(self.core, t))
         if self._dense_at(d):
             if self._coeffs is None:
@@ -656,20 +693,22 @@ class PencilOracle:
     def is_invertible_at(self, t: MatrixTuple) -> bool:
         return self.rank_at(t) == self.size * t.d
 
-    def shrunk_subspace(self, t: MatrixTuple) -> DenseMatrix | None:
-        """A shrunk subspace S of the core, found from A = core(t) and
-        returned as a core.size x dim S matrix whose columns are a basis of
-        S, once check_shrunk accepts it; None when none is found, and off
-        the fast primes or where rank_at evaluates core(t) densely, because
-        the search runs sparse elimination to the end, several times over
-        (n = 120, every core entry holding a variable, d = 1: 8.5 s against
-        80 ms for rank_at).
+    def shrunk_subspace(self, t: MatrixTuple, deficit: int = 1) -> DenseMatrix | None:
+        """A shrunk subspace S of the core with dim S - dim sum_k A_k S >=
+        deficit, found from A = core(t) and returned as a core.size x dim S
+        matrix whose columns are a basis of S, once check_shrunk accepts it;
+        None when none is found, and off the fast primes or where rank_at
+        evaluates core(t) densely, because the search runs sparse
+        elimination to the end, several times over (n = 120, every core
+        entry holding a variable, d = 1: 8.5 s against 80 ms for rank_at).
 
-        Why S proves the pencil singular: dim sum_k A_k S < dim S, with A_0
-        the constant term.  At any tuple t' of any dimension e, core(t') =
-        sum_k A_k x t'_k (t'_0 = I) maps S x F^e into (sum_k A_k S) x F^e,
-        which is smaller, so core(t') has a kernel; and the pencil's rank
-        at t' is base * e + rank core(t') < size * e.
+        What S proves, with A_0 the constant term: at any tuple t' of any
+        dimension e, core(t') = sum_k A_k x t'_k (t'_0 = I) maps S x F^e
+        into (sum_k A_k S) x F^e, so its kernel has dimension at least
+        deficit * e, and the pencil's rank at t' is at most
+        (base + core.size - deficit) * e.  With deficit 1 the pencil is
+        singular at every tuple; with deficit core.size - (r - base) its
+        noncommutative rank is at most r.
 
         How S is found: the second Wong sequence of IQS18 on A, over
         subspaces T of F^n (n = core.size).  From T_0 = 0, U = A^-1(T x F^d)
@@ -677,13 +716,14 @@ class PencilOracle:
         [A | -W], W a basis of T x F^d.  S is the span of the columns of
         each u of U read as an n x d matrix (u[i d + a] at (i, a)), the
         least S with U inside S x F^d, and T' = sum_k A_k S.  The T grow,
-        so within n steps the sequence meets an S that shrinks, stops
-        growing, or gives up when T x F^d leaves im A (some tuple of a
+        so within n steps the sequence meets an S that shrinks by deficit,
+        stops growing, or gives up when T x F^d leaves im A (some tuple of a
         larger dimension then has a larger rank).  While T x F^d stays in
         im A, dim U = nd - rank A + d dim T <= d dim S, so once T stops
-        growing a singular A has dim S > dim T = dim sum_k A_k S."""
+        growing dim S - dim sum_k A_k S >= n - rank A / d, which is the
+        deficit asked for when rank A = (r - base) d."""
         n, d = self.core.size, t.d
-        if not self._fast or n == 0 or self._dense_at(d):
+        if not self._eval_rows.fast or n == 0 or self._dense_at(d):
             return None
         p, nd = self.field.p, n * d
         by_col: dict[int, list] = {}
@@ -717,22 +757,23 @@ class PencilOracle:
             grown = _modnum.row_basis(
                 {m: {r: y for r, y in img.items() if y}
                  for m, img in enumerate(images.values())}, p)
-            if len(grown) < len(S):
+            if len(S) - len(grown) >= deficit:
                 break
             if len(grown) == len(T):
                 return None
             T = grown
         basis = DenseMatrix(self.field, n, len(S),
                             [s.get(i, 0) for i in range(n) for s in S])
-        return basis if check_shrunk(self.core, basis) else None
+        return basis if check_shrunk(self.core, basis, deficit) else None
 
 
-def check_shrunk(core: LinearPencil, S: DenseMatrix) -> bool:
+def check_shrunk(core: LinearPencil, S: DenseMatrix, deficit: int = 1) -> bool:
     """Whether the column span of S (core.size rows) is a shrunk subspace
-    of the pencil core: rank [A_0 S | A_1 S | ... | A_m S] < rank S, both
-    exact ranks, the products taken entry by entry from core.entries.  An
-    accepted S proves core singular at every tuple of every dimension (see
-    PencilOracle.shrunk_subspace)."""
+    of the pencil core with the given deficit: rank S - rank [A_0 S | A_1 S
+    | ... | A_m S] >= deficit, both exact ranks, the products taken entry
+    by entry from core.entries.  An accepted S proves rank core(t) <=
+    (core.size - deficit) e at every tuple t of every dimension e; with
+    deficit 1, that core is singular (see PencilOracle.shrunk_subspace)."""
     if S.rows != core.size:
         raise ValueError("subspace basis must have one row per pencil row")
     f, s = core.field, S.cols
@@ -743,7 +784,7 @@ def check_shrunk(core: LinearPencil, S: DenseMatrix) -> bool:
             at = r * width + k * s
             for q in range(s):
                 images.data[at + q] = f.add(images.data[at + q], f.mul(v, S.at(c, q)))
-    return rank_of(images) < rank_of(S)
+    return rank_of(S) - rank_of(images) >= deficit
 
 
 # -- pencil file format --------------------------------------------------------

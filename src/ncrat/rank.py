@@ -66,6 +66,13 @@ class RankParams:
     trials: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.d_schedule and min(self.d_schedule) < 1:
+            raise ValueError(f"blow-up dimensions must be at least 1, "
+                             f"got {min(self.d_schedule)}")
+
 
 def probe_invertible(L: LinearPencil, dims=(1, 2, 3), trials: int = 8,
                      seed: int = 0) -> MatrixTuple | None:
@@ -158,11 +165,20 @@ def assemble_at(M: SkewMatrix, t: MatrixTuple) -> DenseMatrix:
 def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankResult:
     """Blow-up rank of a linear pencil: for each scheduled dimension, take
     the maximum evaluated rank over sampled tuples, accept it when it is a
-    multiple of d, and report max/d with the achieving tuple.  Monte Carlo:
-    the result is a lower bound that meets the rank with high probability
-    at the largest scheduled dimension."""
+    multiple of d, and report max/d with the first tuple reaching it.
+
+    A certified ceiling c >= ncrank(L), L.size to begin with, ends a
+    dimension's trials at the first rank c d, which no tuple can exceed, so
+    every field of the result is the one the full trial loop gives.  When a
+    dimension below the last accepts a new best r_d < c, the oracle looks
+    for a shrunk subspace of its core with deficit core_size - (r_d - base)
+    from that dimension's first best tuple; one that check_shrunk accepts
+    proves ncrank(L) <= r_d, so c = r_d and the result is exact.  Otherwise
+    it is a Monte Carlo lower bound that meets the rank with high
+    probability at the largest scheduled dimension."""
     schedule = params.d_schedule or tuple(range(1, L.size + 1))
     oracle = PencilOracle(L)
+    ceiling = L.size
     best_r = 0
     best = None
     per_dim = []
@@ -180,6 +196,8 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
                 rk = oracle.rank_at(t)
                 if rk > max_rank:
                     max_rank, max_t = rk, t
+                    if rk == ceiling * d:
+                        break
             if max_rank % d == 0:
                 break
             anomalies += 1
@@ -198,6 +216,10 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
         if best is None or r_d > best_r:
             best_r = r_d
             best = (d, max_t, max_rank)
+            deficit = oracle.core_size - (r_d - oracle.base)
+            if r_d < ceiling and d != last_d \
+                    and oracle.shrunk_subspace(max_t, deficit) is not None:
+                ceiling = r_d
     if best is None:
         raise DivisibilityAnomaly("no dimension accepted")
     d, t, cert = best

@@ -50,6 +50,12 @@ class RitParams:
     trials: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("max_dim", "dim_cap", "trials"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 @dataclass(frozen=True)
 class RitVerdict:
@@ -119,7 +125,7 @@ def rit_test(c: RationalCircuit, field: Field,
                                   max_dim=max_dim)
         # a shrunk subspace fails the oracle at every later trial, so the
         # loop's verdict is known: the same ZERO, now exact
-        if singular and params.trials and d < max_dim \
+        if singular and d < max_dim \
                 and oracle.shrunk_subspace(t) is not None:
             break
     return RitVerdict("zero", pencil_size=size,

@@ -1,12 +1,20 @@
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from ncrat.circuit import CircuitBuilder, RationalCircuit, Undefined, eval_circuit
 from ncrat.field import Singular, prime_field, sample_tuple
 from ncrat.pencil import RealizedEntry, pencil_from_rows
 
 F = prime_field()
+
+# CI runs HYPOTHESIS_PROFILE=ci: examples derived from each test rather than
+# drawn at random, so a failure there reproduces locally under the same
+# profile, and a failing example is printed as a reproduction blob
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

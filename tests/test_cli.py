@@ -1,4 +1,5 @@
 import io
+import os
 from contextlib import redirect_stdout
 
 import pytest
@@ -229,3 +230,35 @@ def test_malformed_point_file_exits_two(tmp_path, capsys, name):
     status, _ = run(["eval", "x1", "--point", str(path)])
     err = capsys.readouterr().err
     assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1
+
+
+HIGMAN = os.path.join(os.path.dirname(__file__), "..", "data", "higman.skm")
+
+NON_POSITIVE_COUNTS = {
+    "ncrank-trials-0": (["ncrank", "--file", HIGMAN, "--trials", "0"],
+                        "error: trials must be at least 1, got 0\n"),
+    "ncrank-dims-empty-entry": (["ncrank", "--file", HIGMAN, "--dims", "1,,2"],
+                                "error: --dims: '' is not a positive integer\n"),
+    "ncrank-dims-zero": (["ncrank", "--file", HIGMAN, "--dims", "0,1"],
+                         "error: --dims: '0' is not a positive integer\n"),
+    "ncrank-dims-empty": (["ncrank", "--file", HIGMAN, "--dims", ""],
+                          "error: --dims: '' is not a positive integer\n"),
+    "bootstrap-dims-negative": (["bootstrap", "x1", "--dims", "1,-2"],
+                                "error: --dims: '-2' is not a positive integer\n"),
+    "rit-trials-negative": (["rit", "x1", "--trials", "-2"],
+                            "error: trials must be at least 1, got -2\n"),
+    "rit-trials-0": (["rit", "--trials", "0", "x1"],
+                     "error: trials must be at least 1, got 0\n"),
+    "rit-max-dim-negative": (["rit", "x1", "--max-dim", "-1"],
+                             "error: max_dim must be at least 1, got -1\n"),
+    "rit-max-dim-0": (["rit", "x1", "--max-dim", "0"],
+                      "error: max_dim must be at least 1, got 0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_POSITIVE_COUNTS))
+def test_non_positive_counts_exit_two(capsys, name):
+    argv, message = NON_POSITIVE_COUNTS[name]
+    status, out = run(argv)
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == message

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrat.field import (DEFAULT_PRIME, QQ, DenseMatrix, MatrixTuple,
-                         PrimeField, Singular, dump_tuple, invert,
+from ncrat.field import (DEFAULT_PRIME, MERSENNE61, QQ, DenseMatrix,
+                         MatrixTuple, PrimeField, Singular, _invert_generic,
+                         dump_tuple, invert,
                          is_invertible, kron, parse_tuple, prime_field,
                          rank_of, sample_tuple, solve)
 
@@ -343,6 +344,22 @@ def test_solve_matches_inverse(rng):
             continue
         b = rand_mat(F, 4, 2, rng)
         assert solve(a, b) == invert(a).matmul(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([7, 101, (1 << 31) - 1, MERSENNE61]), st.integers(1, 10),
+       st.integers(0, 10), st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_solve_matches_generic_inverse(p, n, rank, m, seed):
+    # a has rank min(rank, n), planted as a product of n x k and k x n
+    field, rng = PrimeField(p), random.Random(seed)
+    k = min(rank, n)
+    a = rand_mat(field, n, k, rng).matmul(rand_mat(field, k, n, rng))
+    b = rand_mat(field, n, m, rng)
+    if rank_of(a) < n:
+        with pytest.raises(Singular):
+            solve(a, b)
+    else:
+        assert solve(a, b) == _invert_generic(a).matmul(b)
 
 
 def test_invert_rational():

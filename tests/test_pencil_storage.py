@@ -1,7 +1,8 @@
 """Properties of the one pencil storage, (row, col) -> {k: value}, over
 generated sparse pencils: the .lp round trip, evaluation against its
-definition as a sum of Kronecker products, and the structural oracle,
-its sparse rows and its dense hand-offs against plain elimination."""
+definition as a sum of Kronecker products, the structural oracle, its
+sparse rows and its dense hand-offs against plain elimination, and
+realized values solved from sparse rows against a dense inverse."""
 
 import random
 import tracemalloc
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrat import _modnum
-from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, kron,
-                         rank_of, sample_tuple)
-from ncrat.pencil import (LinearPencil, PencilOracle, dump_pencil, eval_pencil,
-                          parse_pencil)
+from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, Singular,
+                         _invert_generic, kron, rank_of, sample_tuple)
+from ncrat.pencil import (LinearPencil, PencilOracle, RealizedEntry,
+                          dump_pencil, eval_pencil, parse_pencil)
 
 # a small prime and M61 take the numpy path; Q and a prime above 2^61
 # outside the supported moduli take the generic one
@@ -124,6 +125,56 @@ def test_arrow_core_fills_in_and_is_handed_off(monkeypatch, p):
         t = sample_tuple(field, 3, 8, seed)
         assert oracle.rank_at(t) == rank_of(eval_pencil(L, t))
     assert seen and all(0 < rows < 96 for rows, _ in seen)
+
+
+def _dense_value(e, t):
+    """The (row, col) block of the generic inverse of the dense evaluation,
+    or Singular."""
+    ev = eval_pencil(e.pencil, t)
+    if rank_of(ev) < ev.rows:
+        return Singular
+    inv, d = _invert_generic(ev), t.d
+    return DenseMatrix(ev.field, d, d, [inv.at((e.row - 1) * d + a, (e.col - 1) * d + b)
+                                        for a in range(d) for b in range(d)])
+
+
+def _value(e, t):
+    try:
+        return e.value_at(t)
+    except Singular:
+        return Singular
+
+
+SOLVE_FIELDS = tuple(PrimeField(p) for p in (7, 101, (1 << 31) - 1, MERSENNE61))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), pencils_and_points(SOLVE_FIELDS, max_d=4), st.booleans())
+def test_sparse_value_at_is_the_dense_solve(data, case, unit_diagonal):
+    # the pencils are often singular; a unit A0 diagonal makes most invertible
+    L, t = case
+    if unit_diagonal:
+        entries = {key: dict(e) for key, e in L.entries.items()}
+        for i in range(L.size):
+            entries.setdefault((i, i), {})[0] = 1
+        L = LinearPencil(L.field, L.size, L.nvars, entries)
+    corner = st.sampled_from([1, L.size]) | st.integers(1, L.size)
+    e = RealizedEntry(L, data.draw(corner), data.draw(corner))
+    assert _value(e, t) == _dense_value(e, t)
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1])
+def test_filled_value_at_is_solved_densely(monkeypatch, p):
+    # every entry holds a variable: at d = 4 the 80-row evaluation fills in,
+    # so value_at evaluates it densely and never solves sparse rows
+    field = PrimeField(p)
+    rng = random.Random(p)
+    entries = {(r, c): {0: field.rand(rng), 1 + (r + c) % 2: field.rand(rng)}
+               for r in range(20) for c in range(20)}
+    e = RealizedEntry(LinearPencil(field, 20, 2, entries), 20, 3)
+    t = sample_tuple(field, 2, 4, 5)
+    monkeypatch.setattr(_modnum, "solve_sparse", None)
+    assert _value(e, t) == _dense_value(e, t)
 
 
 def test_entries_hold_no_zeros():

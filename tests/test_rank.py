@@ -355,3 +355,10 @@ def test_skew_file_errors_name_the_line(tmp_path, text, where):
     write_pencil(entry_of("x1").pencil, str(tmp_path / "bare.lp"))
     with pytest.raises(ValueError, match=f"^{where}: "):
         parse_skew_file(text, F, base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -3},
+                                    {"d_schedule": (1, 0, 2)}])
+def test_rank_params_reject_non_positive_counts(kwargs):
+    with pytest.raises(ValueError):
+        RankParams(**kwargs)

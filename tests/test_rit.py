@@ -262,3 +262,10 @@ def test_bootstrap_constant_series_route():
     assert [r.route for r in rep.rows] == ["series"] * 3
     assert all(r.assembled_nonzero is True for r in rep.rows)
     assert rep.smallest_defined == rep.smallest_invertible == 1
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -2}, {"max_dim": 0},
+                                    {"max_dim": -1}, {"dim_cap": 0}])
+def test_rit_params_reject_non_positive_counts(kwargs):
+    with pytest.raises(ValueError):
+        RitParams(**kwargs)

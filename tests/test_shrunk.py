@@ -111,6 +111,32 @@ def test_check_shrunk_wants_a_strictly_smaller_image(field):
     assert check_shrunk(H, DenseMatrix.from_rows(field, [[3, 5], [0, 0]]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([F, PrimeField(7), QQ]))
+def test_check_shrunk_accepts_exactly_the_deficit(data, field):
+    # every coefficient has a zero r x s block, so a subspace inside the
+    # first s coordinates loses up to r + s - n dimensions; the deficit
+    # rank S - rank [A_0 S | ...] is computed here from the dense view
+    n = data.draw(st.integers(1, 6))
+    r, s = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    nvars = data.draw(st.integers(0, 2))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    coeffs = [[[field.rand(rng) if i >= r or j >= s else 0 for j in range(n)]
+               for i in range(n)] for _ in range(nvars + 1)]
+    L = pencil_from_rows(field, coeffs)
+    inside = data.draw(st.integers(0, s))
+    spread = data.draw(st.integers(0, 2))
+    cols = [[field.rand(rng) if i < s else 0 for i in range(n)] for _ in range(inside)]
+    cols += [[field.rand(rng) for _ in range(n)] for _ in range(spread)]
+    S = DenseMatrix(field, n, len(cols), [c[i] for i in range(n) for c in cols])
+    images = [A.matmul(S) for A in L.coeffs]
+    stacked = DenseMatrix(field, n, len(images) * S.cols,
+                          [x for i in range(n) for m in images for x in m.row(i)])
+    deficit = rank_of(S) - rank_of(stacked)
+    for asked in range(1, n + 2):
+        assert check_shrunk(L, S, asked) == (deficit >= asked)
+
+
 def test_check_shrunk_rejects_a_wrong_row_count():
     L = LinearPencil(F, 2, 0, {(0, 0): {0: 1}})
     with pytest.raises(ValueError):
