@@ -85,7 +85,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise Singular("division by zero in F_p")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0

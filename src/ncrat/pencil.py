@@ -16,14 +16,18 @@ rather than silently duplicated.
 
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
-Builders write blocks into that map with `place_block`; only evaluation
-densifies, `eval_pencil` for one call and the oracle for a reduced core whose
-evaluations would be dense anyway; the oracle evaluates other cores into
-sparse rows, and a realized entry's value is solved from such rows.  From
-the same rows the oracle can look for a shrunk subspace of its core (the
-second Wong sequence), which bounds the pencil's rank at every tuple and,
-shrinking by one dimension, proves it singular; check_shrunk re-checks one
-by exact ranks.
+Builders write blocks into that map with `place_block`, and nothing
+writes to a pencil's entries once it is built, so pencils share entry
+dicts.  The oracle reduces a pencil once by exact elimination at constant
+pivots, which reads those dicts in place and copies one only to write fill
+into it; most of the compiler's pivots have no fill and do no field
+arithmetic.  Only evaluation densifies, `eval_pencil` for one call and the
+oracle for a reduced core whose evaluations would be dense anyway; the
+oracle evaluates other cores into sparse rows, and a realized entry's
+value is solved from such rows.  From the same rows the oracle can look
+for a shrunk subspace of its core (the second Wong sequence), which bounds
+the pencil's rank at every tuple and, shrinking by one dimension, proves
+it singular; check_shrunk re-checks one by exact ranks.
 """
 
 from __future__ import annotations
@@ -505,163 +509,122 @@ class _SparseEval:
         return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
 
 
-class _SparseReducer:
-    """Exact constant-pivot elimination on a sparse pencil view.
+def _reduce(L: LinearPencil) -> tuple[int, LinearPencil]:
+    """Exact constant-pivot elimination: (base, core) with rank L(t) =
+    base * d + rank core(t) at every tuple t of dimension d.
 
-    Entries live in rows[r][c] = {k: value} dicts.  A row all of whose
-    entries are constant (no k >= 1 component) supports a row pivot: the
-    pivot column is cleared with affine multipliers and the pivot row and
-    column leave the pencil, contributing exactly d to the rank at every
-    tuple.  Constant columns support the symmetric column pivot.  The
-    worklist keeps the pass near-linear in the number of nonzeros for the
-    identity-heavy pencils the compiler produces."""
+    A row all of whose entries are constant (no k >= 1 component) is
+    pivoted at its lowest column; a column all of whose entries are
+    constant at its lowest row.  Either way the pivot (r, c) holds a
+    constant alpha, and one of row r and column c is constant, so the Schur
+    complement (i, c2) -= e(i, c) e(r, c2) / alpha stays affine; row r and
+    column c leave and contribute exactly d to the rank.  Constant rows are
+    drained before constant columns.
 
-    def __init__(self, L: LinearPencil):
-        self.field = L.field
-        self.n = L.nvars
-        self.rows: dict[int, dict[int, dict]] = {r: {} for r in range(L.size)}
-        self.colrows: dict[int, set] = {c: set() for c in range(L.size)}
-        self.row_varcnt = [0] * L.size
-        self.col_varcnt = [0] * L.size
-        # a copy of the entries in coefficient-major order (within a row,
-        # the columns met in A0 first, then A1, ...), which fixes the pivots
-        for (r, c), e in sorted(L.entries.items(),
-                                key=lambda it: (it[0][0], min(it[1]), it[0][1])):
-            self.rows[r][c] = {k: e[k] for k in sorted(e)}
-        for r, row in self.rows.items():
-            for c, e in row.items():
-                self.colrows[c].add(r)
-                if self._has_var(e):
-                    self.row_varcnt[r] += 1
-                    self.col_varcnt[c] += 1
-        self.base = 0
-
-    @staticmethod
-    def _has_var(entry: dict) -> bool:
-        return len(entry) > (1 if 0 in entry else 0)
-
-    def _set_component(self, r: int, c: int, k: int, value) -> None:
-        """rows[r][c][k] = value with full bookkeeping (value may be zero)."""
-        f = self.field
-        row = self.rows[r]
-        entry = row.get(c)
-        had_var = entry is not None and self._has_var(entry)
-        if entry is None:
-            if f.is_zero(value):
-                return
-            entry = row[c] = {}
-            self.colrows[c].add(r)
-        if f.is_zero(value):
-            entry.pop(k, None)
-        else:
-            entry[k] = value
-        if not entry:
-            del row[c]
-            self.colrows[c].discard(r)
-            has_var = False
-        else:
-            has_var = self._has_var(entry)
-        if has_var != had_var:
-            delta = 1 if has_var else -1
-            self.row_varcnt[r] += delta
-            self.col_varcnt[c] += delta
-
-    def reduce(self) -> None:
-        f = self.field
-        pending_rows = set(self.rows)
-        pending_cols = set(self.colrows)
-        while pending_rows or pending_cols:
-            if pending_rows:
-                r = pending_rows.pop()
-                row = self.rows.get(r)
-                if not row or self.row_varcnt[r]:
-                    continue
-                c = next(iter(row))
-                alpha_inv = f.inv(row[c][0])
-                rest = [(c2, e[0]) for c2, e in row.items() if c2 != c]
-                for i in list(self.colrows[c]):
-                    if i == r:
-                        continue
-                    entry = self.rows[i].pop(c)
-                    self.colrows[c].discard(i)
-                    if self._has_var(entry):
-                        self.row_varcnt[i] -= 1
-                        self.col_varcnt[c] -= 1
-                        if self.row_varcnt[i] == 0:
-                            pending_rows.add(i)
-                    mults = [(k, f.mul(v, alpha_inv)) for k, v in entry.items()]
-                    for c2, v2 in rest:
-                        for k, mk in mults:
-                            cur = self.rows[i].get(c2, {}).get(k, f.zero)
-                            self._set_component(i, c2, k,
-                                                f.sub(cur, f.mul(mk, v2)))
-                        if self.col_varcnt[c2] == 0:
-                            pending_cols.add(c2)
-                    if self.row_varcnt[i] == 0:
-                        pending_rows.add(i)
-                for c2, _ in rest:
-                    self.colrows[c2].discard(r)
-                    if self.col_varcnt[c2] == 0:
-                        pending_cols.add(c2)
-                del self.rows[r]
-                del self.colrows[c]
-                self.base += 1
+    The entries are read from per-row and per-column indexes onto L's own
+    entry dicts, and an entry is copied only when the complement writes to
+    it, so L is left as it was.  The compiler's pencils are mostly identity
+    and +-1 links, so most pivots have nothing else in their row or in
+    their column: such a pivot only drops them, counting out the variable
+    entries it removes, which may leave another row or column constant.
+    Field arithmetic, 1 / alpha included, runs only where there is fill."""
+    f, n = L.field, L.size
+    rows: list = [{} for _ in range(n)]     # r -> {c: entry}; None once pivoted
+    cols: list = [{} for _ in range(n)]     # c -> {r: entry}; None once pivoted
+    rvar = [0] * n                          # entries with a variable, per row
+    cvar = [0] * n                          # and per column
+    for (r, c), e in L.entries.items():
+        rows[r][c] = cols[c][r] = e
+        if len(e) > (0 in e):
+            rvar[r] += 1
+            cvar[c] += 1
+    # worklists of rows and columns that turned constant, popped from the end
+    todo_rows = [r for r in range(n - 1, -1, -1) if not rvar[r]]
+    todo_cols = [c for c in range(n - 1, -1, -1) if not cvar[c]]
+    base = 0
+    while todo_rows or todo_cols:
+        if todo_rows:
+            r = todo_rows.pop()
+            row = rows[r]
+            if not row or rvar[r]:
                 continue
-            c = pending_cols.pop()
-            col = self.colrows.get(c)
-            if not col or self.col_varcnt[c]:
+            c = min(row)
+            col = cols[c]
+        else:
+            c = todo_cols.pop()
+            col = cols[c]
+            if not col or cvar[c]:
                 continue
-            r = next(iter(col))
-            row_r = self.rows[r]
-            alpha_inv = f.inv(row_r[c][0])
-            rest = [(c2, dict(row_r[c2])) for c2 in list(row_r) if c2 != c]
-            # clear row r with column operations through the constant column c
-            for c2, entry in rest:
-                mults = [(k, f.mul(v, alpha_inv)) for k, v in entry.items()]
-                for i in list(self.colrows[c]):
-                    vi = self.rows[i][c][0]
-                    for k, mk in mults:
-                        cur = self.rows[i].get(c2, {}).get(k, f.zero)
-                        self._set_component(i, c2, k, f.sub(cur, f.mul(mk, vi)))
-                    if self.row_varcnt[i] == 0:
-                        pending_rows.add(i)
-                if self.col_varcnt[c2] == 0:
-                    pending_cols.add(c2)
-            # row r is now the singleton pivot; clear the rest of column c
-            for i in list(self.colrows[c]):
-                if i != r:
-                    del self.rows[i][c]
-                    if self.row_varcnt[i] == 0:
-                        pending_rows.add(i)
-            del self.rows[r]
-            del self.colrows[c]
-            self.base += 1
-
-    def core_pencil(self) -> LinearPencil:
-        live_rows = sorted(self.rows)
-        live_cols = sorted(self.colrows)
-        assert len(live_rows) == len(live_cols)
-        rmap = {r: i for i, r in enumerate(live_rows)}
-        cmap = {c: j for j, c in enumerate(live_cols)}
-        entries = {(rmap[r], cmap[c]): entry
-                   for r, row in self.rows.items() for c, entry in row.items()}
-        return LinearPencil(self.field, len(live_rows), self.n, entries)
+            r = min(col)
+            row = rows[r]
+        rows[r] = cols[c] = None
+        alpha = row.pop(c)[0]
+        del col[r]
+        base += 1
+        for c2, e in row.items():
+            del cols[c2][r]
+            if len(e) > (0 in e):
+                cvar[c2] -= 1
+                if not cvar[c2]:
+                    todo_cols.append(c2)
+        for i, e in col.items():
+            del rows[i][c]
+            if len(e) > (0 in e):
+                rvar[i] -= 1
+                if not rvar[i]:
+                    todo_rows.append(i)
+        if not (row and col):
+            continue
+        ainv = f.inv(alpha)
+        for i, a in col.items():
+            row_i = rows[i]
+            for c2, b in row.items():
+                # one of the two factors is a constant s
+                s, e = (a[0], b) if len(a) == 1 and 0 in a else (b[0], a)
+                s = f.mul(s, ainv)
+                old = row_i.get(c2)
+                new = dict(old) if old else {}
+                for k, v in e.items():
+                    x = f.sub(new.get(k, f.zero), f.mul(s, v))
+                    if f.is_zero(x):
+                        new.pop(k, None)
+                    else:
+                        new[k] = x
+                if new:
+                    row_i[c2] = cols[c2][i] = new
+                elif old:
+                    del row_i[c2], cols[c2][i]
+                delta = len(new) > (0 in new)
+                if old:
+                    delta -= len(old) > (0 in old)
+                if delta:
+                    rvar[i] += delta
+                    cvar[c2] += delta
+                    if not rvar[i]:
+                        todo_rows.append(i)
+                    if not cvar[c2]:
+                        todo_cols.append(c2)
+    live = [r for r in range(n) if rows[r] is not None]
+    cmap = {c: j for j, c in enumerate(c for c in range(n) if cols[c] is not None)}
+    entries = {(i, cmap[c]): e for i, r in enumerate(live) for c, e in rows[r].items()}
+    return base, LinearPencil(f, len(live), L.nvars, entries)
 
 
 class PencilOracle:
     """Rank and invertibility of a pencil at matrix tuples, through an
     exact structural reduction done once at construction: rank(L(t)) =
-    base * d + rank(core(t)) for every tuple t.  Over the primes _modnum
-    supports, core(t) is built as sparse rows straight from the core's
-    entries and ranked by _modnum.rank_sparse."""
+    base * d + rank(core(t)) for every tuple t.  The reduction (_reduce)
+    pivots out constant rows, then constant columns, reading L's entries in
+    place and doing field arithmetic only where a pivot fills in, the same
+    code over every field; L is not modified, and the core may share entry
+    dicts with it.  Over the primes _modnum supports, core(t) is built as
+    sparse rows straight from the core's entries and ranked by
+    _modnum.rank_sparse."""
 
     def __init__(self, L: LinearPencil):
         self.field = L.field
         self.size = L.size
-        red = _SparseReducer(L)
-        red.reduce()
-        self.base = red.base
-        self.core = red.core_pencil()
+        self.base, self.core = _reduce(L)
         self._eval_rows = _SparseEval(self.core)
         self._coeffs = None                  # core._np_coeffs(), once needed
 

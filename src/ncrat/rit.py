@@ -183,7 +183,12 @@ def hitting_set_generate(n: int, s: int, h: int, d: int, kappa: int | None,
     size s, inversion height h: sparse points assign integer values to the
     2(h+1) d^2 generic-matrix entries, and each assignment is transported
     through p_i = sum_j q_{j0} q_{j1}^i q_{j0}.  Over F_p every point and
-    product is reduced mod p as it is made; over Q they are exact integers."""
+    product is reduced mod p as it is made; over Q they are exact integers.
+    ValueError for s, d or kappa below 1, or a negative n or h."""
+    for name, value, least in (("nvars", n, 0), ("size", s, 1), ("height", h, 0),
+                               ("dim", d, 1), ("kappa", kappa, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     if kappa is None:
         kappa = 2 * s * d
     nq = 2 * (h + 1)
@@ -289,7 +294,10 @@ def bootstrap_dimension(c: RationalCircuit, field: Field,
     invertible image.  Where the compiled pencil is small enough, the
     shift-expansion route is exercised as well: expand the realized entry
     around the definedness point, zero-test the truncated series, and run
-    the scaling search; its success is reported as the series route."""
+    the scaling search; its success is reported as the series route.
+    ValueError for trials below 1: no trial would read as "never defined"."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     entry = compile_circuit(c, field)
     rows = []
     smallest_def = None

@@ -92,7 +92,10 @@ def full_eval(S: RecognizableSeries, t: MatrixTuple) -> DenseMatrix:
 def series_is_zero(S: RecognizableSeries, trials: int = 16,
                    seed: int = 0) -> SeriesVerdict:
     """Monte Carlo zero test through the degree-(s-1) truncation, evaluated
-    at dimension ceil((s+1)/2); a Zero verdict is one-sided."""
+    at dimension ceil((s+1)/2); a Zero verdict is one-sided, so trials
+    below 1 raise ValueError rather than report Zero from no trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     s = S.size
     d = (s + 1 + 1) // 2
     rng = random.Random(seed)

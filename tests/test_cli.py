@@ -253,7 +253,31 @@ NON_POSITIVE_COUNTS = {
                              "error: max_dim must be at least 1, got -1\n"),
     "rit-max-dim-0": (["rit", "x1", "--max-dim", "0"],
                       "error: max_dim must be at least 1, got 0\n"),
+    "bootstrap-trials-0": (["bootstrap", "x1", "--trials", "0"],
+                           "error: trials must be at least 1, got 0\n"),
+    "bootstrap-trials-negative": (["bootstrap", "x1", "--trials", "-1"],
+                                  "error: trials must be at least 1, got -1\n"),
+    "hitgen-size-0": (["hitgen", "--nvars", "1", "--size", "0", "--height", "0",
+                       "--dim", "1"], "error: size must be at least 1, got 0\n"),
+    "hitgen-dim-0": (["hitgen", "--nvars", "1", "--size", "2", "--height", "0",
+                      "--dim", "0"], "error: dim must be at least 1, got 0\n"),
+    "hitgen-kappa-0": (["hitgen", "--nvars", "1", "--size", "2", "--height", "0",
+                        "--dim", "1", "--kappa", "0"],
+                       "error: kappa must be at least 1, got 0\n"),
+    "hitgen-height-negative": (["hitgen", "--nvars", "1", "--size", "2", "--height",
+                                "-1", "--dim", "1"],
+                               "error: height must be at least 0, got -1\n"),
 }
+
+
+def test_series_zero_with_no_trials_exits_two(tmp_path, capsys):
+    path = tmp_path / "x.pen"
+    path.write_text("field prime 7\nsize 1\nnvars 1\ncoeff 0\nend\n"
+                    "coeff 1\n1 1 1\nend\nrealize 1 1\n")
+    assert run(["series-zero", "--file", str(path), "--trials", "1"])[0] == 0
+    status, out = run(["series-zero", "--file", str(path), "--trials", "0"])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("name", sorted(NON_POSITIVE_COUNTS))

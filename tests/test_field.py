@@ -38,6 +38,14 @@ def test_prime_field_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 def test_prime_field_inverse(a):
     assert F.mul(a, F.inv(a)) == 1
+    assert F.inv(a) == pow(a, F.p - 2, F.p)         # Fermat's value
+
+
+@pytest.mark.parametrize("field", [F, F101, F7])
+def test_prime_field_inverse_of_zero_is_singular(field):
+    for a in (0, field.p, -2 * field.p):
+        with pytest.raises(Singular):
+            field.inv(a)
 
 
 def test_rational_normalization():

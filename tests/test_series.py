@@ -149,6 +149,13 @@ def test_verdict_matches_symbolic_oracle(rng):
         assert verdict.kind == ("zero" if truly_zero else "nonzero")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_zero_test_rejects_non_positive_trials(trials):
+    # a Zero verdict from no trial would claim what nothing tested
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        series_is_zero(geometric(), trials=trials)
+
+
 def test_zero_test_dimension():
     S = geometric()
     assert series_is_zero(S).dimension == 1  # ceil((1+1)/2)
