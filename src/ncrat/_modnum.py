@@ -8,13 +8,15 @@ elimination.
 
 Matrix products mod p (matmul_mod) are float64 BLAS products of 21-bit
 limbs, exact while the inner dimension of one product is at most 682.
-Ranks (rank_mod_stack) come from block-recursive elimination on top of
-them, over a whole stack of matrices at once, or from Python-int
-elimination for small matrices.  Sparse matrices, given as rows of
-{column: residue}, are ranked by rank_sparse: sparse elimination on Python
-ints, for any prime, that hands a block which has filled in to rank_mod;
-the same elimination, kept sparse, gives row_basis, nullspace_sparse and
-solve_sparse.
+Dense elimination is block-recursive on top of them: _panel eliminates the
+columns of one matrix and returns its pivot rows and the multipliers H
+that apply the same elimination to any block beside it.  rank_mod ranks a
+matrix with it (or with Python ints when the matrix is small), and
+solve_mod solves A X = B by eliminating [A; I].  Sparse matrices, given as
+rows of {column: residue}, are ranked by rank_sparse: sparse elimination on
+Python ints, for any prime, that hands a block which has filled in to
+rank_mod; the same elimination, kept sparse, gives row_basis,
+nullspace_sparse and solve_sparse.
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ _KMAX = 682
 # faster path up to 24 x 24 on random and on evaluated-pencil matrices.
 _SMALL = 24 * 24
 _LEAF = 16                 # columns eliminated pivot by pivot
-# Entries of the matrices ranked together.  The kernel's temporaries peak
-# near 4.3 times the bytes it is given, so with the stack itself this
-# bounds the working set near 1.4 MB; larger stacks go in chunks.
-_STACK_ENTRIES = 1 << 15
 
 
 def _limbs(a, order, axis: int):
@@ -206,52 +204,42 @@ def _rank_small(rows: list, p: int) -> int:
     return rank
 
 
-def _rows(T, piv):
-    """Rows piv[b] of each T[b]: (B, n, w), (B, k) -> (B, k, w)."""
-    return T[np.arange(T.shape[0])[:, None], piv]
-
-
 def _leaf(X, p: int, want_h: bool):
-    """Pivot-by-pivot elimination of the columns of X (B, n, w).
+    """Pivot-by-pivot elimination of the columns of X (n, w).
 
-    Column c pivots each matrix on its first nonzero row r and subtracts
-    X[:, c] / X[r, c] times row r from every row, r included, so a pivot
-    row is zero afterwards and is never chosen again: no swaps, and a
-    matrix without a pivot in c subtracts nothing.  Returns (piv, has, H)
-    over the pivot slots that some matrix filled: piv (B, k) pivot rows,
-    has (B, k) which slots are filled, and H (B, n, k) with T - H @ T[piv]
-    the same elimination applied to any block T beside X (None unless
-    want_h).  H is carried as w extra columns that the row updates act on,
-    unscaled (column c holds X[:, c], not X[:, c] / X[r, c]) until the end.
+    Column c pivots on its first nonzero row r and subtracts X[:, c] / X[r, c]
+    times row r from every row, r included, so a pivot row is zero afterwards
+    and is never chosen again: no swaps, and a column without a pivot
+    subtracts nothing.  Returns (piv, H): the pivot rows, and H (n, len(piv))
+    with T - H @ T[piv] the same elimination applied to any block T beside X
+    (None unless want_h).  H is carried as w extra columns that the row
+    updates act on, unscaled (column c holds X[:, c], not X[:, c] / X[r, c])
+    until the end.
     """
-    B, n, w = X.shape
-    W = np.zeros((B, n, 2 * w if want_h else w), dtype=np.uint64)
-    W[:, :, :w] = X
-    ar = np.arange(B)
-    slots, pivs, invs = [], [], []
+    n, w = X.shape
+    W = np.zeros((n, 2 * w if want_h else w), dtype=np.uint64)
+    W[:, :w] = X
+    slots, piv, inv = [], [], []
     for c in range(w):
-        col = W[:, :, c]
-        r = (col != 0).argmax(axis=1)
-        pv = col[ar, r].tolist()
-        if not any(pv):
+        col = W[:, c]
+        nz = np.flatnonzero(col)
+        if not nz.size:
             continue
-        inv = [pow(v, -1, p) if v else 0 for v in pv]
-        slots.append(c)
-        pivs.append(r)
-        invs.append(inv)
+        r = int(nz[0])
+        iv = pow(int(col[r]), -1, p)
+        slots.append(w + c)
+        piv.append(r)
+        inv.append(iv)
         end = w + c if want_h else w
         if c + 1 < end:
-            # -(pivot row / pivot), a few entries per matrix: Python ints
-            neg = np.array([[-x * iv % p for x in row] for row, iv in
-                            zip(W[ar, r, c + 1:end].tolist(), inv)], dtype=np.uint64)
-            rest = W[:, :, c + 1:end]
-            rest[...] = mul_mod(col[:, :, None], neg[:, None, :], p, add=rest)
+            # -(pivot row / pivot), a few entries: Python ints
+            neg = np.array([-x * iv % p for x in W[r, c + 1:end].tolist()], dtype=np.uint64)
+            rest = W[:, c + 1:end]
+            rest[...] = mul_mod(col[:, None], neg, p, add=rest)
         if want_h:
-            W[:, :, w + c] = col
-    piv = np.array(pivs, dtype=np.intp).T.reshape(B, len(slots))
-    inv = np.array(invs, dtype=np.uint64).T.reshape(B, len(slots))
-    H = mul_mod(W[:, :, [w + c for c in slots]], inv[:, None, :], p) if want_h else None
-    return piv, inv != 0, H
+            W[:, w + c] = col
+    H = mul_mod(W[:, slots], np.array(inv, dtype=np.uint64), p) if want_h else None
+    return np.array(piv, dtype=np.intp), H
 
 
 def _split(w: int) -> int:
@@ -260,75 +248,60 @@ def _split(w: int) -> int:
 
 
 def _panel(X, p: int):
-    """_leaf's (piv, has, H) for any width, by column halving: eliminate the
-    left half, apply it to the right half, eliminate that, and compose
+    """_leaf's (piv, H) for any width, by column halving: eliminate the left
+    half, apply it to the right half, eliminate that, and compose
     (I - H2 P2)(I - H1 P1) = I - [H1 - H2 H1[piv2], H2] [P1; P2]."""
-    w = X.shape[2]
+    w = X.shape[1]
     if w <= _LEAF:
         return _leaf(X, p, True)
     h = _split(w)
-    piv1, has1, H1 = _panel(X[:, :, :h], p)
-    X2 = X[:, :, h:]
-    if H1.shape[2]:
-        X2 = sub_mod(X2, matmul_mod(H1, _rows(X2, piv1), p), p)
-    piv2, has2, H2 = _panel(X2, p)
-    if H1.shape[2] and H2.shape[2]:
-        H1 = sub_mod(H1, matmul_mod(H2, _rows(H1, piv2), p), p)
-    return (np.concatenate([piv1, piv2], axis=1), np.concatenate([has1, has2], axis=1),
-            np.concatenate([H1, H2], axis=2))
-
-
-def _drop_pivot_rows(T, piv, has):
-    """Remove from each T[b] as many of its (now zero) pivot rows as every
-    matrix of the stack has."""
-    k = int(has.sum(axis=1).min())
-    if k == 0:
-        return T
-    B, n, w = T.shape
-    first = has & (np.cumsum(has, axis=1) <= k)
-    keep = np.ones((B, n), dtype=bool)
-    keep[np.nonzero(first)[0], piv[first]] = False
-    return T[keep].reshape(B, n - k, w)
-
-
-def _rank_chunk(A, p: int):
-    """Ranks of a (B, n, m) stack: eliminate the left half of the columns,
-    update the right half, drop the pivot rows and go on with the right."""
-    ranks = np.zeros(A.shape[0], dtype=np.int64)
-    while A.shape[1] and A.shape[2]:
-        w = A.shape[2]
-        if w <= _LEAF:
-            return ranks + _leaf(A, p, False)[1].sum(axis=1)
-        h = _split(w)
-        piv, has, H = _panel(A[:, :, :h], p)
-        ranks += has.sum(axis=1)
-        T = A[:, :, h:]
-        if H.shape[2]:
-            T = sub_mod(T, matmul_mod(H, _rows(T, piv), p), p)
-        A = _drop_pivot_rows(T, piv, has)
-    return ranks
-
-
-def rank_mod_stack(As, p: int) -> list[int]:
-    """Ranks of the matrices of a (B, n, m) stack of residues mod p."""
-    A = np.asarray(As, dtype=np.uint64)
-    B, n, m = A.shape
-    if n == 0 or m == 0:
-        return [0] * B
-    if n * m <= _SMALL:
-        return [_rank_small(a, p) for a in A.tolist()]
-    if m > n:
-        A = A.transpose(0, 2, 1)
-    step = max(1, _STACK_ENTRIES // (n * m))
-    out = []
-    for i in range(0, B, step):
-        out.extend(_rank_chunk(np.ascontiguousarray(A[i:i + step]), p).tolist())
-    return out
+    piv1, H1 = _panel(X[:, :h], p)
+    X2 = X[:, h:]
+    if piv1.size:
+        X2 = sub_mod(X2, matmul_mod(H1, X2[piv1], p), p)
+    piv2, H2 = _panel(X2, p)
+    if piv1.size and piv2.size:
+        H1 = sub_mod(H1, matmul_mod(H2, H1[piv2], p), p)
+    return np.concatenate([piv1, piv2]), np.concatenate([H1, H2], axis=1)
 
 
 def rank_mod(A, p: int) -> int:
-    """Rank of one n x m matrix of residues mod p."""
-    return rank_mod_stack(np.asarray(A, dtype=np.uint64)[None], p)[0]
+    """Rank of one n x m matrix of residues mod p: eliminate the left half
+    of the columns, update the right half, drop the pivot rows and go on
+    with the right half."""
+    A = np.asarray(A, dtype=np.uint64)
+    n, m = A.shape
+    if n == 0 or m == 0:
+        return 0
+    if n * m <= _SMALL:
+        return _rank_small(A.tolist(), p)
+    if m > n:
+        A = A.T
+    rank = 0
+    while A.shape[0] and A.shape[1]:
+        w = A.shape[1]
+        if w <= _LEAF:
+            return rank + _leaf(A, p, False)[0].size
+        h = _split(w)
+        piv, H = _panel(A[:, :h], p)
+        rank += piv.size
+        A = A[:, h:]
+        if piv.size:
+            A = np.delete(sub_mod(A, matmul_mod(H, A[piv], p), p), piv, axis=0)
+    return rank
+
+
+def solve_mod(A, B, p: int):
+    """X with A X = B mod p for square A (n, n) and B (n, m), or None when A
+    is singular.  _panel eliminates the n columns of [A; I], which has full
+    column rank: a pivot row >= n means A is singular; otherwise all pivots
+    lie in A, H[n:] A[piv] = I, and the bottom of the eliminated [B; 0] is
+    -H[n:] B[piv] = -A^-1 B."""
+    n = A.shape[0]
+    piv, H = _panel(np.concatenate([A, np.eye(n, dtype=np.uint64)]), p)
+    if (piv >= n).any():
+        return None
+    return matmul_mod(H[n:], B[piv], p)
 
 
 # rank_sparse hands its active block to rank_mod once the block has at least
@@ -471,45 +444,3 @@ def _rank_rows_dense(live: dict, order: list, p: int) -> int:
       np.fromiter(map(at.__getitem__, chain(live.values())), dtype=np.intp, count=nnz)] = \
         np.fromiter(chain(map(dict.values, live.values())), dtype=np.uint64, count=nnz)
     return rank_mod(A, p)
-
-
-def _rref_with(A, aug, p: int) -> int:
-    """Full reduction of A, mirroring row ops on aug; returns rank."""
-    n, m = A.shape
-    pp = np.uint64(p)
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-            aug[[r, piv]] = aug[[piv, r]]
-        inv = np.uint64(pow(int(A[r, c]), p - 2, p))
-        A[r, c:] = mul_mod(A[r, c:], inv, p)
-        aug[r] = mul_mod(aug[r], inv, p)
-        factors = A[:, c].copy()
-        factors[r] = 0
-        if factors.any():
-            upd = mul_mod(factors[:, None], A[r, c:][None, :], p)
-            blk = A[:, c:]
-            blk += pp - upd
-            blk -= np.where(blk >= pp, pp, np.uint64(0))
-            upd2 = mul_mod(factors[:, None], aug[r][None, :], p)
-            aug += pp - upd2
-            aug -= np.where(aug >= pp, pp, np.uint64(0))
-        r += 1
-    return r
-
-
-def inv_mod(A, p: int):
-    """Inverse of square A mod p, or None if singular."""
-    n = A.shape[0]
-    A = np.array(A, dtype=np.uint64, copy=True)
-    aug = np.eye(n, dtype=np.uint64)
-    if _rref_with(A, aug, p) < n:
-        return None
-    return aug

@@ -44,6 +44,10 @@ def _load_circuit(args):
     raise InputError("need an expression or --file")
 
 
+def _field_name(field) -> str:
+    return f"prime {field.p}" if field.kind == "prime" else "rational"
+
+
 def _echo(report, args, field):
     report.append(("prime", field.p if field.kind == "prime" else "rational"))
     report.append(("seed", args.seed))
@@ -199,6 +203,9 @@ def cmd_eval(args) -> int:
     field = _field(args)
     circ = _load_circuit(args)
     point = read_tuple(args.point)
+    if point.field != field:
+        raise InputError(f"point file is over {_field_name(point.field)}, "
+                         f"but the working field is {_field_name(field)}")
     report = [("command", "eval"), ("dim", point.d)]
     _echo(report, args, field)
     status = 0

@@ -411,30 +411,31 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     if m.rows == 0:
         return m
     if m._fast():
-        out = _modnum.inv_mod(m._np(), m.field.p)
-        if out is None:
-            raise Singular("matrix is singular")
-        return DenseMatrix._from_np(m.field, out)
+        return solve(m, DenseMatrix.identity(m.field, m.rows))
     return _invert_generic(m)
 
 
 def solve(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """X with a @ X = b for square invertible a; raises Singular otherwise.
-    Over the fast primes a system that does not fill in (_modnum.fills) is
-    solved by sparse elimination; any other goes through the inverse."""
+    Over the fast primes a system that fills in (_modnum.fills) is solved
+    by dense elimination, any other by sparse elimination."""
     if not a.is_square or a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
     n, m, f = a.rows, b.cols, a.field
-    if a._fast():
-        rows = {i: {j: x for j, x in enumerate(a.row(i)) if x} for i in range(n)}
-        for i in range(n):
-            rows[i].update((n + c, f.p - x) for c, x in enumerate(b.row(i)) if x)
-        if not _modnum.fills(n, n + m, sum(map(len, rows.values()))):
-            cols = _modnum.solve_sparse(rows, n, m, f.p)
-            if cols is None:
-                raise Singular("matrix is singular")
-            return DenseMatrix(f, n, m, [col.get(i, 0) for i in range(n) for col in cols])
-    return invert(a).matmul(b)
+    if not a._fast():
+        return _invert_generic(a).matmul(b)
+    rows = {i: {j: x for j, x in enumerate(a.row(i)) if x} for i in range(n)}
+    for i in range(n):
+        rows[i].update((n + c, f.p - x) for c, x in enumerate(b.row(i)) if x)
+    if _modnum.fills(n, n + m, sum(map(len, rows.values()))):
+        out = _modnum.solve_mod(a._np(), b._np(), f.p)
+        if out is None:
+            raise Singular("matrix is singular")
+        return DenseMatrix._from_np(f, out)
+    cols = _modnum.solve_sparse(rows, n, m, f.p)
+    if cols is None:
+        raise Singular("matrix is singular")
+    return DenseMatrix(f, n, m, [col.get(i, 0) for i in range(n) for col in cols])
 
 
 def is_invertible(m: DenseMatrix) -> bool:

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .circuit import BlowupExceeded, ParseError, parse_expr, to_idrrsc
-from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
-                    rank_of, sample_tuple)
+from .field import (DenseMatrix, Field, MatrixTuple, Singular, rank_of,
+                    sample_tuple, solve)
 from .pencil import (LinearPencil, PencilOracle, RealizedEntry, compile_idrrsc,
                      pad_entry, place_block, read_pencil, relocate_entry,
                      widen_entry, zero_entry)
@@ -268,8 +268,7 @@ def schur_step(P: DenseMatrix, r: int) -> tuple[DenseMatrix, bool]:
     C = DenseMatrix(f, n - r, r, [P.at(i, j) for i in range(r, n) for j in range(r)])
     D = DenseMatrix(f, n - r, n - r,
                     [P.at(i, j) for i in range(r, n) for j in range(r, n)])
-    Ainv = invert(A)  # raises Singular when the block is not invertible
-    comp = D.sub(C.matmul(Ainv).matmul(B))
+    comp = D.sub(C.matmul(solve(A, B)))  # Singular when A is not invertible
     holds = rank_of(P) == r + rank_of(comp)
     return comp, holds
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import freepoly
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert, kron,
-                    sample_tuple)
+                    sample_tuple, solve)
 from .pencil import (LinearPencil, RealizedEntry, dense_block, eval_pencil,
                      place_block)
 
@@ -85,8 +85,8 @@ def full_eval(S: RecognizableSeries, t: MatrixTuple) -> DenseMatrix:
     f = S.field
     eye = DenseMatrix.identity(f, t.d)
     Mt = eval_pencil(S.M, t)
-    resolvent = invert(DenseMatrix.identity(f, Mt.rows).sub(Mt))
-    return kron(S.c, eye).matmul(resolvent).matmul(kron(S.b, eye))
+    return kron(S.c, eye).matmul(solve(DenseMatrix.identity(f, Mt.rows).sub(Mt),
+                                       kron(S.b, eye)))
 
 
 def series_is_zero(S: RecognizableSeries, trials: int = 16,
@@ -137,10 +137,9 @@ def scaling_search(S: RecognizableSeries, t: MatrixTuple,
         if f.is_zero(tf):
             break
         try:
-            resolvent = invert(big_eye.sub(Mt.scale(tf)))
+            value = cb.matmul(solve(big_eye.sub(Mt.scale(tf)), bb))
         except Singular:
             continue
-        value = cb.matmul(resolvent).matmul(bb)
         if not value.is_zero():
             return tau, value
     raise FieldTooSmall("no usable scaling value found")

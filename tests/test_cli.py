@@ -232,6 +232,21 @@ def test_malformed_point_file_exits_two(tmp_path, capsys, name):
     assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, status, field", [
+    ([], 2, None), (["--rational"], 2, None), (["--prime", "7"], 0, "prime 7")])
+def test_eval_point_field_must_match_working_field(tmp_path, capsys, flags, status, field):
+    path = tmp_path / "f7.mt"
+    path.write_text("field prime 7\nnvars 1\ndim 1\n3\n")
+    got, out = run(["eval", "inv(x1)", "--point", str(path)] + flags)
+    err = capsys.readouterr().err
+    assert got == status
+    if field is None:
+        assert not out and err.startswith("error: point file is over prime 7")
+        assert err.count("\n") == 1
+    else:
+        assert f"\n{field}\n" in out and out.endswith("\n5\n")
+
+
 HIGMAN = os.path.join(os.path.dirname(__file__), "..", "data", "higman.skm")
 
 NON_POSITIVE_COUNTS = {

@@ -199,17 +199,16 @@ def residue_stacks(draw):
 
 @given(residue_stacks())
 @settings(max_examples=80, deadline=None)
-def test_rank_mod_stack_matches_generic(case):
+def test_rank_mod_matches_generic(case):
     # every matrix of the stack, through whichever path its shape takes
-    # (Python ints, or the blocked kernel with stack-wide row dropping)
-    from ncrat._modnum import rank_mod_stack
+    # (Python ints, or the blocked kernel)
+    from ncrat._modnum import rank_mod
     from ncrat.field import _rank_generic
     p, stack = case
     Fp = PrimeField(p)
     B, n, m = stack.shape
-    expect = [_rank_generic(DenseMatrix(Fp, n, m, [int(x) for x in a.ravel()]))
-              for a in stack]
-    assert rank_mod_stack(stack, p) == expect
+    for a in stack:
+        assert rank_mod(a, p) == _rank_generic(DenseMatrix(Fp, n, m, [int(x) for x in a.ravel()]))
 
 
 @st.composite
@@ -368,6 +367,65 @@ def test_solve_matches_generic_inverse(p, n, rank, m, seed):
             solve(a, b)
     else:
         assert solve(a, b) == _invert_generic(a).matmul(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, 101, (1 << 31) - 1, MERSENNE61]),
+       st.one_of(st.sampled_from([1, 16, 17, 32, 33, 40]), st.integers(1, 40)),
+       st.integers(0, 40), st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_solve_mod_matches_generic_inverse(p, n, rank, m, seed):
+    # a has rank min(rank, n), planted as a product of n x k and k x n;
+    # m = 0 draws b = I, so the solution is the inverse itself
+    from ncrat._modnum import solve_mod
+    field, rng = PrimeField(p), random.Random(seed)
+    k = min(rank, n)
+    a = rand_mat(field, n, k, rng).matmul(rand_mat(field, k, n, rng))
+    b = rand_mat(field, n, m, rng) if m else DenseMatrix.identity(field, n)
+    got = solve_mod(a._np(), b._np(), p)
+    try:
+        expect = _invert_generic(a).matmul(b)
+    except Singular:
+        assert got is None
+    else:
+        assert got is not None and DenseMatrix._from_np(field, got) == expect
+
+
+@pytest.fixture
+def dense_route(monkeypatch):
+    """Counts solve_mod calls, and fails any call to solve_sparse."""
+    from ncrat import _modnum
+    calls = []
+    solve_mod = _modnum.solve_mod
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return solve_mod(*args)
+
+    def sparse(*args):
+        raise AssertionError("a dense system went to solve_sparse")
+
+    monkeypatch.setattr(_modnum, "solve_mod", counted)
+    monkeypatch.setattr(_modnum, "solve_sparse", sparse)
+    return calls
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, MERSENNE61])
+def test_dense_invert_goes_through_solve_mod(dense_route, p):
+    field, rng = PrimeField(p), random.Random(64)
+    a = rand_mat(field, 64, 64, rng)
+    assert invert(a) == _invert_generic(a)
+    a.data[64:128] = a.row(0)
+    with pytest.raises(Singular):
+        invert(a)
+    assert dense_route == [(64, 64)] * 2
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, MERSENNE61])
+def test_dense_solve_goes_through_solve_mod(dense_route, p):
+    field, rng = PrimeField(p), random.Random(65)
+    a, b = rand_mat(field, 70, 70, rng), rand_mat(field, 70, 3, rng)
+    assert solve(a, b) == _invert_generic(a).matmul(b)
+    assert dense_route == [(70, 70)]
 
 
 def test_invert_rational():
