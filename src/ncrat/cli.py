@@ -17,8 +17,8 @@ from . import rank as rank_mod
 from . import rit as rit_mod
 from .circuit import (ParseError, Undefined, classify, eval_circuit,
                       parse_expr, read_circuit)
-from .field import (DEFAULT_PRIME, QQ, PrimeField, rank_of, read_tuple,
-                    write_tuple)
+from .field import (DEFAULT_PRIME, QQ, PrimeField, field_name, rank_of,
+                    read_tuple, write_tuple)
 from .pencil import read_pencil, write_pencil
 from .rank import RankParams, ncrank_skew, read_skew_file
 from .rit import RitParams, bootstrap_dimension, hitting_set_generate, rit_test
@@ -42,10 +42,6 @@ def _load_circuit(args):
     if args.file:
         return read_circuit(args.file)
     raise InputError("need an expression or --file")
-
-
-def _field_name(field) -> str:
-    return f"prime {field.p}" if field.kind == "prime" else "rational"
 
 
 def _echo(report, args, field):
@@ -204,8 +200,8 @@ def cmd_eval(args) -> int:
     circ = _load_circuit(args)
     point = read_tuple(args.point)
     if point.field != field:
-        raise InputError(f"point file is over {_field_name(point.field)}, "
-                         f"but the working field is {_field_name(field)}")
+        raise InputError(f"point file is over {field_name(point.field)}, "
+                         f"but the working field is {field_name(field)}")
     report = [("command", "eval"), ("dim", point.d)]
     _echo(report, args, field)
     status = 0

@@ -175,6 +175,11 @@ def prime_field(p: int = DEFAULT_PRIME) -> PrimeField:
     return PrimeField(p)
 
 
+def field_name(field: Field) -> str:
+    """`prime <p>` or `rational`, as in the file headers."""
+    return f"prime {field.p}" if field.kind == "prime" else "rational"
+
+
 class DenseMatrix:
     """Row-major exact matrix over a fixed field.  Treat as immutable."""
 

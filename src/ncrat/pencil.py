@@ -12,7 +12,9 @@ The composition requires every placeholder variable to occur in exactly
 one entry of the host pencil.  That is precisely the shape produced by
 the tree-normalized compiler (each inverse gate feeds one edge of the
 top branching program); sharing a placeholder across entries is rejected
-rather than silently duplicated.
+rather than silently duplicated.  The compiler sizes every level first,
+then writes each base pencil, border and link once, at its offset in one
+map, so compile time is linear in the inversion height.
 
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
@@ -251,23 +253,6 @@ def realize_inverse(g: RealizedEntry) -> RealizedEntry:
     return RealizedEntry(LinearPencil(f, s + 1, g.nvars, entries), s + 1, s + 1)
 
 
-def hat_pencil(gs: list[RealizedEntry]) -> tuple[LinearPencil, list[tuple[int, int]]]:
-    """Block diagonal of the inverse gadgets; position k of the returned list
-    is the 1-indexed (i_k, j_k) where the k-th inverse is realized."""
-    if not gs:
-        raise ValueError("need at least one realized entry")
-    f = gs[0].pencil.field
-    entries: Entries = {}
-    positions = []
-    off = 0
-    for g in gs:
-        blk = realize_inverse(g)
-        place_block(entries, blk.pencil.entries, off, off)
-        off += blk.size
-        positions.append((off, off))
-    return LinearPencil(f, off, max(g.nvars for g in gs), entries), positions
-
-
 @dataclass(frozen=True)
 class RealizedGrid:
     """All s^2 entries of the inverse of a substituted pencil, realized in
@@ -297,17 +282,47 @@ def _y_occurrences(L: LinearPencil, nx: int) -> list[tuple[int, int, object] | N
     return occ
 
 
-def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
-    """Substitute g_k^{-1} for the placeholder variable nx+k of L.  The
-    result realizes every entry of L(x, g_1^{-1}, ..., g_m^{-1})^{-1} at
-    offset 2 s^2 + shat, in a pencil of size exactly
-    sum_k size(g_k) + m + 2 s^2 + s.
+def _place_composition(entries: Entries, o: int, L: LinearPencil,
+                       shapes: list[tuple[int, int, int]], nx: int) -> list[int]:
+    """Write compose's blocks for host L at offset o, all but the realized
+    pencils, given as (size, row, col); return where each pencil goes.
 
     Block layout [I | H | I | L0]: the first identity feeds the inverse
     gadgets (columns weighted by the placeholder coefficients), the gadget
     exits feed the second identity at the host entry that the placeholder
     occupies, and the borders close the loop through the constant-plus-x
-    part L0 of the host."""
+    part L0 of the host.  In H, each pencil has realize_inverse's border."""
+    f, s = L.field, L.size
+    one, minus_one = f.one, f.neg(f.one)
+    o3 = o + s * s + sum(size + 1 for size, _, _ in shapes)
+    oL = o3 + s * s
+    for q in range(s * s):
+        entries[(o + q, o + q)] = entries[(o3 + q, o3 + q)] = {0: one}
+    offsets, off = [], o + s * s
+    for (size, row, col), found in zip(shapes, _y_occurrences(L, nx)):
+        offsets.append(off)
+        corner = off + size                 # the gadget's exit
+        entries[(off + col - 1, corner)] = {0: one}
+        entries[(corner, off + row - 1)] = {0: minus_one}
+        if found is not None:
+            i0, j0, beta = found
+            entries[(o + i0 * s + j0, corner)] = {0: f.normalize(beta)}
+            entries[(corner, o3 + i0 * s + j0)] = {0: one}
+        off = corner + 1
+    place_block(entries, L.entries, oL, oL,
+                lambda e: {k: v for k, v in e.items() if k <= nx})
+    for i in range(s):
+        for j in range(s):
+            entries[(o3 + i * s + j, oL + j)] = {0: one}
+            entries[(oL + i, o + i * s + j)] = {0: minus_one}
+    return offsets
+
+
+def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
+    """Substitute g_k^{-1} for the placeholder variable nx+k of L.  The
+    result realizes every entry of L(x, g_1^{-1}, ..., g_m^{-1})^{-1} at
+    offset 2 s^2 + shat, in a pencil of size exactly
+    sum_k size(g_k) + m + 2 s^2 + s; the layout is _place_composition's."""
     m = L.nvars - nx
     if m != len(gs):
         raise DimensionMismatch(
@@ -318,59 +333,44 @@ def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
                 "realized entries may only use the host's x variables")
     if m == 0:
         return RealizedGrid(L, 0, L.size)
-    f = L.field
     s = L.size
-    occ = _y_occurrences(L, nx)
-    H, positions = hat_pencil(gs)
-    N = H.size + 2 * s * s + s
-    o1, oH, o3, oL = 0, s * s, s * s + H.size, 2 * s * s + H.size
-    entries = _identity(s * s, f.one)
-    place_block(entries, H.entries, oH, oH)              # inverse gadgets
-    place_block(entries, _identity(s * s, f.one), o3, o3)
-    # constant-plus-x part of the host in the last diagonal block
-    place_block(entries, L.entries, oL, oL,
-                lambda e: {k: v for k, v in e.items() if k <= nx})
-    links: Entries = {}
-    for found, (corner, _) in zip(occ, positions):
-        if found is not None:       # corner: the gadget's exit, 1-indexed in H
-            i0, j0, beta = found
-            q = i0 * s + j0
-            links[(o1 + q, oH + corner - 1)] = {0: f.normalize(beta)}
-            links[(oH + corner - 1, o3 + q)] = {0: f.one}
-    for i in range(s):
-        for j in range(s):
-            q = i * s + j
-            links[(o3 + q, oL + j)] = {0: f.one}
-            links[(oL + i, o1 + q)] = {0: f.neg(f.one)}
-    place_block(entries, links)
-    pencil = LinearPencil(f, N, nx, entries)
-    assert pencil.size == sum(g.size for g in gs) + m + 2 * s * s + s
-    return RealizedGrid(pencil, oL, s)
+    entries: Entries = {}
+    shapes = [(g.size, g.row, g.col) for g in gs]
+    for g, off in zip(gs, _place_composition(entries, 0, L, shapes, nx)):
+        place_block(entries, g.pencil.entries, off, off)
+    N = sum(g.size + 1 for g in gs) + 2 * s * s + s
+    return RealizedGrid(LinearPencil(L.field, N, nx, entries), N - s, s)
 
 
 def compile_idrrsc(idr: IdrCircuit, field: Field) -> RealizedEntry:
     """Compile the recursive decomposition into a single pencil realization:
-    branching-program base case, composition step for the inverses.  The
-    decomposition is walked in post-order with an explicit stack, so
-    inversion height is not bounded by the recursion limit."""
-    done: list[RealizedEntry] = []       # compiled subs awaiting their host
-    stack = [(idr, False)]
-    while stack:
-        node, subs_done = stack.pop()
-        if not subs_done:
-            stack.append((node, True))
-            stack.extend((sub, False) for sub in reversed(node.subs))
+    branching-program base case, composition step for the inverses.  Each
+    node is realized at (size - s + 1, size), s its top's size, so the sizes
+    are worked out first, subs first; then one pass from the root writes
+    each block once.  Both walks are flat lists, not recursion."""
+    if not idr.subs:
+        return from_abp(idr.top, field, nvars=idr.nx)
+    order = [idr]
+    for node in order:                   # hosts before their subs
+        order.extend(node.subs)
+    size: dict[int, int] = {}            # by id: an IdrCircuit hashes its subtree
+    for node in reversed(order):
+        s = node.top.size
+        size[id(node)] = sum(size[id(g)] + 1 for g in node.subs) + 2 * s * s + s \
+            if node.subs else s
+    entries: Entries = {}
+    at = {id(idr): 0}
+    for node in order:
+        o, top = at[id(node)], from_abp(node.top, field, nvars=node.nx + node.m).pencil
+        if not node.subs:
+            place_block(entries, top.entries, o, o)
             continue
-        if node.m == 0:
-            done.append(from_abp(node.top, field, nvars=node.nx))
-            continue
-        gs = done[len(done) - node.m:]
-        del done[len(done) - node.m:]
-        host = from_abp(node.top, field, nvars=node.nx + node.m)
-        grid = compose(host.pencil, gs, node.nx)
-        done.append(RealizedEntry(grid.pencil, grid.offset + host.row,
-                                  grid.offset + host.col))
-    return done.pop()
+        shapes = [(size[id(g)], size[id(g)] - g.top.size + 1, size[id(g)])
+                  for g in node.subs]
+        offsets = _place_composition(entries, o, top, shapes, node.nx)
+        at.update(zip(map(id, node.subs), offsets))
+    N = size[id(idr)]
+    return RealizedEntry(LinearPencil(field, N, idr.nx, entries), N - idr.top.size + 1, N)
 
 
 # -- generic-matrix blow-up with shift ----------------------------------------

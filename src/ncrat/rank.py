@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .circuit import BlowupExceeded, ParseError, parse_expr, to_idrrsc
-from .field import (DenseMatrix, Field, MatrixTuple, Singular, rank_of,
-                    sample_tuple, solve)
+from .field import (DenseMatrix, Field, MatrixTuple, Singular, field_name,
+                    rank_of, sample_tuple, solve)
 from .pencil import (LinearPencil, PencilOracle, RealizedEntry, compile_idrrsc,
                      pad_entry, place_block, read_pencil, relocate_entry,
                      widen_entry, zero_entry)
@@ -331,6 +331,9 @@ def _skew_entry(line: str, field: Field, base_dir: str) -> RealizedEntry | None:
             raise ValueError(f"pencil file {rest!r}: {exc}") from None
         if realize is None:
             raise ValueError(f"pencil file {rest!r} lacks a realize trailer")
+        if L.field != field:
+            raise ValueError(f"pencil file {rest!r} is over {field_name(L.field)}, "
+                             f"but the working field is {field_name(field)}")
         return RealizedEntry(L, realize[0], realize[1])
     raise ValueError(f"unknown entry kind {kind!r}")
 

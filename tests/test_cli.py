@@ -200,6 +200,24 @@ def test_singular_skew_entry_exits_two(tmp_path, capsys):
     assert err == "error: line 2: entry pencil singular at all probed dimensions\n"
 
 
+@pytest.mark.parametrize("flags, status", [([], 2), (["--prime", "101"], 0)])
+def test_skew_pencil_entry_must_be_over_the_working_field(tmp_path, capsys, flags, status):
+    # (x1 - 1)^{-1} over F_101; over any other field it would be a wrong entry
+    (tmp_path / "xm1.lp").write_text("field prime 101\nsize 1\nnvars 1\n"
+                                     "coeff 0\n1 1 100\nend\ncoeff 1\n1 1 1\nend\n"
+                                     "realize 1 1\n")
+    path = tmp_path / "f.skm"
+    path.write_text("m 2\npencil xm1.lp\nexpr inv(x1 - 1)\nexpr 1\nexpr 1\n")
+    got, out = run(["ncrank", "--file", str(path)] + flags)
+    err = capsys.readouterr().err
+    assert got == status
+    if status:
+        assert err == ("error: line 2: pencil file 'xm1.lp' is over prime 101, "
+                       "but the working field is prime 2305843009213693951\n")
+    else:
+        assert "\nrank 1\n" in out and "\nprime 101\n" in out
+
+
 @pytest.mark.parametrize("name", sorted(BAD_CIRCUIT_FILES))
 def test_malformed_circuit_file_exits_two(tmp_path, capsys, name):
     path = tmp_path / "bad.circ"

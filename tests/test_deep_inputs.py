@@ -4,6 +4,7 @@ Formula size, not nesting depth, bounds what the parser, the tree
 expansion, the decomposition and the circuit-file reader accept; every
 test here runs at the default recursion limit."""
 
+import pytest
 from test_cli import run
 
 from ncrat.circuit import (classify, eval_circuit, eval_idrrsc, parse_circuit,
@@ -38,14 +39,16 @@ def test_inverse_nested_two_thousand_deep():
     assert len(c.nodes) == 2001 and classify(c).height == 2000
 
 
-def test_inverse_nested_six_hundred_deep_compiles_and_evaluates():
+@pytest.mark.parametrize("depth, size", [(600, 6602), (2000, 22002)])
+def test_inverse_nested_deep_compiles_and_evaluates(depth, size):
     # each level composes a size-2 host around the level below: 11 rows more
-    expr = "inv(" * 600 + "x1" + ")" * 600
+    expr = "inv(" * depth + "x1" + ")" * depth
     status, out = run(["compile", expr])
-    assert status == 0 and "\nheight 600\n" in out and "\npencil_size 6602\n" in out
+    assert status == 0 and f"\nheight {depth}\n" in out
+    assert f"\npencil_size {size}\n" in out
     c = parse_expr(expr)
     idr = to_idrrsc(c)
-    assert idr.height == 600 and idr.size == 1802
+    assert idr.height == depth and idr.size == 3 * depth + 2
     t = sample_tuple(prime_field(), 1, 2, 5)
     assert eval_idrrsc(idr, t) == eval_circuit(c, t)
 

@@ -1,18 +1,21 @@
+import random
+
 import pytest
 
 from conftest import random_formula, random_host_pencil, random_realized
 from ncrat import freepoly as fp
 from ncrat.circuit import (CircuitBuilder, Undefined, eval_circuit,
                            formula_to_abp, parse_expr, to_idrrsc)
-from ncrat.field import (DenseMatrix, MatrixTuple, Singular, invert,
+from ncrat.field import (QQ, DenseMatrix, MatrixTuple, Singular, invert,
                          is_invertible, kron, prime_field, rank_of,
                          sample_tuple)
 from ncrat.pencil import (DimensionMismatch, DisjointnessViolation,
                           PencilOracle, RealizedEntry,
                           blowup_shift, compile_idrrsc, compose, dump_pencil,
-                          eval_pencil, from_abp, hat_pencil, pad_entry,
+                          eval_pencil, from_abp, pad_entry,
                           parse_pencil, pencil_from_rows, realize_inverse,
                           relocate_entry, zero_entry)
+from ncrat.rit import corpus
 
 F = prime_field()
 HUA = "inv(x1 + x1*inv(x2)*x1) + inv(x1+x2) - inv(x1)"
@@ -127,40 +130,6 @@ def test_realize_inverse_singular_at_zero():
     t = MatrixTuple(F, 1, (DenseMatrix.zeros(F, 1, 1),))
     ev = eval_pencil(ge.pencil, t)
     assert rank_of(ev) < ge.size
-
-
-# -- hat_pencil ----------------------------------------------------------------------
-
-def test_hat_pencil_single_is_realize_inverse(rng):
-    e = from_abp(formula_to_abp(parse_expr("x1")), F)
-    H, pos = hat_pencil([e])
-    assert H.size == e.size + 1 and pos == [(3, 3)]
-    single = realize_inverse(e)
-    assert H.coeffs == single.pencil.coeffs
-
-
-def test_hat_pencil_two_blocks(rng):
-    e1 = from_abp(formula_to_abp(parse_expr("x1")), F, nvars=2)
-    e2 = from_abp(formula_to_abp(parse_expr("x2")), F, nvars=2)
-    H, pos = hat_pencil([e1, e2])
-    assert H.size == 6 and pos == [(3, 3), (6, 6)]
-    for _ in range(5):
-        t = sample_tuple(F, 2, 2, rng)
-        if not (is_invertible(t.mats[0]) and is_invertible(t.mats[1])):
-            continue
-        he = RealizedEntry(H, 3, 3)
-        assert he.value_at(t) == invert(t.mats[0])
-        he2 = RealizedEntry(H, 6, 6)
-        assert he2.value_at(t) == invert(t.mats[1])
-
-
-def test_hat_pencil_size_formula(rng):
-    e1 = random_realized(rng, max_size=3)
-    e2 = random_realized(rng, max_size=3)
-    e1p = pad_entry(e1, 3)
-    e2p = pad_entry(e2, 3)
-    H, pos = hat_pencil([e1p, e2p])
-    assert H.size == 8 and pos == [(4, 4), (8, 8)]
 
 
 # -- compose ---------------------------------------------------------------------------
@@ -313,6 +282,49 @@ def test_compile_definedness_correspondence(rng):
             except Undefined:
                 defined = False
             assert oracle.is_invertible_at(t) == defined
+
+
+def _compile_level_by_level(idr, field):
+    """Reference compiler: each level is composed from its compiled subs, in
+    post-order, one pencil per level."""
+    done = []
+    stack = [(idr, False)]
+    while stack:
+        node, subs_done = stack.pop()
+        if not subs_done:
+            stack.append((node, True))
+            stack.extend((sub, False) for sub in reversed(node.subs))
+            continue
+        host = from_abp(node.top, field, nvars=node.nx + node.m)
+        if node.m == 0:
+            done.append(host)
+            continue
+        gs = done[len(done) - node.m:]
+        del done[len(done) - node.m:]
+        grid = compose(host.pencil, gs, node.nx)
+        done.append(RealizedEntry(grid.pencil, grid.offset + host.row,
+                                  grid.offset + host.col))
+    return done.pop()
+
+
+def _reference_formulas():
+    rng = random.Random(0x1D7)
+    circuits = [c for _, c, _ in corpus()]
+    for height in range(5):
+        for _ in range(20):
+            circuits.append(random_formula(rng, nvars=3, height=height,
+                                           size_budget=8 + 6 * height))
+    return circuits
+
+
+@pytest.mark.parametrize("field", [F, prime_field(7), QQ], ids=["M61", "F7", "Q"])
+def test_compile_matches_level_by_level_reference(field):
+    for c in _reference_formulas():
+        idr = to_idrrsc(c)
+        got, want = compile_idrrsc(idr, field), _compile_level_by_level(idr, field)
+        assert got.pencil.entries == want.pencil.entries
+        assert (got.row, got.col, got.size, got.nvars) == \
+            (want.row, want.col, want.size, want.nvars)
 
 
 # -- blowup_shift ----------------------------------------------------------------------

@@ -346,6 +346,7 @@ def test_skew_file_bad_count():
     ("m 1\npencil missing.lp\n", "line 2"),              # unreadable path
     ("m 1\npencil bad.lp\n", "line 2"),                  # malformed pencil file
     ("m 1\npencil bare.lp\n", "line 2"),                 # no realize trailer
+    ("m 1\npencil f7.lp\n", "line 2"),                   # over another field
     ("# grid\nm 2\nexpr 1\n\nexpr x1 +\nexpr 0\nexpr 1\n", "line 5"),  # parse error
     ("m 2\nexpr 1\nexpr 0\n# singular\nexpr inv(x1 - x1)\nexpr x1\n", "line 5"),
 ])
@@ -353,6 +354,8 @@ def test_skew_file_errors_name_the_line(tmp_path, text, where):
     from ncrat.pencil import write_pencil
     (tmp_path / "bad.lp").write_text("field prime 7\nsize 2\n")
     write_pencil(entry_of("x1").pencil, str(tmp_path / "bare.lp"))
+    (tmp_path / "f7.lp").write_text("field prime 7\nsize 1\nnvars 0\n"
+                                    "coeff 0\n1 1 1\nend\nrealize 1 1\n")
     with pytest.raises(ValueError, match=f"^{where}: "):
         parse_skew_file(text, F, base_dir=str(tmp_path))
 
