@@ -1,32 +1,27 @@
-"""Vectorized prime-field linear algebra on numpy uint64 arrays.
+"""The dense prime-field kernel, on numpy uint64 arrays of residues.
 
-Two fast paths: the Mersenne prime 2^61 - 1 (the default working field),
-whose products are handled with split-limb arithmetic and shift folding,
-and primes below 2^31, where raw 64-bit products cannot overflow.  Other
-moduli are not supported here; callers fall back to exact pure-Python
-elimination.
+The only module of ncrat that imports numpy, and imported on first dense
+use: when a matrix fills in (_sparse.fills), rank_sparse hands it its
+active block, field.solve its system and the structural oracle its core.
+Two fast paths (_sparse.supported): the Mersenne prime 2^61 - 1, whose
+products use split-limb arithmetic and shift folding, and primes below
+2^31, where raw 64-bit products cannot overflow.
 
 Matrix products mod p (matmul_mod) are float64 BLAS products of 21-bit
 limbs, exact while the inner dimension of one product is at most 682.
 Dense elimination is block-recursive on top of them: _panel eliminates the
 columns of one matrix and returns its pivot rows and the multipliers H
 that apply the same elimination to any block beside it.  rank_mod ranks a
-matrix with it (or with Python ints when the matrix is small), and
-solve_mod solves A X = B by eliminating [A; I].  Sparse matrices, given as
-rows of {column: residue}, are ranked by rank_sparse: sparse elimination on
-Python ints, for any prime, that hands a block which has filled in to
-rank_mod; the same elimination, kept sparse, gives row_basis,
-nullspace_sparse and solve_sparse.
+matrix with it, and solve_mod solves A X = B by eliminating [A; I].
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 
 import numpy as np
 
-M61 = (1 << 61) - 1
+from ._sparse import M61
 
 _MASK61 = np.uint64(M61)
 _S61 = np.uint64(61)
@@ -35,10 +30,6 @@ _S30 = np.uint64(30)
 _LOW31 = np.uint64((1 << 31) - 1)
 _LOW30 = np.uint64((1 << 30) - 1)
 _ONE = np.uint64(1)
-
-
-def supported(p: int) -> bool:
-    return p == M61 or p < (1 << 31)
 
 
 def _reduce_m61(t):
@@ -81,14 +72,6 @@ def mul_mod(a, b, p: int, add=None):
     return (a * b + add) % np.uint64(p)
 
 
-def kron_mod(a, b, p: int):
-    """Kronecker product mod p."""
-    r1, c1 = a.shape
-    r2, c2 = b.shape
-    prod = mul_mod(a[:, None, :, None], b[None, :, None, :], p)
-    return prod.reshape(r1 * r2, c1 * c2)
-
-
 def eval_pencil_mod(coeffs, mats, d: int, p: int):
     """coeffs: (n+1, s, s); mats: (>=n, d, d).  Returns A0 x I_d + sum Ai x ti:
     the sum over i is one matmul_mod, (s^2, n) coefficients by (n, d^2)
@@ -109,9 +92,6 @@ _LIMB_MASK = np.uint64((1 << _LIMB) - 1)
 # three products of 21-bit limbs over the inner dimension K, so it stays
 # an exact integer below 3 * K * 2^42 < 2^53 for K <= 682.
 _KMAX = 682
-# n * m at or below which a matrix is ranked with Python ints, which is the
-# faster path up to 24 x 24 on random and on evaluated-pencil matrices.
-_SMALL = 24 * 24
 _LEAF = 16                 # columns eliminated pivot by pivot
 
 
@@ -186,24 +166,6 @@ def sub_mod(a, b, p: int):
     return np.minimum(out, np.add(out, np.uint64(p)))
 
 
-def _rank_small(rows: list, p: int) -> int:
-    """Rank of a matrix given as lists of residues, by Python-int elimination."""
-    rank = 0
-    while rows:
-        top = rows.pop()
-        c = next((j for j, x in enumerate(top) if x), None)
-        if c is None:
-            continue
-        inv = pow(top[c], -1, p)
-        rank += 1
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f:
-                f = f * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
-    return rank
-
-
 def _leaf(X, p: int, want_h: bool):
     """Pivot-by-pivot elimination of the columns of X (n, w).
 
@@ -273,8 +235,6 @@ def rank_mod(A, p: int) -> int:
     n, m = A.shape
     if n == 0 or m == 0:
         return 0
-    if n * m <= _SMALL:
-        return _rank_small(A.tolist(), p)
     if m > n:
         A = A.T
     rank = 0
@@ -304,136 +264,7 @@ def solve_mod(A, B, p: int):
     return matmul_mod(H[n:], B[piv], p)
 
 
-# rank_sparse hands its active block to rank_mod once the block has at least
-# _DENSE_ROWS rows and more than _DENSE_FILL of its slots hold a nonzero.
-# Measured on a 2-core host, each evaluation timed alone (median of 5):
-# - random cores (n 48-180, d 1/2/4, entry density 2-100%) fill in fast;
-#   with no hand-off they took 5.2 / 3.1 / 2.7 s in all at d = 1 / 2 / 4,
-#   with (96, 0.3) 0.76 / 0.47 / 0.34 s, with (64, 0.3) 0.49 / 0.30 / 0.25 s;
-# - on the evaluations of the benchmark workloads (n <= 204, density
-#   3-20%) (64, 0.3) never hands off, while (48, 0.3) and (64, 0.2) do, on
-#   49- and 71-row blocks of ncrank-grid's n = 72-180 matrices, and
-#   slowed those 56 evaluations from 0.27 s to 0.43 and 0.57 s.
-_DENSE_ROWS = 64
-_DENSE_FILL = 0.3
-
-
-def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
-    """Rank mod the prime p of the matrix with rows {i: {j: residue}}, no
-    zero stored.  The rows are consumed.
-
-    Columns are eliminated in increasing order, each on the sparsest row
-    that holds it (the lowest index among equals), and an update that
-    cancels exactly deletes the entry: Python ints, exact for any prime.
-    Over the primes rank_mod supports, the active block (rows left, columns
-    not yet eliminated) goes to rank_mod once it is large and filled in.
-
-    Given a list, pivots receives each pivot row as it leaves, (column j,
-    -1 / pivot, the rest of the row {c: residue}, all c > j), and the
-    elimination stays sparse to the end: the pivot rows are an echelon
-    basis of the row space (row_basis, nullspace_sparse)."""
-    live = {i: row for i, row in rows.items() if row}
-    cols = collections.defaultdict(set)      # column -> the live rows holding it
-    for i, row in live.items():
-        for j in row:
-            cols[j].add(i)
-    nnz = sum(map(len, live.values()))
-    order = sorted(cols)
-    dense = supported(p) and pivots is None
-    rank = 0
-    for n, j in enumerate(order):
-        if dense and fills(len(live), len(order) - n, nnz):
-            return rank + _rank_rows_dense(live, order[n:], p)
-        holders = cols.pop(j)
-        if not holders:
-            continue
-        r = min(holders, key=lambda i: (len(live[i]), i)) if len(holders) > 1 \
-            else next(iter(holders))
-        prow = live.pop(r)
-        neg_inv = p - pow(prow.pop(j), -1, p)
-        if pivots is not None:
-            pivots.append((j, neg_inv, prow))
-        holders.discard(r)
-        for c in prow:
-            cols[c].discard(r)
-        nnz -= 1 + len(prow)
-        rank += 1
-        if not holders:
-            continue
-        update = [(c, v * neg_inv % p) for c, v in prow.items()]
-        for i in holders:
-            row = live[i]
-            f = row.pop(j)
-            nnz -= 1
-            for c, v in update:
-                x = row.get(c)
-                if x is None:
-                    row[c] = f * v % p
-                    cols[c].add(i)
-                    nnz += 1
-                else:
-                    x = (x + f * v) % p
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
-                        cols[c].discard(i)
-                        nnz -= 1
-            if not row:
-                del live[i]
-    return rank
-
-
-def row_basis(rows: dict, p: int) -> list[dict]:
-    """A basis {j: residue} of the span of the rows {i: {j: residue}}
-    (consumed): rank_sparse's pivot rows scaled to 1 at the pivot column."""
-    pivots: list = []
-    rank_sparse(rows, p, pivots)
-    return [{j: 1, **{c: v * (p - neg_inv) % p for c, v in prow.items()}}
-            for j, neg_inv, prow in pivots]
-
-
-def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
-    """A basis of {x : M x = 0} for M with rows {i: {j: residue}}
-    (consumed) over the columns 0..ncols-1: for each column f without a
-    pivot in rank_sparse, the x {j: residue} with x_f = 1 and 0 at the
-    other pivotless columns, keyed by f.  The pivot rows span M's rows and
-    each reaches only later columns, so x_j = -(1 / pivot) sum_c M_jc x_c
-    is solved from the last pivot back; a pivot after f gets x_j = 0."""
-    pivots: list = []
-    rank_sparse(rows, p, pivots)
-    pivots.reverse()
-    kernel = {}
-    for f in sorted(set(range(ncols)).difference(j for j, _, _ in pivots)):
-        x = {f: 1}
-        for j, neg_inv, prow in pivots:
-            if j < f:
-                acc = sum(v * x[c] for c, v in prow.items() if c in x) % p
-                if acc:
-                    x[j] = acc * neg_inv % p
-        kernel[f] = x
-    return kernel
-
-
-def solve_sparse(rows: dict, n: int, m: int, p: int) -> list[dict] | None:
-    """The m columns {j: residue} of X with A X = B, for A square of size n
-    and B n x m given as the rows {i: {j: residue}} of [A | -B], B's column
-    b at n + b (consumed); None when A is singular.  Column b of X is the
-    j < n part of nullspace_sparse's vector for the pivotless column n + b,
-    since A x = B e_b; a pivotless column of A makes A singular."""
-    kernel = nullspace_sparse(rows, n + m, p)
-    if any(f < n for f in kernel):
-        return None
-    return [{j: v for j, v in kernel[n + b].items() if j < n} for b in range(m)]
-
-
-def fills(rows: int, cols: int, nnz: int) -> bool:
-    """Whether rank_sparse hands an active block of this shape and nonzero
-    count to rank_mod (whenever p is supported)."""
-    return rows >= _DENSE_ROWS and nnz > _DENSE_FILL * rows * cols
-
-
-def _rank_rows_dense(live: dict, order: list, p: int) -> int:
+def rank_rows(live: dict, order: list, p: int) -> int:
     """rank_mod of the rows in live, whose entries lie in the sorted columns
     order."""
     chain = itertools.chain.from_iterable
@@ -444,3 +275,25 @@ def _rank_rows_dense(live: dict, order: list, p: int) -> int:
       np.fromiter(map(at.__getitem__, chain(live.values())), dtype=np.intp, count=nnz)] = \
         np.fromiter(chain(map(dict.values, live.values())), dtype=np.uint64, count=nnz)
     return rank_mod(A, p)
+
+
+def array(m):
+    """The residues of a DenseMatrix as a (rows, cols) array."""
+    return np.array(m.data, dtype=np.uint64).reshape(m.rows, m.cols)
+
+
+def stack(t):
+    """The matrices of a MatrixTuple as an (n, d, d) array."""
+    return np.array([m.data for m in t.mats], dtype=np.uint64).reshape(t.n, t.d, t.d)
+
+
+def pencil_coeffs(L):
+    """The coefficients of a LinearPencil scattered into an (nvars+1, size,
+    size) array."""
+    arr = np.zeros((L.nvars + 1, L.size, L.size), dtype=np.uint64)
+    if L.entries:
+        ks, rs, cs, vs = zip(*((k, r, c, v)
+                               for (r, c), e in L.entries.items()
+                               for k, v in e.items()))
+        arr[ks, rs, cs] = np.array(vs, dtype=np.uint64)
+    return arr

@@ -4,8 +4,11 @@ Scalars live in a prime field F_p (default p = 2^61 - 1) or in the exact
 rationals.  Prime-field elements are canonical residues held as plain
 ints; rational elements are fractions.Fraction in lowest terms.  Matrices
 are immutable-by-convention row-major containers with exact rank,
-inverse, solve, and Kronecker product.  Randomness only ever enters
-through explicitly passed seeded generators.
+inverse, solve, and Kronecker product.  Over the fast primes
+(_sparse.supported) rank and solve run sparse elimination on Python ints,
+and only a matrix that fills in (_sparse.fills) loads the dense kernel,
+_modnum.  Randomness only ever enters through explicitly passed seeded
+generators.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import _modnum
+from . import _sparse
 
 MERSENNE61 = (1 << 61) - 1
 DEFAULT_PRIME = MERSENNE61
@@ -27,11 +28,18 @@ class Singular(Exception):
     """The matrix (or scalar) has no inverse."""
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is deterministic below psi_13
+# (Sorenson and Webster); the 12 bases 2..37 fail at psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic for n < 3.3e24."""
+    """Miller-Rabin with fixed bases; deterministic for n < _MR_BOUND."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -39,7 +47,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -61,6 +69,8 @@ class PrimeField:
     def __post_init__(self):
         if self.p < 3:
             raise ValueError("prime modulus must be at least 3")
+        if self.p >= _MR_BOUND:
+            raise ValueError(f"prime modulus must be below {_MR_BOUND}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -313,18 +323,8 @@ class DenseMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    # -- numpy bridge (prime fields only) -------------------------------
-
-    def _np(self):
-        return np.array(self.data, dtype=np.uint64).reshape(self.rows, self.cols)
-
-    @staticmethod
-    def _from_np(field: Field, arr) -> "DenseMatrix":
-        r, c = arr.shape
-        return DenseMatrix(field, r, c, [int(x) for x in arr.ravel()])
-
     def _fast(self) -> bool:
-        return self.field.kind == "prime" and _modnum.supported(self.field.p)
+        return self.field.kind == "prime" and _sparse.supported(self.field.p)
 
 
 def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -332,8 +332,6 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.field != b.field:
         raise ValueError("field mismatch")
     f = a.field
-    if a._fast():
-        return DenseMatrix._from_np(f, _modnum.kron_mod(a._np(), b._np(), f.p))
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     out = [f.zero] * (rows * cols)
@@ -376,12 +374,21 @@ def _rank_generic(m: DenseMatrix) -> int:
 
 
 def rank_of(m: DenseMatrix) -> int:
-    """Exact rank by Gaussian elimination with first-nonzero pivoting."""
+    """Exact rank: over the fast primes, _sparse.rank_sparse on the
+    nonzeros, which hands a matrix that fills in to the dense kernel;
+    elsewhere Gaussian elimination with first-nonzero pivoting."""
     if m.rows == 0 or m.cols == 0:
         return 0
     if m._fast():
-        return _modnum.rank_mod(m._np(), m.field.p)
+        return _sparse.rank_sparse(_nonzeros(m), m.field.p)
     return _rank_generic(m)
+
+
+def _nonzeros(m: DenseMatrix) -> dict:
+    """The rows {i: {j: residue}} of m, no zero stored."""
+    c = m.cols
+    return {i: {j: x for j, x in enumerate(m.data[i * c:(i + 1) * c]) if x}
+            for i in range(m.rows)}
 
 
 def _invert_generic(m: DenseMatrix) -> DenseMatrix:
@@ -422,22 +429,23 @@ def invert(m: DenseMatrix) -> DenseMatrix:
 
 def solve(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """X with a @ X = b for square invertible a; raises Singular otherwise.
-    Over the fast primes a system that fills in (_modnum.fills) is solved
-    by dense elimination, any other by sparse elimination."""
+    Over the fast primes a system that fills in (_sparse.fills) is solved
+    by the dense kernel, any other by sparse elimination."""
     if not a.is_square or a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
     n, m, f = a.rows, b.cols, a.field
     if not a._fast():
         return _invert_generic(a).matmul(b)
-    rows = {i: {j: x for j, x in enumerate(a.row(i)) if x} for i in range(n)}
+    rows = _nonzeros(a)
     for i in range(n):
         rows[i].update((n + c, f.p - x) for c, x in enumerate(b.row(i)) if x)
-    if _modnum.fills(n, n + m, sum(map(len, rows.values()))):
-        out = _modnum.solve_mod(a._np(), b._np(), f.p)
+    if _sparse.fills(n, n + m, sum(map(len, rows.values()))):
+        from . import _modnum
+        out = _modnum.solve_mod(_modnum.array(a), _modnum.array(b), f.p)
         if out is None:
             raise Singular("matrix is singular")
-        return DenseMatrix._from_np(f, out)
-    cols = _modnum.solve_sparse(rows, n, m, f.p)
+        return DenseMatrix(f, n, m, out.ravel().tolist())
+    cols = _sparse.solve_sparse(rows, n, m, f.p)
     if cols is None:
         raise Singular("matrix is singular")
     return DenseMatrix(f, n, m, [col.get(i, 0) for i in range(n) for col in cols])
@@ -465,10 +473,6 @@ class MatrixTuple:
     @property
     def n(self) -> int:
         return len(self.mats)
-
-    def _np_stack(self):
-        return np.stack([m._np() for m in self.mats]) if self.mats else \
-            np.zeros((0, self.d, self.d), dtype=np.uint64)
 
 
 def sample_tuple(field: Field, n: int, d: int, rng: random.Random | int) -> MatrixTuple:

@@ -36,9 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _modnum
+from . import _sparse
 from .circuit import Abp, IdrCircuit
 from .field import (QQ, DenseMatrix, Field, MatrixTuple, PrimeField, Singular,
                     rank_of, solve)
@@ -77,17 +75,6 @@ class LinearPencil:
             for k, v in e.items():
                 mats[k].data[r * N + c] = v
         return mats
-
-    def _np_coeffs(self):
-        """The coefficients scattered into an (nvars+1, size, size) uint64
-        array (fast prime fields only)."""
-        arr = np.zeros((self.nvars + 1, self.size, self.size), dtype=np.uint64)
-        if self.entries:
-            ks, rs, cs, vs = zip(*((k, r, c, v)
-                                   for (r, c), e in self.entries.items()
-                                   for k, v in e.items()))
-            arr[ks, rs, cs] = np.array(vs, dtype=np.uint64)
-        return arr
 
 
 def place_block(dst: Entries, block: Entries, ro: int = 0, co: int = 0,
@@ -133,14 +120,11 @@ def pencil_from_rows(field: Field, rows_per_coeff: list) -> LinearPencil:
 
 
 def eval_pencil(L: LinearPencil, t: MatrixTuple) -> DenseMatrix:
-    """A0 x I_d + sum Ai x t_i, an (s d) x (s d) matrix."""
+    """A0 x I_d + sum Ai x t_i, an (s d) x (s d) matrix: each entry's
+    blocks v * t_k (t_0 = I) added in place."""
     if L.nvars > t.n:
         raise ValueError("tuple has fewer matrices than the pencil has variables")
     f, d = L.field, t.d
-    if f.kind == "prime" and _modnum.supported(f.p):
-        arr = _modnum.eval_pencil_mod(L._np_coeffs(), t._np_stack(), d, f.p)
-        return DenseMatrix._from_np(f, arr)
-    # generic fields: add each entry's blocks v * t_k (t_0 = I) in place
     n = L.size * d
     out = DenseMatrix.zeros(f, n, n)
     mats = (DenseMatrix.identity(f, d),) + t.mats
@@ -180,7 +164,7 @@ class RealizedEntry:
         """The (row, col) block of L(t)^{-1}; raises Singular when L(t) is not
         invertible (the element is undefined at t).
 
-        Over the fast primes, unless the evaluation fills in (_modnum.fills),
+        Over the fast primes, unless the evaluation fills in (_sparse.fills),
         the d columns needed are solved from the sparse rows of [L(t) | -E],
         E the identity's block column col, built straight from the entries;
         elsewhere L(t) is evaluated densely and solved."""
@@ -188,11 +172,11 @@ class RealizedEntry:
         f = L.field
         rows_at = _SparseEval(L)
         n = L.size * d
-        if rows_at.fast and not _modnum.fills(n, n + d, rows_at.nnz(d) + d):
+        if rows_at.fast and not _sparse.fills(n, n + d, rows_at.nnz(d) + d):
             rows = rows_at(t)
             for b in range(d):
                 rows[(self.col - 1) * d + b][n + b] = f.p - 1
-            cols = _modnum.solve_sparse(rows, n, d, f.p)
+            cols = _sparse.solve_sparse(rows, n, d, f.p)
             if cols is None:
                 raise Singular("matrix is singular")
             top = (self.row - 1) * d
@@ -447,7 +431,7 @@ class _SparseEval:
     def __init__(self, L: LinearPencil):
         self.field = L.field
         self.nvars = L.nvars
-        self.fast = L.field.kind == "prime" and _modnum.supported(L.field.p)
+        self.fast = L.field.kind == "prime" and _sparse.supported(L.field.p)
         # per row, the columns of its entries with a variable and its
         # constant-only entries (col, constant); and the entries with a
         # variable, (constant, ((k, value), ...)), in (row, col) order
@@ -617,16 +601,16 @@ class PencilOracle:
     pivots out constant rows, then constant columns, reading L's entries in
     place and doing field arithmetic only where a pivot fills in, the same
     code over every field; L is not modified, and the core may share entry
-    dicts with it.  Over the primes _modnum supports, core(t) is built as
+    dicts with it.  Over the primes _sparse supports, core(t) is built as
     sparse rows straight from the core's entries and ranked by
-    _modnum.rank_sparse."""
+    _sparse.rank_sparse, unless it fills in and goes to the dense kernel."""
 
     def __init__(self, L: LinearPencil):
         self.field = L.field
         self.size = L.size
         self.base, self.core = _reduce(L)
         self._eval_rows = _SparseEval(self.core)
-        self._coeffs = None                  # core._np_coeffs(), once needed
+        self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
 
     @property
     def core_size(self) -> int:
@@ -638,7 +622,7 @@ class PencilOracle:
         n = 180, building and scattering them back cost ~40% of rank_mod,
         evaluating it densely 5-17%."""
         n = self.core.size * d
-        return _modnum.fills(n, n, self._eval_rows.nnz(d))
+        return _sparse.fills(n, n, self._eval_rows.nnz(d))
 
     def rank_at(self, t: MatrixTuple) -> int:
         d = t.d
@@ -647,11 +631,12 @@ class PencilOracle:
         if not self._eval_rows.fast:
             return self.base * d + rank_of(eval_pencil(self.core, t))
         if self._dense_at(d):
+            from . import _modnum
             if self._coeffs is None:
-                self._coeffs = self.core._np_coeffs()
-            ev = _modnum.eval_pencil_mod(self._coeffs, t._np_stack(), d, self.field.p)
+                self._coeffs = _modnum.pencil_coeffs(self.core)
+            ev = _modnum.eval_pencil_mod(self._coeffs, _modnum.stack(t), d, self.field.p)
             return self.base * d + _modnum.rank_mod(ev, self.field.p)
-        return self.base * d + _modnum.rank_sparse(self._eval_rows(t), self.field.p)
+        return self.base * d + _sparse.rank_sparse(self._eval_rows(t), self.field.p)
 
     def is_invertible_at(self, t: MatrixTuple) -> bool:
         return self.rank_at(t) == self.size * t.d
@@ -700,7 +685,7 @@ class PencilOracle:
                 for i, v in tau.items():
                     for a in range(d):
                         rows[i * d + a][nd + q * d + a] = p - v
-            kernel = _modnum.nullspace_sparse(rows, nd + len(T) * d, p)
+            kernel = _sparse.nullspace_sparse(rows, nd + len(T) * d, p)
             if any(nd + c not in kernel for c in range(len(T) * d)):
                 return None
             slices: dict[tuple, dict] = {}
@@ -709,7 +694,7 @@ class PencilOracle:
                     if j < nd:
                         i, a = divmod(j, d)
                         slices.setdefault((f, a), {})[i] = v
-            S = _modnum.row_basis(dict(enumerate(slices.values())), p)
+            S = _sparse.row_basis(dict(enumerate(slices.values())), p)
             images: dict[tuple, dict] = {}     # (s, k) -> A_k s
             for q, s in enumerate(S):
                 for c, x in s.items():
@@ -717,7 +702,7 @@ class PencilOracle:
                         for k, v in e.items():
                             img = images.setdefault((q, k), {})
                             img[r] = (img.get(r, 0) + v * x) % p
-            grown = _modnum.row_basis(
+            grown = _sparse.row_basis(
                 {m: {r: y for r, y in img.items() if y}
                  for m, img in enumerate(images.values())}, p)
             if len(S) - len(grown) >= deficit:

@@ -235,6 +235,8 @@ def test_rational_zero_bound_is_over_the_sampled_set():
 
 
 BAD_POINT_FILES = {
+    # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+    "composite-prime": "field prime 318665857834031151167461\nnvars 1\ndim 1\n3\n",
     "short-field-line": "field prime\n",
     "missing-dim": "field prime 7\nnvars 1\n",
     "missing-row": "field prime 7\nnvars 1\ndim 2\n1 2\n",
@@ -248,6 +250,17 @@ def test_malformed_point_file_exits_two(tmp_path, capsys, name):
     status, _ = run(["eval", "x1", "--point", str(path)])
     err = capsys.readouterr().err
     assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("prime", ["318665857834031151167461",
+                                   "3317044064679887385961981"])
+def test_prime_that_miller_rabin_cannot_decide_exits_two(capsys, prime):
+    # a composite that passes the bases 2..37, and the first number from
+    # which the bases 2..41 no longer decide primality
+    status, out = run(["rit", "x1*x2 - x2*x1", "--prime", prime])
+    err = capsys.readouterr().err
+    assert status == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags, status, field", [

@@ -59,12 +59,25 @@ def test_prime_field_parses_fractions():
     assert F7.parse("2/3") == F7.mul(2, F7.inv(3))
 
 
+PSI12 = 318665857834031151167461        # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
+
 def test_prime_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         PrimeField(2 ** 61 + 129)  # composite
     with pytest.raises(ValueError):
         PrimeField(91)
+    # a strong pseudoprime to the 12 prime bases 2..37, caught by base 41
+    assert PSI12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(PSI12)
     PrimeField(2 ** 61 + 15)  # prime, accepted
+    PrimeField(PSI13 - 168)   # the largest prime below the bound, accepted
+    # psi13 passes all 13 bases: from it on, the bases do not decide primality
+    for p in (PSI13, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(PSI13)):
+            PrimeField(p)
 
 
 @given(scalars, scalars)
@@ -156,7 +169,7 @@ def test_rank_transpose_and_product_bound(rng):
 
 
 def test_rank_generic_matches_fast_path(rng):
-    # same matrices through the numpy kernel and the pure-Python elimination
+    # same matrices through rank_sparse and the generic elimination
     from ncrat.field import _rank_generic
     for _ in range(10):
         m = rand_mat(F, 5, 5, rng)
@@ -200,15 +213,34 @@ def residue_stacks(draw):
 @given(residue_stacks())
 @settings(max_examples=80, deadline=None)
 def test_rank_mod_matches_generic(case):
-    # every matrix of the stack, through whichever path its shape takes
-    # (Python ints, or the blocked kernel)
+    # every matrix of the stack, through the blocked kernel and through
+    # rank_of, which ranks these (at most 40 rows) by sparse elimination
     from ncrat._modnum import rank_mod
     from ncrat.field import _rank_generic
     p, stack = case
     Fp = PrimeField(p)
     B, n, m = stack.shape
     for a in stack:
-        assert rank_mod(a, p) == _rank_generic(DenseMatrix(Fp, n, m, [int(x) for x in a.ravel()]))
+        dense = DenseMatrix(Fp, n, m, a.ravel().tolist())
+        expect = _rank_generic(dense)
+        assert rank_mod(a, p) == expect
+        assert rank_of(dense) == expect
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, (1 << 31) - 1])
+def test_filled_matrix_rank_goes_through_the_dense_kernel(monkeypatch, p):
+    # an 80 x 80 product of planted rank 61 fills in, so rank_sparse hands
+    # the whole matrix to the blocked kernel before eliminating a column
+    from ncrat import _modnum
+    from ncrat.field import _rank_generic
+    field, rng = PrimeField(p), random.Random(80)
+    a = rand_mat(field, 80, 61, rng).matmul(rand_mat(field, 61, 80, rng))
+    seen = []
+    rank_rows = _modnum.rank_rows
+    monkeypatch.setattr(_modnum, "rank_rows", lambda live, order, p:
+                        seen.append((len(live), len(order))) or rank_rows(live, order, p))
+    assert rank_of(a) == _rank_generic(a) == 61
+    assert seen == [(80, 80)]
 
 
 @st.composite
@@ -243,7 +275,7 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_sparse_matches_generic(case):
-    from ncrat._modnum import rank_sparse
+    from ncrat._sparse import rank_sparse
     from ncrat.field import _rank_generic
     p, n, m, a = case
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
@@ -257,7 +289,7 @@ def test_nullspace_and_row_basis_match_generic(case):
     # the kernel has m - rank vectors, each keyed by its pivotless column
     # (1 there, 0 at the other keys) and killed by every row; the row basis
     # has rank vectors and spans the rows
-    from ncrat._modnum import nullspace_sparse, row_basis
+    from ncrat._sparse import nullspace_sparse, row_basis
     from ncrat.field import _rank_generic
     p, n, m, a = case
     Fp = PrimeField(p)
@@ -282,7 +314,7 @@ def test_nullspace_and_row_basis_match_generic(case):
 
 @pytest.mark.parametrize("p", [7, 101, (1 << 31) - 1, DEFAULT_PRIME])
 def test_nullspace_and_row_basis_of_empty_matrices(p):
-    from ncrat._modnum import nullspace_sparse, row_basis
+    from ncrat._sparse import nullspace_sparse, row_basis
     assert nullspace_sparse({}, 0, p) == {} and row_basis({}, p) == []
     assert nullspace_sparse({0: {}, 1: {}}, 2, p) == {0: {0: 1}, 1: {1: 1}}
     assert row_basis({0: {}, 1: {}}, p) == []
@@ -376,24 +408,24 @@ def test_solve_matches_generic_inverse(p, n, rank, m, seed):
 def test_solve_mod_matches_generic_inverse(p, n, rank, m, seed):
     # a has rank min(rank, n), planted as a product of n x k and k x n;
     # m = 0 draws b = I, so the solution is the inverse itself
-    from ncrat._modnum import solve_mod
+    from ncrat._modnum import array, solve_mod
     field, rng = PrimeField(p), random.Random(seed)
     k = min(rank, n)
     a = rand_mat(field, n, k, rng).matmul(rand_mat(field, k, n, rng))
     b = rand_mat(field, n, m, rng) if m else DenseMatrix.identity(field, n)
-    got = solve_mod(a._np(), b._np(), p)
+    got = solve_mod(array(a), array(b), p)
     try:
         expect = _invert_generic(a).matmul(b)
     except Singular:
         assert got is None
     else:
-        assert got is not None and DenseMatrix._from_np(field, got) == expect
+        assert got is not None and got.tolist() == expect.to_lists()
 
 
 @pytest.fixture
 def dense_route(monkeypatch):
     """Counts solve_mod calls, and fails any call to solve_sparse."""
-    from ncrat import _modnum
+    from ncrat import _modnum, _sparse
     calls = []
     solve_mod = _modnum.solve_mod
 
@@ -405,7 +437,7 @@ def dense_route(monkeypatch):
         raise AssertionError("a dense system went to solve_sparse")
 
     monkeypatch.setattr(_modnum, "solve_mod", counted)
-    monkeypatch.setattr(_modnum, "solve_sparse", sparse)
+    monkeypatch.setattr(_sparse, "solve_sparse", sparse)
     return calls
 
 

@@ -505,7 +505,7 @@ def test_oracle_rational_field(rng):
 
 def test_oracle_generic_field_path(rng):
     from ncrat.field import PrimeField
-    SMALLF = PrimeField(2 ** 61 + 15)  # prime, outside the numpy fast paths
+    SMALLF = PrimeField(2 ** 61 + 15)  # prime, outside the fast primes
     rows0 = [[1, 0], [0, 1]]
     rowsx = [[0, 1], [1, 0]]
     L = pencil_from_rows(SMALLF, [rows0, rowsx])

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrat import _modnum
+from ncrat import _modnum, _sparse
 from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, Singular,
                          _invert_generic, kron, rank_of, sample_tuple)
 from ncrat.pencil import (LinearPencil, PencilOracle, RealizedEntry,
                           dump_pencil, eval_pencil, parse_pencil)
 
-# a small prime and M61 take the numpy path; Q and a prime above 2^61
-# outside the supported moduli take the generic one
+# a small prime and M61 take the sparse and dense kernels; Q and a prime
+# above 2^61 outside the supported moduli take the generic elimination
 FIELDS = (PrimeField(7), PrimeField(MERSENNE61), PrimeField(2 ** 61 + 15), QQ)
 
 
@@ -97,9 +97,10 @@ def test_dense_core_is_ranked_densely(monkeypatch, p):
     L = LinearPencil(field, 24, 3, entries)
     oracle = PencilOracle(L)
     t = sample_tuple(field, 3, 4, 7)
+    expect = rank_of(eval_pencil(L, t))       # rank_of goes through rank_sparse
     calls = []
-    monkeypatch.setattr(_modnum, "rank_sparse", lambda *a: calls.append(a))
-    assert oracle.rank_at(t) == rank_of(eval_pencil(L, t)) == 23 * 4
+    monkeypatch.setattr(_sparse, "rank_sparse", lambda *a: calls.append(a))
+    assert oracle.rank_at(t) == expect == 23 * 4
     assert oracle.shrunk_subspace(t) is None
     assert not calls
 
@@ -118,8 +119,8 @@ def test_arrow_core_fills_in_and_is_handed_off(monkeypatch, p):
     L = LinearPencil(field, 12, 3, entries)
     oracle = PencilOracle(L)
     seen = []                  # (rows, columns) of each block handed off
-    dense = _modnum._rank_rows_dense
-    monkeypatch.setattr(_modnum, "_rank_rows_dense", lambda live, order, p:
+    dense = _modnum.rank_rows
+    monkeypatch.setattr(_modnum, "rank_rows", lambda live, order, p:
                         seen.append((len(live), len(order))) or dense(live, order, p))
     for seed in range(3):
         t = sample_tuple(field, 3, 8, seed)
@@ -173,7 +174,7 @@ def test_filled_value_at_is_solved_densely(monkeypatch, p):
                for r in range(20) for c in range(20)}
     e = RealizedEntry(LinearPencil(field, 20, 2, entries), 20, 3)
     t = sample_tuple(field, 2, 4, 5)
-    monkeypatch.setattr(_modnum, "solve_sparse", None)
+    monkeypatch.setattr(_sparse, "solve_sparse", None)
     assert _value(e, t) == _dense_value(e, t)
 
 

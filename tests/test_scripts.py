@@ -1,5 +1,5 @@
 """The example scripts run to completion (exit status 0), and so does
-`python -m ncrat`."""
+`python -m ncrat`; CLI runs that never fill a matrix leave numpy unloaded."""
 
 import os
 import subprocess
@@ -28,3 +28,29 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("command rit\nverdict ZERO\n")
+
+
+NUMPY_PROBE = """
+import contextlib, io, random, sys
+import ncrat, ncrat.cli
+from ncrat import cli
+from ncrat.field import MERSENNE61, DenseMatrix, PrimeField, invert
+for argv in (["rit", "x1 - x1"], ["ncrank", "--file", "data/higman.skm", "--json"],
+             ["compile", "inv(x1)*x2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("numpy" in sys.modules, "ncrat._modnum" in sys.modules)
+F = PrimeField(MERSENNE61)
+invert(DenseMatrix.random(F, 64, 64, random.Random(1)))
+print("numpy" in sys.modules, "ncrat._modnum" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_a_matrix_that_fills_in():
+    # three CLI runs rank, solve and compile only sparse matrices; a dense
+    # 64 x 64 inverse fills in and loads the dense kernel, numpy with it
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\nTrue True\n"
