@@ -3,9 +3,11 @@
 The only module of ncrat that imports numpy, and imported on first dense
 use: when a matrix fills in (_sparse.fills), rank_sparse hands it its
 active block, field.solve its system and the structural oracle its core.
-Two fast paths (_sparse.supported): the Mersenne prime 2^61 - 1, whose
-products use split-limb arithmetic and shift folding, and primes below
-2^31, where raw 64-bit products cannot overflow.
+It serves only the primes _sparse.supported accepts, and _sparse.fills
+never sends it another field: the Mersenne prime 2^61 - 1, whose products
+use split-limb arithmetic and shift folding, and primes below 2^31, where
+raw 64-bit products cannot overflow.  Its limb arithmetic is wrong mod
+any other number, and it has no rationals.
 
 Matrix products mod p (matmul_mod) are float64 BLAS products of 21-bit
 limbs, exact while the inner dimension of one product is at most 682.

@@ -1,24 +1,29 @@
-"""Sparse prime-field elimination on Python ints.
+"""Exact sparse elimination over any field, on Python numbers.
 
-Matrices are rows {i: {j: residue}} with no zero stored.  rank_sparse
-eliminates columns in order on the sparsest row, exact for any prime; the
+A field is given by its characteristic p: a prime, whose elements are
+residues (ints in [0, p)), or 0 for the rationals, whose elements are
+fractions.Fraction.  Matrices are rows {i: {j: value}} with no zero
+stored.  rank_sparse eliminates columns in order on the sparsest row; the
 same elimination, kept sparse to the end, gives row_basis,
 nullspace_sparse and solve_sparse.  fills is the one rule that sends a
 matrix, or the active block of an elimination, to the dense kernel in
-_modnum, which is imported only then and serves the primes for which
+_modnum, which is imported only then and serves only the primes for which
 supported holds: the Mersenne prime 2^61 - 1 and the primes below 2^31.
+Over Q and every other prime the elimination stays here to the end.
 This module imports nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import collections
+from fractions import Fraction
 
 M61 = (1 << 61) - 1
 
 
 def supported(p: int) -> bool:
-    return p == M61 or p < (1 << 31)
+    """Whether _modnum's limb arithmetic is exact mod p: never for Q (0)."""
+    return p == M61 or 0 < p < (1 << 31)
 
 
 # rank_sparse hands its active block to rank_mod once the block has at least
@@ -35,24 +40,26 @@ _DENSE_ROWS = 64
 _DENSE_FILL = 0.3
 
 
-def fills(rows: int, cols: int, nnz: int) -> bool:
-    """Whether rank_sparse hands an active block of this shape and nonzero
-    count to rank_mod (whenever p is supported)."""
-    return rows >= _DENSE_ROWS and nnz > _DENSE_FILL * rows * cols
+def fills(p: int, rows: int, cols: int, nnz: int) -> bool:
+    """Whether a matrix or active block of this shape and nonzero count,
+    over the field of characteristic p, goes to the dense kernel: it fills
+    in and _modnum supports p."""
+    return rows >= _DENSE_ROWS and nnz > _DENSE_FILL * rows * cols and supported(p)
 
 
 def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
-    """Rank mod the prime p of the matrix with rows {i: {j: residue}}, no
-    zero stored.  The rows are consumed.
+    """Rank over the field of characteristic p (0 for Q) of the matrix with
+    rows {i: {j: value}}, no zero stored.  The rows are consumed.
 
     Columns are eliminated in increasing order, each on the sparsest row
     that holds it (the lowest index among equals), and an update that
-    cancels exactly deletes the entry: Python ints, exact for any prime.
-    Over the supported primes, the active block (rows left, columns not
-    yet eliminated) goes to _modnum's dense rank_mod once it fills in.
+    cancels exactly deletes the entry: exact over every field, residues
+    reduced mod p as they are made, fractions in lowest terms.  Over the
+    supported primes, the active block (rows left, columns not yet
+    eliminated) goes to _modnum's dense rank_mod once it fills in.
 
     Given a list, pivots receives each pivot row as it leaves, (column j,
-    -1 / pivot, the rest of the row {c: residue}, all c > j), and the
+    -1 / pivot, the rest of the row {c: value}, all c > j), and the
     elimination stays sparse to the end: the pivot rows are an echelon
     basis of the row space (row_basis, nullspace_sparse)."""
     live = {i: row for i, row in rows.items() if row}
@@ -62,10 +69,9 @@ def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
             cols[j].add(i)
     nnz = sum(map(len, live.values()))
     order = sorted(cols)
-    dense = supported(p) and pivots is None
     rank = 0
     for n, j in enumerate(order):
-        if dense and fills(len(live), len(order) - n, nnz):
+        if pivots is None and fills(p, len(live), len(order) - n, nnz):
             from . import _modnum
             return rank + _modnum.rank_rows(live, order[n:], p)
         holders = cols.pop(j)
@@ -74,7 +80,8 @@ def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
         r = min(holders, key=lambda i: (len(live[i]), i)) if len(holders) > 1 \
             else next(iter(holders))
         prow = live.pop(r)
-        neg_inv = p - pow(prow.pop(j), -1, p)
+        alpha = prow.pop(j)
+        neg_inv = p - pow(alpha, -1, p) if p else -1 / Fraction(alpha)
         if pivots is not None:
             pivots.append((j, neg_inv, prow))
         holders.discard(r)
@@ -84,7 +91,8 @@ def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
         rank += 1
         if not holders:
             continue
-        update = [(c, v * neg_inv % p) for c, v in prow.items()]
+        update = [(c, v * neg_inv % p) for c, v in prow.items()] if p else \
+            [(c, v * neg_inv) for c, v in prow.items()]
         for i in holders:
             row = live[i]
             f = row.pop(j)
@@ -92,11 +100,13 @@ def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
             for c, v in update:
                 x = row.get(c)
                 if x is None:
-                    row[c] = f * v % p
+                    row[c] = f * v % p if p else f * v
                     cols[c].add(i)
                     nnz += 1
                 else:
-                    x = (x + f * v) % p
+                    x += f * v
+                    if p:
+                        x %= p
                     if x:
                         row[c] = x
                     else:
@@ -109,18 +119,35 @@ def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
 
 
 def row_basis(rows: dict, p: int) -> list[dict]:
-    """A basis {j: residue} of the span of the rows {i: {j: residue}}
-    (consumed): rank_sparse's pivot rows scaled to 1 at the pivot column."""
+    """The reduced echelon basis {j: value} of the span of the rows {i: {j:
+    value}} (consumed): rank_sparse's pivot rows scaled to 1 at the pivot
+    column, and cleared, from the last back, at every later pivot column.
+    It depends only on the span, not on the rows that gave it, so over Q
+    its entries do not grow when a basis is fed back in."""
     pivots: list = []
     rank_sparse(rows, p, pivots)
-    return [{j: 1, **{c: v * (p - neg_inv) % p for c, v in prow.items()}}
-            for j, neg_inv, prow in pivots]
+    basis: dict = {}                     # pivot column -> its reduced row
+    for j, neg_inv, prow in reversed(pivots):
+        row = {c: v * -neg_inv % p if p else v * -neg_inv for c, v in prow.items()}
+        for c in [c for c in row if c in basis]:
+            f = row[c]
+            for c2, v in basis[c].items():      # clears c itself, where v = 1
+                x = row.get(c2, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    row[c2] = x
+                else:
+                    row.pop(c2, None)
+        row[j] = 1
+        basis[j] = row
+    return [basis[j] for j, _, _ in pivots]
 
 
 def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
-    """A basis of {x : M x = 0} for M with rows {i: {j: residue}}
+    """A basis of {x : M x = 0} for M with rows {i: {j: value}}
     (consumed) over the columns 0..ncols-1: for each column f without a
-    pivot in rank_sparse, the x {j: residue} with x_f = 1 and 0 at the
+    pivot in rank_sparse, the x {j: value} with x_f = 1 and 0 at the
     other pivotless columns, keyed by f.  The pivot rows span M's rows and
     each reaches only later columns, so x_j = -(1 / pivot) sum_c M_jc x_c
     is solved from the last pivot back; a pivot after f gets x_j = 0."""
@@ -132,16 +159,18 @@ def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
         x = {f: 1}
         for j, neg_inv, prow in pivots:
             if j < f:
-                acc = sum(v * x[c] for c, v in prow.items() if c in x) % p
+                acc = sum(v * x[c] for c, v in prow.items() if c in x)
+                if p:
+                    acc %= p
                 if acc:
-                    x[j] = acc * neg_inv % p
+                    x[j] = acc * neg_inv % p if p else acc * neg_inv
         kernel[f] = x
     return kernel
 
 
 def solve_sparse(rows: dict, n: int, m: int, p: int) -> list[dict] | None:
-    """The m columns {j: residue} of X with A X = B, for A square of size n
-    and B n x m given as the rows {i: {j: residue}} of [A | -B], B's column
+    """The m columns {j: value} of X with A X = B, for A square of size n
+    and B n x m given as the rows {i: {j: value}} of [A | -B], B's column
     b at n + b (consumed); None when A is singular.  Column b of X is the
     j < n part of nullspace_sparse's vector for the pivotless column n + b,
     since A x = B e_b; a pivotless column of A makes A singular."""

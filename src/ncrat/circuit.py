@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .field import DenseMatrix, Field, MatrixTuple, Singular, invert
+from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
+                    parse_number)
 
 LinForm = dict  # var index -> Fraction, key 0 is the constant slot
 
@@ -725,7 +726,7 @@ def parse_circuit(text: str) -> RationalCircuit:
                 raise ValueError(f"{kind} takes {_ARITY[kind]} argument(s)")
             nid = int(parts[0])
             if kind == "const":
-                raw[nid] = ("const", Fraction(parts[2]))
+                raw[nid] = ("const", Fraction(parse_number(parts[2])))
             else:
                 raw[nid] = (kind,) + tuple(int(x) for x in parts[2:])
             if kind == "var" and raw[nid][1] < 1:

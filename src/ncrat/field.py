@@ -2,18 +2,22 @@
 
 Scalars live in a prime field F_p (default p = 2^61 - 1) or in the exact
 rationals.  Prime-field elements are canonical residues held as plain
-ints; rational elements are fractions.Fraction in lowest terms.  Matrices
-are immutable-by-convention row-major containers with exact rank,
-inverse, solve, and Kronecker product.  Over the fast primes
-(_sparse.supported) rank and solve run sparse elimination on Python ints,
-and only a matrix that fills in (_sparse.fills) loads the dense kernel,
-_modnum.  Randomness only ever enters through explicitly passed seeded
-generators.
+ints; rational elements are fractions.Fraction in lowest terms.  Every
+field has a characteristic p, 0 for the rationals.  Matrices are
+immutable-by-convention row-major containers with exact rank, inverse,
+solve, and Kronecker product.  Over every field rank and solve run
+_sparse's elimination on Python numbers, given p; only a matrix that
+fills in over a prime that _sparse.fills accepts (2^61 - 1 or one below
+2^31) loads the dense kernel, _modnum.  Every number in an input file is
+read by parse_number.  Randomness only ever enters through explicitly
+passed seeded generators.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,6 +30,20 @@ DEFAULT_PRIME = MERSENNE61
 
 class Singular(Exception):
     """The matrix (or scalar) has no inverse."""
+
+
+_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_number(text: str) -> int | Fraction:
+    """The value of a number literal: [+-]digits, an int, or
+    [+-]digits/digits, a Fraction; no decimal point, exponent or
+    underscore.  ValueError for any other text, ZeroDivisionError for a
+    zero denominator."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"invalid number {text!r}: expected an integer or num/den")
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else int(num)
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is deterministic below psi_13
@@ -119,15 +137,13 @@ class PrimeField:
         return str(a)
 
     def parse(self, text: str) -> int:
-        if "/" in text:
-            num, den = text.split("/")
-            return self.normalize(Fraction(int(num), int(den)))
-        return int(text) % self.p
+        return self.normalize(parse_number(text))
 
 
 @dataclass(frozen=True)
 class RationalField:
     kind = "rational"
+    p = 0                  # the characteristic, which _sparse reads as Q
 
     def normalize(self, a) -> Fraction:
         return Fraction(a)
@@ -173,7 +189,7 @@ class RationalField:
         return f"{a.numerator}/{a.denominator}"
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text)
+        return Fraction(parse_number(text))
 
 
 Field = PrimeField | RationalField
@@ -286,30 +302,15 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         f = self.field
+        p, zero = f.p, f.zero
         n, k, m = self.rows, self.cols, other.cols
-        if f.kind == "prime":
-            p = f.p
-            out = [0] * (n * m)
-            a, b = self.data, other.data
-            for i in range(n):
-                arow = a[i * k:(i + 1) * k]
-                orow = out
-                base = i * m
-                for t in range(k):
-                    av = arow[t]
-                    if av:
-                        brow = b[t * m:(t + 1) * m]
-                        for j in range(m):
-                            orow[base + j] = (orow[base + j] + av * brow[j]) % p
-            return DenseMatrix(f, n, m, out)
-        out = [f.zero] * (n * m)
+        cols = [other.data[j::m] for j in range(m)]
+        out = []
         for i in range(n):
-            for t in range(k):
-                av = self.data[i * k + t]
-                if not f.is_zero(av):
-                    for j in range(m):
-                        out[i * m + j] = f.add(out[i * m + j],
-                                               f.mul(av, other.data[t * m + j]))
+            # each entry of row i summed unreduced, then reduced once
+            row = self.data[i * k:(i + 1) * k]
+            sums = [sum(map(operator.mul, row, col), zero) for col in cols]
+            out += [x % p for x in sums] if p else sums
         return DenseMatrix(f, n, m, out)
 
     def transpose(self) -> "DenseMatrix":
@@ -322,9 +323,6 @@ class DenseMatrix:
     def _check_shape(self, other: "DenseMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-    def _fast(self) -> bool:
-        return self.field.kind == "prime" and _sparse.supported(self.field.p)
 
 
 def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -347,73 +345,19 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(f, rows, cols, out)
 
 
-def _rank_generic(m: DenseMatrix) -> int:
-    f = m.field
-    a = [list(m.row(i)) for i in range(m.rows)]
-    n, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, n):
-            if not f.is_zero(a[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(r + 1, n):
-            if not f.is_zero(a[i][c]):
-                fac = a[i][c]
-                a[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == n:
-            break
-    return r
-
-
 def rank_of(m: DenseMatrix) -> int:
-    """Exact rank: over the fast primes, _sparse.rank_sparse on the
-    nonzeros, which hands a matrix that fills in to the dense kernel;
-    elsewhere Gaussian elimination with first-nonzero pivoting."""
+    """Exact rank: _sparse.rank_sparse on the nonzeros, which hands a
+    matrix that fills in (_sparse.fills) to the dense kernel."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m._fast():
-        return _sparse.rank_sparse(_nonzeros(m), m.field.p)
-    return _rank_generic(m)
+    return _sparse.rank_sparse(_nonzeros(m), m.field.p)
 
 
 def _nonzeros(m: DenseMatrix) -> dict:
-    """The rows {i: {j: residue}} of m, no zero stored."""
+    """The rows {i: {j: value}} of m, no zero stored."""
     c = m.cols
     return {i: {j: x for j, x in enumerate(m.data[i * c:(i + 1) * c]) if x}
             for i in range(m.rows)}
-
-
-def _invert_generic(m: DenseMatrix) -> DenseMatrix:
-    f = m.field
-    n = m.rows
-    a = [list(m.row(i)) + [f.one if j == i else f.zero for j in range(n)]
-         for i in range(n)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not f.is_zero(a[i][c]):
-                piv = i
-                break
-        if piv is None:
-            raise Singular("matrix is singular")
-        a[r], a[piv] = a[piv], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(n):
-            if i != r and not f.is_zero(a[i][c]):
-                fac = a[i][c]
-                a[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(a[i], a[r])]
-        r += 1
-    return DenseMatrix(f, n, n, [a[i][n + j] for i in range(n) for j in range(n)])
 
 
 def invert(m: DenseMatrix) -> DenseMatrix:
@@ -422,33 +366,30 @@ def invert(m: DenseMatrix) -> DenseMatrix:
         raise ValueError("only square matrices can be inverted")
     if m.rows == 0:
         return m
-    if m._fast():
-        return solve(m, DenseMatrix.identity(m.field, m.rows))
-    return _invert_generic(m)
+    return solve(m, DenseMatrix.identity(m.field, m.rows))
 
 
 def solve(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """X with a @ X = b for square invertible a; raises Singular otherwise.
-    Over the fast primes a system that fills in (_sparse.fills) is solved
-    by the dense kernel, any other by sparse elimination."""
+    A system that fills in (_sparse.fills) is solved by the dense kernel,
+    any other by sparse elimination."""
     if not a.is_square or a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
     n, m, f = a.rows, b.cols, a.field
-    if not a._fast():
-        return _invert_generic(a).matmul(b)
+    p, zero = f.p, f.zero
     rows = _nonzeros(a)
     for i in range(n):
-        rows[i].update((n + c, f.p - x) for c, x in enumerate(b.row(i)) if x)
-    if _sparse.fills(n, n + m, sum(map(len, rows.values()))):
+        rows[i].update((n + c, p - x) for c, x in enumerate(b.row(i)) if x)
+    if _sparse.fills(p, n, n + m, sum(map(len, rows.values()))):
         from . import _modnum
-        out = _modnum.solve_mod(_modnum.array(a), _modnum.array(b), f.p)
+        out = _modnum.solve_mod(_modnum.array(a), _modnum.array(b), p)
         if out is None:
             raise Singular("matrix is singular")
         return DenseMatrix(f, n, m, out.ravel().tolist())
-    cols = _sparse.solve_sparse(rows, n, m, f.p)
+    cols = _sparse.solve_sparse(rows, n, m, p)
     if cols is None:
         raise Singular("matrix is singular")
-    return DenseMatrix(f, n, m, [col.get(i, 0) for i in range(n) for col in cols])
+    return DenseMatrix(f, n, m, [col.get(i, zero) for i in range(n) for col in cols])
 
 
 def is_invertible(m: DenseMatrix) -> bool:

@@ -24,12 +24,13 @@ dicts.  The oracle reduces a pencil once by exact elimination at constant
 pivots, which reads those dicts in place and copies one only to write fill
 into it; most of the compiler's pivots have no fill and do no field
 arithmetic.  Only evaluation densifies, `eval_pencil` for one call and the
-oracle for a reduced core whose evaluations would be dense anyway; the
-oracle evaluates other cores into sparse rows, and a realized entry's
-value is solved from such rows.  From the same rows the oracle can look
-for a shrunk subspace of its core (the second Wong sequence), which bounds
-the pencil's rank at every tuple and, shrinking by one dimension, proves
-it singular; check_shrunk re-checks one by exact ranks.
+oracle for a reduced core whose evaluations fill in over a prime the
+dense kernel serves (_sparse.fills); the oracle evaluates every other
+core, over every field, Q included, into sparse rows, and a realized
+entry's value is solved from such rows.  From the same rows the oracle
+can look for a shrunk subspace of its core (the second Wong sequence),
+which bounds the pencil's rank at every tuple and, shrinking by one
+dimension, proves it singular; check_shrunk re-checks one by exact ranks.
 """
 
 from __future__ import annotations
@@ -164,23 +165,25 @@ class RealizedEntry:
         """The (row, col) block of L(t)^{-1}; raises Singular when L(t) is not
         invertible (the element is undefined at t).
 
-        Over the fast primes, unless the evaluation fills in (_sparse.fills),
-        the d columns needed are solved from the sparse rows of [L(t) | -E],
-        E the identity's block column col, built straight from the entries;
-        elsewhere L(t) is evaluated densely and solved."""
+        Over every field, the d columns needed are solved from the sparse
+        rows of [L(t) | -E], E the identity's block column col, built
+        straight from the entries; only an evaluation that fills in over a
+        prime the dense kernel supports (_sparse.fills) is evaluated
+        densely and solved."""
         L, d = self.pencil, t.d
         f = L.field
         rows_at = _SparseEval(L)
         n = L.size * d
-        if rows_at.fast and not _sparse.fills(n, n + d, rows_at.nnz(d) + d):
+        if not _sparse.fills(f.p, n, n + d, rows_at.nnz(d) + d):
             rows = rows_at(t)
+            minus_one, zero = f.neg(f.one), f.zero
             for b in range(d):
-                rows[(self.col - 1) * d + b][n + b] = f.p - 1
+                rows[(self.col - 1) * d + b][n + b] = minus_one
             cols = _sparse.solve_sparse(rows, n, d, f.p)
             if cols is None:
                 raise Singular("matrix is singular")
             top = (self.row - 1) * d
-            return DenseMatrix(f, d, d, [cols[b].get(top + a, 0)
+            return DenseMatrix(f, d, d, [cols[b].get(top + a, zero)
                                          for a in range(d) for b in range(d)])
         ev = eval_pencil(L, t)
         rhs = DenseMatrix.zeros(f, ev.rows, d)
@@ -424,14 +427,13 @@ def widen_entry(e: RealizedEntry, nvars: int) -> RealizedEntry:
 
 class _SparseEval:
     """Evaluations of a pencil at matrix tuples as sparse rows {i: {j:
-    value}} over the fast primes, built straight from its entries: an entry
-    with only a constant v0 is the diagonal v0 of its d x d block, one with
+    value}} over any field, built straight from its entries: an entry with
+    only a constant v0 is the diagonal v0 of its d x d block, one with
     variables the block v0 I + sum_k vk t_k, zeros dropped."""
 
     def __init__(self, L: LinearPencil):
         self.field = L.field
         self.nvars = L.nvars
-        self.fast = L.field.kind == "prime" and _sparse.supported(L.field.p)
         # per row, the columns of its entries with a variable and its
         # constant-only entries (col, constant); and the entries with a
         # variable, (constant, ((k, value), ...)), in (row, col) order
@@ -489,7 +491,7 @@ class _SparseEval:
             if v0:
                 for q in range(0, d * d, d + 1):
                     blk[q] += v0
-            blks.append([x % p for x in blk])
+            blks.append([x % p for x in blk] if p else blk)
         return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
 
 
@@ -601,9 +603,10 @@ class PencilOracle:
     pivots out constant rows, then constant columns, reading L's entries in
     place and doing field arithmetic only where a pivot fills in, the same
     code over every field; L is not modified, and the core may share entry
-    dicts with it.  Over the primes _sparse supports, core(t) is built as
-    sparse rows straight from the core's entries and ranked by
-    _sparse.rank_sparse, unless it fills in and goes to the dense kernel."""
+    dicts with it.  Over every field, core(t) is built as sparse rows
+    straight from the core's entries and ranked by _sparse.rank_sparse,
+    unless it fills in over a prime the dense kernel supports
+    (_sparse.fills) and goes there."""
 
     def __init__(self, L: LinearPencil):
         self.field = L.field
@@ -622,14 +625,12 @@ class PencilOracle:
         n = 180, building and scattering them back cost ~40% of rank_mod,
         evaluating it densely 5-17%."""
         n = self.core.size * d
-        return _sparse.fills(n, n, self._eval_rows.nnz(d))
+        return _sparse.fills(self.field.p, n, n, self._eval_rows.nnz(d))
 
     def rank_at(self, t: MatrixTuple) -> int:
         d = t.d
         if self.core.size == 0:
             return self.base * d
-        if not self._eval_rows.fast:
-            return self.base * d + rank_of(eval_pencil(self.core, t))
         if self._dense_at(d):
             from . import _modnum
             if self._coeffs is None:
@@ -645,10 +646,11 @@ class PencilOracle:
         """A shrunk subspace S of the core with dim S - dim sum_k A_k S >=
         deficit, found from A = core(t) and returned as a core.size x dim S
         matrix whose columns are a basis of S, once check_shrunk accepts it;
-        None when none is found, and off the fast primes or where rank_at
-        evaluates core(t) densely, because the search runs sparse
-        elimination to the end, several times over (n = 120, every core
-        entry holding a variable, d = 1: 8.5 s against 80 ms for rank_at).
+        None when none is found, and where rank_at evaluates core(t)
+        densely, because the search runs sparse elimination to the end,
+        several times over (n = 120, every core entry holding a variable,
+        d = 1: 8.5 s against 80 ms for rank_at).  The search is exact over
+        every field, Q included.
 
         What S proves, with A_0 the constant term: at any tuple t' of any
         dimension e, core(t') = sum_k A_k x t'_k (t'_0 = I) maps S x F^e
@@ -671,14 +673,14 @@ class PencilOracle:
         growing dim S - dim sum_k A_k S >= n - rank A / d, which is the
         deficit asked for when rank A = (r - base) d."""
         n, d = self.core.size, t.d
-        if not self._eval_rows.fast or n == 0 or self._dense_at(d):
+        if n == 0 or self._dense_at(d):
             return None
         p, nd = self.field.p, n * d
         by_col: dict[int, list] = {}
         for (r, c), e in self.core.entries.items():
             by_col.setdefault(c, []).append((r, e))
         evaluated = self._eval_rows(t)
-        T: list[dict] = []              # basis {i: residue} of T
+        T: list[dict] = []              # basis {i: value} of T
         while True:
             rows = {i: dict(row) for i, row in evaluated.items()}
             for q, tau in enumerate(T):    # -W: column nd + q d + a is tau x e_a
@@ -701,7 +703,8 @@ class PencilOracle:
                     for r, e in by_col.get(c, ()):
                         for k, v in e.items():
                             img = images.setdefault((q, k), {})
-                            img[r] = (img.get(r, 0) + v * x) % p
+                            y = img.get(r, 0) + v * x
+                            img[r] = y % p if p else y
             grown = _sparse.row_basis(
                 {m: {r: y for r, y in img.items() if y}
                  for m, img in enumerate(images.values())}, p)
@@ -710,8 +713,9 @@ class PencilOracle:
             if len(grown) == len(T):
                 return None
             T = grown
+        norm = self.field.normalize
         basis = DenseMatrix(self.field, n, len(S),
-                            [s.get(i, 0) for i in range(n) for s in S])
+                            [norm(s.get(i, 0)) for i in range(n) for s in S])
         return basis if check_shrunk(self.core, basis, deficit) else None
 
 

@@ -6,11 +6,11 @@ at a tuple exactly when the circuit is defined there with an invertible
 value.  So the randomized test samples tuples of growing dimension,
 checks pencil invertibility through the reduced core, and re-verifies
 any hit by direct evaluation.  Zero verdicts are one-sided Monte Carlo,
-except where the oracle finds a shrunk subspace of the core (over the fast
-primes, once every trial of a dimension below the last was singular): that
-proves the pencil singular at every tuple, so the test ends there with the
-ZERO verdict, trial count and error bound the remaining trials would give,
-and the verdict is exact.
+except where the oracle finds a shrunk subspace of the core (over every
+field, Q included, once every trial of a dimension below the last was
+singular): that proves the pencil singular at every tuple, so the test
+ends there with the ZERO verdict, trial count and error bound the
+remaining trials would give, and the verdict is exact.
 
 The hitting-set generator runs the desk-scale version of the pipeline:
 variable reduction to 2(h+1) variables, generic matrices of an explicit

@@ -4,6 +4,7 @@ the result of ranking every trial; after a certified d = 1 each later
 dimension ranks one tuple; and no rank found by many more trials exceeds a
 certified ceiling."""
 
+import os
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from ncrat.circuit import parse_expr, to_idrrsc
 from ncrat.field import MERSENNE61, QQ, DenseMatrix, PrimeField, sample_tuple
 from ncrat.pencil import PencilOracle, compile_idrrsc, pencil_from_rows
 from ncrat.rank import (DivisibilityAnomaly, RankParams, RankResult,
-                        build_reduction_pencil, make_skew_matrix, ncrank_pencil)
+                        build_reduction_pencil, make_skew_matrix, ncrank_pencil,
+                        ncrank_skew, read_skew_file)
 
 F = PrimeField(MERSENNE61)
 FIELDS = (F, PrimeField((1 << 31) - 1), PrimeField(101), PrimeField(7), QQ)
@@ -176,3 +178,29 @@ def test_after_a_certified_first_dimension_each_dimension_ranks_once(monkeypatch
     assert res.r == M.m * M.m * M.common_size + 1
     assert searched == [(1, 2, True)]          # core 12, rank 10 at d = 1
     assert ranked == [1] * 8 + [2, 3, 4, 5, 6]
+
+
+def _without_search(rank, *args):
+    """rank(*args) with PencilOracle.shrunk_subspace finding nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PencilOracle, "shrunk_subspace", lambda self, t, deficit=1: None)
+        return rank(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_pencils((QQ,)), st.integers(1, 4), st.integers(0, 2 ** 16))
+def test_rational_ncrank_is_the_same_without_the_search(L, trials, seed):
+    # over Q the search runs sparse elimination in Fractions; a ceiling it
+    # certifies must leave every field of the result as it was
+    params = RankParams(d_schedule=(1, 2, 3), trials=trials, seed=seed)
+    assert _outcome(ncrank_pencil, L, params) == \
+        _without_search(_outcome, ncrank_pencil, L, params)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_rational_higman_rank_is_the_same_without_the_search(seed):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "data", "higman.skm")
+    M = read_skew_file(path, QQ)
+    params = RankParams(trials=8, seed=seed)
+    assert ncrank_skew(M, params) == _without_search(ncrank_skew, M, params)

@@ -165,12 +165,17 @@ BAD_PENCIL_FILES = {
     "column-out-of-range": "field prime 7\nsize 2\nnvars 1\ncoeff 1\n1 3 5\nend\nrealize 1 1\n",
     "row-below-one": "field prime 7\nsize 2\nnvars 1\ncoeff 1\n0 1 4\nend\nrealize 1 1\n",
     "unterminated-block": "field prime 7\nsize 2\nnvars 1\ncoeff 1\n1 2 1\n",
+    # numbers are [+-]digits or [+-]digits/digits; an exponent is not read
+    "exponent": "field rational\nsize 1\nnvars 0\ncoeff 0\n1 1 1e999999999\nend\n",
+    "decimal": "field rational\nsize 1\nnvars 0\ncoeff 0\n1 1 1.5\nend\n",
 }
 
 BAD_CIRCUIT_FILES = {
     "undefined-child": "0 add 1 2\noutput 0\n",
     "short-line": "0 var\noutput 0\n",
     "undefined-output": "0 var 1\noutput 7\n",
+    "exponent-const": "0 const 1e999999999\noutput 0\n",
+    "decimal-const": "0 const 1.5\noutput 0\n",
 }
 
 
@@ -240,6 +245,8 @@ BAD_POINT_FILES = {
     "short-field-line": "field prime\n",
     "missing-dim": "field prime 7\nnvars 1\n",
     "missing-row": "field prime 7\nnvars 1\ndim 2\n1 2\n",
+    "exponent-entry": "field rational\nnvars 1\ndim 1\n1e999999999\n",
+    "decimal-entry": "field rational\nnvars 1\ndim 1\n1.5\n",
 }
 
 

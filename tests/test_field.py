@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrat.field import (DEFAULT_PRIME, MERSENNE61, QQ, DenseMatrix,
-                         MatrixTuple, PrimeField, Singular, _invert_generic,
-                         dump_tuple, invert,
+                         MatrixTuple, PrimeField, Singular, dump_tuple, invert,
                          is_invertible, kron, parse_tuple, prime_field,
                          rank_of, sample_tuple, solve)
+from reference import _invert_generic, _rank_generic
 
 F = prime_field()
 F101 = PrimeField(101)
@@ -169,8 +169,7 @@ def test_rank_transpose_and_product_bound(rng):
 
 
 def test_rank_generic_matches_fast_path(rng):
-    # same matrices through rank_sparse and the generic elimination
-    from ncrat.field import _rank_generic
+    # same matrices through rank_sparse and the textbook elimination
     for _ in range(10):
         m = rand_mat(F, 5, 5, rng)
         if rng.random() < 0.5:
@@ -216,7 +215,6 @@ def test_rank_mod_matches_generic(case):
     # every matrix of the stack, through the blocked kernel and through
     # rank_of, which ranks these (at most 40 rows) by sparse elimination
     from ncrat._modnum import rank_mod
-    from ncrat.field import _rank_generic
     p, stack = case
     Fp = PrimeField(p)
     B, n, m = stack.shape
@@ -232,7 +230,6 @@ def test_filled_matrix_rank_goes_through_the_dense_kernel(monkeypatch, p):
     # an 80 x 80 product of planted rank 61 fills in, so rank_sparse hands
     # the whole matrix to the blocked kernel before eliminating a column
     from ncrat import _modnum
-    from ncrat.field import _rank_generic
     field, rng = PrimeField(p), random.Random(80)
     a = rand_mat(field, 80, 61, rng).matmul(rand_mat(field, 61, 80, rng))
     seen = []
@@ -248,7 +245,7 @@ def sparse_matrices(draw):
     """(p, n, m, rows): a planted-rank product of sparse factors as rows
     {i: {j: residue}}, some rows and columns emptied and some entries set to
     p - 1.  Over F_7 updates often cancel exactly."""
-    p = draw(st.sampled_from([7, 101, (1 << 31) - 1, DEFAULT_PRIME]))
+    p = draw(st.sampled_from([7, 101, (1 << 31) - 1, DEFAULT_PRIME, 2 ** 61 + 15]))
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, 40))
     r = draw(st.integers(0, min(n, m)))
@@ -276,7 +273,6 @@ def sparse_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_rank_sparse_matches_generic(case):
     from ncrat._sparse import rank_sparse
-    from ncrat.field import _rank_generic
     p, n, m, a = case
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
     expect = _rank_generic(DenseMatrix(PrimeField(p), n, m, [x for row in a for x in row]))
@@ -290,7 +286,6 @@ def test_nullspace_and_row_basis_match_generic(case):
     # (1 there, 0 at the other keys) and killed by every row; the row basis
     # has rank vectors and spans the rows
     from ncrat._sparse import nullspace_sparse, row_basis
-    from ncrat.field import _rank_generic
     p, n, m, a = case
     Fp = PrimeField(p)
 
@@ -310,6 +305,71 @@ def test_nullspace_and_row_basis_match_generic(case):
     basis = row_basis(rows(), p)
     assert len(basis) == r == rank(basis)
     assert rank(basis + [dict(enumerate(row)) for row in a]) == r
+    assert _is_reduced(basis)
+
+
+@st.composite
+def rational_matrices(draw):
+    """(n, m, rows): a planted-rank product of sparse factors over Q, whose
+    entries are small fractions, as rows {i: {j: Fraction}}, no zero stored."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(n, m)))
+    density = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def factor(rows, cols):
+        return [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                 if rng.random() < density else Fraction(0)
+                 for _ in range(cols)] for _ in range(rows)]
+    u, v = factor(n, r), factor(r, m)
+    a = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*v)]
+         for row in u]
+    return n, m, {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_sparse_routines_over_q_match_generic(case):
+    # p = 0: the same elimination in Fractions, checked by exact sums
+    from ncrat._sparse import nullspace_sparse, rank_sparse, row_basis
+    n, m, rows = case
+
+    def copy():
+        return {i: dict(row) for i, row in rows.items()}
+
+    def rank(vectors):
+        return _rank_generic(DenseMatrix(QQ, len(vectors), m,
+                                         [v.get(j, Fraction(0)) for v in vectors
+                                          for j in range(m)]))
+    r = rank(list(rows.values()))
+    assert rank_sparse(copy(), 0) == r
+    kernel = nullspace_sparse(copy(), m, 0)
+    assert len(kernel) == m - r == rank(list(kernel.values()))
+    for f, x in kernel.items():
+        assert all(x.get(g, 0) == (g == f) for g in kernel)
+        assert all(sum(row.get(j, 0) * v for j, v in x.items()) == 0
+                   for row in rows.values())
+    basis = row_basis(copy(), 0)
+    assert len(basis) == r == rank(basis) == rank(basis + list(rows.values()))
+    assert _is_reduced(basis)
+
+
+def _is_reduced(basis):
+    """Whether each vector is 1 at its first column and every other vector
+    0 there: the reduced echelon form, which depends only on the span."""
+    leads = [min(v) for v in basis]
+    return all(v[j] == 1 and sum(j in w for w in basis) == 1
+               for v, j in zip(basis, leads))
+
+
+def test_q_and_unsupported_primes_never_reach_the_dense_kernel():
+    # _modnum's limb arithmetic is exact only mod 2^61 - 1 and below 2^31
+    from ncrat._sparse import fills, supported
+    assert not supported(0) and not supported(2 ** 61 + 15) and not supported(1 << 31)
+    assert supported(MERSENNE61) and supported(7) and supported((1 << 31) - 1)
+    for p in (0, 2 ** 61 + 15):
+        assert not fills(p, 64, 64, 64 * 64)
+    assert fills(MERSENNE61, 64, 64, 64 * 64) and not fills(MERSENNE61, 63, 64, 63 * 64)
 
 
 @pytest.mark.parametrize("p", [7, 101, (1 << 31) - 1, DEFAULT_PRIME])
@@ -382,19 +442,20 @@ def test_solve_matches_inverse(rng):
         if not is_invertible(a):
             continue
         b = rand_mat(F, 4, 2, rng)
-        assert solve(a, b) == invert(a).matmul(b)
+        assert solve(a, b) == _invert_generic(a).matmul(b)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([7, 101, (1 << 31) - 1, MERSENNE61]), st.integers(1, 10),
-       st.integers(0, 10), st.integers(1, 3), st.integers(0, 2 ** 32))
+@given(st.sampled_from([7, 101, (1 << 31) - 1, MERSENNE61, 2 ** 61 + 15, 0]),
+       st.integers(1, 10), st.integers(0, 10), st.integers(1, 3), st.integers(0, 2 ** 32))
 def test_solve_matches_generic_inverse(p, n, rank, m, seed):
-    # a has rank min(rank, n), planted as a product of n x k and k x n
-    field, rng = PrimeField(p), random.Random(seed)
+    # a has rank min(rank, n), planted as a product of n x k and k x n;
+    # p = 0 is Q, which takes the same sparse elimination as every prime
+    field, rng = PrimeField(p) if p else QQ, random.Random(seed)
     k = min(rank, n)
     a = rand_mat(field, n, k, rng).matmul(rand_mat(field, k, n, rng))
     b = rand_mat(field, n, m, rng)
-    if rank_of(a) < n:
+    if _rank_generic(a) < n:
         with pytest.raises(Singular):
             solve(a, b)
     else:

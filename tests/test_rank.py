@@ -11,6 +11,7 @@ from ncrat.rank import (NotInvertiblePencil, RankParams,
                         assemble_at, build_reduction_pencil, make_skew_matrix,
                         ncrank_pencil, ncrank_skew, normalize_entry,
                         parse_skew_file, schur_step)
+from reference import _rank_generic
 
 F = prime_field()
 
@@ -160,7 +161,7 @@ def test_ncrank_witness_certificate(rng):
         L = _random_pencil(rng, rng.randrange(2, 5), 2)
         res = ncrank_pencil(L, RankParams(d_schedule=(1, 2, 3), trials=8,
                                           seed=seed))
-        assert rank_of(eval_pencil(L, res.witness)) == res.certificate
+        assert _rank_generic(eval_pencil(L, res.witness)) == res.certificate
         assert res.certificate == res.r * res.d
 
 

@@ -34,11 +34,17 @@ NUMPY_PROBE = """
 import contextlib, io, random, sys
 import ncrat, ncrat.cli
 from ncrat import cli
-from ncrat.field import MERSENNE61, DenseMatrix, PrimeField, invert
+from ncrat.field import MERSENNE61, QQ, DenseMatrix, PrimeField, invert, rank_of
 for argv in (["rit", "x1 - x1"], ["ncrank", "--file", "data/higman.skm", "--json"],
              ["compile", "inv(x1)*x2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+print("numpy" in sys.modules, "ncrat._modnum" in sys.modules)
+# the identity plus all ones over Q, and a random matrix mod 2^61 + 15
+dense = (DenseMatrix.from_rows(QQ, [[1 + (i == j) for j in range(64)] for i in range(64)]),
+         DenseMatrix.random(PrimeField(2 ** 61 + 15), 64, 64, random.Random(1)))
+for a in dense:
+    assert invert(a).matmul(a) == DenseMatrix.identity(a.field, 64) and rank_of(a) == 64
 print("numpy" in sys.modules, "ncrat._modnum" in sys.modules)
 F = PrimeField(MERSENNE61)
 invert(DenseMatrix.random(F, 64, 64, random.Random(1)))
@@ -47,10 +53,12 @@ print("numpy" in sys.modules, "ncrat._modnum" in sys.modules)
 
 
 def test_numpy_loads_only_for_a_matrix_that_fills_in():
-    # three CLI runs rank, solve and compile only sparse matrices; a dense
-    # 64 x 64 inverse fills in and loads the dense kernel, numpy with it
+    # three CLI runs rank, solve and compile only sparse matrices; dense
+    # 64 x 64 inverses and ranks over Q and mod 2^61 + 15 fill in, but the
+    # dense kernel does not serve those fields; a dense 64 x 64 inverse mod
+    # 2^61 - 1 loads it, numpy with it
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\nTrue True\n"
+    assert proc.stdout == "False False\nFalse False\nTrue True\n"

@@ -1,7 +1,8 @@
 """Shrunk subspaces: the second Wong sequence on the oracle's core finds one
 for every zero member of the reference corpus and never for a nonzero one,
-check_shrunk accepts exactly the strictly shrinking subspaces, and rit_test
-ending early at one gives the verdict of the full trial loop."""
+over M61, Q and a prime outside the dense kernel's, check_shrunk accepts
+exactly the strictly shrinking subspaces, and rit_test ending early at one
+gives the verdict of the full trial loop."""
 
 import random
 
@@ -16,8 +17,12 @@ from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, rank_of,
 from ncrat.pencil import (LinearPencil, PencilOracle, check_shrunk,
                           pencil_from_rows)
 from ncrat.rit import RitParams, rit_test
+from reference import _rank_generic
 
 F = PrimeField(MERSENNE61)
+# the members are checked over M61 under their own names, and over Q and
+# 2^61 + 15 with the field's tag appended
+SEARCH_FIELDS = ((F, ""), (QQ, "-Q"), (PrimeField(2 ** 61 + 15), "-p2^61+15"))
 
 
 def _members():
@@ -33,31 +38,36 @@ def _members():
 MEMBERS = _members()
 
 
-def _certificate(circ, dims, seeds):
+def _certificate(circ, field, dims, seeds):
     """The first shrunk subspace of the circuit's gate oracle found at a
     seeded tuple, with the oracle, or (oracle, None)."""
-    _, oracle = rit._gate_oracle(circ, F)
+    _, oracle = rit._gate_oracle(circ, field)
     for d in dims:
         for seed in seeds:
-            S = oracle.shrunk_subspace(sample_tuple(F, max(circ.nvars, 1), d, seed))
+            S = oracle.shrunk_subspace(sample_tuple(field, max(circ.nvars, 1), d, seed))
             if S is not None:
                 return oracle, S
     return oracle, None
 
 
-@pytest.mark.parametrize("name,circ", [(n, c) for n, c, z in MEMBERS if z],
-                         ids=[n for n, _, z in MEMBERS if z])
-def test_zero_members_are_certified(name, circ):
-    oracle, S = _certificate(circ, dims=(1,), seeds=(0,))
+def _by_field(zero):
+    cases = [(n, c, f, n + tag) for f, tag in SEARCH_FIELDS
+             for n, c, z in MEMBERS if z == zero]
+    return pytest.mark.parametrize("name,circ,field", [case[:3] for case in cases],
+                                   ids=[case[3] for case in cases])
+
+
+@_by_field(zero=True)
+def test_zero_members_are_certified(name, circ, field):
+    oracle, S = _certificate(circ, field, dims=(1,), seeds=(0,))
     assert S is not None, name
-    assert S.rows == oracle.core_size and 0 < rank_of(S) == S.cols
+    assert S.rows == oracle.core_size and 0 < _rank_generic(S) == S.cols
     assert check_shrunk(oracle.core, S)
 
 
-@pytest.mark.parametrize("name,circ", [(n, c) for n, c, z in MEMBERS if not z],
-                         ids=[n for n, _, z in MEMBERS if not z])
-def test_nonzero_members_are_never_certified(name, circ):
-    assert _certificate(circ, dims=(1, 2, 3), seeds=(0, 1))[1] is None, name
+@_by_field(zero=False)
+def test_nonzero_members_are_never_certified(name, circ, field):
+    assert _certificate(circ, field, dims=(1, 2, 3), seeds=(0, 1))[1] is None, name
 
 
 def _hollow(draw, field):
@@ -143,8 +153,9 @@ def test_check_shrunk_rejects_a_wrong_row_count():
         check_shrunk(L, DenseMatrix.identity(F, 3))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_rit_verdicts_equal_the_loop_only_run(monkeypatch, seed):
+@pytest.mark.parametrize("field,seed", [(f, seed) for f in (F, QQ) for seed in range(5)],
+                         ids=[f"{tag}{seed}" for tag in ("", "Q-") for seed in range(5)])
+def test_rit_verdicts_equal_the_loop_only_run(monkeypatch, field, seed):
     params = RitParams(seed=seed)
     found = []
     finder = PencilOracle.shrunk_subspace
@@ -154,7 +165,7 @@ def test_rit_verdicts_equal_the_loop_only_run(monkeypatch, seed):
         found.append(S is not None)
         return S
     monkeypatch.setattr(PencilOracle, "shrunk_subspace", counted)
-    early = [rit_test(circ, F, params) for _, circ, _ in rit.corpus()]
+    early = [rit_test(circ, field, params) for _, circ, _ in rit.corpus()]
     assert sum(found) == sum(z for _, _, z in rit.corpus())
     monkeypatch.setattr(PencilOracle, "shrunk_subspace", lambda self, t: None)
-    assert early == [rit_test(circ, F, params) for _, circ, _ in rit.corpus()]
+    assert early == [rit_test(circ, field, params) for _, circ, _ in rit.corpus()]
