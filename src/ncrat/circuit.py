@@ -105,6 +105,11 @@ class CircuitBuilder:
 
 # -- parsing -------------------------------------------------------------
 
+# The largest variable index a parser accepts.  A circuit's nvars is its
+# largest index, and every trial draws that many matrices, so a 21-byte
+# name such as x99999999999999999999 would otherwise never finish.
+MAX_VARS = 1 << 16
+
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<inv>inv\b)
@@ -116,10 +121,13 @@ _TOKEN = re.compile(r"""
 
 
 def _var_index(name: str) -> int:
-    if name[0] == "x":
-        return int(name[1:])
-    j, b = name[1:].split("_")
-    return 2 * int(j) + int(b) + 1
+    """x<i> is variable i and y<j>_<b> is 2j + b + 1; a number with more
+    digits than MAX_VARS reads as MAX_VARS + 1, unconverted."""
+    digits, _, b = name[1:].partition("_")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_VARS)):
+        return MAX_VARS + 1
+    return int(digits) if name[0] == "x" else 2 * int(digits) + int(b) + 1
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -207,7 +215,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "var":
             self.take()
-            return self.b.var(_var_index(tok[1]))
+            k = _var_index(tok[1])
+            if k > MAX_VARS:
+                raise ParseError(f"variable index above {MAX_VARS}", tok[2])
+            return self.b.var(k)
         if tok[0] == "int":
             self.take()
             num = int(tok[1])
@@ -731,6 +742,8 @@ def parse_circuit(text: str) -> RationalCircuit:
                 raw[nid] = (kind,) + tuple(int(x) for x in parts[2:])
             if kind == "var" and raw[nid][1] < 1:
                 raise ValueError("variable indices are 1-based")
+            if kind == "var" and raw[nid][1] > MAX_VARS:
+                raise ValueError(f"variable index above {MAX_VARS}")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         line_of[nid] = lineno

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _sparse
-from .circuit import Abp, IdrCircuit
+from .circuit import MAX_VARS, Abp, IdrCircuit
 from .field import (QQ, DenseMatrix, Field, MatrixTuple, PrimeField, Singular,
                     rank_of, solve)
 
@@ -795,7 +795,7 @@ def parse_pencil(text: str):
                 if key == "size":
                     size = _bounded_int(parts[1], "size", 1)
                 else:
-                    nvars = _bounded_int(parts[1], "nvars", 0)
+                    nvars = _bounded_int(parts[1], "nvars", 0, MAX_VARS)
             elif block is not None:
                 if parts == ["end"]:
                     block = None

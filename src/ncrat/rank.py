@@ -169,13 +169,16 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
 
     A certified ceiling c >= ncrank(L), L.size to begin with, ends a
     dimension's trials at the first rank c d, which no tuple can exceed, so
-    every field of the result is the one the full trial loop gives.  When a
-    dimension below the last accepts a new best r_d < c, the oracle looks
-    for a shrunk subspace of its core with deficit core_size - (r_d - base)
-    from that dimension's first best tuple; one that check_shrunk accepts
-    proves ncrank(L) <= r_d, so c = r_d and the result is exact.  Otherwise
-    it is a Monte Carlo lower bound that meets the rank with high
-    probability at the largest scheduled dimension."""
+    every field of the result is the one the full trial loop gives.  The
+    oracle looks for a shrunk subspace of its core with deficit core_size -
+    (r - base) from a tuple of rank r d, at a dimension d below the last,
+    whenever r would be a new best below c: at the dimension's first trial,
+    and again at its end when a later trial became its best tuple.  One
+    that check_shrunk accepts proves ncrank(L) <= r, so c = r and the
+    result is exact; found at the first trial, it ends the dimension's
+    trials there.  Otherwise the result is a Monte Carlo lower bound that
+    meets the rank with high probability at the largest scheduled
+    dimension."""
     schedule = params.d_schedule or tuple(range(1, L.size + 1))
     oracle = PencilOracle(L)
     ceiling = L.size
@@ -184,10 +187,14 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
     per_dim = []
     anomalies = 0
     last_d = schedule[-1]
+
+    def certifies(t: MatrixTuple, r: int) -> bool:
+        return oracle.shrunk_subspace(t, oracle.core_size - (r - oracle.base)) is not None
+
     for d in schedule:
         rng = random.Random(params.seed * 1_000_003 + d)
         max_rank = -1
-        max_t = None
+        max_t = searched = None
         trials = params.trials
         attempt = 0
         while True:
@@ -195,6 +202,14 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
                 t = sample_tuple(L.field, max(L.nvars, 1), d, rng)
                 rk = oracle.rank_at(t)
                 if rk > max_rank:
+                    # the dimension's first trial: a certified ceiling here
+                    # leaves no later trial a higher rank to find
+                    if max_t is None and d != last_d and rk % d == 0 \
+                            and (best is None or rk // d > best_r) \
+                            and rk // d < ceiling:
+                        searched = t
+                        if certifies(t, rk // d):
+                            ceiling = rk // d
                     max_rank, max_t = rk, t
                     if rk == ceiling * d:
                         break
@@ -216,9 +231,9 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
         if best is None or r_d > best_r:
             best_r = r_d
             best = (d, max_t, max_rank)
-            deficit = oracle.core_size - (r_d - oracle.base)
-            if r_d < ceiling and d != last_d \
-                    and oracle.shrunk_subspace(max_t, deficit) is not None:
+            # unless the first trial's search already ran from this tuple
+            if r_d < ceiling and d != last_d and max_t is not searched \
+                    and certifies(max_t, r_d):
                 ceiling = r_d
     if best is None:
         raise DivisibilityAnomaly("no dimension accepted")

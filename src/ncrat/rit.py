@@ -7,10 +7,10 @@ value.  So the randomized test samples tuples of growing dimension,
 checks pencil invertibility through the reduced core, and re-verifies
 any hit by direct evaluation.  Zero verdicts are one-sided Monte Carlo,
 except where the oracle finds a shrunk subspace of the core (over every
-field, Q included, once every trial of a dimension below the last was
-singular): that proves the pencil singular at every tuple, so the test
-ends there with the ZERO verdict, trial count and error bound the
-remaining trials would give, and the verdict is exact.
+field, Q included, searched from the first singular trial of each
+dimension below the last): that proves the pencil singular at every
+tuple, so the test ends there with the ZERO verdict, trial count and
+error bound the remaining trials would give, and the verdict is exact.
 
 The hitting-set generator runs the desk-scale version of the pipeline:
 variable reduction to 2(h+1) variables, generic matrices of an explicit
@@ -98,23 +98,39 @@ def rit_test(c: RationalCircuit, field: Field,
              params: RitParams = RitParams()) -> RitVerdict:
     """Randomized black-box zero test; NonZero verdicts ship a tuple at
     which the circuit is defined with an invertible value, re-verified by
-    direct evaluation."""
+    direct evaluation.
+
+    At the first tuple of a dimension below max_dim that the oracle finds
+    singular, the oracle searches for a shrunk subspace of its core, once
+    per dimension.  One that check_shrunk accepts makes every later trial
+    singular, so the test returns the ZERO verdict the full trial loop
+    would give (the nominal max_dim * trials and the per-trial bound) at
+    once, and that verdict is exact."""
     try:
         size, oracle = _gate_oracle(c, field)
     except BlowupExceeded as exc:
         raise CompileFailed(str(exc)) from exc
     max_dim = params.max_dim or min(size, params.dim_cap)
+    zero = RitVerdict("zero", pencil_size=size,
+                      trials_run=max_dim * params.trials, max_dim=max_dim,
+                      error_bound_num=size * max_dim,
+                      error_bound_den=field.sample_set_size())
     nv = max(c.nvars, 1)
     trials_run = 0
     rng = random.Random(params.seed)
     for d in range(1, max_dim + 1):
-        singular = True                # every trial of d failed the oracle
+        searched = d == max_dim        # the last dimension ends the test anyway
         for _ in range(params.trials):
             trials_run += 1
             t = sample_tuple(field, nv, d, rng)
             if not oracle.is_invertible_at(t):
+                # a shrunk subspace fails the oracle at every later trial,
+                # so the loop's verdict is known: the same ZERO, now exact
+                if not searched:
+                    searched = True
+                    if oracle.shrunk_subspace(t) is not None:
+                        return zero
                 continue
-            singular = False
             try:
                 value = eval_circuit(c, t)
             except Undefined:
@@ -123,15 +139,7 @@ def rit_test(c: RationalCircuit, field: Field,
                 return RitVerdict("nonzero", witness=t, dimension=d,
                                   pencil_size=size, trials_run=trials_run,
                                   max_dim=max_dim)
-        # a shrunk subspace fails the oracle at every later trial, so the
-        # loop's verdict is known: the same ZERO, now exact
-        if singular and d < max_dim \
-                and oracle.shrunk_subspace(t) is not None:
-            break
-    return RitVerdict("zero", pencil_size=size,
-                      trials_run=max_dim * params.trials, max_dim=max_dim,
-                      error_bound_num=size * max_dim,
-                      error_bound_den=field.sample_set_size())
+    return zero
 
 
 def strong_witness(c: RationalCircuit, field: Field,
@@ -242,13 +250,32 @@ class StrongReport:
         return self.hits / self.total if self.total else 1.0
 
 
+def _certified_nowhere_invertible(c: RationalCircuit, field: Field,
+                                  t: MatrixTuple) -> bool:
+    """Whether c's gate oracle is singular at t and a shrunk subspace found
+    from t proves it singular at every tuple of every dimension: then c is
+    nowhere defined with an invertible value.  False, with nothing proved,
+    when c does not compile."""
+    try:
+        _, oracle = _gate_oracle(c, field)
+    except BlowupExceeded:
+        return False
+    return not oracle.is_invertible_at(t) and oracle.shrunk_subspace(t) is not None
+
+
 def verify_strong(H: HittingSet, corpus, field: Field) -> StrongReport:
-    """Per circuit: does some tuple give a defined, invertible value."""
+    """Per circuit: does some tuple give a defined, invertible value.  A
+    circuit whose gate oracle is certified singular from the first tuple
+    (see rit_test) is hit by none, so its tuples are not evaluated."""
     results = []
     hits = 0
     for label, circ in corpus:
         found = None
-        for idx, t in enumerate(H.tuples):
+        tuples = H.tuples
+        if circ.nvars <= H.n and tuples \
+                and _certified_nowhere_invertible(circ, field, tuples[0]):
+            tuples = ()
+        for idx, t in enumerate(tuples):
             if circ.nvars > t.n:
                 continue
             try:

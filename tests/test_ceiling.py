@@ -1,8 +1,9 @@
-"""Rank ceilings certified by shrunk subspaces: ncrank_pencil, which ends a
+"""Rank ceilings certified by shrunk subspaces: ncrank_pencil, which
+searches for a ceiling from a dimension's first trial and ends a
 dimension's trials at the first rank reaching its certified ceiling, gives
-the result of ranking every trial; after a certified d = 1 each later
-dimension ranks one tuple; and no rank found by many more trials exceeds a
-certified ceiling."""
+the result of ranking every trial; a ceiling certified at the first trial
+of d = 1 leaves every dimension, d = 1 included, one ranked tuple; and no
+rank found by many more trials exceeds a certified ceiling."""
 
 import os
 import random
@@ -177,7 +178,7 @@ def test_after_a_certified_first_dimension_each_dimension_ranks_once(monkeypatch
     res = ncrank_pencil(L, RankParams(d_schedule=tuple(range(1, 7)), trials=8, seed=41))
     assert res.r == M.m * M.m * M.common_size + 1
     assert searched == [(1, 2, True)]          # core 12, rank 10 at d = 1
-    assert ranked == [1] * 8 + [2, 3, 4, 5, 6]
+    assert ranked == [1, 2, 3, 4, 5, 6]
 
 
 def _without_search(rank, *args):

@@ -4,6 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from ncrat.circuit import parse_expr
 from ncrat.cli import main
 
 HUA = "inv(x1 + x1*inv(x2)*x1) + inv(x1+x2) - inv(x1)"
@@ -168,6 +169,8 @@ BAD_PENCIL_FILES = {
     # numbers are [+-]digits or [+-]digits/digits; an exponent is not read
     "exponent": "field rational\nsize 1\nnvars 0\ncoeff 0\n1 1 1e999999999\nend\n",
     "decimal": "field rational\nsize 1\nnvars 0\ncoeff 0\n1 1 1.5\nend\n",
+    "nvars-above-bound": "field prime 7\nsize 1\nnvars 99999999999999999\n"
+                         "coeff 0\n1 1 1\nend\nrealize 1 1\n",
 }
 
 BAD_CIRCUIT_FILES = {
@@ -176,6 +179,7 @@ BAD_CIRCUIT_FILES = {
     "undefined-output": "0 var 1\noutput 7\n",
     "exponent-const": "0 const 1e999999999\noutput 0\n",
     "decimal-const": "0 const 1.5\noutput 0\n",
+    "variable-above-bound": "0 var 99999999999999999999\noutput 0\n",
 }
 
 
@@ -230,6 +234,32 @@ def test_malformed_circuit_file_exits_two(tmp_path, capsys, name):
     status, _ = run(["compile", "--file", str(path)])
     err = capsys.readouterr().err
     assert status == 2 and err.startswith("error: line ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr, pos", [
+    ("x99999999999999999999", 0), ("x1 + x65537", 5), ("y32768_0*x1", 0),
+    ("x1*y99999999999999999999999_1", 3), ("x" + "9" * 5000, 0),
+])
+def test_variable_index_above_the_bound_exits_two(capsys, expr, pos):
+    # every trial draws one matrix per variable up to the largest index
+    status, out = run(["rit", expr])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == \
+        f"error: variable index above 65536 (at position {pos})\n"
+
+
+def test_variable_index_at_the_bound_parses():
+    assert parse_expr("x65536").nvars == parse_expr("y32767_1").nvars == 65536
+    assert parse_expr("y00000000000000000000001_0").nvars == 3
+
+
+def test_skew_entry_variable_above_the_bound_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.skm"
+    path.write_text("m 1\nexpr x99999999999999999999\n")
+    status, _ = run(["ncrank", "--file", str(path)])
+    assert status == 2
+    assert capsys.readouterr().err == \
+        "error: line 2: variable index above 65536 (at position 0)\n"
 
 
 def test_rational_zero_bound_is_over_the_sampled_set():

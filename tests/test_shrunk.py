@@ -7,17 +7,18 @@ gives the verdict of the full trial loop."""
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncrat import rit
-from ncrat.circuit import classify, variable_reduction
+from ncrat.circuit import classify, parse_expr, variable_reduction
 from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, rank_of,
                          sample_tuple)
 from ncrat.pencil import (LinearPencil, PencilOracle, check_shrunk,
                           pencil_from_rows)
 from ncrat.rit import RitParams, rit_test
-from reference import _rank_generic
+from conftest import random_formula
+from reference import _rank_generic, rit_full_loop
 
 F = PrimeField(MERSENNE61)
 # the members are checked over M61 under their own names, and over Q and
@@ -169,3 +170,62 @@ def test_rit_verdicts_equal_the_loop_only_run(monkeypatch, field, seed):
     assert sum(found) == sum(z for _, _, z in rit.corpus())
     monkeypatch.setattr(PencilOracle, "shrunk_subspace", lambda self, t: None)
     assert early == [rit_test(circ, field, params) for _, circ, _ in rit.corpus()]
+
+
+RIT_FIELDS = (F, PrimeField((1 << 31) - 1), PrimeField(101), PrimeField(7), QQ)
+
+
+@st.composite
+def rit_circuits(draw):
+    """A reference corpus member or a small random formula."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([circ for _, circ, _ in rit.corpus()]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_formula(rng, nvars=draw(st.integers(1, 3)),
+                          height=draw(st.integers(0, 2)),
+                          size_budget=draw(st.integers(1, 10)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rit_circuits(), st.sampled_from(RIT_FIELDS), st.integers(1, 4),
+       st.integers(0, 2 ** 16))
+# the commutator is singular at every scalar tuple, and no search there
+# can succeed: every trial of d = 1 is a chance to search again
+@example(parse_expr("x1*x2 - x2*x1"), PrimeField(7), 4, 0)
+@example(parse_expr("x1*x2 - x2*x1"), QQ, 4, 0)
+def test_search_at_the_first_singular_trial_gives_the_full_loop_verdict(
+        circ, field, trials, seed):
+    # on small fields a nonzero circuit's first tuple is often singular by
+    # chance; each such dimension may cost one search, never more
+    params = RitParams(dim_cap=3, trials=trials, seed=seed)
+    searched = []
+    finder = PencilOracle.shrunk_subspace
+
+    def counted(self, t, deficit=1):
+        searched.append(t.d)
+        return finder(self, t, deficit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PencilOracle, "shrunk_subspace", counted)
+        verdict = rit_test(circ, field, params)
+    assert verdict == rit_full_loop(circ, field, params)
+    assert len(searched) == len(set(searched))
+    assert all(d < verdict.max_dim for d in searched)
+
+
+def test_hua_ranks_one_tuple_and_searches_once(monkeypatch):
+    ranked, searched = [], []
+    rank_at, finder = PencilOracle.rank_at, PencilOracle.shrunk_subspace
+
+    def counted_rank(self, t):
+        ranked.append(t.d)
+        return rank_at(self, t)
+
+    def counted_search(self, t, deficit=1):
+        S = finder(self, t, deficit)
+        searched.append((t.d, S is not None))
+        return S
+    monkeypatch.setattr(PencilOracle, "rank_at", counted_rank)
+    monkeypatch.setattr(PencilOracle, "shrunk_subspace", counted_search)
+    hua = dict(rit.ZERO_EXPRESSIONS)["hua"]
+    assert rit_test(parse_expr(hua), F, RitParams()).is_zero
+    assert ranked == [1] and searched == [(1, True)]
