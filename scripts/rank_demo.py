@@ -26,11 +26,12 @@ def main():
             for row in entries]
     M = make_skew_matrix(grid, field)
     print(f"input: {entries}")
-    print(f"normalized entry pencils: {M.common_size} x {M.common_size}")
+    sizes = [e.size for row in M.entries for e in row if e is not None]
+    print(f"entry pencil sizes s_ij: {sizes}")
 
     L = build_reduction_pencil(M)
     print(f"reduction pencil size: {L.size} "
-          f"(= m^2 s + m = {M.m ** 2 * M.common_size + M.m})")
+          f"(= sum s_ij + m = {sum(sizes) + M.m})")
 
     res = ncrank_skew(M, RankParams(d_schedule=(1, 2, 3), trials=args.trials,
                                     seed=args.seed))

@@ -11,6 +11,6 @@ from .circuit import (Abp, BlowupExceeded, IdrCircuit, ParseError,
 from .pencil import (DimensionMismatch, DisjointnessViolation, LinearPencil,
                      PencilOracle, RealizedEntry, RealizedGrid, blowup_shift,
                      compile_idrrsc, compose, eval_pencil, from_abp,
-                     pencil_from_rows, realize_inverse, zero_entry)
+                     pencil_from_rows, realize_inverse)
 
 __version__ = "0.1.0"

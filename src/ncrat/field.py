@@ -93,8 +93,13 @@ class PrimeField:
             raise ValueError(f"{self.p} is not prime")
 
     def normalize(self, a) -> int:
+        """a mod p; ValueError for a fraction whose denominator p divides,
+        a constant with no value in F_p."""
         if isinstance(a, Fraction):
-            return self.normalize(a.numerator) * self.inv(self.normalize(a.denominator)) % self.p
+            if a.denominator % self.p == 0:
+                raise ValueError(f"constant {a} is undefined in F_{self.p}: "
+                                 f"{self.p} divides its denominator")
+            return a.numerator * pow(a.denominator, -1, self.p) % self.p
         return int(a) % self.p
 
     def add(self, a: int, b: int) -> int:
@@ -496,7 +501,7 @@ def parse_tuple(text: str) -> MatrixTuple:
         no, parts = at(3 + n * d)
         if no != end:
             raise ValueError(f"expected {n * d} matrix rows, found more")
-    except (ValueError, ZeroDivisionError, Singular) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"line {no}: {exc}") from None
     return MatrixTuple(field, d, tuple(mats))
 

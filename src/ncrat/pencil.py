@@ -99,10 +99,6 @@ def place_block(dst: Entries, block: Entries, ro: int = 0, co: int = 0,
             del dst[key]
 
 
-def _identity(n: int, one) -> Entries:
-    return {(i, i): {0: one} for i in range(n)}
-
-
 def dense_block(m: DenseMatrix, k: int) -> Entries:
     """The nonzero entries of m as coefficient k."""
     return {divmod(q, m.cols): {k: v} for q, v in enumerate(m.data) if v != 0}
@@ -197,12 +193,6 @@ class RealizedEntry:
         return out
 
 
-def zero_entry(field: Field, nvars: int) -> RealizedEntry:
-    """The zero element realized by an everywhere-invertible 2x2 pencil."""
-    swap = {(0, 1): {0: field.one}, (1, 0): {0: field.one}}
-    return RealizedEntry(LinearPencil(field, 2, nvars, swap), 1, 1)
-
-
 # -- branching program to pencil ---------------------------------------------
 
 
@@ -213,7 +203,7 @@ def from_abp(a: Abp, field: Field, nvars: int | None = None) -> RealizedEntry:
     widths = a.widths
     n = a.nvars if nvars is None else nvars
     N = sum(widths)
-    entries = _identity(N, field.one)
+    entries = {(i, i): {0: field.one} for i in range(N)}
     off = 0
     for layer, w in zip(a.layers, widths):
         # each layer joins the width-w block at off to the next block
@@ -380,46 +370,6 @@ def blowup_shift(L: LinearPencil, m: int, shift: MatrixTuple) -> LinearPencil:
                                        for i, v in e.items() if i}
                               for j in range(m) for k in range(m)}, r * m, c * m)
     return LinearPencil(L.field, L.size * m, L.nvars * m * m, entries)
-
-
-# -- padding and relocation ---------------------------------------------------
-
-
-def relocate_entry(e: RealizedEntry) -> RealizedEntry:
-    """Move the designation to (1,1) by row/column swaps on the pencil; the
-    realized value and invertibility at every tuple are unchanged."""
-    if e.row == 1 and e.col == 1:
-        return e
-    rows = {0: e.col - 1, e.col - 1: 0}         # swap rows 1 and col
-    cols = {0: e.row - 1, e.row - 1: 0}         # swap columns 1 and row
-    entries: Entries = {}
-    place_block(entries, {(rows.get(r, r), cols.get(c, c)): v
-                          for (r, c), v in e.pencil.entries.items()})
-    return RealizedEntry(LinearPencil(e.pencil.field, e.size, e.nvars, entries),
-                         1, 1)
-
-
-def pad_entry(e: RealizedEntry, size: int) -> RealizedEntry:
-    """Embed the pencil in the top-left of a larger identity; designated
-    entries of the inverse and invertibility are preserved."""
-    if size < e.size:
-        raise ValueError("cannot pad to a smaller size")
-    if size == e.size:
-        return e
-    f = e.pencil.field
-    entries = dict(e.pencil.entries)
-    place_block(entries, _identity(size - e.size, f.one), e.size, e.size)
-    return RealizedEntry(LinearPencil(f, size, e.nvars, entries), e.row, e.col)
-
-
-def widen_entry(e: RealizedEntry, nvars: int) -> RealizedEntry:
-    """Extend the variable list with zero coefficient matrices."""
-    if nvars < e.nvars:
-        raise ValueError("cannot drop variables")
-    if nvars == e.nvars:
-        return e
-    pencil = LinearPencil(e.pencil.field, e.size, nvars, e.pencil.entries)
-    return RealizedEntry(pencil, e.row, e.col)
 
 
 # -- structural rank oracle ---------------------------------------------------
@@ -761,6 +711,12 @@ def dump_pencil(L: LinearPencil, realize: tuple[int, int] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The largest `size` header a pencil file may declare, so that a header
+# cannot ask series-zero for vectors of any length; far above the 44002 rows
+# that compile writes for inv( nested 4000 deep.
+MAX_PENCIL_SIZE = 1 << 20
+
+
 def _bounded_int(text: str, what: str, lo: int, hi: int | None = None) -> int:
     v = int(text)
     if v < lo or (hi is not None and v > hi):
@@ -793,7 +749,7 @@ def parse_pencil(text: str):
                 if parts[0] != key or len(parts) != 2:
                     raise ValueError(f"missing {key} header")
                 if key == "size":
-                    size = _bounded_int(parts[1], "size", 1)
+                    size = _bounded_int(parts[1], "size", 1, MAX_PENCIL_SIZE)
                 else:
                     nvars = _bounded_int(parts[1], "nvars", 0, MAX_VARS)
             elif block is not None:
@@ -812,7 +768,7 @@ def parse_pencil(text: str):
                            _bounded_int(parts[2], "realize column", 1, size))
             else:
                 raise ValueError(f"expected coeff block, found {ln.strip()!r}")
-        except (ValueError, ZeroDivisionError, Singular) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     eof = f"line {len(text.splitlines()) + 1}: end of file"
     if nvars is None:

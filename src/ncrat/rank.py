@@ -1,26 +1,25 @@
 """Noncommutative rank of matrices whose entries are realized by small
-pencils: entry normalization, the bordered reduction to one linear
-pencil, blow-up rank with a verified witness, and the Schur-step rank
-identity at the numeric level.
+pencils: the bordered reduction to one linear pencil, blow-up rank with a
+verified witness, and the Schur-step rank identity at the numeric level.
 
-The reduction places the m^2 normalized entry pencils on a diagonal,
-borders them with unit rows/columns routing entry (i,j) of the inverse
-grid into position (i,j) of an m x m corner, and pads with a zero
-corner; its noncommutative rank exceeds the input's by exactly m^2 s.
+The reduction places the nonzero entry pencils on a diagonal and borders
+each at its own designated entry with a unit row and column, routing entry
+(i,j) of the inverse grid into position (i,j) of an m x m zero corner; a
+zero entry adds nothing.  Its noncommutative rank exceeds the input's by
+exactly the sum of the entry pencil sizes.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .circuit import BlowupExceeded, ParseError, parse_expr, to_idrrsc
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, field_name,
                     rank_of, sample_tuple, solve)
 from .pencil import (LinearPencil, PencilOracle, RealizedEntry, compile_idrrsc,
-                     pad_entry, place_block, read_pencil, relocate_entry,
-                     widen_entry, zero_entry)
+                     place_block, read_pencil)
 
 
 class NotInvertiblePencil(Exception):
@@ -38,16 +37,16 @@ class DivisibilityAnomaly(Exception):
 
 @dataclass(frozen=True)
 class SkewMatrix:
-    """m x m grid of realized entries, normalized to a common pencil size
-    with designation (1,1).  `certified` records that every entry pencil
-    passed the randomized invertibility probe at construction."""
+    """m x m grid of realized entries over nvars variables, None for a
+    zero entry; every entry pencil passed the randomized invertibility
+    probe.  common_size, the largest entry pencil and at least 2, is only
+    reported."""
 
     m: int
-    entries: tuple[tuple[RealizedEntry, ...], ...]
+    entries: tuple[tuple[RealizedEntry | None, ...], ...]
     common_size: int
     nvars: int
     field: Field
-    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -86,64 +85,50 @@ def probe_invertible(L: LinearPencil, dims=(1, 2, 3), trials: int = 8,
     return None
 
 
-def normalize_entry(e: RealizedEntry, s: int, nvars: int | None = None,
-                    check: bool = True, seed: int = 0) -> RealizedEntry:
-    """Relocate the designation to (1,1), pad with an identity block to the
-    target size, and certify pencil invertibility by randomized probing."""
-    if e.size > s:
-        raise ValueError("target size smaller than the entry pencil")
-    out = pad_entry(relocate_entry(e), s)
-    if nvars is not None:
-        out = widen_entry(out, nvars)
-    if check and probe_invertible(out.pencil, seed=seed) is None:
-        raise NotInvertiblePencil(
-            "entry pencil singular at all probed dimensions")
-    return out
-
-
-def make_skew_matrix(grid, field: Field, min_size: int = 2,
-                     check: bool = True) -> SkewMatrix:
-    """Normalize a grid of realized entries (None marks a zero entry) into a
-    SkewMatrix with a common pencil size."""
+def make_skew_matrix(grid, field: Field) -> SkewMatrix:
+    """Check a square grid of realized entries (None marks a zero entry),
+    widen every entry to the grid's variables and probe each entry pencil
+    for invertibility; NotInvertiblePencil names the first that fails."""
     m = len(grid)
-    for row in grid:
-        if len(row) != m:
-            raise ValueError("grid must be square")
+    if any(len(row) != m for row in grid):
+        raise ValueError("grid must be square")
     nvars = max([e.nvars for row in grid for e in row if e is not None],
                 default=0)
-    filled = [[zero_entry(field, nvars) if e is None else widen_entry(e, nvars)
-               for e in row] for row in grid]
-    s = max(max(e.size for row in filled for e in row), min_size)
-
-    def normalize(i: int, j: int, e: RealizedEntry) -> RealizedEntry:
-        try:
-            return normalize_entry(e, s, nvars, check=check, seed=17 * i + j)
-        except NotInvertiblePencil as exc:
-            exc.entry = (i, j)
-            raise
-
-    norm = tuple(tuple(normalize(i, j, e) for j, e in enumerate(row))
-                 for i, row in enumerate(filled))
-    return SkewMatrix(m=m, entries=norm, common_size=s, nvars=nvars,
-                      field=field, certified=check)
+    entries = tuple(tuple(None if e is None else
+                          replace(e, pencil=replace(e.pencil, nvars=nvars))
+                          for e in row) for row in grid)
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            if e is not None and probe_invertible(e.pencil, seed=17 * i + j) is None:
+                exc = NotInvertiblePencil(
+                    "entry pencil singular at all probed dimensions")
+                exc.entry = (i, j)
+                raise exc
+    size = max([e.size for row in entries for e in row if e is not None],
+               default=2)
+    return SkewMatrix(m=m, entries=entries, common_size=max(size, 2),
+                      nvars=nvars, field=field)
 
 
 def build_reduction_pencil(M: SkewMatrix) -> LinearPencil:
-    """Diagonal of the m^2 entry pencils with unit borders and a zero
-    corner; size exactly m^2 s + m."""
+    """The nonzero entry pencils on a diagonal, each bordered at its own
+    designated entry as realize_inverse borders one, over an m x m zero
+    corner; size the sum of the entry sizes plus m."""
     f = M.field
-    m, s = M.m, M.common_size
-    corner = m * m * s
+    corner = sum(e.size for row in M.entries for e in row if e is not None)
     entries: dict = {}
-    for i in range(m):
-        for j in range(m):
-            blk = (i * m + j) * s
-            place_block(entries, M.entries[i][j].pencil.entries, blk, blk)
-            # right border: first row of the block connects to corner column j;
-            # bottom border: corner row i connects to the block's first column
-            place_block(entries, {(blk, corner + j): {0: f.one},
-                                  (corner + i, blk): {0: f.neg(f.one)}})
-    return LinearPencil(f, corner + m, M.nvars, entries)
+    o = 0
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            if e is None:
+                continue
+            place_block(entries, e.pencil.entries, o, o)
+            # column j of the corner meets the designated column's row,
+            # row i of the corner the designated row's column
+            place_block(entries, {(o + e.col - 1, corner + j): {0: f.one},
+                                  (corner + i, o + e.row - 1): {0: f.neg(f.one)}})
+            o += e.size
+    return LinearPencil(f, corner + M.m, M.nvars, entries)
 
 
 def assemble_at(M: SkewMatrix, t: MatrixTuple) -> DenseMatrix:
@@ -152,13 +137,14 @@ def assemble_at(M: SkewMatrix, t: MatrixTuple) -> DenseMatrix:
     f = M.field
     m, d = M.m, t.d
     out = DenseMatrix.zeros(f, m * d, m * d)
-    for i in range(m):
-        for j in range(m):
-            blk = M.entries[i][j].value_at(t)
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            if e is None:
+                continue
+            blk = e.value_at(t)
             for a in range(d):
-                row = blk.row(a)
                 base = (i * d + a) * (m * d) + j * d
-                out.data[base:base + d] = row
+                out.data[base:base + d] = blk.row(a)
     return out
 
 
@@ -246,7 +232,7 @@ def ncrank_skew(M: SkewMatrix, params: RankParams = RankParams()) -> RankResult:
     """Noncommutative rank of the grid through the reduction pencil, with a
     witness tuple T satisfying rank(M(T)) = r d exactly."""
     L = build_reduction_pencil(M)
-    offset = M.m * M.m * M.common_size
+    offset = L.size - M.m
     schedule = params.d_schedule or tuple(range(1, 2 * M.m + 1))
     base_params = RankParams(d_schedule=schedule, trials=params.trials,
                              seed=params.seed)
@@ -291,8 +277,7 @@ def schur_step(P: DenseMatrix, r: int) -> tuple[DenseMatrix, bool]:
 # -- skew-matrix file format ---------------------------------------------------
 
 
-def parse_skew_file(text: str, field: Field, base_dir: str = ".",
-                    check: bool = True) -> SkewMatrix:
+def parse_skew_file(text: str, field: Field, base_dir: str = ".") -> SkewMatrix:
     """Header `m <m>`, then m^2 row-major entry lines: `expr <expression>`
     (compiled through the circuit pipeline) or `pencil <path>` (a pencil
     file with a realize trailer).  Blank lines and `#` comments are
@@ -323,7 +308,7 @@ def parse_skew_file(text: str, field: Field, base_dir: str = ".",
         except (ValueError, ParseError, BlowupExceeded) as exc:
             raise ValueError(f"line {no}: {exc}") from None
     try:
-        return make_skew_matrix(grid, field, check=check)
+        return make_skew_matrix(grid, field)
     except NotInvertiblePencil as exc:
         i, j = exc.entry
         raise ValueError(f"line {body[i * m + j][0]}: {exc}") from None
@@ -353,8 +338,7 @@ def _skew_entry(line: str, field: Field, base_dir: str) -> RealizedEntry | None:
     raise ValueError(f"unknown entry kind {kind!r}")
 
 
-def read_skew_file(path: str, field: Field, check: bool = True) -> SkewMatrix:
+def read_skew_file(path: str, field: Field) -> SkewMatrix:
     with open(path) as fh:
         return parse_skew_file(fh.read(), field,
-                               base_dir=os.path.dirname(path) or ".",
-                               check=check)
+                               base_dir=os.path.dirname(path) or ".")

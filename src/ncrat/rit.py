@@ -26,8 +26,8 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .circuit import (BlowupExceeded, RationalCircuit, Undefined, classify,
-                      eval_circuit, parse_expr, to_idrrsc)
+from .circuit import (MAX_VARS, BlowupExceeded, RationalCircuit, Undefined,
+                      classify, eval_circuit, parse_expr, to_idrrsc)
 from .field import (DenseMatrix, Field, MatrixTuple, is_invertible,
                     sample_tuple)
 from .pencil import PencilOracle, RealizedEntry, compile_idrrsc, realize_inverse
@@ -75,14 +75,9 @@ class RitVerdict:
 
 def compile_circuit(c: RationalCircuit, field: Field) -> RealizedEntry:
     try:
-        return _compile_cached(c, field)
+        return compile_idrrsc(to_idrrsc(c), field)
     except BlowupExceeded as exc:
         raise CompileFailed(str(exc)) from exc
-
-
-@functools.lru_cache(maxsize=16)
-def _compile_cached(c: RationalCircuit, field: Field) -> RealizedEntry:
-    return compile_idrrsc(to_idrrsc(c), field)
 
 
 @functools.lru_cache(maxsize=16)
@@ -90,7 +85,7 @@ def _gate_oracle(c: RationalCircuit, field: Field):
     """Size of the bordered pencil for the circuit's inverse, and its
     reduced oracle: invertible at t exactly when the circuit is defined at
     t with an invertible value.  The pencil itself is not kept."""
-    gate = realize_inverse(_compile_cached(c, field))
+    gate = realize_inverse(compile_circuit(c, field))
     return gate.size, PencilOracle(gate.pencil)
 
 
@@ -106,10 +101,7 @@ def rit_test(c: RationalCircuit, field: Field,
     singular, so the test returns the ZERO verdict the full trial loop
     would give (the nominal max_dim * trials and the per-trial bound) at
     once, and that verdict is exact."""
-    try:
-        size, oracle = _gate_oracle(c, field)
-    except BlowupExceeded as exc:
-        raise CompileFailed(str(exc)) from exc
+    size, oracle = _gate_oracle(c, field)
     max_dim = params.max_dim or min(size, params.dim_cap)
     zero = RitVerdict("zero", pencil_size=size,
                       trials_run=max_dim * params.trials, max_dim=max_dim,
@@ -192,11 +184,14 @@ def hitting_set_generate(n: int, s: int, h: int, d: int, kappa: int | None,
     2(h+1) d^2 generic-matrix entries, and each assignment is transported
     through p_i = sum_j q_{j0} q_{j1}^i q_{j0}.  Over F_p every point and
     product is reduced mod p as it is made; over Q they are exact integers.
-    ValueError for s, d or kappa below 1, or a negative n or h."""
+    ValueError for s, d or kappa below 1, a negative n or h, or n above
+    MAX_VARS (every point builds n matrices)."""
     for name, value, least in (("nvars", n, 0), ("size", s, 1), ("height", h, 0),
                                ("dim", d, 1), ("kappa", kappa, 1)):
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    if n > MAX_VARS:
+        raise ValueError(f"nvars must be at most {MAX_VARS}, got {n}")
     if kappa is None:
         kappa = 2 * s * d
     nq = 2 * (h + 1)
@@ -258,7 +253,7 @@ def _certified_nowhere_invertible(c: RationalCircuit, field: Field,
     when c does not compile."""
     try:
         _, oracle = _gate_oracle(c, field)
-    except BlowupExceeded:
+    except CompileFailed:
         return False
     return not oracle.is_invertible_at(t) and oracle.shrunk_subspace(t) is not None
 

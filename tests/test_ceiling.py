@@ -176,7 +176,7 @@ def test_after_a_certified_first_dimension_each_dimension_ranks_once(monkeypatch
     monkeypatch.setattr(PencilOracle, "rank_at", counted_rank)
     monkeypatch.setattr(PencilOracle, "shrunk_subspace", counted_search)
     res = ncrank_pencil(L, RankParams(d_schedule=tuple(range(1, 7)), trials=8, seed=41))
-    assert res.r == M.m * M.m * M.common_size + 1
+    assert res.r == L.size - M.m + 1
     assert searched == [(1, 2, True)]          # core 12, rank 10 at d = 1
     assert ranked == [1, 2, 3, 4, 5, 6]
 

@@ -171,6 +171,8 @@ BAD_PENCIL_FILES = {
     "decimal": "field rational\nsize 1\nnvars 0\ncoeff 0\n1 1 1.5\nend\n",
     "nvars-above-bound": "field prime 7\nsize 1\nnvars 99999999999999999\n"
                          "coeff 0\n1 1 1\nend\nrealize 1 1\n",
+    "size-above-bound": "field prime 7\nsize 999999999999\nnvars 1\n"
+                        "coeff 1\n1 1 1\nend\nrealize 1 1\n",
 }
 
 BAD_CIRCUIT_FILES = {
@@ -262,6 +264,25 @@ def test_skew_entry_variable_above_the_bound_exits_two(tmp_path, capsys):
         "error: line 2: variable index above 65536 (at position 0)\n"
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["rit", "x1 + 1/7"], ""), (["compile", "x1 + 1/7"], ""),
+    (["bootstrap", "x1 + 1/7"], ""), (["eval", "x1 + 1/7", "--point", "p.mt"], ""),
+    (["hitgen", "--nvars", "1", "--size", "2", "--height", "0", "--dim", "1",
+      "--corpus", "c.txt"], ""),
+    (["ncrank", "--file", "c.skm"], "line 3: "),
+])
+def test_constant_with_denominator_divisible_by_p_exits_two(tmp_path, monkeypatch,
+                                                            capsys, argv, where):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.mt").write_text("field prime 7\nnvars 1\ndim 1\n3\n")
+    (tmp_path / "c.txt").write_text("ok: x1\nbad: x1 + 1/7\n")
+    (tmp_path / "c.skm").write_text("m 1\n# one entry\nexpr x1 + 1/7\n")
+    status, out = run(argv + ["--prime", "7"])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == \
+        f"error: {where}constant 1/7 is undefined in F_7: 7 divides its denominator\n"
+
+
 def test_rational_zero_bound_is_over_the_sampled_set():
     # RationalField.rand draws from the 2^17 integers in [-2^16, 2^16)
     status, out = run(["rit", "--rational", "x1 - x1", "--trials", "2"])
@@ -350,6 +371,10 @@ NON_POSITIVE_COUNTS = {
     "hitgen-height-negative": (["hitgen", "--nvars", "1", "--size", "2", "--height",
                                 "-1", "--dim", "1"],
                                "error: height must be at least 0, got -1\n"),
+    # every point builds one matrix per variable
+    "hitgen-nvars-above-bound": (["hitgen", "--nvars", "10000000", "--size", "2",
+                                  "--height", "0", "--dim", "1"],
+                                 "error: nvars must be at most 65536, got 10000000\n"),
 }
 
 

@@ -12,9 +12,8 @@ from ncrat.field import (QQ, DenseMatrix, MatrixTuple, Singular, invert,
 from ncrat.pencil import (DimensionMismatch, DisjointnessViolation,
                           PencilOracle, RealizedEntry,
                           blowup_shift, compile_idrrsc, compose, dump_pencil,
-                          eval_pencil, from_abp, pad_entry,
-                          parse_pencil, pencil_from_rows, realize_inverse,
-                          relocate_entry, zero_entry)
+                          eval_pencil, from_abp, parse_pencil,
+                          pencil_from_rows, realize_inverse)
 from ncrat.rit import corpus
 from reference import _invert_generic, _rank_generic
 
@@ -365,46 +364,6 @@ def test_blowup_shift_consistency(rng):
         shifted = MatrixTuple(F, m, tuple(q.mats[i].add(shift.mats[i])
                                           for i in range(2)))
         assert eval_pencil(B, zt) == eval_pencil(L, shifted)
-
-
-# -- relocation, padding, zero entries ----------------------------------------------------
-
-def test_zero_entry_realizes_zero(rng):
-    z = zero_entry(F, 2)
-    t = sample_tuple(F, 2, 2, rng)
-    assert z.value_at(t).is_zero()
-    assert rank_of(eval_pencil(z.pencil, t)) == 2 * t.d
-
-
-def test_relocate_preserves_value_and_rank(rng):
-    for _ in range(10):
-        e = random_realized(rng, max_size=4)
-        r = relocate_entry(e)
-        assert (r.row, r.col) == (1, 1)
-        t = sample_tuple(F, 2, 2, rng)
-        ev_before = eval_pencil(e.pencil, t)
-        ev_after = eval_pencil(r.pencil, t)
-        assert rank_of(ev_before) == rank_of(ev_after)
-        try:
-            v1 = e.value_at(t)
-        except Singular:
-            continue
-        assert r.value_at(t) == v1
-
-
-def test_pad_preserves_value_and_invertibility(rng):
-    for _ in range(10):
-        e = random_realized(rng, max_size=3)
-        p = pad_entry(e, 6)
-        assert p.size == 6
-        t = sample_tuple(F, 2, 2, rng)
-        assert (rank_of(eval_pencil(e.pencil, t)) == e.size * t.d) == \
-            (rank_of(eval_pencil(p.pencil, t)) == 6 * t.d)
-        try:
-            v1 = e.value_at(t)
-        except Singular:
-            continue
-        assert p.value_at(t) == v1
 
 
 # -- structural oracle ----------------------------------------------------------------------

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from ncrat.circuit import parse_expr, to_idrrsc
-from ncrat.field import (DenseMatrix, Singular, prime_field, rank_of,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncrat.circuit import formula_to_abp, parse_expr, to_idrrsc
+from ncrat.field import (QQ, DenseMatrix, Singular, prime_field, rank_of,
                          sample_tuple)
-from ncrat.pencil import (compile_idrrsc, eval_pencil, pencil_from_rows,
-                          realize_inverse, zero_entry)
+from ncrat.pencil import (RealizedEntry, compile_idrrsc, eval_pencil, from_abp,
+                          pencil_from_rows, realize_inverse)
 from ncrat.rank import (NotInvertiblePencil, RankParams,
                         assemble_at, build_reduction_pencil, make_skew_matrix,
-                        ncrank_pencil, ncrank_skew, normalize_entry,
-                        parse_skew_file, schur_step)
+                        ncrank_pencil, ncrank_skew, parse_skew_file,
+                        schur_step)
 from reference import _rank_generic
 
 F = prime_field()
@@ -47,44 +50,14 @@ def random_skew(rng, m, nvars=3):
         F)
 
 
-# -- normalization -----------------------------------------------------------------
+# -- entry probe -------------------------------------------------------------------
 
-def test_normalize_zero_entry(rng):
-    z = normalize_entry(zero_entry(F, 2), 5, nvars=2)
-    assert z.size == 5 and (z.row, z.col) == (1, 1)
-    t = sample_tuple(F, 2, 2, rng)
-    assert z.value_at(t).is_zero()
-
-
-def test_normalize_variable_entry_preserves_value(rng):
-    e = normalize_entry(entry_of("x1"), 6, nvars=1)
-    assert (e.row, e.col) == (1, 1) and e.size == 6
-    for _ in range(20):
-        t = sample_tuple(F, 1, 2, rng)
-        assert e.value_at(t) == t.mats[0]
-
-
-def test_normalize_rejects_oversized():
-    with pytest.raises(ValueError):
-        normalize_entry(entry_of("x1*x2"), 2)
-
-
-def test_normalize_detects_never_invertible():
+def test_make_skew_matrix_detects_never_invertible():
     # pencil with an identically zero row can never be invertible
     L = pencil_from_rows(F, [[[0, 0], [0, 1]], [[0, 0], [1, 0]]])
-    bad = __import__("ncrat.pencil", fromlist=["RealizedEntry"]).RealizedEntry(L, 1, 2)
-    with pytest.raises(NotInvertiblePencil):
-        normalize_entry(bad, 3)
-
-
-def test_relocation_keeps_rank_profile(rng):
-    e = entry_of("x1*x2 - x2*x1")
-    n = normalize_entry(e, e.size + 2, nvars=2)
-    for _ in range(10):
-        t = sample_tuple(F, 2, 2, rng)
-        before = rank_of(eval_pencil(e.pencil, t))
-        after = rank_of(eval_pencil(n.pencil, t))
-        assert after == before + 2 * t.d  # identity padding adds full blocks
+    with pytest.raises(NotInvertiblePencil) as exc:
+        make_skew_matrix([[RealizedEntry(L, 1, 2)]], F)
+    assert exc.value.entry == (0, 0)
 
 
 # -- reduction pencil ----------------------------------------------------------------
@@ -92,33 +65,99 @@ def test_relocation_keeps_rank_profile(rng):
 def test_reduction_pencil_size():
     M = higman_skew()
     L = build_reduction_pencil(M)
-    assert L.size == M.m ** 2 * M.common_size + M.m
+    assert L.size == sum(e.size for row in M.entries for e in row) + M.m
 
 
 def test_reduction_single_variable_entry(rng):
     M = make_skew_matrix([[entry_of("x1")]], F)
     L = build_reduction_pencil(M)
-    assert L.size == M.common_size + 1
+    assert L.size == M.entries[0][0].size + 1
     res = ncrank_pencil(L, RankParams(d_schedule=(1, 2), trials=8, seed=0))
-    assert res.r - M.common_size == 1
+    assert res.r - (L.size - M.m) == 1
 
 
 def test_reduction_zero_matrix():
     M = make_skew_matrix([[None, None], [None, None]], F)
     L = build_reduction_pencil(M)
+    assert L.size == M.m
     res = ncrank_pencil(L, RankParams(d_schedule=(1, 2), trials=8, seed=1))
-    assert res.r - M.m ** 2 * M.common_size == 0
+    assert res.r - (L.size - M.m) == 0
 
 
 def test_reduction_rank_identity_pointwise(rng):
-    # rank(L(t)) = m^2 s d + rank(M(t)) whenever the entries are invertible
+    # rank(L(t)) = (sum of entry sizes) d + rank(M(t)) whenever the entries
+    # are invertible
     M = higman_skew()
     L = build_reduction_pencil(M)
     for d in (1, 2):
         t = sample_tuple(F, 3, d, rng)
         lhs = rank_of(eval_pencil(L, t))
-        rhs = M.m ** 2 * M.common_size * d + rank_of(assemble_at(M, t))
+        rhs = (L.size - M.m) * d + rank_of(assemble_at(M, t))
         assert lhs == rhs
+
+
+POLYNOMIALS = ("x1", "3", "x1*x2", "x1*x2 - x2*x1", "x1 + x2*x3", "x2*x2*x1 + 1")
+
+
+def abp_entry(src, field):
+    return from_abp(formula_to_abp(parse_expr(src)), field)
+
+
+def assert_rank_identity(M, rng, d, tries=3):
+    """rank L(t) = (sum of entry sizes) d + rank M(t) at random t of
+    dimension d where every entry is invertible; returns how many t were
+    compared."""
+    L = build_reduction_pencil(M)
+    sizes = sum(e.size for row in M.entries for e in row if e is not None)
+    assert L.size == sizes + M.m
+    compared = 0
+    for _ in range(tries):
+        t = sample_tuple(M.field, max(M.nvars, 1), d, rng)
+        try:
+            grid_rank = rank_of(assemble_at(M, t))
+        except Singular:
+            continue                     # some entry is not invertible at t
+        assert rank_of(eval_pencil(L, t)) == sizes * d + grid_rank
+        compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("field", [F, prime_field(101), QQ], ids=["M61", "F101", "Q"])
+def test_reduction_rank_on_a_mixed_grid(field):
+    # branching-program entries designated at (1, N) of sizes 2, 4 and 6, a
+    # gadget designated at (4, 4) and zero entries; the top-left 2 x 2 block
+    # has full rank, which a border at (1, 1) or with row and column swapped
+    # loses
+    grid = [[abp_entry("x1", field), abp_entry("x1 + x2*x3", field), None],
+            [abp_entry("x2*x2*x1 + 1", field), abp_entry("x2", field), None],
+            [None, None, realize_inverse(abp_entry("x1*x2", field))]]
+    M = make_skew_matrix(grid, field)
+    rng = random.Random(5)
+    assert sum(assert_rank_identity(M, rng, d) for d in (1, 2)) == 6
+
+
+@st.composite
+def mixed_grids(draw):
+    """A field and a square grid mixing zero entries, branching-program
+    entries (designated at (1, N - w + 1)) and inverse gadgets around them
+    (designated at (s + 1, s + 1)), of differing sizes."""
+    field = draw(st.sampled_from((F, prime_field(101), QQ)))
+    m = draw(st.integers(1, 3))
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "abp", "inverse")))
+        if kind == "zero":
+            return None
+        e = abp_entry(draw(st.sampled_from(POLYNOMIALS)), field)
+        return realize_inverse(e) if kind == "inverse" else e
+    return field, [[entry() for _ in range(m)] for _ in range(m)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_grids(), st.integers(1, 2), st.integers(0, 2 ** 16))
+def test_reduction_rank_is_entry_sizes_plus_grid_rank(grid, d, seed):
+    field, entries = grid
+    assert_rank_identity(make_skew_matrix(entries, field), random.Random(seed), d)
 
 
 # -- ncrank_pencil -------------------------------------------------------------------

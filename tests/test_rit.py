@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ncrat.circuit import (classify, eval_circuit, parse_expr,
                            transport_tuple, variable_reduction)
 from ncrat.field import QQ, DenseMatrix, PrimeField, is_invertible, prime_field
+from ncrat.pencil import compile_idrrsc
 from ncrat.rit import (CompileFailed, RitParams, WitnessNotFound,
                        bootstrap_dimension, corpus, hitting_set_generate,
                        rit_test, sparse_points, strong_witness, verify_strong)
@@ -82,6 +83,24 @@ def test_strong_witness_corpus_dimension_bound():
         w = strong_witness(circ, F, RitParams(trials=6, dim_cap=4, seed=5))
         assert w.d <= 2 * classify(circ).size
         assert is_invertible(eval_circuit(circ, w))
+
+
+def test_rit_then_strong_witness_compiles_once(monkeypatch):
+    # the gate oracle is rit's one compile cache; a witness request after a
+    # test of the same circuit reuses it
+    from ncrat import rit
+    calls = []
+
+    def counted(idr, field):
+        calls.append(idr)
+        return compile_idrrsc(idr, field)
+    monkeypatch.setattr(rit, "compile_idrrsc", counted)
+    rit._gate_oracle.cache_clear()
+    circ = parse_expr("inv(x1 + inv(x2))*x3")
+    params = RitParams(trials=4, seed=0)
+    assert rit_test(circ, F, params).kind == "nonzero"
+    strong_witness(circ, F, params)
+    assert len(calls) == 1
 
 
 # -- sparse points -------------------------------------------------------------------
