@@ -55,7 +55,9 @@ class RankResult:
     d: int
     witness: MatrixTuple
     certificate: int                       # rank of the evaluated matrix, r*d
-    per_dim: tuple = ()                    # (d, max_rank, accepted r_d or None)
+    # (d, max_rank, accepted r_d or None); a dimension decided by the
+    # ceiling, a multiple of d, reads (d, r d, r) without sampling
+    per_dim: tuple = ()
     anomalies: int = 0
 
 
@@ -154,17 +156,20 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
     multiple of d, and report max/d with the first tuple reaching it.
 
     A certified ceiling c >= ncrank(L), L.size to begin with, ends a
-    dimension's trials at the first rank c d, which no tuple can exceed, so
-    every field of the result is the one the full trial loop gives.  The
-    oracle looks for a shrunk subspace of its core with deficit core_size -
-    (r - base) from a tuple of rank r d, at a dimension d below the last,
-    whenever r would be a new best below c: at the dimension's first trial,
-    and again at its end when a later trial became its best tuple.  One
-    that check_shrunk accepts proves ncrank(L) <= r, so c = r and the
-    result is exact; found at the first trial, it ends the dimension's
-    trials there.  Otherwise the result is a Monte Carlo lower bound that
-    meets the rank with high probability at the largest scheduled
-    dimension."""
+    dimension's trials at the first rank c d, which no tuple can exceed.
+    Once the best rank meets c at dimension d0, each later multiple d of
+    d0 is decided as (d, c d, c) without sampling: the best tuple blown up
+    to dimension d reaches c d.  So r, d, witness and certificate are the
+    ones the full trial loop gives, and per_dim and anomalies differ only
+    where its trials at a decided d missed c d.  The oracle looks for a
+    shrunk subspace of its core with deficit core_size - (r - base) from a
+    tuple of rank r d, at a dimension d below the last, whenever r would be
+    a new best below c: at the dimension's first trial, and again at its
+    end when a later trial became its best tuple.  One that check_shrunk
+    accepts proves ncrank(L) <= r, so c = r and the result is exact; found
+    at the first trial, it ends the dimension's trials there.  Otherwise
+    the result is a Monte Carlo lower bound that meets the rank with high
+    probability at the largest scheduled dimension."""
     schedule = params.d_schedule or tuple(range(1, L.size + 1))
     oracle = PencilOracle(L)
     ceiling = L.size
@@ -178,6 +183,11 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
         return oracle.shrunk_subspace(t, oracle.core_size - (r - oracle.base)) is not None
 
     for d in schedule:
+        if best is not None and best_r == ceiling and d % best[0] == 0:
+            # the best tuple blown up to dimension d has rank ceiling*d,
+            # which no tuple exceeds
+            per_dim.append((d, ceiling * d, ceiling))
+            continue
         rng = random.Random(params.seed * 1_000_003 + d)
         max_rank = -1
         max_t = searched = None
@@ -247,7 +257,7 @@ def ncrank_skew(M: SkewMatrix, params: RankParams = RankParams()) -> RankResult:
         except Singular:
             continue
         if cert == r * res.d:
-            per = tuple((d, mx - offset * d if acc is not None else mx,
+            per = tuple((d, mx - offset * d,
                          acc - offset if acc is not None else None)
                         for d, mx, acc in res.per_dim)
             return RankResult(r=r, d=res.d, witness=res.witness,

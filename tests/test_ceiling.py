@@ -1,23 +1,30 @@
-"""Rank ceilings certified by shrunk subspaces: ncrank_pencil, which
-searches for a ceiling from a dimension's first trial and ends a
-dimension's trials at the first rank reaching its certified ceiling, gives
-the result of ranking every trial; a ceiling certified at the first trial
-of d = 1 leaves every dimension, d = 1 included, one ranked tuple; and no
-rank found by many more trials exceeds a certified ceiling."""
+"""Rank ceilings certified by shrunk subspaces: ncrank_pencil searches for
+a ceiling from a dimension's first trial and ends a dimension's trials at
+the first rank reaching its ceiling c, certified or L.size.  Once the best
+rank meets c at witness dimension d0, every later multiple d of d0 is
+decided without sampling as (d, c d, c): witness (x) I_(d/d0) has rank
+c d, which no tuple exceeds.  Every other field of the result is the one
+ranking every trial gives; a ceiling certified at the first trial of d = 1
+leaves only d = 1 ranked; and no rank found by many more trials exceeds a
+certified ceiling."""
 
 import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncrat.circuit import parse_expr, to_idrrsc
-from ncrat.field import MERSENNE61, QQ, DenseMatrix, PrimeField, sample_tuple
-from ncrat.pencil import PencilOracle, compile_idrrsc, pencil_from_rows
+from ncrat.field import (MERSENNE61, QQ, DenseMatrix, MatrixTuple, PrimeField,
+                         kron, sample_tuple)
+from ncrat.pencil import (PencilOracle, compile_idrrsc, eval_pencil,
+                          pencil_from_rows)
 from ncrat.rank import (DivisibilityAnomaly, RankParams, RankResult,
                         build_reduction_pencil, make_skew_matrix, ncrank_pencil,
                         ncrank_skew, read_skew_file)
+from reference import _rank_generic
+from test_golden import SKEW3, _skew_of
 
 F = PrimeField(MERSENNE61)
 FIELDS = (F, PrimeField((1 << 31) - 1), PrimeField(101), PrimeField(7), QQ)
@@ -116,14 +123,74 @@ def planted_pencils(draw, fields=FIELDS):
     return pencil_from_rows(field, [A.to_lists() for A in coeffs])
 
 
+def _blown_up_rank(L, t, k):
+    """Rank of L at t (x) I_k by the textbook elimination."""
+    one = DenseMatrix.identity(L.field, k)
+    return _rank_generic(eval_pencil(
+        L, MatrixTuple(L.field, t.d * k, tuple(kron(m, one) for m in t.mats))))
+
+
+def _decided(L, full, certified):
+    """Which of full.per_dim's dimensions ncrank_pencil decides without
+    sampling: a multiple of the best tuple's dimension once the best rank
+    is L.size or a ceiling some shrunk subspace certified."""
+    best_r, best_d, out = 0, None, []
+    for d, _, acc in full.per_dim:
+        out.append(best_d is not None and d % best_d == 0
+                   and (best_r == L.size or best_r in certified))
+        if acc is not None and (best_d is None or acc > best_r):
+            best_r, best_d = acc, d
+    return out
+
+
+# diag(x1, x2, x3) over F_7: d = 1 reaches full rank 3, and the one trial
+# at d = 2 draws a singular matrix, rank 5; the proven maximum is 6
+_DIAG_F7 = pencil_from_rows(PrimeField(7), [
+    [[int(k and i == j == k - 1) for j in range(3)] for i in range(3)]
+    for k in range(4)])
+
+
 @settings(max_examples=120, deadline=None)
 @given(planted_pencils(), st.integers(1, 4), st.integers(0, 2 ** 16),
        st.sampled_from([None, (1, 2), (1, 2, 3), (2, 1, 3), (1, 1, 2)]))
+@example(_DIAG_F7, 1, 1, (1, 2, 3))
 def test_ceiling_gives_the_full_loop_result(L, trials, seed, schedule):
     if L.field is QQ and schedule is None:
         schedule = (1, 2)
     params = RankParams(d_schedule=schedule, trials=trials, seed=seed)
-    assert _outcome(ncrank_pencil, L, params) == _outcome(_full_loop, L, params)
+    certified = set()
+    finder = PencilOracle.shrunk_subspace
+
+    def recorded(self, t, deficit=1):
+        S = finder(self, t, deficit)
+        if S is not None:
+            certified.add(self.rank_at(t) // t.d)
+        return S
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PencilOracle, "shrunk_subspace", recorded)
+        res = _outcome(ncrank_pencil, L, params)
+    full = _outcome(_full_loop, L, params)
+    if full is DivisibilityAnomaly:
+        # the full loop raises at its last dimension, which may be decided
+        if res is not DivisibilityAnomaly:
+            d, max_rank, acc = res.per_dim[-1]
+            assert d % res.d == 0 and (max_rank, acc) == (res.r * d, res.r)
+        return
+    assert (res.r, res.d, res.witness, res.certificate) == \
+        (full.r, full.d, full.witness, full.certificate)
+    assert res.anomalies <= full.anomalies
+    decided = _decided(L, full, certified)
+    for is_decided, rec, full_rec in zip(decided, res.per_dim, full.per_dim,
+                                          strict=True):
+        if not is_decided:
+            assert rec == full_rec
+            continue
+        d = rec[0]
+        assert rec == (d, res.r * d, res.r)
+        assert full_rec[1] <= res.r * d
+        assert _blown_up_rank(L, res.witness, d // res.d) == res.r * d
+    if not any(decided):
+        assert res == full
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,9 +226,9 @@ def _uv_3x1():
                               for src in row] for row in grid], F)
 
 
-def test_after_a_certified_first_dimension_each_dimension_ranks_once(monkeypatch):
-    M = _uv_3x1()
-    L = build_reduction_pencil(M)
+def _count_ranks_and_searches(monkeypatch):
+    """Lists that fill with each rank_at call's dimension and each shrunk
+    subspace search's (dimension, deficit, found)."""
     ranked, searched = [], []
     rank_at, finder = PencilOracle.rank_at, PencilOracle.shrunk_subspace
 
@@ -175,10 +242,33 @@ def test_after_a_certified_first_dimension_each_dimension_ranks_once(monkeypatch
         return S
     monkeypatch.setattr(PencilOracle, "rank_at", counted_rank)
     monkeypatch.setattr(PencilOracle, "shrunk_subspace", counted_search)
+    return ranked, searched
+
+
+def test_a_certified_first_dimension_ranks_only_itself(monkeypatch):
+    M = _uv_3x1()
+    L = build_reduction_pencil(M)
+    ranked, searched = _count_ranks_and_searches(monkeypatch)
     res = ncrank_pencil(L, RankParams(d_schedule=tuple(range(1, 7)), trials=8, seed=41))
-    assert res.r == L.size - M.m + 1
+    c = L.size - M.m + 1
+    assert res.r == c and res.d == 1
     assert searched == [(1, 2, True)]          # core 12, rank 10 at d = 1
-    assert ranked == [1, 2, 3, 4, 5, 6]
+    assert ranked == [1]
+    assert res.per_dim == tuple((d, c * d, c) for d in range(1, 7))
+
+
+def test_full_rank_at_d_2_decides_only_its_multiples(monkeypatch):
+    # the skew-symmetric grid has rank 2 at d = 1, where no subspace
+    # certifies it, and full rank 3 at d = 2, which decides d = 4 and 6
+    # but not 3 or 5
+    M = _skew_of(SKEW3)
+    ranked, searched = _count_ranks_and_searches(monkeypatch)
+    res = ncrank_skew(M, RankParams(trials=8, seed=11))
+    assert (res.r, res.d) == (M.m, 2)
+    assert [(d, found) for d, _, found in searched] == [(1, False)]
+    assert sorted(set(ranked)) == [1, 2, 3, 5]
+    assert [rec for rec in res.per_dim if rec[0] % 2 == 0] == \
+        [(2, 6, 3), (4, 12, 3), (6, 18, 3)]
 
 
 def _without_search(rank, *args):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 from contextlib import redirect_stdout
@@ -394,3 +395,49 @@ def test_non_positive_counts_exit_two(capsys, name):
     status, out = run(argv)
     assert status == 2 and out == ""
     assert capsys.readouterr().err == message
+
+
+# SHA-256 of (report, report with --witness-out, witness file bytes) from
+# `ncrank --file data/higman.skm --json`, the witness path read as W.  A
+# certified ceiling decides later dimensions without sampling them, which
+# must leave the rank, witness and certificate, and so these bytes, as the
+# trials gave them, in small fields too.
+NCRANK_CLI_GOLDEN = {
+    ("--seed", "2"):
+        "e5dd22aca7dac8bbbf0497b573c90e23076a11cc8a4baf4966f2621df2a2bdc0",
+    ("--seed", "6"):
+        "2a38abb452b75974c214458d481c80eb1cb55b6f29cbc4b749c17105a2e5e771",
+    ("--seed", "2", "--prime", "2147483647"):
+        "f11f67df16e396882ee1a704b71cdccc70f04177f635607c737d3bfe16e51d9e",
+    ("--seed", "6", "--prime", "2147483647"):
+        "d07731c1558a5477f35e16bf7b08a960615937c8a068b4e0cfe762954874ee8f",
+    ("--seed", "2", "--prime", "101"):
+        "e29ea26a0331b6496e00908b156b4ecc41af38806441ed0dcf986718af963457",
+    ("--seed", "6", "--prime", "101"):
+        "9b4761fc3eb612fc2d1902116944ee344302f88c419c91e065d1b7d257fa82c9",
+    ("--seed", "2", "--prime", "7", "--trials", "1"):
+        "e356f98230f5d370f93d233848de2857d5acbb977af33b88350258e0824c1923",
+    ("--seed", "6", "--prime", "7", "--trials", "1"):
+        "a16b604558c1798866def3d31ef5aedba1f316bc262df0385e42fdbb37c799b7",
+    ("--seed", "2", "--rational"):
+        "b9c0753a374a0c42207ad9fa4c50696754ad9219af3d68462b347deb524a7f6c",
+    ("--seed", "6", "--rational"):
+        "b918aaa604f1c2830653fec7bbb25e40f7a944bf140b0527c586424e0623235c",
+}
+
+
+def _ncrank_digest(flags, tmp_path):
+    argv = ["ncrank", "--file", HIGMAN, "--json", *flags]
+    status, out = run(argv)
+    wfile = str(tmp_path / "w.mt")
+    status_w, out_w = run(argv + ["--witness-out", wfile])
+    assert status == status_w == 0 and "witness_verified True" in out_w
+    with open(wfile, "rb") as fh:
+        witness = fh.read()
+    text = repr((out, out_w.replace(wfile, "W"), witness))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("flags", sorted(NCRANK_CLI_GOLDEN), ids=" ".join)
+def test_ncrank_report_and_witness_are_unchanged(tmp_path, flags):
+    assert _ncrank_digest(flags, tmp_path) == NCRANK_CLI_GOLDEN[flags]

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrat.circuit import formula_to_abp, parse_expr, to_idrrsc
-from ncrat.field import (QQ, DenseMatrix, Singular, prime_field, rank_of,
-                         sample_tuple)
+from ncrat.field import (QQ, DenseMatrix, PrimeField, Singular, prime_field,
+                         rank_of, sample_tuple)
 from ncrat.pencil import (RealizedEntry, compile_idrrsc, eval_pencil, from_abp,
                           pencil_from_rows, realize_inverse)
 from ncrat.rank import (NotInvertiblePencil, RankParams,
                         assemble_at, build_reduction_pencil, make_skew_matrix,
                         ncrank_pencil, ncrank_skew, parse_skew_file,
-                        schur_step)
+                        read_skew_file, schur_step)
 from reference import _rank_generic
 
 F = prime_field()
@@ -244,6 +245,16 @@ def test_ncrank_with_inverse_entries(rng):
     assert rank_of(assemble_at(M, res.witness)) == res.certificate
 
 
+def test_ncrank_skew_scales_every_record_to_the_grid():
+    # over F_7 the one trial at d = 2 reaches no multiple of 2; that record
+    # is still a rank of the 4 x 4 grid, not of the reduction pencil
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "higman.skm")
+    M = read_skew_file(path, PrimeField(7))
+    res = ncrank_skew(M, RankParams(d_schedule=(2, 3), trials=1, seed=2))
+    assert res.per_dim == ((2, 3, None), (3, 6, 2))
+    assert all(mx <= M.m * d for d, mx, _ in res.per_dim)
+
+
 # -- schur_step ------------------------------------------------------------------------
 
 def test_schur_block_diagonal(rng):
@@ -359,7 +370,6 @@ def test_skew_file_zero_literal_and_pencil_refs(tmp_path):
     write_pencil(e.pencil, str(tmp_path / "e.lp"), realize=(e.row, e.col))
     text = "m 2\nexpr 1\nexpr 0\npencil e.lp\nexpr x2\n"
     (tmp_path / "mat.skm").write_text(text)
-    from ncrat.rank import read_skew_file
     M = read_skew_file(str(tmp_path / "mat.skm"), F)
     assert M.m == 2
     res = ncrank_skew(M, RankParams(trials=8, seed=5))
