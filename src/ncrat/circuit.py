@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
-                    parse_number)
+from .field import DenseMatrix, MatrixTuple, Singular, invert, parse_number
 
 LinForm = dict  # var index -> Fraction, key 0 is the constant slot
 
@@ -412,68 +411,6 @@ def formula_to_abp(c: RationalCircuit) -> Abp:
     return Abp(layers=frozen, nvars=nvars)
 
 
-def _eval_form(form: LinForm, t: MatrixTuple) -> DenseMatrix:
-    field = t.field
-    out = DenseMatrix.zeros(field, t.d, t.d)
-    for k, v in form.items():
-        c = field.normalize(v)
-        if k == 0:
-            out = out.add(DenseMatrix.identity(field, t.d).scale(c))
-        else:
-            out = out.add(t.mats[k - 1].scale(c))
-    return out
-
-
-def eval_abp(a: Abp, t: MatrixTuple) -> DenseMatrix:
-    """Product of the evaluated layer matrices (block entry at source/sink)."""
-    field = t.field
-    cur = None
-    for m in a.layers:
-        rows = len(m)
-        cols = len(m[0])
-        big = DenseMatrix.zeros(field, rows * t.d, cols * t.d)
-        for i in range(rows):
-            for j in range(cols):
-                blk = _eval_form(m[i][j], t)
-                for bi in range(t.d):
-                    for bj in range(t.d):
-                        big.data[(i * t.d + bi) * cols * t.d + j * t.d + bj] = \
-                            blk.at(bi, bj)
-        cur = big if cur is None else cur.matmul(big)
-    return cur
-
-
-def expand_abp(a: Abp, field: Field):
-    """Symbolic expansion into a free-algebra polynomial (oracle use)."""
-    from . import freepoly
-
-    def form_poly(form: LinForm):
-        p = freepoly.NcPoly.zero(field)
-        for k, v in form.items():
-            mono = freepoly.NcPoly.const(field, v) if k == 0 else \
-                freepoly.scale(v, freepoly.NcPoly.var(field, k))
-            p = freepoly.add(p, mono)
-        return p
-
-    cur = None
-    for m in a.layers:
-        pm = [[form_poly(f) for f in row] for row in m]
-        if cur is None:
-            cur = pm
-            continue
-        rows, inner, cols = len(cur), len(pm), len(pm[0])
-        nxt = [[freepoly.NcPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
-        for i in range(rows):
-            for k in range(inner):
-                if cur[i][k].is_zero():
-                    continue
-                for j in range(cols):
-                    nxt[i][j] = freepoly.add(nxt[i][j],
-                                             freepoly.mul(cur[i][k], pm[k][j]))
-        cur = nxt
-    return cur[0][0]
-
-
 # -- inversely disjoint normal form ----------------------------------------
 
 
@@ -544,13 +481,13 @@ def _expand_tree(c: RationalCircuit, cap_nodes: int) -> RationalCircuit:
     return b.build(done.pop(), nvars=c.nvars)
 
 
-def to_idrrsc(c: RationalCircuit, blowup_cap: float = 8.0) -> IdrCircuit:
+def to_idrrsc(c: RationalCircuit) -> IdrCircuit:
     """Normalize a circuit to the inversely disjoint form: a maximal
     inverse-free top lowered to a branching program, with one placeholder
     per top-level inverse gate and recursively normalized sub-circuits.
-    DAG sharing is resolved by duplication up to blowup_cap times the
-    original size."""
-    cap = max(int(blowup_cap * c.size), c.size)
+    DAG sharing is resolved by duplication up to 8 times the original
+    size; BlowupExceeded beyond that."""
+    cap = 8 * c.size
     tree = _expand_tree(c, cap)
     start: list[int] = []    # node i's subtree is the index range start[i]..i
     for i, node in enumerate(tree.nodes):
@@ -605,29 +542,6 @@ def _split_top(nodes: tuple, start: list[int], root: int, nx: int):
     return formula_to_abp(top.build(new[root], nvars=nx + len(subs))), subs
 
 
-def eval_idrrsc(idr: IdrCircuit, t: MatrixTuple) -> DenseMatrix:
-    """Evaluate the decomposition directly: placeholders take the inverses
-    of the evaluated subs.  Raises Undefined(-1) when a sub value or the
-    composition is singular.  Post-order with an explicit stack."""
-    inverses: list[DenseMatrix] = []     # of evaluated subs awaiting their host
-    stack = [(idr, False)]
-    while stack:
-        node, subs_done = stack.pop()
-        if not subs_done:
-            stack.append((node, True))
-            stack.extend((sub, False) for sub in reversed(node.subs))
-            continue
-        vals = inverses[len(inverses) - node.m:]
-        del inverses[len(inverses) - node.m:]
-        value = eval_abp(node.top, MatrixTuple(t.field, t.d, t.mats + tuple(vals)))
-        if not stack:
-            return value
-        try:
-            inverses.append(invert(value))
-        except Singular:
-            raise Undefined(-1) from None
-
-
 # -- variable substitutions -------------------------------------------------
 
 
@@ -664,29 +578,47 @@ def variable_reduction(c: RationalCircuit, h: int) -> RationalCircuit:
     return b.build(new[c.output], nvars=2 * (h + 1))
 
 
-def bivariate_encode(c: RationalCircuit) -> RationalCircuit:
-    """Polynomial special case of variable_reduction (h = 0)."""
-    if classify(c).height != 0:
-        raise ValueError("bivariate encoding applies to inverse-free circuits")
-    return variable_reduction(c, 0)
-
-
 def transport_tuple(q: MatrixTuple, n: int, h: int) -> MatrixTuple:
     """Map a witness for the reduced circuit back: p_i = sum_j q_{j0} q_{j1}^i q_{j0}."""
     if q.n < 2 * (h + 1):
         raise ValueError("tuple too short for the reduction parameters")
-    mats = []
-    for i in range(1, n + 1):
-        acc = DenseMatrix.zeros(q.field, q.d, q.d)
-        for j in range(h + 1):
-            q0 = q.mats[2 * j]
-            q1 = q.mats[2 * j + 1]
-            pw = DenseMatrix.identity(q.field, q.d)
-            for _ in range(i):
-                pw = pw.matmul(q1)
-            acc = acc.add(q0.matmul(pw).matmul(q0))
-        mats.append(acc)
-    return MatrixTuple(q.field, q.d, tuple(mats))
+    f = q.field
+    accs = transport_lists([m.to_lists() for m in q.mats[:2 * (h + 1)]], n,
+                           f.p or None)
+    return MatrixTuple(f, q.d, tuple(DenseMatrix.from_rows(f, acc) for acc in accs))
+
+
+def transport_lists(qs: list, n: int, p: int | None) -> list:
+    """p_1..p_n of transport_tuple for q_{00}, q_{01}, q_{10}, q_{11}, ...
+    given as d x d lists of rows of numbers: each product is reduced mod p
+    unless p is None, each sum is left unreduced, and q_{j1}^i is carried
+    over from i - 1."""
+    d = len(qs[0])
+    accs = [[[0] * d for _ in range(d)] for _ in range(n)]
+    for q0, q1 in zip(qs[::2], qs[1::2]):
+        pw = q1                               # q1^i for i = 1..n in turn
+        for i, acc in enumerate(accs):
+            if i:
+                pw = _imatmul(pw, q1, p)
+            term = _imatmul(_imatmul(q0, pw, p), q0, p)
+            for ra, rb in zip(acc, term):
+                ra[:] = [a + b for a, b in zip(ra, rb)]
+    return accs
+
+
+def _imatmul(a: list, b: list, p: int | None = None) -> list:
+    """a b for lists of rows of numbers, reduced mod p unless p is None."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            v = a[i][t]
+            if v:
+                for j in range(m):
+                    out[i][j] += v * b[t][j]
+        if p is not None:
+            out[i] = [x % p for x in out[i]]
+    return out
 
 
 # -- circuit file format -----------------------------------------------------

@@ -17,13 +17,13 @@ from . import rank as rank_mod
 from . import rit as rit_mod
 from .circuit import (ParseError, Undefined, classify, eval_circuit,
                       parse_expr, read_circuit)
-from .field import (DEFAULT_PRIME, QQ, PrimeField, field_name, rank_of,
-                    read_tuple, write_tuple)
+from .field import (DEFAULT_PRIME, QQ, DenseMatrix, PrimeField, field_name,
+                    is_invertible, rank_of, read_tuple, write_tuple)
 from .pencil import read_pencil, write_pencil
 from .rank import RankParams, ncrank_skew, read_skew_file
-from .rit import RitParams, bootstrap_dimension, hitting_set_generate, rit_test
-from .series import RecognizableSeries, series_is_zero
-from .field import DenseMatrix
+from .rit import (RitParams, bootstrap_dimension, hitting_set_generate,
+                  rit_test, verify_strong)
+from .series import RecognizableSeries, series_is_zero, truncated_eval
 
 
 class InputError(Exception):
@@ -138,7 +138,6 @@ def cmd_rit(args) -> int:
         if args.witness_out:
             write_tuple(verdict.witness, args.witness_out)
             back = read_tuple(args.witness_out)
-            from .field import is_invertible
             ok = is_invertible(eval_circuit(circ, back))
             report.append(("witness_file", args.witness_out))
             report.append(("witness_verified", ok))
@@ -185,7 +184,6 @@ def cmd_hitgen(args) -> int:
         report.append(("files", f"{args.out_prefix}0000.mt .. "
                                 f"{args.out_prefix}{len(hs.tuples) - 1:04d}.mt"))
     if args.corpus:
-        from .rit import verify_strong
         members = _read_corpus(args.corpus)
         rep = verify_strong(hs, members, field)
         for label, hit in rep.results:
@@ -243,7 +241,6 @@ def cmd_series_zero(args) -> int:
         if args.witness_out:
             status = 1
     elif args.witness_out:
-        from .series import truncated_eval
         write_tuple(verdict.witness, args.witness_out)
         back = read_tuple(args.witness_out)
         ok = not truncated_eval(S, S.size - 1, back).is_zero()

@@ -23,14 +23,16 @@ writes to a pencil's entries once it is built, so pencils share entry
 dicts.  The oracle reduces a pencil once by exact elimination at constant
 pivots, which reads those dicts in place and copies one only to write fill
 into it; most of the compiler's pivots have no fill and do no field
-arithmetic.  Only evaluation densifies, `eval_pencil` for one call and the
-oracle for a reduced core whose evaluations fill in over a prime the
-dense kernel serves (_sparse.fills); the oracle evaluates every other
-core, over every field, Q included, into sparse rows, and a realized
-entry's value is solved from such rows.  From the same rows the oracle
-can look for a shrunk subspace of its core (the second Wong sequence),
-which bounds the pencil's rank at every tuple and, shrinking by one
-dimension, proves it singular; check_shrunk re-checks one by exact ranks.
+arithmetic.  Evaluations at a matrix tuple are built as sparse rows
+straight from the entries (_SparseEval), over every field, Q included: a
+realized entry's value is solved from them, the oracle ranks its reduced
+core's, and `eval_pencil` scatters them into a dense matrix.  Only a core
+whose evaluations fill in over a prime the dense kernel serves
+(_sparse.fills) is evaluated by that kernel instead.  From the same rows
+the oracle can look for a shrunk subspace of its core (the second Wong
+sequence), which bounds the pencil's rank at every tuple and, shrinking
+by one dimension, proves it singular; check_shrunk re-checks one by
+exact ranks.
 """
 
 from __future__ import annotations
@@ -117,22 +119,13 @@ def pencil_from_rows(field: Field, rows_per_coeff: list) -> LinearPencil:
 
 
 def eval_pencil(L: LinearPencil, t: MatrixTuple) -> DenseMatrix:
-    """A0 x I_d + sum Ai x t_i, an (s d) x (s d) matrix: each entry's
-    blocks v * t_k (t_0 = I) added in place."""
-    if L.nvars > t.n:
-        raise ValueError("tuple has fewer matrices than the pencil has variables")
-    f, d = L.field, t.d
-    n = L.size * d
-    out = DenseMatrix.zeros(f, n, n)
-    mats = (DenseMatrix.identity(f, d),) + t.mats
-    for (r, c), e in L.entries.items():
-        for k, v in e.items():
-            m = mats[k]
-            for a in range(d):
-                base = (r * d + a) * n + c * d
-                for b in range(d):
-                    out.data[base + b] = f.add(out.data[base + b],
-                                               f.mul(v, m.at(a, b)))
+    """A0 x I_d + sum Ai x t_i, an (s d) x (s d) matrix: the sparse rows of
+    _SparseEval scattered into a dense one."""
+    n = L.size * t.d
+    out = DenseMatrix.zeros(L.field, n, n)
+    for i, row in _SparseEval(L)(t).items():
+        for j, x in row.items():
+            out.data[i * n + j] = x
     return out
 
 
@@ -350,28 +343,6 @@ def compile_idrrsc(idr: IdrCircuit, field: Field) -> RealizedEntry:
     return RealizedEntry(LinearPencil(field, N, idr.nx, entries), N - idr.top.size + 1, N)
 
 
-# -- generic-matrix blow-up with shift ----------------------------------------
-
-
-def blowup_shift(L: LinearPencil, m: int, shift: MatrixTuple) -> LinearPencil:
-    """Substitute x_i by a generic m x m matrix of fresh variables around a
-    base point: the constant term becomes A0 x I_m + sum Ai x shift_i, and
-    the coefficient of the fresh variable z^{(i)}_{jk} is Ai x E_jk.  The
-    result has size s*m over n*m^2 variables, ordered i-major then row-major
-    in (j, k)."""
-    if shift.n != L.nvars:
-        raise ValueError("shift tuple must match the pencil's variable count")
-    if shift.d != m:
-        raise ValueError("shift dimension must equal the blow-up dimension")
-    entries = dense_block(eval_pencil(L, shift), 0)
-    for (r, c), e in L.entries.items():
-        # entry (r, c) of Ai x E_jk sits at (r m + j, c m + k)
-        place_block(entries, {(j, k): {(i - 1) * m * m + j * m + k + 1: v
-                                       for i, v in e.items() if i}
-                              for j in range(m) for k in range(m)}, r * m, c * m)
-    return LinearPencil(L.field, L.size * m, L.nvars * m * m, entries)
-
-
 # -- structural rank oracle ---------------------------------------------------
 
 
@@ -404,7 +375,7 @@ class _SparseEval:
         return len(self._var) * d * d + self._nconst * d
 
     def __call__(self, t: MatrixTuple) -> dict:
-        """The nonzeros of eval_pencil(L, t), every row present."""
+        """The nonzeros of A0 x I_d + sum Ai x t_i, every row present."""
         if self.nvars > t.n:
             raise ValueError("tuple has fewer matrices than the pencil has variables")
         d = t.d

@@ -75,12 +75,13 @@ class RankParams:
                              f"got {min(self.d_schedule)}")
 
 
-def probe_invertible(L: LinearPencil, dims=(1, 2, 3), trials: int = 8,
-                     seed: int = 0) -> MatrixTuple | None:
+def probe_invertible(L: LinearPencil, seed: int = 0) -> MatrixTuple | None:
+    """A tuple at which L is invertible, from 8 seeded trials at each of
+    the dimensions 1, 2 and 3; None when every trial is singular."""
     rng = random.Random(seed)
     oracle = PencilOracle(L)
-    for d in dims:
-        for _ in range(trials):
+    for d in (1, 2, 3):
+        for _ in range(8):
             t = sample_tuple(L.field, max(L.nvars, 1), d, rng)
             if oracle.is_invertible_at(t):
                 return t

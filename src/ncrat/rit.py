@@ -27,7 +27,8 @@ import random
 from dataclasses import dataclass
 
 from .circuit import (MAX_VARS, BlowupExceeded, RationalCircuit, Undefined,
-                      classify, eval_circuit, parse_expr, to_idrrsc)
+                      classify, eval_circuit, parse_expr, to_idrrsc,
+                      transport_lists)
 from .field import (DenseMatrix, Field, MatrixTuple, is_invertible,
                     sample_tuple)
 from .pencil import PencilOracle, RealizedEntry, compile_idrrsc, realize_inverse
@@ -199,39 +200,12 @@ def hitting_set_generate(n: int, s: int, h: int, d: int, kappa: int | None,
     pts = sparse_points(nq * d * d, kappa, base_offset, p)
     tuples = []
     for pt in pts:
-        qmats = []
-        for k in range(nq):
-            vals = pt[k * d * d:(k + 1) * d * d]
-            qmats.append([vals[a * d:(a + 1) * d] for a in range(d)])
-        accs = [[[0] * d for _ in range(d)] for _ in range(n)]
-        for j in range(h + 1):
-            q0, q1 = qmats[2 * j], qmats[2 * j + 1]
-            pw = q1                               # q1^i for i = 1..n in turn
-            for i, acc in enumerate(accs):
-                if i:
-                    pw = _imatmul(pw, q1, p)
-                term = _imatmul(_imatmul(q0, pw, p), q0, p)
-                for ra, rb in zip(acc, term):
-                    ra[:] = [a + b for a, b in zip(ra, rb)]
-        tuples.append(MatrixTuple(field, d, tuple(DenseMatrix.from_rows(field, acc)
-                                                  for acc in accs)))
+        qmats = [[pt[k * d * d + a * d:k * d * d + (a + 1) * d] for a in range(d)]
+                 for k in range(nq)]
+        tuples.append(MatrixTuple(field, d, tuple(
+            DenseMatrix.from_rows(field, acc)
+            for acc in transport_lists(qmats, n, p))))
     return HittingSet(tuple(tuples), n=n, s=s, h=h, d=d, kappa=kappa)
-
-
-def _imatmul(a: list[list[int]], b: list[list[int]],
-             p: int | None = None) -> list[list[int]]:
-    """a b over the integers, reduced mod p unless p is None."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            v = a[i][t]
-            if v:
-                for j in range(m):
-                    out[i][j] += v * b[t][j]
-        if p is not None:
-            out[i] = [x % p for x in out[i]]
-    return out
 
 
 @dataclass(frozen=True)
@@ -288,6 +262,12 @@ def verify_strong(H: HittingSet, corpus, field: Field) -> StrongReport:
 # -- dimension bootstrapping experiment -----------------------------------------
 
 
+# bootstrap_dimension expands a realized entry into a series only up to
+# this size, the entry pencil's size times d: series_is_zero evaluates the
+# series densely, at a dimension of about half its size.
+SERIES_CAP = 24
+
+
 @dataclass(frozen=True)
 class BootstrapRow:
     d: int
@@ -311,12 +291,13 @@ class BootstrapReport:
 
 def bootstrap_dimension(c: RationalCircuit, field: Field,
                         schedule=(1, 2, 3, 4), trials: int = 16,
-                        seed: int = 0, series_cap: int = 24) -> BootstrapReport:
+                        seed: int = 0) -> BootstrapReport:
     """For each scheduled dimension, look for a definedness point and an
-    invertible image.  Where the compiled pencil is small enough, the
-    shift-expansion route is exercised as well: expand the realized entry
-    around the definedness point, zero-test the truncated series, and run
-    the scaling search; its success is reported as the series route.
+    invertible image.  Where the compiled pencil's size times the dimension
+    is at most SERIES_CAP, the shift-expansion route is exercised as well:
+    expand the realized entry around the definedness point, zero-test the
+    truncated series, and run the scaling search; its success is reported
+    as the series route.
     ValueError for trials below 1: no trial would read as "never defined"."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -348,7 +329,7 @@ def bootstrap_dimension(c: RationalCircuit, field: Field,
         tau = None
         assembled_dim = None
         assembled_nonzero = None
-        if defined and entry.size * d <= series_cap:
+        if defined and entry.size * d <= SERIES_CAP:
             S = shifted_entry_series(entry, shift)
             series_size = S.size
             route = "series"

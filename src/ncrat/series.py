@@ -1,6 +1,6 @@
 """Recognizable series (c, M, b): truncated evaluation, the finite-degree
-zero test, full rational evaluation, and the scalar-scaling search that
-upgrades a nonzero truncation to a nonzero full value.
+zero test, and the scalar-scaling search that upgrades a nonzero
+truncation to a nonzero full value.
 
 A series c^t (I - M)^{-1} b with homogeneous transition pencil M of size
 s is zero exactly when its truncation to degree s-1 is zero; the
@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import freepoly
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert, kron,
                     sample_tuple, solve)
 from .pencil import (LinearPencil, RealizedEntry, dense_block, eval_pencil,
@@ -79,16 +78,6 @@ def truncated_eval(S: RecognizableSeries, k: int, t: MatrixTuple) -> DenseMatrix
     return acc
 
 
-def full_eval(S: RecognizableSeries, t: MatrixTuple) -> DenseMatrix:
-    """(c x I)(I - M(t))^{-1}(b x I); raises Singular when I - M(t) is not
-    invertible (the series value is undefined at t)."""
-    f = S.field
-    eye = DenseMatrix.identity(f, t.d)
-    Mt = eval_pencil(S.M, t)
-    return kron(S.c, eye).matmul(solve(DenseMatrix.identity(f, Mt.rows).sub(Mt),
-                                       kron(S.b, eye)))
-
-
 def series_is_zero(S: RecognizableSeries, trials: int = 16,
                    seed: int = 0) -> SeriesVerdict:
     """Monte Carlo zero test through the degree-(s-1) truncation, evaluated
@@ -145,40 +134,6 @@ def scaling_search(S: RecognizableSeries, t: MatrixTuple,
     raise FieldTooSmall("no usable scaling value found")
 
 
-def symbolic_truncation(S: RecognizableSeries, k: int) -> freepoly.NcPoly:
-    """Exact expansion of sum_{i<=k} c^t M^i b in the free algebra (oracle)."""
-    f = S.field
-    s = S.size
-
-    def entry_poly(i: int, j: int) -> freepoly.NcPoly:
-        e = S.M.entries.get((i, j), {})
-        return freepoly.NcPoly(f, {(v,): c for v, c in e.items() if v})
-
-    Mp = [[entry_poly(i, j) for j in range(s)] for i in range(s)]
-    # state = c^t M^i as a row of polynomials
-    state = [freepoly.NcPoly.const(f, S.c.at(0, j)) for j in range(s)]
-    acc = freepoly.NcPoly.zero(f)
-
-    def dot_b(row) -> freepoly.NcPoly:
-        out = freepoly.NcPoly.zero(f)
-        for j in range(s):
-            out = freepoly.add(out, freepoly.scale(S.b.at(j, 0), row[j]))
-        return out
-
-    acc = dot_b(state)
-    for _ in range(k):
-        nxt = []
-        for j in range(s):
-            cell = freepoly.NcPoly.zero(f)
-            for i in range(s):
-                if not state[i].is_zero() and not Mp[i][j].is_zero():
-                    cell = freepoly.add(cell, freepoly.mul(state[i], Mp[i][j]))
-            nxt.append(cell)
-        state = nxt
-        acc = freepoly.add(acc, dot_b(state))
-    return acc
-
-
 def assemble_shift_point(shift: MatrixTuple, zwitness: MatrixTuple,
                          tau: int = 1) -> MatrixTuple:
     """Fold a witness for the shift-expansion variables back into a matrix
@@ -203,13 +158,13 @@ def assemble_shift_point(shift: MatrixTuple, zwitness: MatrixTuple,
     return MatrixTuple(f, d * dz, tuple(mats))
 
 
-def shifted_entry_series(entry: RealizedEntry, shift: MatrixTuple,
-                         block_row: int = 0, block_col: int = 0) -> RecognizableSeries:
+def shifted_entry_series(entry: RealizedEntry,
+                         shift: MatrixTuple) -> RecognizableSeries:
     """Power-series expansion of a realized entry around an invertible base
     point: substituting x_i -> Z_i + shift_i with generic d x d matrices
-    turns the (block_row, block_col) scalar coordinate of the entry's value
-    block into a recognizable series over the n d^2 fresh variables, with
-    transition -L(shift)^{-1} (sum_i A_i x E_jk) of size s*d."""
+    turns the top-left scalar coordinate of the entry's value block into a
+    recognizable series over the n d^2 fresh variables, with transition
+    -L(shift)^{-1} (sum_i A_i x E_jk) of size s*d."""
     L = entry.pencil
     f = L.field
     d = shift.d
@@ -233,8 +188,8 @@ def shifted_entry_series(entry: RealizedEntry, shift: MatrixTuple,
     # assemble_shift_point folds back, even where L has fewer variables
     M = LinearPencil(f, sd, shift.n * d * d, entries)
     crow = DenseMatrix.zeros(f, 1, sd)
-    crow.data[(entry.row - 1) * d + block_row] = f.one
+    crow.data[(entry.row - 1) * d] = f.one
     bcol = DenseMatrix.zeros(f, sd, 1)
     for i in range(sd):
-        bcol.data[i] = base_inv.at(i, (entry.col - 1) * d + block_col)
+        bcol.data[i] = base_inv.at(i, (entry.col - 1) * d)
     return RecognizableSeries(crow, M, bcol)

@@ -2,8 +2,8 @@
 
 Words are tuples of 1-based variable indices; the empty word is the
 identity monomial.  Polynomials map words to nonzero field scalars and
-serve as an exact oracle for small-degree computations elsewhere in the
-package (series truncations, branching-program expansions).
+serve the tests as an exact oracle for small-degree computations: the
+series truncations and branching-program expansions of reference.py.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable
 
-from .field import DenseMatrix, Field, MatrixTuple
+from ncrat.field import DenseMatrix, Field, MatrixTuple
 
 Word = tuple[int, ...]
 

@@ -1,17 +1,36 @@
-"""The textbook reference for exact elimination: Gaussian elimination with
+"""Reference implementations that tests check ncrat against; none of them
+is run by the package itself.
+
+The textbook reference for exact elimination: Gaussian elimination with
 first-nonzero pivoting through the field's own operations, for any field.
 It shares no code with ncrat's elimination routines (_sparse and the
 dense kernel), so tests check rank_of, solve, invert, PencilOracle.rank_at
 and RealizedEntry.value_at against it rather than against each other.
 
 Also the reference for rit_test's early ZERO: rit_full_loop, the
-randomized test with no shrunk-subspace search."""
+randomized test with no shrunk-subspace search.
+
+And the direct evaluations and symbolic expansions that the compiled
+pencils and series are checked against:
+- eval_abp, a branching program as the product of its evaluated layers,
+  and eval_idrrsc, the inversely disjoint decomposition evaluated
+  bottom-up with its inverses taken directly;
+- expand_abp and symbolic_truncation, a branching program and a series
+  truncation expanded in the free algebra (freepoly);
+- full_eval, a series' value (c x I)(I - M(t))^{-1}(b x I) by one solve;
+- blowup_shift, the generic-matrix blow-up of a pencil around a shift.
+"""
 
 import random
 
-from ncrat.circuit import Undefined, eval_circuit
-from ncrat.field import DenseMatrix, Singular, is_invertible, sample_tuple
+import freepoly
+from ncrat.circuit import Abp, IdrCircuit, LinForm, Undefined, eval_circuit
+from ncrat.field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
+                         is_invertible, kron, sample_tuple, solve)
+from ncrat.pencil import (LinearPencil, dense_block, eval_pencil,
+                          place_block)
 from ncrat.rit import RitParams, RitVerdict, _gate_oracle
+from ncrat.series import RecognizableSeries
 
 
 def _rank_generic(m: DenseMatrix) -> int:
@@ -92,3 +111,156 @@ def rit_full_loop(c, field, params: RitParams = RitParams()) -> RitVerdict:
                       trials_run=max_dim * params.trials, max_dim=max_dim,
                       error_bound_num=size * max_dim,
                       error_bound_den=field.sample_set_size())
+
+
+# -- branching programs and the inversely disjoint decomposition -------------
+
+
+def _eval_form(form: LinForm, t: MatrixTuple) -> DenseMatrix:
+    field = t.field
+    out = DenseMatrix.zeros(field, t.d, t.d)
+    for k, v in form.items():
+        c = field.normalize(v)
+        if k == 0:
+            out = out.add(DenseMatrix.identity(field, t.d).scale(c))
+        else:
+            out = out.add(t.mats[k - 1].scale(c))
+    return out
+
+
+def eval_abp(a: Abp, t: MatrixTuple) -> DenseMatrix:
+    """Product of the evaluated layer matrices (block entry at source/sink)."""
+    field = t.field
+    cur = None
+    for m in a.layers:
+        rows = len(m)
+        cols = len(m[0])
+        big = DenseMatrix.zeros(field, rows * t.d, cols * t.d)
+        for i in range(rows):
+            for j in range(cols):
+                blk = _eval_form(m[i][j], t)
+                for bi in range(t.d):
+                    for bj in range(t.d):
+                        big.data[(i * t.d + bi) * cols * t.d + j * t.d + bj] = \
+                            blk.at(bi, bj)
+        cur = big if cur is None else cur.matmul(big)
+    return cur
+
+
+def expand_abp(a: Abp, field: Field) -> freepoly.NcPoly:
+    """Symbolic expansion into a free-algebra polynomial."""
+
+    def form_poly(form: LinForm):
+        p = freepoly.NcPoly.zero(field)
+        for k, v in form.items():
+            mono = freepoly.NcPoly.const(field, v) if k == 0 else \
+                freepoly.scale(v, freepoly.NcPoly.var(field, k))
+            p = freepoly.add(p, mono)
+        return p
+
+    cur = None
+    for m in a.layers:
+        pm = [[form_poly(f) for f in row] for row in m]
+        if cur is None:
+            cur = pm
+            continue
+        rows, inner, cols = len(cur), len(pm), len(pm[0])
+        nxt = [[freepoly.NcPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
+        for i in range(rows):
+            for k in range(inner):
+                if cur[i][k].is_zero():
+                    continue
+                for j in range(cols):
+                    nxt[i][j] = freepoly.add(nxt[i][j],
+                                             freepoly.mul(cur[i][k], pm[k][j]))
+        cur = nxt
+    return cur[0][0]
+
+
+def eval_idrrsc(idr: IdrCircuit, t: MatrixTuple) -> DenseMatrix:
+    """Evaluate the decomposition directly: placeholders take the inverses
+    of the evaluated subs.  Raises Undefined(-1) when a sub value or the
+    composition is singular.  Post-order with an explicit stack."""
+    inverses: list[DenseMatrix] = []     # of evaluated subs awaiting their host
+    stack = [(idr, False)]
+    while stack:
+        node, subs_done = stack.pop()
+        if not subs_done:
+            stack.append((node, True))
+            stack.extend((sub, False) for sub in reversed(node.subs))
+            continue
+        vals = inverses[len(inverses) - node.m:]
+        del inverses[len(inverses) - node.m:]
+        value = eval_abp(node.top, MatrixTuple(t.field, t.d, t.mats + tuple(vals)))
+        if not stack:
+            return value
+        try:
+            inverses.append(invert(value))
+        except Singular:
+            raise Undefined(-1) from None
+
+
+# -- pencils and series ----------------------------------------------------------
+
+
+def blowup_shift(L: LinearPencil, m: int, shift: MatrixTuple) -> LinearPencil:
+    """Substitute x_i by a generic m x m matrix of fresh variables around a
+    base point: the constant term becomes A0 x I_m + sum Ai x shift_i, and
+    the coefficient of the fresh variable z^{(i)}_{jk} is Ai x E_jk.  The
+    result has size s*m over n*m^2 variables, ordered i-major then row-major
+    in (j, k)."""
+    if shift.n != L.nvars:
+        raise ValueError("shift tuple must match the pencil's variable count")
+    if shift.d != m:
+        raise ValueError("shift dimension must equal the blow-up dimension")
+    entries = dense_block(eval_pencil(L, shift), 0)
+    for (r, c), e in L.entries.items():
+        # entry (r, c) of Ai x E_jk sits at (r m + j, c m + k)
+        place_block(entries, {(j, k): {(i - 1) * m * m + j * m + k + 1: v
+                                       for i, v in e.items() if i}
+                              for j in range(m) for k in range(m)}, r * m, c * m)
+    return LinearPencil(L.field, L.size * m, L.nvars * m * m, entries)
+
+
+def full_eval(S: RecognizableSeries, t: MatrixTuple) -> DenseMatrix:
+    """(c x I)(I - M(t))^{-1}(b x I); raises Singular when I - M(t) is not
+    invertible (the series value is undefined at t)."""
+    f = S.field
+    eye = DenseMatrix.identity(f, t.d)
+    Mt = eval_pencil(S.M, t)
+    return kron(S.c, eye).matmul(solve(DenseMatrix.identity(f, Mt.rows).sub(Mt),
+                                       kron(S.b, eye)))
+
+
+def symbolic_truncation(S: RecognizableSeries, k: int) -> freepoly.NcPoly:
+    """Exact expansion of sum_{i<=k} c^t M^i b in the free algebra."""
+    f = S.field
+    s = S.size
+
+    def entry_poly(i: int, j: int) -> freepoly.NcPoly:
+        e = S.M.entries.get((i, j), {})
+        return freepoly.NcPoly(f, {(v,): c for v, c in e.items() if v})
+
+    Mp = [[entry_poly(i, j) for j in range(s)] for i in range(s)]
+    # state = c^t M^i as a row of polynomials
+    state = [freepoly.NcPoly.const(f, S.c.at(0, j)) for j in range(s)]
+    acc = freepoly.NcPoly.zero(f)
+
+    def dot_b(row) -> freepoly.NcPoly:
+        out = freepoly.NcPoly.zero(f)
+        for j in range(s):
+            out = freepoly.add(out, freepoly.scale(S.b.at(j, 0), row[j]))
+        return out
+
+    acc = dot_b(state)
+    for _ in range(k):
+        nxt = []
+        for j in range(s):
+            cell = freepoly.NcPoly.zero(f)
+            for i in range(s):
+                if not state[i].is_zero() and not Mp[i][j].is_zero():
+                    cell = freepoly.add(cell, freepoly.mul(state[i], Mp[i][j]))
+            nxt.append(cell)
+        state = nxt
+        acc = freepoly.add(acc, dot_b(state))
+    return acc

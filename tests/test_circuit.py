@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freepoly as fp
 from conftest import random_formula
-from ncrat import freepoly as fp
 from ncrat.circuit import (BlowupExceeded, CircuitBuilder, ParseError,
-                           Undefined, bivariate_encode, classify, dump_circuit,
-                           eval_abp, eval_circuit, eval_idrrsc, expand_abp,
+                           Undefined, classify, dump_circuit, eval_circuit,
                            formula_to_abp, parse_circuit, parse_expr,
                            to_idrrsc, transport_tuple, variable_reduction)
 from ncrat.field import DenseMatrix, MatrixTuple, prime_field, sample_tuple
+from reference import eval_abp, eval_idrrsc, expand_abp
 
 F = prime_field()
 HUA = "inv(x1 + x1*inv(x2)*x1) + inv(x1+x2) - inv(x1)"
@@ -199,7 +199,7 @@ def test_to_idrrsc_blowup_cap():
         node = b.mul(node, node)
     c = b.build(node)
     with pytest.raises(BlowupExceeded):
-        to_idrrsc(c, blowup_cap=8.0)
+        to_idrrsc(c)
 
 
 def test_to_idrrsc_modest_sharing_is_duplicated():
@@ -225,7 +225,7 @@ def test_variable_reduction_single_variable_shape():
 
 
 def test_bivariate_encode_x2():
-    red = bivariate_encode(parse_expr("x2"))
+    red = variable_reduction(parse_expr("x2"), 0)
     t = sample_tuple(F, 2, 2, 6)
     q0, q1 = t.mats
     assert eval_circuit(red, t) == q0.matmul(q1).matmul(q1).matmul(q0)

@@ -441,3 +441,112 @@ def _ncrank_digest(flags, tmp_path):
 @pytest.mark.parametrize("flags", sorted(NCRANK_CLI_GOLDEN), ids=" ".join)
 def test_ncrank_report_and_witness_are_unchanged(tmp_path, flags):
     assert _ncrank_digest(flags, tmp_path) == NCRANK_CLI_GOLDEN[flags]
+
+
+# SHA-256 of the reports and written files of series-zero, bootstrap and
+# hitgen over M61, F_101 and Q, written paths read as W and P: the
+# commands that evaluate a pencil densely (the series) and transport
+# reduced tuples back (hitgen).  hitgen only echoes its seed, so its two
+# cases differ in shape instead.
+CLI_FIELDS = {"M61": ("prime 2305843009213693951", ()),
+              "F101": ("prime 101", ("--prime", "101")),
+              "Q": ("rational", ("--rational",))}
+SERIES_PENCIL = ("field {}\nsize 4\nnvars 2\ncoeff 0\nend\n"
+                 "coeff 1\n1 2 1\n2 3 2\n3 4 -1\nend\n"
+                 "coeff 2\n1 1 3\n2 4 1\n4 1 1\nend\nrealize 1 4\n")
+HITGEN_SHAPES = {
+    "h1d2": ("--nvars", "2", "--size", "4", "--height", "1", "--dim", "2",
+             "--kappa", "6"),
+    "h0d3": ("--nvars", "3", "--size", "3", "--height", "0", "--dim", "3",
+             "--kappa", "4"),
+}
+SERIES_CLI_GOLDEN = {
+    ("M61", "2"):
+        "e7acbd6f410e804befb5f9b804936a9a7595c6a3f1a91af60f1f53b5f180a38a",
+    ("M61", "6"):
+        "a73a285b75d121466b5b2c1217515771d7fb1653fe27b2961a278c13dc6206ad",
+    ("F101", "2"):
+        "146beeebef0ba1de41cd58c1cff37fc163cfa03b05d47d434596e553c653cd56",
+    ("F101", "6"):
+        "b5ab32735c83b2cf18e3498996e0ae7708c3027e8c9bff89e5c0a6d60bc976f5",
+    ("Q", "2"):
+        "ad0deac9a3384e9597c080660d7c4c14ed93dccaa16a97bc9746a73c7cc127f1",
+    ("Q", "6"):
+        "a2c2c7f113441d99bf1fae16c50f4be1e7aed9a016ea0f8855d81afaeebc6dc4",
+}
+BOOTSTRAP_CLI_GOLDEN = {
+    ("M61", "2"):
+        "16cf36bcc47f377c172516bc556161bcf5f802589a972395474a8eb339644695",
+    ("M61", "6"):
+        "4d818d2f340e15ff7cf5f155fb03f0a19bc4424427466036fe65f19af3b3c35d",
+    ("F101", "2"):
+        "7b24ee90bba1ef2b9b900e102dcfdb67546ca3e96f26c1ecd8a9c06d606df10f",
+    ("F101", "6"):
+        "7ea6120968feebe2178175be45a249a0e7ec5d643a879621be8a3546e8a0b8c7",
+    ("Q", "2"):
+        "9022dcb0c49862b4bfea15e932e5a006f23b02d8b0e2da79438d73f8ed8af94e",
+    ("Q", "6"):
+        "fd9efcb7bb170126d282d46d0c1cb20c56219affa0a336bfe4dffbe18c98dae0",
+}
+HITGEN_CLI_GOLDEN = {
+    ("M61", "h1d2"):
+        "8fc0d1723823e02faa4416ac46b8df0386c6fea601683e775876bf4f28960a03",
+    ("M61", "h0d3"):
+        "d0278672a372325e4d02ed98a313db427726dafe6573a942854d920898dfa765",
+    ("F101", "h1d2"):
+        "2e1b475f4984cf19f3ede4e249155f401a2ec84ec3e0296239ff2b9570b69bbd",
+    ("F101", "h0d3"):
+        "95e5e8b293d21ebf08cc55cc753a6232285b11d00555f4df7603a8fa84760fe6",
+    ("Q", "h1d2"):
+        "43ce52440486b1df9c2fe180361a602c1060be11e89f7f18a8adda0ae61edfa1",
+    ("Q", "h0d3"):
+        "58928e7fee59508bf099dc8d87c65df26e0eba018ecb8a4ec401b080869886cb",
+}
+
+
+def _digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CLI_GOLDEN), ids=" ".join)
+def test_series_zero_report_and_witness_are_unchanged(tmp_path, case):
+    field, seed = case
+    pfile = tmp_path / "s.lp"
+    pfile.write_text(SERIES_PENCIL.format(CLI_FIELDS[field][0]))
+    argv = ["series-zero", "--file", str(pfile), "--json", "--seed", seed]
+    status, out = run(argv)
+    wfile = str(tmp_path / "w.mt")
+    status_w, out_w = run(argv + ["--witness-out", wfile])
+    assert status == status_w == 0 and "witness_verified True" in out_w
+    with open(wfile, "rb") as fh:
+        witness = fh.read()
+    assert _digest(out, out_w.replace(wfile, "W"), witness) == \
+        SERIES_CLI_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(BOOTSTRAP_CLI_GOLDEN), ids=" ".join)
+def test_bootstrap_report_is_unchanged(case):
+    field, seed = case
+    status, out = run(["bootstrap", "x1*x2 - x2*x1", "--dims", "1,2", "--json",
+                       "--seed", seed, *CLI_FIELDS[field][1]])
+    assert status == 0 and "route=series" in out
+    assert _digest(out) == BOOTSTRAP_CLI_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(HITGEN_CLI_GOLDEN), ids=" ".join)
+def test_hitgen_report_and_files_are_unchanged(tmp_path, case):
+    field, shape = case
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"comm: x1*x2 - x2*x1\ninv-sum: inv(x1) + inv(x2)\nhua: {HUA}\n")
+    prefix = str(tmp_path / "hs_")
+    status, out = run(["hitgen", *HITGEN_SHAPES[shape], "--json",
+                       "--out-prefix", prefix, "--corpus", str(corpus),
+                       *CLI_FIELDS[field][1]])
+    assert status == 0
+    files = []
+    for name in sorted(os.listdir(tmp_path)):
+        if name.startswith("hs_"):
+            with open(tmp_path / name, "rb") as fh:
+                files.append((name, fh.read()))
+    out = out.replace(prefix, "P").replace(str(corpus), "C")
+    assert _digest(out, files) == HITGEN_CLI_GOLDEN[case]

@@ -7,9 +7,10 @@ test here runs at the default recursion limit."""
 import pytest
 from test_cli import run
 
-from ncrat.circuit import (classify, eval_circuit, eval_idrrsc, parse_circuit,
-                           parse_expr, to_idrrsc)
+from ncrat.circuit import (classify, eval_circuit, parse_circuit, parse_expr,
+                           to_idrrsc)
 from ncrat.field import prime_field, sample_tuple
+from reference import eval_idrrsc
 
 
 def test_sum_of_ten_thousand_leaves_compiles_and_tests():

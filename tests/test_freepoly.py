@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrat import freepoly as fp
+import freepoly as fp
 from ncrat.field import DenseMatrix, MatrixTuple, prime_field, sample_tuple
 
 F = prime_field()

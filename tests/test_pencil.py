@@ -2,20 +2,19 @@ import random
 
 import pytest
 
+import freepoly as fp
 from conftest import random_formula, random_host_pencil, random_realized
-from ncrat import freepoly as fp
 from ncrat.circuit import (CircuitBuilder, Undefined, eval_circuit,
                            formula_to_abp, parse_expr, to_idrrsc)
 from ncrat.field import (QQ, DenseMatrix, MatrixTuple, Singular, invert,
                          is_invertible, kron, prime_field, rank_of,
                          sample_tuple)
 from ncrat.pencil import (DimensionMismatch, DisjointnessViolation,
-                          PencilOracle, RealizedEntry,
-                          blowup_shift, compile_idrrsc, compose, dump_pencil,
-                          eval_pencil, from_abp, parse_pencil,
-                          pencil_from_rows, realize_inverse)
+                          PencilOracle, RealizedEntry, compile_idrrsc,
+                          compose, dump_pencil, eval_pencil, from_abp,
+                          parse_pencil, pencil_from_rows, realize_inverse)
 from ncrat.rit import corpus
-from reference import _invert_generic, _rank_generic
+from reference import _invert_generic, _rank_generic, blowup_shift
 
 F = prime_field()
 HUA = "inv(x1 + x1*inv(x2)*x1) + inv(x1+x2) - inv(x1)"

@@ -164,7 +164,8 @@ def test_hitgen_default_kappa():
 def test_hitgen_transport_structure():
     # each tuple satisfies p_i = sum_j q_j0 q_j1^i q_j0 for integer q blocks
     hs = hitting_set_generate(2, 4, 1, 2, 3, F)
-    from ncrat.rit import sparse_points as sp, _imatmul
+    from ncrat.circuit import _imatmul
+    from ncrat.rit import sparse_points as sp
     pts = sp(2 * 2 * 2 * 2, 3)
     for t, pt in zip(hs.tuples, pts):
         qm = [[[pt[k * 4 + a * 2 + b] for b in range(2)] for a in range(2)]
@@ -252,8 +253,7 @@ def test_bootstrap_single_variable():
 
 def test_bootstrap_series_route_runs():
     rep = bootstrap_dimension(parse_expr("x1*x2 - x2*x1"), F,
-                              schedule=(1, 2), trials=12, seed=1,
-                              series_cap=24)
+                              schedule=(1, 2), trials=12, seed=1)
     assert any(r.route == "series" for r in rep.rows)
     srow = next(r for r in rep.rows if r.route == "series")
     assert srow.truncation_nonzero is True
@@ -265,8 +265,7 @@ def test_bootstrap_series_route_runs():
 
 def test_bootstrap_assembled_point_for_rational_member():
     rep = bootstrap_dimension(parse_expr("inv(x1 + x2)"), F,
-                              schedule=(1,), trials=12, seed=4,
-                              series_cap=24)
+                              schedule=(1,), trials=12, seed=4)
     row = rep.rows[0]
     assert row.route == "series" and row.truncation_nonzero
     assert row.assembled_nonzero is True

@@ -36,10 +36,13 @@ import ncrat, ncrat.cli
 from ncrat import cli
 from ncrat.field import MERSENNE61, QQ, DenseMatrix, PrimeField, invert, rank_of
 for argv in (["rit", "x1 - x1"], ["ncrank", "--file", "data/higman.skm", "--json"],
-             ["compile", "inv(x1)*x2"]):
+             ["compile", "inv(x1)*x2"],
+             ["bootstrap", "--rational", "x1*x2 - x2*x1", "--dims", "1,2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 print("numpy" in sys.modules, "ncrat._modnum" in sys.modules)
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "ncrat"))
+assert not hasattr(ncrat, "bivariate_encode") and not hasattr(ncrat, "blowup_shift")
 # the identity plus all ones over Q, and a random matrix mod 2^61 + 15
 dense = (DenseMatrix.from_rows(QQ, [[1 + (i == j) for j in range(64)] for i in range(64)]),
          DenseMatrix.random(PrimeField(2 ** 61 + 15), 64, 64, random.Random(1)))
@@ -53,7 +56,9 @@ print("numpy" in sys.modules, "ncrat._modnum" in sys.modules)
 
 
 def test_numpy_loads_only_for_a_matrix_that_fills_in():
-    # three CLI runs rank, solve and compile only sparse matrices; dense
+    # four CLI runs rank, solve and compile only sparse matrices, or dense
+    # ones over Q (bootstrap's series), and load no module of the package
+    # that only the tests use; dense
     # 64 x 64 inverses and ranks over Q and mod 2^61 + 15 fill in, but the
     # dense kernel does not serve those fields; a dense 64 x 64 inverse mod
     # 2^61 - 1 loads it, numpy with it
@@ -61,4 +66,7 @@ def test_numpy_loads_only_for_a_matrix_that_fills_in():
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\nFalse False\nTrue True\n"
+    assert proc.stdout == ("False False\n"
+                           "ncrat ncrat._sparse ncrat.circuit ncrat.cli ncrat.field "
+                           "ncrat.pencil ncrat.rank ncrat.rit ncrat.series\n"
+                           "False False\nTrue True\n")

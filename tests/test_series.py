@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from ncrat import freepoly as fp
+import freepoly as fp
 from ncrat.field import (DenseMatrix, MatrixTuple, PrimeField, Singular,
                          invert, kron, prime_field, sample_tuple)
 from ncrat.pencil import eval_pencil, pencil_from_rows
-from ncrat.series import (FieldTooSmall, RecognizableSeries, full_eval,
-                          scaling_search, series_is_zero, shifted_entry_series,
-                          symbolic_truncation, truncated_eval)
+from ncrat.series import (FieldTooSmall, RecognizableSeries, scaling_search,
+                          series_is_zero, shifted_entry_series, truncated_eval)
+from reference import full_eval, symbolic_truncation
 
 F = prime_field()
 F7 = PrimeField(7)
@@ -277,7 +277,7 @@ def test_assemble_shift_point_folds_back(rng):
     entry = compile_idrrsc(to_idrrsc(parse_expr("x1*x2 + x1")), F)
     d = 2
     shift = sample_tuple(F, 2, d, rng)
-    S = shifted_entry_series(entry, shift, 0, 0)
+    S = shifted_entry_series(entry, shift)
     for tau in (1, 3):
         z = sample_tuple(F, 2 * d * d, 2, rng)
         scaled = MatrixTuple(F, z.d, tuple(m.scale(tau) for m in z.mats))
@@ -297,7 +297,7 @@ def test_shifted_entry_series_matches_entry(rng):
     entry = compile_idrrsc(to_idrrsc(parse_expr("x1*x2 + x2")), F)
     d = 2
     shift = sample_tuple(F, 2, d, rng)
-    S = shifted_entry_series(entry, shift, 0, 0)
+    S = shifted_entry_series(entry, shift)
     assert S.size == entry.size * d
     # full value of the series at scalar z assembling q equals the entry's
     # value block at q + shift
