@@ -35,7 +35,7 @@ class Undefined(Exception):
         self.node = node
 
 
-class BlowupExceeded(Exception):
+class BlowupExceeded(ValueError):
     """Tree expansion of a shared DAG grew past the configured factor."""
 
 
@@ -338,14 +338,15 @@ def _form_scale(form: LinForm, c: Fraction) -> LinForm:
 
 
 def _form_add(a: LinForm, b: LinForm) -> LinForm:
-    out = dict(a)
+    """a + b, written into a, which no other node's layers hold: a copy of
+    a would make a sum of n one-layer terms take time quadratic in n."""
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
+        s = a.get(k, Fraction(0)) + v
         if s == 0:
-            out.pop(k, None)
+            a.pop(k, None)
         else:
-            out[k] = s
-    return out
+            a[k] = s
+    return a
 
 
 def _pad(layers: list, extra: int) -> list:
@@ -377,26 +378,6 @@ def _abp_sum(a: list, b: list, negate_b: bool) -> list:
     return out
 
 
-def _abp_layers(c: RationalCircuit) -> list:
-    """Layers of the output's branching program, folded forward over the
-    node array: each node's layers are built from its children's entries
-    in `table`, which are dropped once used (a formula uses each once)."""
-    table: dict[int, list] = {}
-    for i in c.reachable():
-        node = c.nodes[i]
-        kind = node[0]
-        if kind == "var":
-            table[i] = [[[{node[1]: Fraction(1)}]]]
-        elif kind == "const":
-            table[i] = [[[{0: Fraction(node[1])}]]]
-        elif kind == "mul":
-            table[i] = table.pop(node[1]) + table.pop(node[2])
-        else:                            # add or sub; the caller rules out inv
-            table[i] = _abp_sum(table.pop(node[1]), table.pop(node[2]),
-                                kind == "sub")
-    return table[c.output]
-
-
 def formula_to_abp(c: RationalCircuit) -> Abp:
     """Standard simulation of an inverse-free tree formula by a branching
     program of size linear in the formula size."""
@@ -405,10 +386,7 @@ def formula_to_abp(c: RationalCircuit) -> Abp:
         raise ValueError("formula contains inverse gates")
     if not info.is_formula:
         raise ValueError("input must be tree-shaped")
-    layers = _abp_layers(c)
-    nvars = max((k for m in layers for row in m for f in row for k in f), default=0)
-    frozen = tuple(tuple(tuple(dict(f) for f in row) for row in m) for m in layers)
-    return Abp(layers=frozen, nvars=nvars)
+    return _fold(_expand_tree(c, info.size), c.nvars).top
 
 
 # -- inversely disjoint normal form ----------------------------------------
@@ -418,8 +396,9 @@ def formula_to_abp(c: RationalCircuit) -> Abp:
 class IdrCircuit:
     """Recursive decomposition r = f(x, g_1^{-1}, ..., g_m^{-1}): the top is
     an inverse-free branching program over the x variables (1..nx) and one
-    placeholder variable nx+k per inverse gate; the subs are node-disjoint
-    circuits of strictly lower inversion height."""
+    placeholder variable nx+k for the top's k-th inverse gate in post-order;
+    subs[k-1] is g_k, and the subs are node-disjoint circuits of strictly
+    lower inversion height."""
 
     top: Abp
     nx: int
@@ -449,8 +428,8 @@ class IdrCircuit:
 
 def _expand_tree(c: RationalCircuit, cap_nodes: int) -> RationalCircuit:
     """Copy c below its output as a tree, duplicating shared nodes, in one
-    depth-first pass with an explicit stack.  The copy is in post-order,
-    so every subtree of it occupies a contiguous range of indices."""
+    depth-first pass with an explicit stack.  The copy is in post-order:
+    every node follows its children, left before right."""
     b = CircuitBuilder()
     count = 0
     done: list[int] = []                 # copies of finished subtrees
@@ -487,59 +466,48 @@ def to_idrrsc(c: RationalCircuit) -> IdrCircuit:
     per top-level inverse gate and recursively normalized sub-circuits.
     DAG sharing is resolved by duplication up to 8 times the original
     size; BlowupExceeded beyond that."""
-    cap = 8 * c.size
-    tree = _expand_tree(c, cap)
-    start: list[int] = []    # node i's subtree is the index range start[i]..i
-    for i, node in enumerate(tree.nodes):
-        start.append(start[node[1]] if _children(node) else i)
-    return _decompose(tree.nodes, start, tree.output, c.nvars)
+    return _fold(_expand_tree(c, 8 * c.size), c.nvars)
 
 
-def _decompose(nodes: tuple, start: list[int], root: int, nx: int) -> IdrCircuit:
-    """Decompose the subtree at root of a post-order tree: split off its
-    top, then the top of every subtree below one of its inverse gates, and
-    so on, with an explicit stack; the IdrCircuits are then built
-    bottom-up, so inversion height is not bounded by the recursion limit."""
-    split: dict[int, tuple] = {}         # subtree root -> (top abp, sub roots)
-    stack = [root]
-    while stack:
-        r = stack.pop()
-        split[r] = _split_top(nodes, start, r, nx)
-        stack.extend(split[r][1])
-    built: dict[int, IdrCircuit] = {}
-    for r in reversed(split):            # every sub was found after its host
-        abp, subs = split[r]
-        built[r] = IdrCircuit(top=abp, nx=nx, subs=tuple(built[s] for s in subs))
-    return built[root]
-
-
-def _split_top(nodes: tuple, start: list[int], root: int, nx: int):
-    """Walking down from root and skipping each inverse gate's subtree
-    range leaves the top: the inverse-free nodes above the top-level
-    inverse gates, and those gates, which a forward loop turns into
-    placeholders in index order.  Returns the top's branching program and
-    the roots of the gates' children."""
-    top_idx = []
-    i = root
-    while i >= start[root]:
-        top_idx.append(i)
-        i = start[i] - 1 if nodes[i][0] == "inv" else i - 1
-    top = CircuitBuilder()
-    new: dict[int, int] = {}
-    subs: list[int] = []                 # roots of the inverse gates' children
-    for i in reversed(top_idx):
-        node = nodes[i]
+def _fold(tree: RationalCircuit, nx: int) -> IdrCircuit:
+    """One forward pass over a post-order tree.  `stack` holds each
+    finished operand's branching-program layers and how many placeholders
+    they hold; those stand for the last subs on `pending`, the one at
+    pending[j] as variable nx + j + 1.  An inverse gate closes its child's
+    top into a sub and leaves a placeholder for it, so inversion height is
+    not bounded by the recursion limit."""
+    pending: list[IdrCircuit] = []
+    stack: list[tuple[list, int]] = []
+    for node in tree.nodes:
         kind = node[0]
-        if kind == "const":
-            new[i] = top.const(node[1])
-        elif kind == "var":
-            new[i] = top.var(node[1])
+        if kind == "var":
+            stack.append(([[[{node[1]: Fraction(1)}]]], 0))
+        elif kind == "const":
+            stack.append(([[[{0: node[1]}]]], 0))
         elif kind == "inv":
-            subs.append(node[1])
-            new[i] = top.var(nx + len(subs))
+            pending.append(_close(*stack.pop(), pending, nx))
+            stack.append(([[[{nx + len(pending): Fraction(1)}]]], 1))
         else:
-            new[i] = top._push((kind, new[node[1]], new[node[2]]))
-    return formula_to_abp(top.build(new[root], nvars=nx + len(subs))), subs
+            b, kb = stack.pop()
+            a, ka = stack.pop()
+            ab = a + b if kind == "mul" else _abp_sum(a, b, kind == "sub")
+            stack.append((ab, ka + kb))
+    return _close(*stack.pop(), pending, nx)
+
+
+def _close(layers: list, k: int, pending: list, nx: int) -> IdrCircuit:
+    """Freeze a finished top whose k placeholders stand for the last k subs
+    on pending: take those subs off, and renumber the placeholders to
+    nx+1, ..., nx+k, which keeps them in index order."""
+    base = len(pending) - k
+    subs = tuple(pending[base:])
+    del pending[base:]
+    if k and base:
+        layers = [[[{(v - base if v > nx else v): a for v, a in f.items()} for f in row]
+                   for row in m] for m in layers]
+    top = tuple(tuple(tuple(row) for row in m) for m in layers)
+    nvars = max((v for m in top for row in m for f in row for v in f), default=0)
+    return IdrCircuit(top=Abp(layers=top, nvars=nvars), nx=nx, subs=subs)
 
 
 # -- variable substitutions -------------------------------------------------

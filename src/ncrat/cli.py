@@ -4,7 +4,8 @@ Reports are line-oriented `key value` pairs (optionally followed by a
 JSON block) and echo every effective parameter, so any Monte Carlo
 verdict can be re-checked independently.  Exit status: 0 on success, 1
 when a zero/singular/undefined verdict frustrated an explicit witness
-request, 2 on input errors.
+request, 2 on input errors and when ncrank's trials leave the rank
+unsettled.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .circuit import (ParseError, Undefined, classify, eval_circuit,
 from .field import (DEFAULT_PRIME, QQ, DenseMatrix, PrimeField, field_name,
                     is_invertible, rank_of, read_tuple, write_tuple)
 from .pencil import read_pencil, write_pencil
-from .rank import RankParams, ncrank_skew, read_skew_file
+from .rank import DivisibilityAnomaly, RankParams, ncrank_skew, read_skew_file
 from .rit import (RitParams, bootstrap_dimension, hitting_set_generate,
                   rit_test, verify_strong)
 from .series import RecognizableSeries, series_is_zero, truncated_eval
@@ -149,8 +150,12 @@ def cmd_ncrank(args) -> int:
     field = _field(args)
     M = read_skew_file(args.file, field)
     dims = _parse_dims(args.dims) if args.dims is not None else None
-    res = ncrank_skew(M, RankParams(d_schedule=dims, trials=args.trials,
-                                    seed=args.seed))
+    try:
+        res = ncrank_skew(M, RankParams(d_schedule=dims, trials=args.trials,
+                                        seed=args.seed))
+    except DivisibilityAnomaly as exc:
+        raise InputError(f"rank not settled: {exc}; raise --trials or use a "
+                         "larger --prime") from None
     report = [("command", "ncrank"), ("m", M.m), ("entry_size", M.common_size),
               ("dims", args.dims or f"1..{2 * M.m}"), ("trials", args.trials),
               ("rank", res.r), ("witness_dim", res.d),

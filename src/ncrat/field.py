@@ -433,13 +433,7 @@ def sample_tuple(field: Field, n: int, d: int, rng: random.Random | int) -> Matr
 
 
 def dump_tuple(t: MatrixTuple) -> str:
-    lines = []
-    if t.field.kind == "prime":
-        lines.append(f"field prime {t.field.p}")
-    else:
-        lines.append("field rational")
-    lines.append(f"nvars {t.n}")
-    lines.append(f"dim {t.d}")
+    lines = [f"field {field_name(t.field)}", f"nvars {t.n}", f"dim {t.d}"]
     for m in t.mats:
         lines.append("")
         for i in range(t.d):
@@ -452,13 +446,29 @@ def write_tuple(t: MatrixTuple, path: str) -> None:
         fh.write(dump_tuple(t))
 
 
+def parse_field_header(parts: list[str]) -> Field:
+    """The field of a `field prime <p>` or `field rational` line, given
+    split into words, as the tuple and pencil files begin."""
+    if parts[:1] != ["field"]:
+        raise ValueError("missing field header")
+    if parts[1:] == ["rational"]:
+        return QQ
+    if len(parts) == 3 and parts[1] == "prime":
+        return PrimeField(int(parts[2]))
+    raise ValueError("expected `field prime <p>` or `field rational`")
+
+
+def bounded_int(text: str, what: str, lo: int, hi: int | None = None) -> int:
+    v = int(text)
+    if v < lo or (hi is not None and v > hi):
+        raise ValueError(f"{what} {v} is out of range")
+    return v
+
+
 def _header_int(parts: list[str], key: str, lo: int) -> int:
     if len(parts) != 2 or parts[0] != key:
         raise ValueError(f"expected `{key} <integer>`")
-    v = int(parts[1])
-    if v < lo:
-        raise ValueError(f"{key} {v} is out of range")
-    return v
+    return bounded_int(parts[1], key, lo)
 
 
 def parse_tuple(text: str) -> MatrixTuple:
@@ -474,14 +484,7 @@ def parse_tuple(text: str) -> MatrixTuple:
 
     no, head = at(0)
     try:
-        if head[:1] != ["field"]:
-            raise ValueError("missing field header")
-        if head[1:] == ["rational"]:
-            field: Field = QQ
-        elif len(head) == 3 and head[1] == "prime":
-            field = PrimeField(int(head[2]))
-        else:
-            raise ValueError("expected `field prime <p>` or `field rational`")
+        field = parse_field_header(head)
         no, parts = at(1)
         n = _header_int(parts, "nvars", 0)
         no, parts = at(2)

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 from . import _sparse
 from .circuit import MAX_VARS, Abp, IdrCircuit
-from .field import (QQ, DenseMatrix, Field, MatrixTuple, PrimeField, Singular,
-                    rank_of, solve)
+from .field import (DenseMatrix, Field, MatrixTuple, Singular, bounded_int,
+                    field_name, parse_field_header, rank_of, solve)
 
 
 class DimensionMismatch(Exception):
@@ -664,11 +664,7 @@ def check_shrunk(core: LinearPencil, S: DenseMatrix, deficit: int = 1) -> bool:
 
 
 def dump_pencil(L: LinearPencil, realize: tuple[int, int] | None = None) -> str:
-    lines = [f"size {L.size}", f"nvars {L.nvars}"]
-    if L.field.kind == "prime":
-        lines.insert(0, f"field prime {L.field.p}")
-    else:
-        lines.insert(0, "field rational")
+    lines = [f"field {field_name(L.field)}", f"size {L.size}", f"nvars {L.nvars}"]
     blocks: list[list[str]] = [[] for _ in range(L.nvars + 1)]
     for (i, j), e in sorted(L.entries.items()):
         for k, v in e.items():
@@ -688,13 +684,6 @@ def dump_pencil(L: LinearPencil, realize: tuple[int, int] | None = None) -> str:
 MAX_PENCIL_SIZE = 1 << 20
 
 
-def _bounded_int(text: str, what: str, lo: int, hi: int | None = None) -> int:
-    v = int(text)
-    if v < lo or (hi is not None and v > hi):
-        raise ValueError(f"{what} {v} is out of range")
-    return v
-
-
 def parse_pencil(text: str):
     """Returns (LinearPencil, realize-or-None).  Malformed input raises
     ValueError naming the line."""
@@ -707,36 +696,29 @@ def parse_pencil(text: str):
             continue
         try:
             if field is None:
-                if parts[0] != "field":
-                    raise ValueError("missing field header")
-                if parts[1:] == ["rational"]:
-                    field = QQ
-                elif len(parts) == 3 and parts[1] == "prime":
-                    field = PrimeField(int(parts[2]))
-                else:
-                    raise ValueError("expected `field prime <p>` or `field rational`")
+                field = parse_field_header(parts)
             elif size is None or nvars is None:
                 key = "size" if size is None else "nvars"
                 if parts[0] != key or len(parts) != 2:
                     raise ValueError(f"missing {key} header")
                 if key == "size":
-                    size = _bounded_int(parts[1], "size", 1, MAX_PENCIL_SIZE)
+                    size = bounded_int(parts[1], "size", 1, MAX_PENCIL_SIZE)
                 else:
-                    nvars = _bounded_int(parts[1], "nvars", 0, MAX_VARS)
+                    nvars = bounded_int(parts[1], "nvars", 0, MAX_VARS)
             elif block is not None:
                 if parts == ["end"]:
                     block = None
                     continue
                 if len(parts) != 3:
                     raise ValueError("expected `row col value` or `end`")
-                r = _bounded_int(parts[0], "row", 1, size)
-                c = _bounded_int(parts[1], "column", 1, size)
+                r = bounded_int(parts[0], "row", 1, size)
+                c = bounded_int(parts[1], "column", 1, size)
                 place_block(entries, {(r - 1, c - 1): {block: field.parse(parts[2])}})
             elif parts[0] == "coeff" and len(parts) == 2:
-                block = _bounded_int(parts[1], "coefficient index", 0, nvars)
+                block = bounded_int(parts[1], "coefficient index", 0, nvars)
             elif parts[0] == "realize" and len(parts) == 3:
-                realize = (_bounded_int(parts[1], "realize row", 1, size),
-                           _bounded_int(parts[2], "realize column", 1, size))
+                realize = (bounded_int(parts[1], "realize row", 1, size),
+                           bounded_int(parts[2], "realize column", 1, size))
             else:
                 raise ValueError(f"expected coeff block, found {ln.strip()!r}")
         except (ValueError, ZeroDivisionError) as exc:

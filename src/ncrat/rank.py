@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 
-from .circuit import BlowupExceeded, ParseError, parse_expr, to_idrrsc
+from .circuit import ParseError, parse_expr, to_idrrsc
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, field_name,
                     rank_of, sample_tuple, solve)
 from .pencil import (LinearPencil, PencilOracle, RealizedEntry, compile_idrrsc,
@@ -164,13 +164,12 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
     ones the full trial loop gives, and per_dim and anomalies differ only
     where its trials at a decided d missed c d.  The oracle looks for a
     shrunk subspace of its core with deficit core_size - (r - base) from a
-    tuple of rank r d, at a dimension d below the last, whenever r would be
-    a new best below c: at the dimension's first trial, and again at its
-    end when a later trial became its best tuple.  One that check_shrunk
-    accepts proves ncrank(L) <= r, so c = r and the result is exact; found
-    at the first trial, it ends the dimension's trials there.  Otherwise
-    the result is a Monte Carlo lower bound that meets the rank with high
-    probability at the largest scheduled dimension."""
+    tuple of rank r d, at a dimension d below the last, at every trial
+    whose rank is a new best for its dimension and whose r would be a new
+    best below c.  One that check_shrunk accepts proves ncrank(L) <= r, so
+    c = r, the result is exact and the dimension's trials end there.
+    Otherwise the result is a Monte Carlo lower bound that meets the rank
+    with high probability at the largest scheduled dimension."""
     schedule = params.d_schedule or tuple(range(1, L.size + 1))
     oracle = PencilOracle(L)
     ceiling = L.size
@@ -191,7 +190,7 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
             continue
         rng = random.Random(params.seed * 1_000_003 + d)
         max_rank = -1
-        max_t = searched = None
+        max_t = None
         trials = params.trials
         attempt = 0
         while True:
@@ -199,14 +198,12 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
                 t = sample_tuple(L.field, max(L.nvars, 1), d, rng)
                 rk = oracle.rank_at(t)
                 if rk > max_rank:
-                    # the dimension's first trial: a certified ceiling here
-                    # leaves no later trial a higher rank to find
-                    if max_t is None and d != last_d and rk % d == 0 \
+                    # a certified ceiling here leaves no later trial a
+                    # higher rank to find
+                    if d != last_d and rk % d == 0 \
                             and (best is None or rk // d > best_r) \
-                            and rk // d < ceiling:
-                        searched = t
-                        if certifies(t, rk // d):
-                            ceiling = rk // d
+                            and rk // d < ceiling and certifies(t, rk // d):
+                        ceiling = rk // d
                     max_rank, max_t = rk, t
                     if rk == ceiling * d:
                         break
@@ -228,10 +225,6 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
         if best is None or r_d > best_r:
             best_r = r_d
             best = (d, max_t, max_rank)
-            # unless the first trial's search already ran from this tuple
-            if r_d < ceiling and d != last_d and max_t is not searched \
-                    and certifies(max_t, r_d):
-                ceiling = r_d
     if best is None:
         raise DivisibilityAnomaly("no dimension accepted")
     d, t, cert = best
@@ -316,7 +309,7 @@ def parse_skew_file(text: str, field: Field, base_dir: str = ".") -> SkewMatrix:
     for idx, (no, ln) in enumerate(body):
         try:
             grid[idx // m][idx % m] = _skew_entry(ln, field, base_dir)
-        except (ValueError, ParseError, BlowupExceeded) as exc:
+        except (ValueError, ParseError) as exc:
             raise ValueError(f"line {no}: {exc}") from None
     try:
         return make_skew_matrix(grid, field)

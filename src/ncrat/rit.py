@@ -36,10 +36,6 @@ from .series import (FieldTooSmall, assemble_shift_point, scaling_search,
                      series_is_zero, shifted_entry_series)
 
 
-class CompileFailed(Exception):
-    """The circuit did not normalize into the compilable class."""
-
-
 class WitnessNotFound(Exception):
     """Trials exhausted without a definedness + invertibility witness."""
 
@@ -75,10 +71,7 @@ class RitVerdict:
 
 
 def compile_circuit(c: RationalCircuit, field: Field) -> RealizedEntry:
-    try:
-        return compile_idrrsc(to_idrrsc(c), field)
-    except BlowupExceeded as exc:
-        raise CompileFailed(str(exc)) from exc
+    return compile_idrrsc(to_idrrsc(c), field)
 
 
 @functools.lru_cache(maxsize=16)
@@ -227,7 +220,7 @@ def _certified_nowhere_invertible(c: RationalCircuit, field: Field,
     when c does not compile."""
     try:
         _, oracle = _gate_oracle(c, field)
-    except CompileFailed:
+    except BlowupExceeded:
         return False
     return not oracle.is_invertible_at(t) and oracle.shrunk_subspace(t) is not None
 

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,14 @@ from hypothesis import strategies as st
 
 import freepoly as fp
 from conftest import random_formula
-from ncrat.circuit import (BlowupExceeded, CircuitBuilder, ParseError,
-                           Undefined, classify, dump_circuit, eval_circuit,
-                           formula_to_abp, parse_circuit, parse_expr,
-                           to_idrrsc, transport_tuple, variable_reduction)
-from ncrat.field import DenseMatrix, MatrixTuple, prime_field, sample_tuple
+from ncrat.circuit import (Abp, BlowupExceeded, CircuitBuilder, IdrCircuit,
+                           ParseError, Undefined, classify, dump_circuit,
+                           eval_circuit, formula_to_abp, parse_circuit,
+                           parse_expr, to_idrrsc, transport_tuple,
+                           variable_reduction)
+from ncrat.field import QQ, DenseMatrix, MatrixTuple, prime_field, sample_tuple
+from ncrat.pencil import compile_idrrsc, dump_pencil
+from ncrat.rit import corpus
 from reference import eval_abp, eval_idrrsc, expand_abp
 
 F = prime_field()
@@ -210,6 +215,77 @@ def test_to_idrrsc_modest_sharing_is_duplicated():
     idr = to_idrrsc(c)
     t = sample_tuple(F, 1, 2, 9)
     assert eval_idrrsc(idr, t) == eval_circuit(c, t)
+
+
+def _idr(nvars, layers, *subs):
+    """An IdrCircuit over x1, x2 whose top has the given layers, its forms
+    written as {var: int}."""
+    top = tuple(tuple(tuple({k: Fraction(v) for k, v in f.items()} for f in row)
+                      for row in m) for m in layers)
+    return IdrCircuit(top=Abp(layers=top, nvars=nvars), nx=2, subs=subs)
+
+
+def test_to_idrrsc_numbers_placeholders_in_index_order():
+    # the top y3*x1 + x2*y4*y5 holds three inverse gates, the second of them
+    # inv(inv(x1)) under a product, whose own top is the placeholder y3
+    idr = to_idrrsc(parse_expr("inv(x1 + x2)*x1 + x2*inv(inv(x1))*inv(x2 - 3*x1)"))
+    assert idr == _idr(
+        5, [[[{3: 1}, {2: 1}]], [[{1: 1}, {}], [{}, {4: 1}]], [[{0: 1}], [{5: 1}]]],
+        _idr(2, [[[{1: 1, 2: 1}]]]),
+        _idr(3, [[[{3: 1}]]], _idr(1, [[[{1: 1}]]])),
+        _idr(2, [[[{2: 1}, {0: -3}]], [[{0: 1}], [{1: 1}]]]))
+
+
+def _random_circuit(rng, dag):
+    """Random nodes over x1..x3 combined until one is left; a tree uses
+    each node once, a DAG also reuses its inverse gates."""
+    b = CircuitBuilder()
+    live = [b.var(rng.randrange(1, 4)) for _ in range(2)]
+    gates = []
+
+    def pick():
+        if dag and gates and rng.random() < 0.4:
+            return rng.choice(gates)
+        return live.pop(rng.randrange(len(live)))
+
+    for _ in range(rng.randrange(1, 14)):
+        roll = rng.random()
+        if roll < 0.1:
+            live.append(b.const(rng.randrange(-3, 4)))
+        elif roll < 0.3 or len(live) < 2:
+            live.append(b.var(rng.randrange(1, 4)))
+        elif roll < 0.5:
+            live.append(b.inv(pick()))
+            gates.append(live[-1])
+        else:
+            op = rng.choice((b.add, b.sub, b.mul))
+            left = pick()
+            live.append(op(left, pick()))
+    out = live.pop()
+    while live:
+        out = b.add(pick(), out)
+    return b.build(out)
+
+
+def test_compiled_pencils_are_unchanged():
+    """SHA-256 of the pencil files of compile_idrrsc(to_idrrsc(c)) over
+    M61, F_7 and Q: the reference corpus, 240 seeded random circuits (every
+    third a DAG that shares inverse gates), inv( nested 60 deep and one top
+    holding 43 inverse gates."""
+    rng = random.Random(0x1DF)
+    circuits = [c for _, c, _ in corpus()]
+    circuits += [_random_circuit(rng, dag=k % 3 == 2) for k in range(240)]
+    circuits.append(parse_expr("inv(" * 60 + "x1 + inv(x2)" + ")" * 60))
+    circuits.append(parse_expr(" + ".join(["inv(x1)"] * 40)
+                               + " + x2*inv(inv(x1))*inv(x2)"))
+    h = hashlib.sha256()
+    for c in circuits:
+        idr = to_idrrsc(c)
+        for field in (F, prime_field(7), QQ):
+            e = compile_idrrsc(idr, field)
+            h.update(dump_pencil(e.pencil, (e.row, e.col)).encode())
+    assert h.hexdigest() == \
+        "71dd5f9e7c2664d61c1b9edb28a10d7ad72326eaef769661600e703b890364aa"
 
 
 # -- variable reduction ----------------------------------------------------------

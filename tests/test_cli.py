@@ -161,6 +161,31 @@ def test_input_error_exit_code():
     assert status == 2
 
 
+# x1 doubled eleven times as a DAG: its tree has 4095 nodes, above the
+# expansion cap of 8 times its 12 nodes
+DOUBLING = "0 var 1\n" + "".join(f"{i} add {i - 1} {i - 1}\n" for i in range(1, 12)) \
+    + "output 11\n"
+
+
+@pytest.mark.parametrize("command", ["rit", "compile", "bootstrap"])
+def test_blowup_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "doubling.txt"
+    path.write_text(DOUBLING)
+    status, _ = run([command, "--file", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2 and err.count("\n") == 1
+    assert err.startswith("error: tree expansion exceeded 96 nodes; ")
+
+
+def test_unsettled_ncrank_exits_two(capsys):
+    # over F_3 one trial per dimension leaves the rank at d = 4 unsettled
+    status, _ = run(["ncrank", "--file", HIGMAN, "--prime", "3", "--trials", "1",
+                     "--seed", "6"])
+    err = capsys.readouterr().err
+    assert status == 2 and err.count("\n") == 1
+    assert err.startswith("error: rank not settled: ") and "--trials" in err
+
+
 BAD_PENCIL_FILES = {
     "empty": "",
     "truncated": "field prime 7\nsize 2\n",

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrat.circuit import (classify, eval_circuit, parse_expr,
+from ncrat.circuit import (BlowupExceeded, classify, eval_circuit, parse_expr,
                            transport_tuple, variable_reduction)
 from ncrat.field import QQ, DenseMatrix, PrimeField, is_invertible, prime_field
 from ncrat.pencil import compile_idrrsc
-from ncrat.rit import (CompileFailed, RitParams, WitnessNotFound,
+from ncrat.rit import (RitParams, WitnessNotFound,
                        bootstrap_dimension, corpus, hitting_set_generate,
                        rit_test, sparse_points, strong_witness, verify_strong)
 
@@ -60,7 +60,7 @@ def test_compile_failed_propagates():
     for _ in range(12):
         node = b.mul(node, node)
     c = b.build(node)
-    with pytest.raises(CompileFailed):
+    with pytest.raises(BlowupExceeded):
         rit_test(c, F)
 
 
