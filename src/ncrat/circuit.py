@@ -304,23 +304,18 @@ def eval_circuit(c: RationalCircuit, t: MatrixTuple) -> DenseMatrix:
 
 @dataclass(frozen=True)
 class Abp:
-    """Layered branching program in normal form: the layer matrices have
-    shapes w0 x w1, ..., w_{d-1} x w_d with w0 = w_d = 1; entries are
-    affine forms {var index -> Fraction} with key 0 the constant part."""
+    """Layered branching program in normal form: vertex layers of widths
+    w0, ..., w_d with w0 = w_d = 1, and layers[t] the edges from layer t to
+    layer t + 1, stored sparse as {(i, j): form} with no empty form; a form
+    is affine, {var index -> Fraction} with key 0 the constant part."""
 
     layers: tuple
+    widths: tuple
     nvars: int
 
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    @property
-    def widths(self) -> list[int]:
-        w = [1]
-        for m in self.layers:
-            w.append(len(m[0]))
-        return w
 
     @property
     def width(self) -> int:
@@ -329,12 +324,6 @@ class Abp:
     @property
     def size(self) -> int:
         return sum(self.widths)
-
-
-def _form_scale(form: LinForm, c: Fraction) -> LinForm:
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in form.items()}
 
 
 def _form_add(a: LinForm, b: LinForm) -> LinForm:
@@ -349,33 +338,31 @@ def _form_add(a: LinForm, b: LinForm) -> LinForm:
     return a
 
 
-def _pad(layers: list, extra: int) -> list:
-    """Append identity layers: 1 x 1 with the constant form 1."""
-    return layers + [[[{0: Fraction(1)}]] for _ in range(extra)]
-
-
-def _abp_sum(a: list, b: list, negate_b: bool) -> list:
+def _abp_sum(a: tuple[list, list], b: tuple[list, list], negate_b: bool) -> None:
+    """Write the branching program b, given as (layers, widths), into a as
+    a + b or a - b: the shorter one is padded with identity layers, and b's
+    vertices go after a's in every inner layer.  Both own their lists and
+    forms: a's are changed in place and b's are moved into them."""
+    (la, wa), (lb, wb) = a, b
+    for layers, widths in (a, b):
+        while len(layers) < max(len(la), len(lb)):
+            layers.append({(0, 0): {0: Fraction(1)}})
+            widths.append(1)
     if negate_b:
-        b = [[[_form_scale(f, Fraction(-1)) for f in row] for row in b[0]]] + b[1:]
-    if len(a) < len(b):
-        a = _pad(a, len(b) - len(a))
-    elif len(b) < len(a):
-        b = _pad(b, len(a) - len(b))
-    if len(a) == 1:
-        return [[[_form_add(a[0][0][0], b[0][0][0])]]]
-    out = []
-    out.append([a[0][0] + b[0][0]])  # 1 x (wa+wb)
-    for t in range(1, len(a) - 1):
-        ra, ca = len(a[t]), len(a[t][0])
-        rb, cb = len(b[t]), len(b[t][0])
-        blk = []
-        for i in range(ra):
-            blk.append(a[t][i] + [{} for _ in range(cb)])
-        for i in range(rb):
-            blk.append([{} for _ in range(ca)] + b[t][i])
-        out.append(blk)
-    out.append([row for row in a[-1]] + [row for row in b[-1]])  # (ra+rb) x 1
-    return out
+        for form in lb[0].values():
+            for k in form:
+                form[k] = -form[k]
+    last = len(la) - 1
+    for t, (dst, src) in enumerate(zip(la, lb)):
+        ro = wa[t] if t > 0 else 0
+        co = wa[t + 1] if t < last else 0
+        for (i, j), form in src.items():
+            key = (ro + i, co + j)
+            if key not in dst:
+                dst[key] = form
+            elif not _form_add(dst[key], form):
+                del dst[key]
+    wa[1:-1] = [x + y for x, y in zip(wa[1:-1], wb[1:-1])]
 
 
 def formula_to_abp(c: RationalCircuit) -> Abp:
@@ -471,31 +458,39 @@ def to_idrrsc(c: RationalCircuit) -> IdrCircuit:
 
 def _fold(tree: RationalCircuit, nx: int) -> IdrCircuit:
     """One forward pass over a post-order tree.  `stack` holds each
-    finished operand's branching-program layers and how many placeholders
-    they hold; those stand for the last subs on `pending`, the one at
-    pending[j] as variable nx + j + 1.  An inverse gate closes its child's
-    top into a sub and leaves a placeholder for it, so inversion height is
-    not bounded by the recursion limit."""
+    finished operand's branching-program layers and widths, and how many
+    placeholders they hold; those stand for the last subs on `pending`, the
+    one at pending[j] as variable nx + j + 1.  An inverse gate closes its
+    child's top into a sub and leaves a placeholder for it, so inversion
+    height is not bounded by the recursion limit.  Each operand owns its
+    lists and forms, so `*` and `+` extend and add into the left one."""
     pending: list[IdrCircuit] = []
-    stack: list[tuple[list, int]] = []
+    stack: list[tuple[list, list, int]] = []
     for node in tree.nodes:
         kind = node[0]
+        if kind in ("add", "sub", "mul"):
+            lb, wb, kb = stack.pop()
+            la, wa, ka = stack.pop()
+            if kind == "mul":
+                la += lb
+                wa += wb[1:]
+            else:
+                _abp_sum((la, wa), (lb, wb), kind == "sub")
+            stack.append((la, wa, ka + kb))
+            continue
+        k = 0
         if kind == "var":
-            stack.append(([[[{node[1]: Fraction(1)}]]], 0))
+            form = {node[1]: Fraction(1)}
         elif kind == "const":
-            stack.append(([[[{0: node[1]}]]], 0))
-        elif kind == "inv":
-            pending.append(_close(*stack.pop(), pending, nx))
-            stack.append(([[[{nx + len(pending): Fraction(1)}]]], 1))
+            form = {0: node[1]} if node[1] else {}
         else:
-            b, kb = stack.pop()
-            a, ka = stack.pop()
-            ab = a + b if kind == "mul" else _abp_sum(a, b, kind == "sub")
-            stack.append((ab, ka + kb))
+            pending.append(_close(*stack.pop(), pending, nx))
+            form, k = {nx + len(pending): Fraction(1)}, 1
+        stack.append(([{(0, 0): form} if form else {}], [1, 1], k))
     return _close(*stack.pop(), pending, nx)
 
 
-def _close(layers: list, k: int, pending: list, nx: int) -> IdrCircuit:
+def _close(layers: list, widths: list, k: int, pending: list, nx: int) -> IdrCircuit:
     """Freeze a finished top whose k placeholders stand for the last k subs
     on pending: take those subs off, and renumber the placeholders to
     nx+1, ..., nx+k, which keeps them in index order."""
@@ -503,11 +498,11 @@ def _close(layers: list, k: int, pending: list, nx: int) -> IdrCircuit:
     subs = tuple(pending[base:])
     del pending[base:]
     if k and base:
-        layers = [[[{(v - base if v > nx else v): a for v, a in f.items()} for f in row]
-                   for row in m] for m in layers]
-    top = tuple(tuple(tuple(row) for row in m) for m in layers)
-    nvars = max((v for m in top for row in m for f in row for v in f), default=0)
-    return IdrCircuit(top=Abp(layers=top, nvars=nvars), nx=nx, subs=subs)
+        layers = [{ij: {(v - base if v > nx else v): a for v, a in f.items()}
+                   for ij, f in m.items()} for m in layers]
+    nvars = max((v for m in layers for f in m.values() for v in f), default=0)
+    return IdrCircuit(top=Abp(layers=tuple(layers), widths=tuple(widths), nvars=nvars),
+                      nx=nx, subs=subs)
 
 
 # -- variable substitutions -------------------------------------------------
@@ -628,6 +623,8 @@ def parse_circuit(text: str) -> RationalCircuit:
             if parts[0] == "output":
                 if len(parts) != 2:
                     raise ValueError("output takes one node id")
+                if output_line is not None:
+                    raise ValueError("second output line")
                 output, output_line = int(parts[1]), lineno
                 continue
             if len(parts) < 2 or parts[1] not in _ARITY:
@@ -636,6 +633,8 @@ def parse_circuit(text: str) -> RationalCircuit:
             if len(parts) != 2 + _ARITY[kind]:
                 raise ValueError(f"{kind} takes {_ARITY[kind]} argument(s)")
             nid = int(parts[0])
+            if nid in raw:
+                raise ValueError(f"node {nid} is already defined at line {line_of[nid]}")
             if kind == "const":
                 raw[nid] = ("const", Fraction(parse_number(parts[2])))
             else:

@@ -193,19 +193,17 @@ def from_abp(a: Abp, field: Field, nvars: int | None = None) -> RealizedEntry:
     """Unit upper-triangular bidiagonal pencil with the branching program's
     polynomial realized in the upper right corner; invertible at every
     tuple."""
-    widths = a.widths
     n = a.nvars if nvars is None else nvars
-    N = sum(widths)
+    N = a.size
     entries = {(i, i): {0: field.one} for i in range(N)}
     off = 0
-    for layer, w in zip(a.layers, widths):
+    for layer, w in zip(a.layers, a.widths):
         # each layer joins the width-w block at off to the next block
-        place_block(entries, {(i, j): form for i, row in enumerate(layer)
-                              for j, form in enumerate(row)}, off, off + w,
+        place_block(entries, layer, off, off + w,
                     lambda form: {k: field.neg(field.normalize(v))
                                   for k, v in form.items()})
         off += w
-    return RealizedEntry(LinearPencil(field, N, n, entries), 1, N - widths[-1] + 1)
+    return RealizedEntry(LinearPencil(field, N, n, entries), 1, N)
 
 
 # -- inverse gadgets and composition ------------------------------------------
@@ -323,7 +321,7 @@ def compile_idrrsc(idr: IdrCircuit, field: Field) -> RealizedEntry:
     order = [idr]
     for node in order:                   # hosts before their subs
         order.extend(node.subs)
-    size: dict[int, int] = {}            # by id: an IdrCircuit hashes its subtree
+    size: dict[int, int] = {}            # by id: its dict forms make an IdrCircuit unhashable
     for node in reversed(order):
         s = node.top.size
         size[id(node)] = sum(size[id(g)] + 1 for g in node.subs) + 2 * s * s + s \

@@ -132,17 +132,14 @@ def eval_abp(a: Abp, t: MatrixTuple) -> DenseMatrix:
     """Product of the evaluated layer matrices (block entry at source/sink)."""
     field = t.field
     cur = None
-    for m in a.layers:
-        rows = len(m)
-        cols = len(m[0])
+    for m, rows, cols in zip(a.layers, a.widths, a.widths[1:]):
         big = DenseMatrix.zeros(field, rows * t.d, cols * t.d)
-        for i in range(rows):
-            for j in range(cols):
-                blk = _eval_form(m[i][j], t)
-                for bi in range(t.d):
-                    for bj in range(t.d):
-                        big.data[(i * t.d + bi) * cols * t.d + j * t.d + bj] = \
-                            blk.at(bi, bj)
+        for (i, j), form in m.items():
+            blk = _eval_form(form, t)
+            for bi in range(t.d):
+                for bj in range(t.d):
+                    big.data[(i * t.d + bi) * cols * t.d + j * t.d + bj] = \
+                        blk.at(bi, bj)
         cur = big if cur is None else cur.matmul(big)
     return cur
 
@@ -159,8 +156,9 @@ def expand_abp(a: Abp, field: Field) -> freepoly.NcPoly:
         return p
 
     cur = None
-    for m in a.layers:
-        pm = [[form_poly(f) for f in row] for row in m]
+    for m, rows, cols in zip(a.layers, a.widths, a.widths[1:]):
+        pm = [[form_poly(m.get((i, j), {})) for j in range(cols)]
+              for i in range(rows)]
         if cur is None:
             cur = pm
             continue

@@ -148,6 +148,12 @@ def test_abp_s4_expansion_matches_freepoly():
     assert expand_abp(a, F) == fp.standard_polynomial(F, 4)
 
 
+def test_abp_stores_no_empty_form():
+    # x1 - x1 cancels on the one edge of a one-layer sum, and 0 is no edge
+    assert formula_to_abp(parse_expr("x1 - x1 + 0")) == \
+        Abp(layers=({},), widths=(1, 1), nvars=0)
+
+
 def test_abp_rejects_inverses():
     with pytest.raises(ValueError):
         formula_to_abp(parse_expr("inv(x1)"))
@@ -218,11 +224,14 @@ def test_to_idrrsc_modest_sharing_is_duplicated():
 
 
 def _idr(nvars, layers, *subs):
-    """An IdrCircuit over x1, x2 whose top has the given layers, its forms
-    written as {var: int}."""
-    top = tuple(tuple(tuple({k: Fraction(v) for k, v in f.items()} for f in row)
-                      for row in m) for m in layers)
-    return IdrCircuit(top=Abp(layers=top, nvars=nvars), nx=2, subs=subs)
+    """An IdrCircuit over x1, x2 whose top has the given layers, written
+    dense as lists of rows of forms {var: int}, {} where there is no edge."""
+    top = tuple({(i, j): {k: Fraction(v) for k, v in f.items()}
+                 for i, row in enumerate(m) for j, f in enumerate(row) if f}
+                for m in layers)
+    widths = (1,) + tuple(len(m[0]) for m in layers)
+    return IdrCircuit(top=Abp(layers=top, widths=widths, nvars=nvars), nx=2,
+                      subs=subs)
 
 
 def test_to_idrrsc_numbers_placeholders_in_index_order():
@@ -286,6 +295,35 @@ def test_compiled_pencils_are_unchanged():
             h.update(dump_pencil(e.pencil, (e.row, e.col)).encode())
     assert h.hexdigest() == \
         "71dd5f9e7c2664d61c1b9edb28a10d7ad72326eaef769661600e703b890364aa"
+
+
+def test_compiled_sums_are_unchanged():
+    """SHA-256 of the pencil files of compile_idrrsc(to_idrrsc(c)) over
+    M61, F_7 and Q for sums whose operands have different depths (so the
+    shorter one is padded), one-layer sums that cancel, zero constants
+    inside sums, and 300 terms of x1*x2*x1."""
+    term = "x1*x2*x3*x1 - 2 + x2"
+    sources = [
+        " + ".join([term] * 100),
+        " - ".join([f"({term})"] * 100),
+        "x1 - x1 + 2*x2",
+        "x1 - x1",
+        "2 - 2 + x1*x2 - x1*x2",
+        "x1*x2 + 0 + x3*x1*x2",
+        "0 - x1*x2*x3 + 0*x1",
+        "0 + 0",
+        "(x1 + x2*x3)*(x3 - x1*x2*x1)*(2 + x1) - (x2 - 0)*(x1*x1 + 3)",
+        "inv(x1*x2 - x2*x1 + 1)*x3 - x1*inv(x2 + 0)*x1 + inv(x3)",
+        " + ".join(["x1*x2*x1"] * 300),
+    ]
+    h = hashlib.sha256()
+    for src in sources:
+        idr = to_idrrsc(parse_expr(src))
+        for field in (F, prime_field(7), QQ):
+            e = compile_idrrsc(idr, field)
+            h.update(dump_pencil(e.pencil, (e.row, e.col)).encode())
+    assert h.hexdigest() == \
+        "768c8fee727ec97ca6c2c93db2bcc94b0f0f123a6b3aa0514de102cdfb5ad546"
 
 
 # -- variable reduction ----------------------------------------------------------
@@ -424,6 +462,8 @@ def test_circuit_file_round_trips_generated_trees(c):
     ("0 const 1/0\noutput 0\n", "line 1"),
     ("0 var 0\noutput 0\n", "line 1"),
     ("0 var 1\n1 pow 0 0\noutput 1\n", "line 2"),
+    ("0 var 1\n0 var 2\noutput 0\n", "line 2"),     # node 0 twice
+    ("0 var 1\noutput 0\noutput 0\n", "line 3"),    # two output lines
 ])
 def test_circuit_file_errors_name_the_line(text, where):
     with pytest.raises(ValueError, match=f"^{where}: "):

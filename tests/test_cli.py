@@ -208,6 +208,8 @@ BAD_CIRCUIT_FILES = {
     "exponent-const": "0 const 1e999999999\noutput 0\n",
     "decimal-const": "0 const 1.5\noutput 0\n",
     "variable-above-bound": "0 var 99999999999999999999\noutput 0\n",
+    "duplicate-node": "0 var 1\n0 var 2\noutput 0\n",
+    "second-output": "0 var 1\n1 var 2\noutput 1\noutput 0\n",
 }
 
 

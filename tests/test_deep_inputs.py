@@ -10,6 +10,7 @@ from test_cli import run
 from ncrat.circuit import (classify, eval_circuit, parse_circuit, parse_expr,
                            to_idrrsc)
 from ncrat.field import prime_field, sample_tuple
+from ncrat.pencil import compile_idrrsc
 from reference import eval_idrrsc
 
 
@@ -70,3 +71,13 @@ def test_deep_circuit_file_parses_and_compiles(tmp_path):
     path.write_text(text)
     status, out = run(["compile", "--file", str(path)])
     assert status == 0 and "\nsize 9999\n" in out
+
+
+def test_sum_of_four_thousand_products_compiles_and_evaluates():
+    # a sum of products lowers to a branching program with 4,000 vertices in
+    # each inner layer, which only a sparse layer format keeps linear
+    c = parse_expr(" + ".join(["x1*x2*x1"] * 4000))
+    e = compile_idrrsc(to_idrrsc(c), prime_field())
+    assert e.size == 8002
+    t = sample_tuple(prime_field(), 2, 2, 401)
+    assert e.value_at(t) == eval_circuit(c, t)
