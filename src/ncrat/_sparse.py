@@ -3,9 +3,16 @@
 A field is given by its characteristic p: a prime, whose elements are
 residues (ints in [0, p)), or 0 for the rationals, whose elements are
 fractions.Fraction.  Matrices are rows {i: {j: value}} with no zero
-stored.  rank_sparse eliminates columns in order on the sparsest row; the
-same elimination, kept sparse to the end, gives row_basis,
-nullspace_sparse and solve_sparse.  fills is the one rule that sends a
+stored.  rank_sparse eliminates columns in order on the sparsest row.  Kept
+sparse to the end, the same elimination can record its pivot rows and, for
+each pivot, the rows it updated and by how much: a factorization of the
+matrix.  From the record, kernel reads off a basis of the kernel and
+preimage carries a right-hand vector through the same row updates and
+back-substitutes it through the pivot rows, so one elimination serves any
+number of right-hand sides; nullspace_sparse and solve_sparse are that
+elimination followed by kernel.  row_basis clears the pivot rows into the
+reduced echelon basis of the row space, and extend_basis adds a vector to
+such a basis of a span that grows.  fills is the one rule that sends a
 matrix, or the active block of an elimination, to the dense kernel in
 _modnum, which is imported only then and serves only the primes for which
 supported holds: the Mersenne prime 2^61 - 1 and the primes below 2^31.
@@ -15,6 +22,7 @@ This module imports nothing beyond the standard library.
 
 from __future__ import annotations
 
+import bisect
 import collections
 from fractions import Fraction
 
@@ -58,10 +66,13 @@ def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
     supported primes, the active block (rows left, columns not yet
     eliminated) goes to _modnum's dense rank_mod once it fills in.
 
-    Given a list, pivots receives each pivot row as it leaves, (column j,
-    -1 / pivot, the rest of the row {c: value}, all c > j), and the
-    elimination stays sparse to the end: the pivot rows are an echelon
-    basis of the row space (row_basis, nullspace_sparse)."""
+    Given a list, the elimination stays sparse to the end and pivots
+    receives, for each pivot row as it leaves, (column j, -1 / pivot, the
+    rest of the row {c: value} (all c > j), its row index r, the updates
+    [(i, f), ...]): each live row i that held f at column j took f * (-1 /
+    pivot) times row r.  The pivot rows are an echelon basis of the row
+    space, and the updates say how every row was reduced to them (kernel,
+    preimage)."""
     live = {i: row for i, row in rows.items() if row}
     cols = collections.defaultdict(set)      # column -> the live rows holding it
     for i, row in live.items():
@@ -82,9 +93,9 @@ def rank_sparse(rows: dict, p: int, pivots: list | None = None) -> int:
         prow = live.pop(r)
         alpha = prow.pop(j)
         neg_inv = p - pow(alpha, -1, p) if p else -1 / Fraction(alpha)
-        if pivots is not None:
-            pivots.append((j, neg_inv, prow))
         holders.discard(r)
+        if pivots is not None:
+            pivots.append((j, neg_inv, prow, r, [(i, live[i][j]) for i in holders]))
         for c in prow:
             cols[c].discard(r)
         nnz -= 1 + len(prow)
@@ -127,45 +138,111 @@ def row_basis(rows: dict, p: int) -> list[dict]:
     pivots: list = []
     rank_sparse(rows, p, pivots)
     basis: dict = {}                     # pivot column -> its reduced row
-    for j, neg_inv, prow in reversed(pivots):
+    for j, neg_inv, prow, *_ in reversed(pivots):
         row = {c: v * -neg_inv % p if p else v * -neg_inv for c, v in prow.items()}
-        for c in [c for c in row if c in basis]:
-            f = row[c]
-            for c2, v in basis[c].items():      # clears c itself, where v = 1
-                x = row.get(c2, 0) - f * v
-                if p:
-                    x %= p
-                if x:
-                    row[c2] = x
-                else:
-                    row.pop(c2, None)
-        row[j] = 1
+        _clear(row, basis, p)
+        row[j] = 1 if p else Fraction(1)
         basis[j] = row
-    return [basis[j] for j, _, _ in pivots]
+    return [basis[j] for j, *_ in pivots]
+
+
+def extend_basis(basis: dict, v: dict, p: int) -> int | None:
+    """Add v {j: value} (consumed) to the reduced echelon basis {pivot
+    column: row} of a span, in place: v is cleared at every pivot column,
+    and a remainder is scaled to 1 at its first column c, cleared from
+    every row of the basis and stored as basis[c].  Returns c, or None when
+    v was in the span.  The rows in pivot-column order are the span's
+    reduced echelon basis whatever the order of the vectors added, so over
+    Q their entries do not grow as more are added."""
+    _clear(v, basis, p)
+    if not v:
+        return None
+    c = min(v)
+    s = pow(v[c], -1, p) if p else 1 / Fraction(v[c])
+    row = {j: x * s % p for j, x in v.items()} if p else \
+        {j: x * s for j, x in v.items()}
+    lead = {c: row}
+    for other in basis.values():
+        if c in other:
+            _clear(other, lead, p)
+    basis[c] = row
+    return c
+
+
+def _clear(row: dict, basis: dict, p: int) -> None:
+    """Subtract from row, in place, the multiple of each basis row {pivot
+    column: row, 1 at its pivot column and 0 at the others} that clears its
+    pivot column."""
+    for c in [c for c in row if c in basis]:
+        f = row[c]
+        for c2, v in basis[c].items():          # clears c itself, where v = 1
+            x = row.get(c2, 0) - f * v
+            if p:
+                x %= p
+            if x:
+                row[c2] = x
+            else:                               # f v != 0, so c2 was in row
+                del row[c2]
 
 
 def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
     """A basis of {x : M x = 0} for M with rows {i: {j: value}}
-    (consumed) over the columns 0..ncols-1: for each column f without a
-    pivot in rank_sparse, the x {j: value} with x_f = 1 and 0 at the
-    other pivotless columns, keyed by f.  The pivot rows span M's rows and
-    each reaches only later columns, so x_j = -(1 / pivot) sum_c M_jc x_c
-    is solved from the last pivot back; a pivot after f gets x_j = 0."""
+    (consumed) over the columns 0..ncols-1, as kernel reads it off
+    rank_sparse's record."""
     pivots: list = []
     rank_sparse(rows, p, pivots)
-    pivots.reverse()
-    kernel = {}
-    for f in sorted(set(range(ncols)).difference(j for j, _, _ in pivots)):
-        x = {f: 1}
-        for j, neg_inv, prow in pivots:
-            if j < f:
-                acc = sum(v * x[c] for c, v in prow.items() if c in x)
-                if p:
-                    acc %= p
-                if acc:
-                    x[j] = acc * neg_inv % p if p else acc * neg_inv
-        kernel[f] = x
-    return kernel
+    return kernel(pivots, ncols, p)
+
+
+def kernel(pivots: list, ncols: int, p: int) -> dict:
+    """A basis of the kernel over the columns 0..ncols-1 of the matrix whose
+    elimination rank_sparse recorded in pivots: for each column f without a
+    pivot, the x {j: value} with x_f = 1 and 0 at the other pivotless
+    columns, keyed by f.  The pivot rows span the matrix's rows and each
+    reaches only later columns, so x_j = -(1 / pivot) sum_c M_jc x_c is
+    solved from the last pivot back; a pivot after f gets x_j = 0."""
+    cols = [j for j, *_ in pivots]           # increasing
+    return {f: _back_substitute(pivots[:bisect.bisect(cols, f)], {f: 1}, {}, p)
+            for f in sorted(set(range(ncols)).difference(cols))}
+
+
+def preimage(pivots: list, w: dict, p: int) -> dict | None:
+    """An x {j: value} with M x = w, for w {i: value} indexed by M's rows,
+    or None when w is not in the column span of M, where pivots is
+    rank_sparse's record of M's elimination.  w takes the row updates in
+    the order they were made; then it is in M's column span exactly when it
+    vanishes on every row that did not become a pivot row (its M-part
+    cancelled), and x is back-substituted through the pivot rows, 0 at the
+    pivotless columns."""
+    w = dict(w)
+    rhs = {}                                 # pivot row -> its value
+    for _, neg_inv, _, r, updates in pivots:
+        y = w.pop(r, 0)
+        if not y:
+            continue
+        rhs[r] = y
+        s = y * neg_inv % p if p else y * neg_inv
+        for i, f in updates:
+            x = w.get(i, 0) + f * s
+            w[i] = x % p if p else x
+    if any(w.values()):
+        return None
+    return _back_substitute(pivots, {}, rhs, p)
+
+
+def _back_substitute(pivots: list, x: dict, rhs: dict, p: int) -> dict:
+    """x with x_j = -(1 / pivot) (sum_c prow_c x_c - rhs[r]) set for each
+    pivot (j, r) in pivots where it is not 0, from the last pivot back."""
+    for j, neg_inv, prow, r, _ in reversed(pivots):
+        acc = -rhs.get(r, 0)
+        for c, v in prow.items():
+            if c in x:
+                acc += v * x[c]
+        if p:
+            acc %= p
+        if acc:
+            x[j] = acc * neg_inv % p if p else acc * neg_inv
+    return x
 
 
 def solve_sparse(rows: dict, n: int, m: int, p: int) -> list[dict] | None:
@@ -174,7 +251,7 @@ def solve_sparse(rows: dict, n: int, m: int, p: int) -> list[dict] | None:
     b at n + b (consumed); None when A is singular.  Column b of X is the
     j < n part of nullspace_sparse's vector for the pivotless column n + b,
     since A x = B e_b; a pivotless column of A makes A singular."""
-    kernel = nullspace_sparse(rows, n + m, p)
-    if any(f < n for f in kernel):
+    null = nullspace_sparse(rows, n + m, p)
+    if any(f < n for f in null):
         return None
-    return [{j: v for j, v in kernel[n + b].items() if j < n} for b in range(m)]
+    return [{j: v for j, v in null[n + b].items() if j < n} for b in range(m)]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from . import _sparse
 from .circuit import MAX_VARS, Abp, IdrCircuit
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, bounded_int,
-                    field_name, parse_field_header, rank_of, solve)
+                    field_name, parse_field_header, solve)
 
 
 class DimensionMismatch(Exception):
@@ -533,6 +533,7 @@ class PencilOracle:
         self.base, self.core = _reduce(L)
         self._eval_rows = _SparseEval(self.core)
         self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
+        self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched
 
     @property
     def core_size(self) -> int:
@@ -564,12 +565,13 @@ class PencilOracle:
     def shrunk_subspace(self, t: MatrixTuple, deficit: int = 1) -> DenseMatrix | None:
         """A shrunk subspace S of the core with dim S - dim sum_k A_k S >=
         deficit, found from A = core(t) and returned as a core.size x dim S
-        matrix whose columns are a basis of S, once check_shrunk accepts it;
-        None when none is found, and where rank_at evaluates core(t)
-        densely, because the search runs sparse elimination to the end,
-        several times over (n = 120, every core entry holding a variable,
-        d = 1: 8.5 s against 80 ms for rank_at).  The search is exact over
-        every field, Q included.
+        matrix whose columns are S's reduced echelon basis (what
+        _sparse.row_basis gives, which depends only on the span), once
+        check_shrunk accepts it; None when none is found, and where rank_at
+        evaluates core(t) densely, because the search stays sparse to the
+        end (n = 120, every core entry holding a variable, d = 1: 1.8-2.8 s,
+        most of it the images A_k s, against 0.08-0.13 s for rank_at).  The
+        search is exact over every field, Q included.
 
         What S proves, with A_0 the constant term: at any tuple t' of any
         dimension e, core(t') = sum_k A_k x t'_k (t'_0 = I) maps S x F^e
@@ -581,81 +583,132 @@ class PencilOracle:
 
         How S is found: the second Wong sequence of IQS18 on A, over
         subspaces T of F^n (n = core.size).  From T_0 = 0, U = A^-1(T x F^d)
-        holds the u with A u in T x F^d: the u-parts of the kernel of
-        [A | -W], W a basis of T x F^d.  S is the span of the columns of
+        holds the u with A u in T x F^d, S is the span of the columns of
         each u of U read as an n x d matrix (u[i d + a] at (i, a)), the
-        least S with U inside S x F^d, and T' = sum_k A_k S.  The T grow,
-        so within n steps the sequence meets an S that shrinks by deficit,
-        stops growing, or gives up when T x F^d leaves im A (some tuple of a
-        larger dimension then has a larger rank).  While T x F^d stays in
-        im A, dim U = nd - rank A + d dim T <= d dim S, so once T stops
-        growing dim S - dim sum_k A_k S >= n - rank A / d, which is the
-        deficit asked for when rank A = (r - base) d."""
+        least S with U inside S x F^d, and T' = sum_k A_k S.  A is factored
+        once: rank_sparse eliminates it, recording its pivot rows and row
+        updates, and U is ker A, read off the pivot rows, plus a preimage
+        (_sparse.preimage) of tau x e_a for each direction tau of T and
+        each a < d.  T and S only grow, so a step solves for T's new
+        directions only, and S's new directions are the slices of their
+        preimages that extend S (at d = 1, all of them).  T' needs only the
+        images A_k s, k >= 1, of S's new directions, added to T's reduced
+        echelon basis: slice b of A u is A_0 s_b + sum_(k >= 1, a)
+        t_k[b, a] A_k s_a, which lies in T, so A_0 S lies in T + sum_(k >=
+        1) A_k S, and T lies in T'.  Within n steps the sequence meets an S
+        that shrinks by deficit, stops growing, or gives up when a preimage
+        is missing: T x F^d has left im A (some tuple of a larger dimension
+        then has a larger rank).  While T x F^d stays in im A, dim U = nd -
+        rank A + d dim T <= d dim S, so once T stops growing dim S - dim
+        sum_k A_k S >= n - rank A / d, which is the deficit asked for when
+        rank A = (r - base) d."""
         n, d = self.core.size, t.d
         if n == 0 or self._dense_at(d):
             return None
-        p, nd = self.field.p, n * d
-        by_col: dict[int, list] = {}
-        for (r, c), e in self.core.entries.items():
-            by_col.setdefault(c, []).append((r, e))
-        evaluated = self._eval_rows(t)
-        T: list[dict] = []              # basis {i: value} of T
+        p = self.field.p
+        pivots: list = []
+        _sparse.rank_sparse(self._eval_rows(t), p, pivots)
+        S: list = []                    # a basis of S, in the order found
+        sliced: dict = {}               # at d > 1, S's reduced echelon basis
+        T: dict = {}                    # T's reduced echelon basis
+        fresh = self._new_slices(S, sliced, _sparse.kernel(pivots, n * d, p).values(), d)
         while True:
-            rows = {i: dict(row) for i, row in evaluated.items()}
-            for q, tau in enumerate(T):    # -W: column nd + q d + a is tau x e_a
-                for i, v in tau.items():
-                    for a in range(d):
-                        rows[i * d + a][nd + q * d + a] = p - v
-            kernel = _sparse.nullspace_sparse(rows, nd + len(T) * d, p)
-            if any(nd + c not in kernel for c in range(len(T) * d)):
-                return None
-            slices: dict[tuple, dict] = {}
-            for f, x in kernel.items():
-                for j, v in x.items():
-                    if j < nd:
-                        i, a = divmod(j, d)
-                        slices.setdefault((f, a), {})[i] = v
-            S = _sparse.row_basis(dict(enumerate(slices.values())), p)
-            images: dict[tuple, dict] = {}     # (s, k) -> A_k s
-            for q, s in enumerate(S):
-                for c, x in s.items():
-                    for r, e in by_col.get(c, ()):
-                        for k, v in e.items():
-                            img = images.setdefault((q, k), {})
-                            y = img.get(r, 0) + v * x
-                            img[r] = y % p if p else y
-            grown = _sparse.row_basis(
-                {m: {r: y for r, y in img.items() if y}
-                 for m, img in enumerate(images.values())}, p)
-            if len(S) - len(grown) >= deficit:
+            grown = [c for s in fresh for img in self._images(s)
+                     if (c := _sparse.extend_basis(T, img, p)) is not None]
+            if len(S) - len(T) >= deficit:
                 break
-            if len(grown) == len(T):
+            if not grown:
                 return None
-            T = grown
-        norm = self.field.normalize
-        basis = DenseMatrix(self.field, n, len(S),
-                            [norm(s.get(i, 0)) for i in range(n) for s in S])
+            solved = []
+            for c in grown:
+                for a in range(d):
+                    x = _sparse.preimage(pivots, {i * d + a: v for i, v in T[c].items()}, p)
+                    if x is None:
+                        return None
+                    solved.append(x)
+            fresh = self._new_slices(S, sliced, solved, d)
+        S = [sliced[c] for c in sorted(sliced)] if d > 1 else \
+            _sparse.row_basis(dict(enumerate(S)), p)
+        basis = DenseMatrix.zeros(self.field, n, len(S))
+        for q, s in enumerate(S):
+            for i, v in s.items():
+                basis.data[i * len(S) + q] = v
         return basis if check_shrunk(self.core, basis, deficit) else None
+
+    def _new_slices(self, S: list, sliced: dict, vectors, d: int) -> list:
+        """New directions of S from the slices (x[i d + a] at i, a < d) of
+        the vectors x over F^(nd), appended to S.  At d = 1 each x is its
+        own slice and is new: A maps the vectors it is given, a basis of ker
+        A or preimages of T's new directions, to 0 or to vectors independent
+        modulo T, so no combination of them falls in S.  At d > 1 the slices
+        extend S's reduced echelon basis, and its new rows are the new
+        directions."""
+        if d == 1:
+            fresh = list(vectors)
+        else:
+            added = []
+            for x in vectors:
+                slices: dict[int, dict] = {}
+                for j, v in x.items():
+                    i, a = divmod(j, d)
+                    slices.setdefault(a, {})[i] = v
+                added += [c for sl in slices.values()
+                          if (c := _sparse.extend_basis(sliced, sl, self.field.p)) is not None]
+            fresh = [sliced[c] for c in added]
+        S += fresh
+        return fresh
+
+    def _images(self, s: dict) -> list:
+        """The images A_k s, k = 1..nvars, of s {i: value} over F^n that are
+        not 0, as {row: value}.  A_0 s is not needed: the sequence's T holds
+        A_0 S modulo sum_(k >= 1) A_k S (see shrunk_subspace)."""
+        p = self.field.p
+        if self._by_col is None:
+            self._by_col = {}
+            for (r, c), e in self.core.entries.items():
+                self._by_col.setdefault(c, []).extend((k - 1, r, v) for k, v in e.items() if k)
+        images = [{} for _ in range(self.core.nvars)]     # A_k s at k - 1, sums
+        for c, x in s.items():
+            for k, r, v in self._by_col.get(c, ()):
+                img = images[k]
+                img[r] = img.get(r, 0) + v * x
+        out = []
+        for img in images:
+            img = {r: y % p for r, y in img.items()} if p else img
+            img = {r: y for r, y in img.items() if y}
+            if img:
+                out.append(img)
+        return out
 
 
 def check_shrunk(core: LinearPencil, S: DenseMatrix, deficit: int = 1) -> bool:
     """Whether the column span of S (core.size rows) is a shrunk subspace
     of the pencil core with the given deficit: rank S - rank [A_0 S | A_1 S
-    | ... | A_m S] >= deficit, both exact ranks, the products taken entry
-    by entry from core.entries.  An accepted S proves rank core(t) <=
-    (core.size - deficit) e at every tuple t of every dimension e; with
-    deficit 1, that core is singular (see PencilOracle.shrunk_subspace)."""
+    | ... | A_m S] >= deficit, both exact ranks by _sparse.rank_sparse on
+    sparse rows, the products taken entry by entry from core.entries.  An
+    accepted S proves rank core(t) <= (core.size - deficit) e at every
+    tuple t of every dimension e; with deficit 1, that core is singular
+    (see PencilOracle.shrunk_subspace)."""
     if S.rows != core.size:
         raise ValueError("subspace basis must have one row per pencil row")
-    f, s = core.field, S.cols
-    width = (core.nvars + 1) * s
-    images = DenseMatrix.zeros(f, core.size, width)
+    p, s = core.field.p, S.cols
+    by_row = [[(q, x) for q, x in enumerate(S.data[c * s:(c + 1) * s]) if x]
+              for c in range(S.rows)]
+    columns: dict[int, dict] = {q: {} for q in range(s)}      # S's columns
+    for c, row in enumerate(by_row):
+        for q, x in row:
+            columns[q][c] = x
+    images = [{} for _ in range((core.nvars + 1) * s)]      # A_k S e_q at k s + q
     for (r, c), e in core.entries.items():
+        row = by_row[c]
         for k, v in e.items():
-            at = r * width + k * s
-            for q in range(s):
-                images.data[at + q] = f.add(images.data[at + q], f.mul(v, S.at(c, q)))
-    return rank_of(S) - rank_of(images) >= deficit
+            at = k * s
+            for q, x in row:
+                img = images[at + q]
+                y = img.get(r, 0) + v * x
+                img[r] = y % p if p else y
+    images = {m: {r: y for r, y in img.items() if y} for m, img in enumerate(images)}
+    return _sparse.rank_sparse(columns, p) - _sparse.rank_sparse(images, p) >= deficit
 
 
 # -- pencil file format --------------------------------------------------------

@@ -8,7 +8,10 @@ dense kernel), so tests check rank_of, solve, invert, PencilOracle.rank_at
 and RealizedEntry.value_at against it rather than against each other.
 
 Also the reference for rit_test's early ZERO: rit_full_loop, the
-randomized test with no shrunk-subspace search.
+randomized test with no shrunk-subspace search.  And the references for the
+search itself: shrunk_subspace_reference, the second Wong sequence with
+[A | -W] eliminated afresh at every step, and check_shrunk_dense, its check
+on dense products and rank_of.
 
 And the direct evaluations and symbolic expansions that the compiled
 pencils and series are checked against:
@@ -24,11 +27,12 @@ pencils and series are checked against:
 import random
 
 import freepoly
+from ncrat import _sparse
 from ncrat.circuit import Abp, IdrCircuit, LinForm, Undefined, eval_circuit
 from ncrat.field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
-                         is_invertible, kron, sample_tuple, solve)
-from ncrat.pencil import (LinearPencil, dense_block, eval_pencil,
-                          place_block)
+                         is_invertible, kron, rank_of, sample_tuple, solve)
+from ncrat.pencil import (LinearPencil, PencilOracle, dense_block,
+                          eval_pencil, place_block)
 from ncrat.rit import RitParams, RitVerdict, _gate_oracle
 from ncrat.series import RecognizableSeries
 
@@ -111,6 +115,75 @@ def rit_full_loop(c, field, params: RitParams = RitParams()) -> RitVerdict:
                       trials_run=max_dim * params.trials, max_dim=max_dim,
                       error_bound_num=size * max_dim,
                       error_bound_den=field.sample_set_size())
+
+
+def shrunk_subspace_reference(oracle: PencilOracle, t: MatrixTuple,
+                              deficit: int = 1) -> DenseMatrix | None:
+    """PencilOracle.shrunk_subspace as each step eliminating [A | -W] afresh:
+    U = A^-1(T x F^d) is the u-part of the kernel of [A | -W], W a basis of
+    T x F^d, S the row basis of U's slices and T' that of the images A_k s
+    of all of S; checked by check_shrunk_dense."""
+    n, d = oracle.core.size, t.d
+    if n == 0 or oracle._dense_at(d):
+        return None
+    p, nd = oracle.field.p, n * d
+    by_col: dict[int, list] = {}
+    for (r, c), e in oracle.core.entries.items():
+        by_col.setdefault(c, []).append((r, e))
+    evaluated = oracle._eval_rows(t)
+    T: list[dict] = []              # basis {i: value} of T
+    while True:
+        rows = {i: dict(row) for i, row in evaluated.items()}
+        for q, tau in enumerate(T):    # -W: column nd + q d + a is tau x e_a
+            for i, v in tau.items():
+                for a in range(d):
+                    rows[i * d + a][nd + q * d + a] = p - v
+        kernel = _sparse.nullspace_sparse(rows, nd + len(T) * d, p)
+        if any(nd + c not in kernel for c in range(len(T) * d)):
+            return None
+        slices: dict[tuple, dict] = {}
+        for f, x in kernel.items():
+            for j, v in x.items():
+                if j < nd:
+                    i, a = divmod(j, d)
+                    slices.setdefault((f, a), {})[i] = v
+        S = _sparse.row_basis(dict(enumerate(slices.values())), p)
+        images: dict[tuple, dict] = {}     # (s, k) -> A_k s
+        for q, s in enumerate(S):
+            for c, x in s.items():
+                for r, e in by_col.get(c, ()):
+                    for k, v in e.items():
+                        img = images.setdefault((q, k), {})
+                        y = img.get(r, 0) + v * x
+                        img[r] = y % p if p else y
+        grown = _sparse.row_basis(
+            {m: {r: y for r, y in img.items() if y}
+             for m, img in enumerate(images.values())}, p)
+        if len(S) - len(grown) >= deficit:
+            break
+        if len(grown) == len(T):
+            return None
+        T = grown
+    norm = oracle.field.normalize
+    basis = DenseMatrix(oracle.field, n, len(S),
+                        [norm(s.get(i, 0)) for i in range(n) for s in S])
+    return basis if check_shrunk_dense(oracle.core, basis, deficit) else None
+
+
+def check_shrunk_dense(core: LinearPencil, S: DenseMatrix, deficit: int = 1) -> bool:
+    """check_shrunk on a dense matrix of images filled slot by slot through
+    the field's operations, ranked by rank_of."""
+    if S.rows != core.size:
+        raise ValueError("subspace basis must have one row per pencil row")
+    f, s = core.field, S.cols
+    width = (core.nvars + 1) * s
+    images = DenseMatrix.zeros(f, core.size, width)
+    for (r, c), e in core.entries.items():
+        for k, v in e.items():
+            at = r * width + k * s
+            for q in range(s):
+                images.data[at + q] = f.add(images.data[at + q], f.mul(v, S.at(c, q)))
+    return rank_of(S) - rank_of(images) >= deficit
 
 
 # -- branching programs and the inversely disjoint decomposition -------------

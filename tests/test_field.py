@@ -308,6 +308,71 @@ def test_nullspace_and_row_basis_match_generic(case):
     assert _is_reduced(basis)
 
 
+def _solves(rows, m, p, seed):
+    """Check preimage on the matrix with rows {i: {j: value}} over m columns
+    and characteristic p (0 for Q): each image M x0 gets an x with M x =
+    M x0, and a random right-hand side gets None exactly when it raises the
+    rank of [M | w]; and kernel agrees with nullspace_sparse."""
+    from ncrat._sparse import kernel, nullspace_sparse, preimage, rank_sparse
+    rng = random.Random(seed)
+    field = PrimeField(p) if p else QQ
+
+    def copy():
+        return {i: dict(row) for i, row in rows.items()}
+
+    def times(x):
+        out = {}
+        for i, row in rows.items():
+            y = sum(v * x.get(j, 0) for j, v in row.items())
+            if y % p if p else y:
+                out[i] = y % p if p else y
+        return out
+    pivots: list = []
+    rank = rank_sparse(copy(), p, pivots)
+    assert kernel(pivots, m, p) == nullspace_sparse(copy(), m, p)
+    for _ in range(3):
+        w = times({j: field.rand(rng) for j in range(m) if rng.random() < 0.5})
+        x = preimage(pivots, w, p)
+        assert x is not None and times(x) == w
+        w = {i: field.rand(rng) for i in rows if rng.random() < 0.3}
+        w = {i: v for i, v in w.items() if v}
+        grown = copy()
+        for i, v in w.items():
+            grown[i][m] = v
+        x = preimage(pivots, w, p)
+        assert (x is None) == (rank_sparse(grown, p) > rank)
+        assert x is None or times(x) == w
+
+
+@given(sparse_matrices(), st.integers(0, 2 ** 16))
+@settings(max_examples=150, deadline=None)
+def test_preimage_solves_exactly_the_images(case, seed):
+    p, n, m, a = case
+    _solves({i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)},
+            m, p, seed)
+
+
+def test_extend_basis_gives_the_row_basis_in_any_order():
+    # the reduced echelon basis depends only on the span: rows added one at
+    # a time, in any order, give row_basis's rows, over F_7, M61 and Q
+    from ncrat._sparse import extend_basis, row_basis
+    rng = random.Random(3)
+    for p in (7, MERSENNE61, 0):
+        field = PrimeField(p) if p else QQ
+        for _ in range(40):
+            n, m = rng.randrange(1, 9), rng.randrange(1, 9)
+            rows = {i: {j: field.rand(rng) for j in range(m) if rng.random() < 0.4}
+                    for i in range(n)}
+            rows = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
+            expect = row_basis({i: dict(row) for i, row in rows.items()}, p)
+            order = list(rows.values())
+            rng.shuffle(order)
+            basis: dict = {}
+            added = [extend_basis(basis, dict(row), p) for row in order]
+            assert [basis[c] for c in sorted(basis)] == expect
+            assert sorted(c for c in added if c is not None) == sorted(basis)
+
+
 @st.composite
 def rational_matrices(draw):
     """(n, m, rows): a planted-rank product of sparse factors over Q, whose
@@ -352,6 +417,7 @@ def test_sparse_routines_over_q_match_generic(case):
     basis = row_basis(copy(), 0)
     assert len(basis) == r == rank(basis) == rank(basis + list(rows.values()))
     assert _is_reduced(basis)
+    _solves(rows, m, 0, n * m)
 
 
 def _is_reduced(basis):

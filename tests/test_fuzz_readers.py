@@ -1,9 +1,13 @@
-"""Fuzzing of the expression and circuit-file readers: text printed from
-generated trees, then cut, spliced and garbled.  A reader refuses what it
-cannot read with ParseError or ValueError, never with another exception,
-and the CLI turns that refusal into exit status 2 and one `error:` line."""
+"""Fuzzing of the readers: expressions, circuit files, pencil files,
+matrix-tuple files, skew-matrix files and expression corpora, each printed
+from generated values, then cut, spliced and garbled.  A reader refuses
+what it cannot read with ParseError or ValueError, never with another
+exception, and the CLI turns that refusal into exit status 2 and one
+`error:` line.  The CLI runs only on refused text, since a garbled file
+that still reads may ask for a large pencil or dimension."""
 
 import io
+import random
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -15,12 +19,18 @@ from test_cli import run
 
 from ncrat.circuit import (ParseError, Undefined, dump_circuit, eval_circuit,
                            parse_circuit, parse_expr)
-from ncrat.field import prime_field, sample_tuple
+from ncrat.cli import _read_corpus
+from ncrat.field import (QQ, PrimeField, dump_tuple, parse_tuple, prime_field,
+                         sample_tuple)
+from ncrat.pencil import LinearPencil, dump_pencil, parse_pencil
+from ncrat.rank import parse_skew_file
 
 # characters and words the two grammars use, plus a few they do not
-_PIECES = st.sampled_from(list("()+-*/^_ \n0123456789xy#.e@")
+_PIECES = st.sampled_from(list("()+-*/^_ \n0123456789xy#.e@:")
                           + ["inv", "inv(", "^-1", "x0", "x65537", "output",
-                             "var", "const", "add", "sub", "mul", "1/0"])
+                             "var", "const", "add", "sub", "mul", "1/0",
+                             "field", "prime", "rational", "size", "nvars", "dim",
+                             "coeff", "end", "realize", "m", "expr", "pencil"])
 _GARBAGE = _PIECES | st.characters(exclude_categories=("Cs",))
 
 
@@ -114,3 +124,136 @@ def test_compile_refuses_garbled_circuit_files_with_one_line(text):
     if status != 0:
         assert status == 2
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+FIELDS = (PrimeField(7), prime_field(), QQ)
+
+
+@st.composite
+def pencil_texts(draw):
+    """A small random pencil file, with or without a realize trailer."""
+    field = draw(st.sampled_from(FIELDS))
+    size, nvars = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    entries = {}
+    for r in range(size):
+        for c in range(size):
+            e = {k: v for k in range(nvars + 1)
+                 if rng.random() < 0.5 and (v := field.rand(rng))}
+            if e:
+                entries[(r, c)] = e
+    realize = (rng.randrange(1, size + 1), rng.randrange(1, size + 1)) \
+        if draw(st.booleans()) else None
+    return dump_pencil(LinearPencil(field, size, nvars, entries), realize)
+
+
+@st.composite
+def tuple_texts(draw):
+    field = draw(st.sampled_from(FIELDS))
+    return dump_tuple(sample_tuple(field, draw(st.integers(0, 2)), draw(st.integers(1, 3)),
+                                   draw(st.integers(0, 2 ** 16))))
+
+
+@st.composite
+def skew_texts(draw):
+    """An m x m skew-matrix file of expressions and zeros, m = 1 or 2."""
+    m = draw(st.integers(1, 2))
+    lines = [f"m {m}"]
+    for _ in range(m * m):
+        lines.append("expr 0" if draw(st.booleans())
+                     else "expr " + expr_text(draw(trees())))
+        if draw(st.booleans()):
+            lines.append("# a comment")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def corpus_texts(draw):
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        text = expr_text(draw(trees()))
+        lines.append(draw(st.sampled_from([text, f"member{i}: {text}", "# comment", ""])))
+    return "\n".join(lines) + "\n"
+
+
+def _refused(read, text) -> bool:
+    """Whether read(text) refuses the text; any other exception fails."""
+    try:
+        read(text)
+    except (ValueError, ParseError):
+        return True
+    return False
+
+
+def _exits_two_with_one_line(argv) -> None:
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status, _ = run(argv)
+    assert status == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _read_skew(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        return parse_skew_file(text, prime_field(), base_dir=tmp)
+
+
+def _read_corpus_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.txt"
+        path.write_text(text)
+        return _read_corpus(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbled(pencil_texts()))
+def test_garbled_pencil_files_raise_only_value_errors(text):
+    _refused(parse_pencil, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbled(tuple_texts()))
+def test_garbled_tuple_files_raise_only_value_errors(text):
+    _refused(parse_tuple, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(garbled(skew_texts()))
+def test_garbled_skew_files_raise_only_value_errors(text):
+    _refused(_read_skew, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(garbled(corpus_texts()))
+def test_garbled_corpus_files_raise_only_value_errors(text):
+    _refused(_read_corpus_text, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(garbled(pencil_texts()))
+def test_series_zero_refuses_garbled_pencil_files_with_one_line(text):
+    if _refused(parse_pencil, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "garbled.lp"
+            path.write_text(text)
+            _exits_two_with_one_line(["series-zero", "--file", str(path)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(garbled(tuple_texts()))
+def test_eval_refuses_garbled_point_files_with_one_line(text):
+    if _refused(parse_tuple, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "garbled.mt"
+            path.write_text(text)
+            _exits_two_with_one_line(["eval", "x1", "--point", str(path)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(garbled(skew_texts()))
+def test_ncrank_refuses_garbled_skew_files_with_one_line(text):
+    if _refused(_read_skew, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "garbled.skm"
+            path.write_text(text)
+            _exits_two_with_one_line(["ncrank", "--file", str(path)])

@@ -2,7 +2,11 @@
 for every zero member of the reference corpus and never for a nonzero one,
 over M61, Q and a prime outside the dense kernel's, check_shrunk accepts
 exactly the strictly shrinking subspaces, and rit_test ending early at one
-gives the verdict of the full trial loop."""
+gives the verdict of the full trial loop.  The search, which eliminates
+core(t) once, returns exactly the matrix (or None) of
+reference.shrunk_subspace_reference, which eliminates [A | -W] afresh at
+every step, and check_shrunk agrees with reference.check_shrunk_dense on
+subspaces found and then spoiled."""
 
 import random
 
@@ -18,7 +22,9 @@ from ncrat.pencil import (LinearPencil, PencilOracle, check_shrunk,
                           pencil_from_rows)
 from ncrat.rit import RitParams, rit_test
 from conftest import random_formula
-from reference import _rank_generic, rit_full_loop
+from reference import (_rank_generic, check_shrunk_dense, rit_full_loop,
+                       shrunk_subspace_reference)
+from test_ceiling import planted_pencils
 
 F = PrimeField(MERSENNE61)
 # the members are checked over M61 under their own names, and over Q and
@@ -101,6 +107,113 @@ def test_hollow_pencils_are_certified(data, field, d):
     oracle = PencilOracle(L)
     S = oracle.shrunk_subspace(sample_tuple(field, 2, d, seed))
     assert S is not None and check_shrunk(oracle.core, S)
+
+
+def _same_search(oracle, t, deficit=1):
+    """The search's result, after checking that it is the reference's: None
+    for both, or the same shape and entries, of the same types."""
+    S = oracle.shrunk_subspace(t, deficit)
+    R = shrunk_subspace_reference(oracle, t, deficit)
+    assert (S is None) == (R is None)
+    if S is not None:
+        assert (S.rows, S.cols, S.data) == (R.rows, R.cols, R.data)
+        assert list(map(type, S.data)) == list(map(type, R.data))
+    return S
+
+
+def _deficits(oracle, t):
+    """1, and the deficit that certifies rank_at(t) / d as a rank ceiling."""
+    r = oracle.rank_at(t) // t.d
+    return sorted({1, oracle.core_size - (r - oracle.base)})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("field", [f for f, _ in SEARCH_FIELDS],
+                         ids=[tag.lstrip("-") or "M61" for _, tag in SEARCH_FIELDS])
+def test_search_equals_the_reference_on_the_corpus(field, d):
+    found = 0
+    for _, circ, zero in MEMBERS:
+        _, oracle = rit._gate_oracle(circ, field)
+        t = sample_tuple(field, max(circ.nvars, 1), d, 100 + d)
+        found += _same_search(oracle, t) is not None
+    assert found == sum(zero for _, _, zero in MEMBERS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_pencils(), st.integers(1, 3), st.integers(0, 2 ** 16))
+def test_search_equals_the_reference_on_planted_pencils(L, d, seed):
+    oracle = PencilOracle(L)
+    t = sample_tuple(L.field, L.nvars, d, seed)
+    for deficit in _deficits(oracle, t):
+        _same_search(oracle, t, deficit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([F, PrimeField((1 << 31) - 1), QQ]), st.integers(1, 3))
+def test_search_equals_the_reference_on_hollow_pencils(data, field, d):
+    L, seed = _hollow(data.draw, field)
+    oracle = PencilOracle(L)
+    t = sample_tuple(field, 2, d, seed)
+    for deficit in _deficits(oracle, t):
+        _same_search(oracle, t, deficit)
+
+
+def _spoiled(S, rng):
+    """S with one entry changed, and S with one column dropped."""
+    f = S.field
+    changed = DenseMatrix(f, S.rows, S.cols, S.data)
+    at = rng.randrange(len(S.data))
+    changed.data[at] = f.add(changed.data[at], f.normalize(rng.randrange(1, 50)))
+    q = rng.randrange(S.cols)
+    dropped = DenseMatrix(f, S.rows, S.cols - 1,
+                          [x for i in range(S.rows) for c, x in enumerate(S.row(i)) if c != q])
+    return changed, dropped
+
+
+def _checks_agree(core, S, deficit, rng):
+    for U in (S, *_spoiled(S, rng)):
+        for asked in (deficit, deficit + 1):
+            assert check_shrunk(core, U, asked) == check_shrunk_dense(core, U, asked)
+
+
+@pytest.mark.parametrize("field", [f for f, _ in SEARCH_FIELDS],
+                         ids=[tag.lstrip("-") or "M61" for _, tag in SEARCH_FIELDS])
+def test_sparse_and_dense_checks_agree_on_spoiled_certificates(field):
+    rng = random.Random(5)
+    for _, circ, zero in MEMBERS:
+        if zero:
+            oracle, S = _certificate(circ, field, dims=(1,), seeds=(0,))
+            _checks_agree(oracle.core, S, 1, rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_pencils(), st.integers(1, 2), st.integers(0, 2 ** 16))
+def test_sparse_and_dense_checks_agree_on_spoiled_planted_subspaces(L, d, seed):
+    oracle = PencilOracle(L)
+    t = sample_tuple(L.field, L.nvars, d, seed)
+    for deficit in _deficits(oracle, t):
+        S = oracle.shrunk_subspace(t, deficit)
+        if S is not None and S.cols:
+            _checks_agree(oracle.core, S, deficit, random.Random(seed))
+
+
+def test_filled_rational_core_is_searched_in_one_elimination():
+    # every entry of the 16-row core holds a variable and rows 0 and 1 are
+    # equal in every coefficient, so the images of F^16 lie in y_0 = y_1;
+    # eliminating [A | -W] afresh at every step took seconds over Q
+    rng = random.Random(0)
+    coeffs = []
+    for _ in range(3):
+        rows = [[rng.randrange(1, 10) for _ in range(16)] for _ in range(16)]
+        rows[1] = list(rows[0])
+        coeffs.append(rows)
+    oracle = PencilOracle(pencil_from_rows(QQ, coeffs))
+    assert oracle.core_size == 16
+    t = sample_tuple(QQ, 2, 1, 1)
+    assert oracle.rank_at(t) == 15
+    S = oracle.shrunk_subspace(t)
+    assert S is not None and S.data == DenseMatrix.identity(QQ, 16).data
+    assert check_shrunk(oracle.core, S)
 
 
 @pytest.mark.parametrize("field", [F, PrimeField(7), QQ])
