@@ -2,7 +2,7 @@
 
 The only module of ncrat that imports numpy, and imported on first dense
 use: when a matrix fills in (_sparse.fills), rank_sparse hands it its
-active block, field.solve its system and the structural oracle its core.
+active block, _sparse.solve its system and the structural oracle its core.
 It serves only the primes _sparse.supported accepts, and _sparse.fills
 never sends it another field: the Mersenne prime 2^61 - 1, whose products
 use split-limb arithmetic and shift folding, and primes below 2^31, where
@@ -15,6 +15,7 @@ Dense elimination is block-recursive on top of them: _panel eliminates the
 columns of one matrix and returns its pivot rows and the multipliers H
 that apply the same elimination to any block beside it.  rank_mod ranks a
 matrix with it, and solve_mod solves A X = B by eliminating [A; I].
+scatter turns the sparse rows of _sparse into the arrays they take.
 """
 
 from __future__ import annotations
@@ -269,19 +270,20 @@ def solve_mod(A, B, p: int):
 def rank_rows(live: dict, order: list, p: int) -> int:
     """rank_mod of the rows in live, whose entries lie in the sorted columns
     order."""
+    return rank_mod(scatter(live.values(), order), p)
+
+
+def scatter(rows, order):
+    """The rows {j: value}, a sized collection whose entries lie in the
+    sorted columns order, as a (len(rows), len(order)) array of residues."""
     chain = itertools.chain.from_iterable
     at = {j: q for q, j in enumerate(order)}
-    nnz = sum(map(len, live.values()))
-    A = np.zeros((len(live), len(order)), dtype=np.uint64)
-    A[np.repeat(np.arange(len(live)), list(map(len, live.values()))),
-      np.fromiter(map(at.__getitem__, chain(live.values())), dtype=np.intp, count=nnz)] = \
-        np.fromiter(chain(map(dict.values, live.values())), dtype=np.uint64, count=nnz)
-    return rank_mod(A, p)
-
-
-def array(m):
-    """The residues of a DenseMatrix as a (rows, cols) array."""
-    return np.array(m.data, dtype=np.uint64).reshape(m.rows, m.cols)
+    nnz = sum(map(len, rows))
+    A = np.zeros((len(rows), len(order)), dtype=np.uint64)
+    A[np.repeat(np.arange(len(rows)), list(map(len, rows))),
+      np.fromiter(map(at.__getitem__, chain(rows)), dtype=np.intp, count=nnz)] = \
+        np.fromiter(chain(map(dict.values, rows)), dtype=np.uint64, count=nnz)
+    return A
 
 
 def stack(t):

@@ -9,13 +9,15 @@ each pivot, the rows it updated and by how much: a factorization of the
 matrix.  From the record, kernel reads off a basis of the kernel and
 preimage carries a right-hand vector through the same row updates and
 back-substitutes it through the pivot rows, so one elimination serves any
-number of right-hand sides; nullspace_sparse and solve_sparse are that
-elimination followed by kernel.  row_basis clears the pivot rows into the
-reduced echelon basis of the row space, and extend_basis adds a vector to
-such a basis of a span that grows.  fills is the one rule that sends a
-matrix, or the active block of an elimination, to the dense kernel in
-_modnum, which is imported only then and serves only the primes for which
-supported holds: the Mersenne prime 2^61 - 1 and the primes below 2^31.
+number of right-hand sides.  solve, the one linear solver of ncrat, is
+that elimination followed by a preimage per right-hand side.  row_basis
+clears the pivot rows into the reduced echelon basis of the row space, and
+extend_basis adds a vector to such a basis of a span that grows.  fills is
+the one rule that sends a matrix, or the active block of an elimination,
+to the dense kernel in _modnum, which is imported only then and serves
+only the primes for which supported holds: the Mersenne prime 2^61 - 1
+and the primes below 2^31.  rank_sparse hands it the active block once
+that fills in, and solve a system whose matrix fills in from the start.
 Over Q and every other prime the elimination stays here to the end.
 This module imports nothing beyond the standard library.
 """
@@ -185,15 +187,6 @@ def _clear(row: dict, basis: dict, p: int) -> None:
                 del row[c2]
 
 
-def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
-    """A basis of {x : M x = 0} for M with rows {i: {j: value}}
-    (consumed) over the columns 0..ncols-1, as kernel reads it off
-    rank_sparse's record."""
-    pivots: list = []
-    rank_sparse(rows, p, pivots)
-    return kernel(pivots, ncols, p)
-
-
 def kernel(pivots: list, ncols: int, p: int) -> dict:
     """A basis of the kernel over the columns 0..ncols-1 of the matrix whose
     elimination rank_sparse recorded in pivots: for each column f without a
@@ -245,13 +238,21 @@ def _back_substitute(pivots: list, x: dict, rhs: dict, p: int) -> dict:
     return x
 
 
-def solve_sparse(rows: dict, n: int, m: int, p: int) -> list[dict] | None:
-    """The m columns {j: value} of X with A X = B, for A square of size n
-    and B n x m given as the rows {i: {j: value}} of [A | -B], B's column
-    b at n + b (consumed); None when A is singular.  Column b of X is the
-    j < n part of nullspace_sparse's vector for the pivotless column n + b,
-    since A x = B e_b; a pivotless column of A makes A singular."""
-    null = nullspace_sparse(rows, n + m, p)
-    if any(f < n for f in null):
+def solve(rows: dict, n: int, rhs: list, p: int) -> list[dict] | None:
+    """The x {j: value} with A x = w for each column w {i: value} of rhs,
+    in order, for A square of size n with rows {i: {j: value}} (consumed);
+    None when A is singular.  An A that fills in is scattered once into
+    _modnum and solved there by solve_mod; any other is eliminated once by
+    rank_sparse, recording its pivots, and each x is its preimage of w."""
+    if fills(p, n, n, sum(map(len, rows.values()))):
+        from . import _modnum
+        order = range(n)
+        X = _modnum.solve_mod(_modnum.scatter([rows.get(i, {}) for i in order], order),
+                              _modnum.scatter(rhs, order).T, p)
+        if X is None:
+            return None
+        return [{j: x for j, x in enumerate(col) if x} for col in X.T.tolist()]
+    pivots: list = []
+    if rank_sparse(rows, p, pivots) < n:
         return None
-    return [{j: v for j, v in null[n + b].items() if j < n} for b in range(m)]
+    return [preimage(pivots, w, p) for w in rhs]

@@ -5,12 +5,12 @@ rationals.  Prime-field elements are canonical residues held as plain
 ints; rational elements are fractions.Fraction in lowest terms.  Every
 field has a characteristic p, 0 for the rationals.  Matrices are
 immutable-by-convention row-major containers with exact rank, inverse,
-solve, and Kronecker product.  Over every field rank and solve run
-_sparse's elimination on Python numbers, given p; only a matrix that
-fills in over a prime that _sparse.fills accepts (2^61 - 1 or one below
-2^31) loads the dense kernel, _modnum.  Every number in an input file is
-read by parse_number.  Randomness only ever enters through explicitly
-passed seeded generators.
+solve, and Kronecker product.  Over every field rank runs _sparse's
+elimination on Python numbers, given p, and solve and invert its one
+solver, _sparse.solve; only a matrix that fills in over a prime that
+_sparse.fills accepts (2^61 - 1 or one below 2^31) loads the dense
+kernel, _modnum.  Every number in an input file is read by parse_number.
+Randomness only ever enters through explicitly passed seeded generators.
 """
 
 from __future__ import annotations
@@ -369,32 +369,26 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     """Exact inverse; raises Singular when no inverse exists."""
     if not m.is_square:
         raise ValueError("only square matrices can be inverted")
-    if m.rows == 0:
-        return m
-    return solve(m, DenseMatrix.identity(m.field, m.rows))
+    return _solve(m, [{i: m.field.one} for i in range(m.rows)])
 
 
 def solve(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """X with a @ X = b for square invertible a; raises Singular otherwise.
-    A system that fills in (_sparse.fills) is solved by the dense kernel,
-    any other by sparse elimination."""
+    """X with a @ X = b for square invertible a; raises Singular otherwise."""
     if not a.is_square or a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
-    n, m, f = a.rows, b.cols, a.field
-    p, zero = f.p, f.zero
-    rows = _nonzeros(a)
-    for i in range(n):
-        rows[i].update((n + c, p - x) for c, x in enumerate(b.row(i)) if x)
-    if _sparse.fills(p, n, n + m, sum(map(len, rows.values()))):
-        from . import _modnum
-        out = _modnum.solve_mod(_modnum.array(a), _modnum.array(b), p)
-        if out is None:
-            raise Singular("matrix is singular")
-        return DenseMatrix(f, n, m, out.ravel().tolist())
-    cols = _sparse.solve_sparse(rows, n, m, p)
+    m = b.cols
+    return _solve(a, [{i: x for i, x in enumerate(b.data[c::m]) if x} for c in range(m)])
+
+
+def _solve(a: DenseMatrix, rhs: list) -> DenseMatrix:
+    """The matrix whose columns x solve a x = w for the columns w {i:
+    value} of rhs, by _sparse.solve; Singular when a is singular."""
+    f, n = a.field, a.rows
+    cols = _sparse.solve(_nonzeros(a), n, rhs, f.p)
     if cols is None:
         raise Singular("matrix is singular")
-    return DenseMatrix(f, n, m, [col.get(i, zero) for i in range(n) for col in cols])
+    zero = f.zero
+    return DenseMatrix(f, n, len(rhs), [col.get(i, zero) for i in range(n) for col in cols])
 
 
 def is_invertible(m: DenseMatrix) -> bool:
@@ -465,16 +459,28 @@ def bounded_int(text: str, what: str, lo: int, hi: int | None = None) -> int:
     return v
 
 
-def _header_int(parts: list[str], key: str, lo: int) -> int:
+def _header_int(parts: list[str], key: str, lo: int, hi: int | None = None) -> int:
     if len(parts) != 2 or parts[0] != key:
         raise ValueError(f"expected `{key} <integer>`")
-    return bounded_int(parts[1], key, lo)
+    return bounded_int(parts[1], key, lo, hi)
+
+
+# The largest `dim` a tuple file may declare, so that a header with no
+# matrices cannot ask eval for a d x d identity of any size.  It is far
+# above every dimension ncrat writes: a witness of rit (at most 8 unless
+# --max-dim says more), of ncrank (at most 2m for an m x m skew matrix, 4
+# for data/higman.skm) or of series-zero (ceil((s + 1) / 2) for a pencil of
+# size s), or a point of hitgen (its --dim).  Each is a dimension at which
+# ncrat multiplied or eliminated d x d matrices in Python arithmetic, which
+# at d = 4096 takes d^3 = 2^36 products for one of them.
+MAX_DIM = 1 << 12
 
 
 def parse_tuple(text: str) -> MatrixTuple:
     """Header lines `field prime <p>` (or `field rational`), `nvars <n>` and
-    `dim <d>`, then n matrices of d rows of d entries each; blank lines are
-    ignored.  Malformed input raises ValueError naming the line."""
+    `dim <d>` (d at most MAX_DIM), then n matrices of d rows of d entries
+    each; blank lines are ignored.  Malformed input raises ValueError naming
+    the line."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     end = len(text.splitlines()) + 1
@@ -488,7 +494,7 @@ def parse_tuple(text: str) -> MatrixTuple:
         no, parts = at(1)
         n = _header_int(parts, "nvars", 0)
         no, parts = at(2)
-        d = _header_int(parts, "dim", 1)
+        d = _header_int(parts, "dim", 1, MAX_DIM)
         mats = []
         for k in range(n):
             rows = []

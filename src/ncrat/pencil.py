@@ -25,9 +25,10 @@ pivots, which reads those dicts in place and copies one only to write fill
 into it; most of the compiler's pivots have no fill and do no field
 arithmetic.  Evaluations at a matrix tuple are built as sparse rows
 straight from the entries (_SparseEval), over every field, Q included: a
-realized entry's value is solved from them, the oracle ranks its reduced
-core's, and `eval_pencil` scatters them into a dense matrix.  Only a core
-whose evaluations fill in over a prime the dense kernel serves
+realized entry's value is solved from them by _sparse.solve, which hands
+rows that fill in to the dense kernel itself; the oracle ranks its
+reduced core's, and `eval_pencil` scatters them into a dense matrix.  Only
+a core whose evaluations fill in over a prime the dense kernel serves
 (_sparse.fills) is evaluated by that kernel instead.  From the same rows
 the oracle can look for a shrunk subspace of its core (the second Wong
 sequence), which bounds the pencil's rank at every tuple and, shrinking
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from . import _sparse
 from .circuit import MAX_VARS, Abp, IdrCircuit
 from .field import (DenseMatrix, Field, MatrixTuple, Singular, bounded_int,
-                    field_name, parse_field_header, solve)
+                    field_name, parse_field_header)
 
 
 class DimensionMismatch(Exception):
@@ -154,36 +155,19 @@ class RealizedEntry:
         """The (row, col) block of L(t)^{-1}; raises Singular when L(t) is not
         invertible (the element is undefined at t).
 
-        Over every field, the d columns needed are solved from the sparse
-        rows of [L(t) | -E], E the identity's block column col, built
-        straight from the entries; only an evaluation that fills in over a
-        prime the dense kernel supports (_sparse.fills) is evaluated
-        densely and solved."""
+        Over every field, the d columns needed are solved by _sparse.solve
+        from the sparse rows of L(t), built straight from the entries, with
+        the identity's block column col as right-hand sides."""
         L, d = self.pencil, t.d
         f = L.field
-        rows_at = _SparseEval(L)
-        n = L.size * d
-        if not _sparse.fills(f.p, n, n + d, rows_at.nnz(d) + d):
-            rows = rows_at(t)
-            minus_one, zero = f.neg(f.one), f.zero
-            for b in range(d):
-                rows[(self.col - 1) * d + b][n + b] = minus_one
-            cols = _sparse.solve_sparse(rows, n, d, f.p)
-            if cols is None:
-                raise Singular("matrix is singular")
-            top = (self.row - 1) * d
-            return DenseMatrix(f, d, d, [cols[b].get(top + a, zero)
-                                         for a in range(d) for b in range(d)])
-        ev = eval_pencil(L, t)
-        rhs = DenseMatrix.zeros(f, ev.rows, d)
-        for b in range(d):
-            rhs.data[((self.col - 1) * d + b) * d + b] = f.one
-        sol = solve(ev, rhs)
-        out = DenseMatrix.zeros(f, d, d)
-        for a in range(d):
-            for b in range(d):
-                out.data[a * d + b] = sol.at((self.row - 1) * d + a, b)
-        return out
+        left = (self.col - 1) * d
+        cols = _sparse.solve(_SparseEval(L)(t), L.size * d,
+                             [{left + b: f.one} for b in range(d)], f.p)
+        if cols is None:
+            raise Singular("matrix is singular")
+        top, zero = (self.row - 1) * d, f.zero
+        return DenseMatrix(f, d, d, [cols[b].get(top + a, zero)
+                                     for a in range(d) for b in range(d)])
 
 
 # -- branching program to pencil ---------------------------------------------

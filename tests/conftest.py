@@ -27,6 +27,32 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+@pytest.fixture
+def dense_route(monkeypatch):
+    """Counts the calls of _modnum.solve_mod by the shape of their matrix,
+    and fails any elimination that _sparse records for a preimage: a
+    system that fills in is solved densely, never on the sparse path."""
+    from ncrat import _modnum, _sparse
+    calls = []
+    solve_mod, rank_sparse = _modnum.solve_mod, _sparse.rank_sparse
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return solve_mod(*args)
+
+    def unrecorded(rows, p, pivots=None):
+        assert pivots is None, "a dense system took the recorded sparse path"
+        return rank_sparse(rows, p)
+
+    def preimage(*args):
+        raise AssertionError("a dense system was solved by preimages")
+
+    monkeypatch.setattr(_modnum, "solve_mod", counted)
+    monkeypatch.setattr(_sparse, "rank_sparse", unrecorded)
+    monkeypatch.setattr(_sparse, "preimage", preimage)
+    return calls
+
+
 def random_formula(rng: random.Random, nvars: int, height: int,
                    size_budget: int = 12, field=F) -> RationalCircuit:
     """Random tree-shaped circuit whose inverse gates are applied only to

@@ -10,8 +10,9 @@ and RealizedEntry.value_at against it rather than against each other.
 Also the reference for rit_test's early ZERO: rit_full_loop, the
 randomized test with no shrunk-subspace search.  And the references for the
 search itself: shrunk_subspace_reference, the second Wong sequence with
-[A | -W] eliminated afresh at every step, and check_shrunk_dense, its check
-on dense products and rank_of.
+[A | -W] eliminated afresh at every step by nullspace_sparse (the kernel
+of one recorded sparse elimination), and check_shrunk_dense, its check on
+dense products and rank_of.
 
 And the direct evaluations and symbolic expansions that the compiled
 pencils and series are checked against:
@@ -117,6 +118,15 @@ def rit_full_loop(c, field, params: RitParams = RitParams()) -> RitVerdict:
                       error_bound_den=field.sample_set_size())
 
 
+def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
+    """A basis of {x : M x = 0} for M with rows {i: {j: value}}
+    (consumed) over the columns 0..ncols-1, as _sparse.kernel reads it off
+    rank_sparse's record."""
+    pivots: list = []
+    _sparse.rank_sparse(rows, p, pivots)
+    return _sparse.kernel(pivots, ncols, p)
+
+
 def shrunk_subspace_reference(oracle: PencilOracle, t: MatrixTuple,
                               deficit: int = 1) -> DenseMatrix | None:
     """PencilOracle.shrunk_subspace as each step eliminating [A | -W] afresh:
@@ -138,7 +148,7 @@ def shrunk_subspace_reference(oracle: PencilOracle, t: MatrixTuple,
             for i, v in tau.items():
                 for a in range(d):
                     rows[i * d + a][nd + q * d + a] = p - v
-        kernel = _sparse.nullspace_sparse(rows, nd + len(T) * d, p)
+        kernel = nullspace_sparse(rows, nd + len(T) * d, p)
         if any(nd + c not in kernel for c in range(len(T) * d)):
             return None
         slices: dict[tuple, dict] = {}

@@ -326,6 +326,8 @@ BAD_POINT_FILES = {
     "missing-row": "field prime 7\nnvars 1\ndim 2\n1 2\n",
     "exponent-entry": "field rational\nnvars 1\ndim 1\n1e999999999\n",
     "decimal-entry": "field rational\nnvars 1\ndim 1\n1.5\n",
+    # no matrices to read, but eval would build a d x d identity
+    "huge-dim": "field prime 2305843009213693951\nnvars 0\ndim 1000000000000\n",
 }
 
 

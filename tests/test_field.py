@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrat.field import (DEFAULT_PRIME, MERSENNE61, QQ, DenseMatrix,
-                         MatrixTuple, PrimeField, Singular, dump_tuple, invert,
-                         is_invertible, kron, parse_tuple, prime_field,
-                         rank_of, sample_tuple, solve)
-from reference import _invert_generic, _rank_generic
+                         MatrixTuple, PrimeField, Singular, _is_prime,
+                         dump_tuple, invert, is_invertible, kron, parse_tuple,
+                         prime_field, rank_of, sample_tuple, solve)
+from reference import _invert_generic, _rank_generic, nullspace_sparse
 
 F = prime_field()
 F101 = PrimeField(101)
@@ -74,6 +74,9 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(PSI12)
     PrimeField(2 ** 61 + 15)  # prime, accepted
     PrimeField(PSI13 - 168)   # the largest prime below the bound, accepted
+    # _is_prime is deterministic below the bound, and it finds no prime
+    # between PSI13 - 168 and the bound
+    assert not any(_is_prime(n) for n in range(PSI13 - 167, PSI13))
     # psi13 passes all 13 bases: from it on, the bases do not decide primality
     for p in (PSI13, 2 ** 89 - 1):
         with pytest.raises(ValueError, match=str(PSI13)):
@@ -285,7 +288,7 @@ def test_nullspace_and_row_basis_match_generic(case):
     # the kernel has m - rank vectors, each keyed by its pivotless column
     # (1 there, 0 at the other keys) and killed by every row; the row basis
     # has rank vectors and spans the rows
-    from ncrat._sparse import nullspace_sparse, row_basis
+    from ncrat._sparse import row_basis
     p, n, m, a = case
     Fp = PrimeField(p)
 
@@ -313,7 +316,7 @@ def _solves(rows, m, p, seed):
     and characteristic p (0 for Q): each image M x0 gets an x with M x =
     M x0, and a random right-hand side gets None exactly when it raises the
     rank of [M | w]; and kernel agrees with nullspace_sparse."""
-    from ncrat._sparse import kernel, nullspace_sparse, preimage, rank_sparse
+    from ncrat._sparse import kernel, preimage, rank_sparse
     rng = random.Random(seed)
     field = PrimeField(p) if p else QQ
 
@@ -396,7 +399,7 @@ def rational_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_sparse_routines_over_q_match_generic(case):
     # p = 0: the same elimination in Fractions, checked by exact sums
-    from ncrat._sparse import nullspace_sparse, rank_sparse, row_basis
+    from ncrat._sparse import rank_sparse, row_basis
     n, m, rows = case
 
     def copy():
@@ -440,7 +443,7 @@ def test_q_and_unsupported_primes_never_reach_the_dense_kernel():
 
 @pytest.mark.parametrize("p", [7, 101, (1 << 31) - 1, DEFAULT_PRIME])
 def test_nullspace_and_row_basis_of_empty_matrices(p):
-    from ncrat._sparse import nullspace_sparse, row_basis
+    from ncrat._sparse import row_basis
     assert nullspace_sparse({}, 0, p) == {} and row_basis({}, p) == []
     assert nullspace_sparse({0: {}, 1: {}}, 2, p) == {0: {0: 1}, 1: {1: 1}}
     assert row_basis({0: {}, 1: {}}, p) == []
@@ -535,37 +538,21 @@ def test_solve_matches_generic_inverse(p, n, rank, m, seed):
 def test_solve_mod_matches_generic_inverse(p, n, rank, m, seed):
     # a has rank min(rank, n), planted as a product of n x k and k x n;
     # m = 0 draws b = I, so the solution is the inverse itself
-    from ncrat._modnum import array, solve_mod
+    import numpy as np
+
+    from ncrat._modnum import solve_mod
     field, rng = PrimeField(p), random.Random(seed)
     k = min(rank, n)
     a = rand_mat(field, n, k, rng).matmul(rand_mat(field, k, n, rng))
     b = rand_mat(field, n, m, rng) if m else DenseMatrix.identity(field, n)
-    got = solve_mod(array(a), array(b), p)
+    got = solve_mod(*(np.array(x.data, dtype=np.uint64).reshape(x.rows, x.cols)
+                      for x in (a, b)), p)
     try:
         expect = _invert_generic(a).matmul(b)
     except Singular:
         assert got is None
     else:
         assert got is not None and got.tolist() == expect.to_lists()
-
-
-@pytest.fixture
-def dense_route(monkeypatch):
-    """Counts solve_mod calls, and fails any call to solve_sparse."""
-    from ncrat import _modnum, _sparse
-    calls = []
-    solve_mod = _modnum.solve_mod
-
-    def counted(*args):
-        calls.append(args[0].shape)
-        return solve_mod(*args)
-
-    def sparse(*args):
-        raise AssertionError("a dense system went to solve_sparse")
-
-    monkeypatch.setattr(_modnum, "solve_mod", counted)
-    monkeypatch.setattr(_sparse, "solve_sparse", sparse)
-    return calls
 
 
 @pytest.mark.parametrize("p", [(1 << 31) - 1, MERSENNE61])

@@ -1,6 +1,7 @@
 """Fuzzing of the readers: expressions, circuit files, pencil files,
 matrix-tuple files, skew-matrix files and expression corpora, each printed
-from generated values, then cut, spliced and garbled.  A reader refuses
+from generated values, then cut, spliced and garbled; and the number
+literals that every file reader reads with parse_number.  A reader refuses
 what it cannot read with ParseError or ValueError, never with another
 exception, and the CLI turns that refusal into exit status 2 and one
 `error:` line.  The CLI runs only on refused text, since a garbled file
@@ -8,10 +9,13 @@ that still reads may ask for a large pencil or dimension."""
 
 import io
 import random
+import re
 import tempfile
 from contextlib import redirect_stderr
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_circuit import trees
@@ -20,8 +24,8 @@ from test_cli import run
 from ncrat.circuit import (ParseError, Undefined, dump_circuit, eval_circuit,
                            parse_circuit, parse_expr)
 from ncrat.cli import _read_corpus
-from ncrat.field import (QQ, PrimeField, dump_tuple, parse_tuple, prime_field,
-                         sample_tuple)
+from ncrat.field import (MAX_DIM, QQ, PrimeField, dump_tuple, field_name,
+                         parse_number, parse_tuple, prime_field, sample_tuple)
 from ncrat.pencil import LinearPencil, dump_pencil, parse_pencil
 from ncrat.rank import parse_skew_file
 
@@ -30,7 +34,8 @@ _PIECES = st.sampled_from(list("()+-*/^_ \n0123456789xy#.e@:")
                           + ["inv", "inv(", "^-1", "x0", "x65537", "output",
                              "var", "const", "add", "sub", "mul", "1/0",
                              "field", "prime", "rational", "size", "nvars", "dim",
-                             "coeff", "end", "realize", "m", "expr", "pencil"])
+                             "coeff", "end", "realize", "m", "expr", "pencil",
+                             "1000000000000"])
 _GARBAGE = _PIECES | st.characters(exclude_categories=("Cs",))
 
 
@@ -257,3 +262,40 @@ def test_ncrank_refuses_garbled_skew_files_with_one_line(text):
             path = Path(tmp) / "garbled.skm"
             path.write_text(text)
             _exits_two_with_one_line(["ncrank", "--file", str(path)])
+
+
+_LITERAL = r"[+-]?[0-9]+(/[0-9]+)?"
+_LITERALS = st.from_regex(_LITERAL, fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LITERALS)
+def test_number_literals_read_as_their_fraction(text):
+    den = text.partition("/")[2]
+    if den and not int(den):
+        with pytest.raises(ZeroDivisionError):
+            parse_number(text)
+    else:
+        assert parse_number(text) == Fraction(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(garbled(_LITERALS) | st.text())
+def test_other_number_text_raises_only_value_errors(text):
+    try:
+        value = parse_number(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert re.fullmatch(_LITERAL, text) and value == Fraction(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(MAX_DIM + 1, 10 ** 30), st.sampled_from(FIELDS))
+def test_tuple_dimension_above_the_bound_exits_two(d, field):
+    # nvars 0: the header alone declares the dimension, no matrix rows bound it
+    text = f"field {field_name(field)}\nnvars 0\ndim {d}\n"
+    assert _refused(parse_tuple, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "huge.mt"
+        path.write_text(text)
+        _exits_two_with_one_line(["eval", "1", "--point", str(path)])

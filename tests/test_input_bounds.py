@@ -1,0 +1,56 @@
+"""The bounds on file headers at their edges: the largest value a bound
+allows is read, the next one is refused with the documented error, and
+the CLI turns that refusal into exit status 2 and one `error:` line.
+Nothing of the bound's size is built: the files are headers only, and
+reading one stays small.  The bounds on variable indices in expressions
+and on PrimeField's modulus are tested at their edges in test_cli and
+test_field."""
+
+import tracemalloc
+
+import pytest
+from test_fuzz_readers import _exits_two_with_one_line
+
+from ncrat.circuit import MAX_VARS
+from ncrat.field import MAX_DIM, parse_tuple
+from ncrat.pencil import MAX_PENCIL_SIZE, parse_pencil
+
+
+def _small(read, text):
+    """read(text), checked to allocate under 1 MB on the way."""
+    tracemalloc.start()
+    try:
+        out = read(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    return out
+
+
+@pytest.mark.parametrize("key, line, bound", [
+    ("size", 2, MAX_PENCIL_SIZE), ("nvars", 3, MAX_VARS)])
+def test_pencil_header_bound(tmp_path, key, line, bound):
+    assert (MAX_PENCIL_SIZE, MAX_VARS) == (1048576, 65536)
+
+    def text(value):
+        header = {"size": 1, "nvars": 0, key: value}
+        return f"field prime 7\nsize {header['size']}\nnvars {header['nvars']}\n"
+    L, realize = _small(parse_pencil, text(bound))
+    assert (getattr(L, key), L.entries, realize) == (bound, {}, None)
+    with pytest.raises(ValueError, match=f"line {line}: {key} {bound + 1} is out of range"):
+        parse_pencil(text(bound + 1))
+    path = tmp_path / "p.lp"
+    path.write_text(text(bound + 1))
+    _exits_two_with_one_line(["series-zero", "--file", str(path)])
+
+
+def test_tuple_dimension_bound(tmp_path):
+    header = "field prime 2305843009213693951\nnvars 0\ndim {}\n"
+    t = _small(parse_tuple, header.format(MAX_DIM))
+    assert (t.d, t.mats) == (MAX_DIM, ())
+    with pytest.raises(ValueError, match=f"line 3: dim {MAX_DIM + 1} is out of range"):
+        parse_tuple(header.format(MAX_DIM + 1))
+    path = tmp_path / "t.mt"
+    path.write_text(header.format(MAX_DIM + 1))
+    _exits_two_with_one_line(["eval", "1", "--point", str(path)])

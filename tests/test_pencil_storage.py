@@ -167,17 +167,18 @@ def test_sparse_value_at_is_the_dense_solve(data, case, unit_diagonal):
 
 
 @pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1])
-def test_filled_value_at_is_solved_densely(monkeypatch, p):
+def test_filled_value_at_is_solved_densely(dense_route, p):
     # every entry holds a variable: at d = 4 the 80-row evaluation fills in,
-    # so value_at evaluates it densely and never solves sparse rows
+    # so value_at solves it once by solve_mod and never records a sparse
+    # elimination
     field = PrimeField(p)
     rng = random.Random(p)
     entries = {(r, c): {0: field.rand(rng), 1 + (r + c) % 2: field.rand(rng)}
                for r in range(20) for c in range(20)}
     e = RealizedEntry(LinearPencil(field, 20, 2, entries), 20, 3)
     t = sample_tuple(field, 2, 4, 5)
-    monkeypatch.setattr(_sparse, "solve_sparse", None)
     assert _value(e, t) == _dense_value(e, t)
+    assert dense_route == [(80, 80)]
 
 
 def test_entries_hold_no_zeros():
