@@ -48,7 +48,8 @@ class RationalCircuit:
     output: int
     nvars: int
 
-    def reachable(self) -> list[int]:
+    @cached_property
+    def reachable(self) -> tuple[int, ...]:
         seen = set()
         stack = [self.output]
         while stack:
@@ -57,11 +58,11 @@ class RationalCircuit:
                 continue
             seen.add(i)
             stack.extend(_children(self.nodes[i]))
-        return sorted(seen)
+        return tuple(sorted(seen))
 
     @cached_property
     def size(self) -> int:
-        return len(self.reachable())
+        return len(self.reachable)
 
 
 def _children(node: tuple) -> tuple:
@@ -248,7 +249,7 @@ class CircuitInfo:
 
 
 def classify(c: RationalCircuit) -> CircuitInfo:
-    reach = c.reachable()
+    reach = c.reachable
     height = {}
     fanout = {i: 0 for i in reach}
     for i in reach:
@@ -276,7 +277,7 @@ def eval_circuit(c: RationalCircuit, t: MatrixTuple) -> DenseMatrix:
         raise ValueError("tuple has fewer matrices than the circuit has variables")
     field = t.field
     vals: dict[int, DenseMatrix] = {}
-    for i in c.reachable():
+    for i in c.reachable:
         node = c.nodes[i]
         kind = node[0]
         if kind == "const":
@@ -527,7 +528,7 @@ def variable_reduction(c: RationalCircuit, h: int) -> RationalCircuit:
             total = term if total is None else b.add(total, term)
         return total
 
-    for i in c.reachable():
+    for i in c.reachable:
         node = c.nodes[i]
         kind = node[0]
         if kind == "const":

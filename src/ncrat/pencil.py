@@ -18,27 +18,28 @@ map, so compile time is linear in the inversion height.
 
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
-Builders write blocks into that map with `place_block`, and nothing
-writes to a pencil's entries once it is built, so pencils share entry
-dicts.  The oracle reduces a pencil once by exact elimination at constant
-pivots, which reads those dicts in place and copies one only to write fill
-into it; most of the compiler's pivots have no fill and do no field
-arithmetic.  Evaluations at a matrix tuple are built as sparse rows
-straight from the entries (_SparseEval), over every field, Q included: a
-realized entry's value is solved from them by _sparse.solve, which hands
-rows that fill in to the dense kernel itself; the oracle ranks its
-reduced core's, and `eval_pencil` scatters them into a dense matrix.  Only
-a core whose evaluations fill in over a prime the dense kernel serves
-(_sparse.fills) is evaluated by that kernel instead.  From the same rows
-the oracle can look for a shrunk subspace of its core (the second Wong
-sequence), which bounds the pencil's rank at every tuple and, shrinking
-by one dimension, proves it singular; check_shrunk re-checks one by
-exact ranks.
+Builders write blocks into that map with `place_block`, and nothing writes
+to a pencil's entries once it is built, so pencils share entry dicts.  The
+oracle reduces a pencil once by exact elimination at constant pivots, which
+reads those dicts in place and copies one only to write fill into it; most
+of the compiler's pivots have no fill and do no field arithmetic.  A
+realized entry is reduced once too, keeping its element (RealizedEntry).
+Evaluations at a matrix tuple are built as sparse rows straight from the
+entries (_SparseEval), over every field, Q included: a realized entry's
+value is solved from its core's by _sparse.solve, which hands rows that
+fill in to the dense kernel; the oracle ranks its reduced core's, and
+`eval_pencil` scatters them into a dense matrix.  Only a core whose
+evaluations fill in over a prime the dense kernel serves (_sparse.fills) is
+evaluated by that kernel instead.  From the same rows the oracle can look
+for a shrunk subspace of its core (the second Wong sequence), which bounds
+the pencil's rank at every tuple and, shrinking by one dimension, proves it
+singular; check_shrunk re-checks one by exact ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _sparse
 from .circuit import MAX_VARS, Abp, IdrCircuit
@@ -133,7 +134,13 @@ def eval_pencil(L: LinearPencil, t: MatrixTuple) -> DenseMatrix:
 @dataclass(frozen=True)
 class RealizedEntry:
     """A pencil with a designated entry (row, col), 1-indexed: the realized
-    element is ((L^{-1}))_{row, col}, a d x d block once evaluated."""
+    element is ((L^{-1}))_{row, col}, a d x d block once evaluated.
+
+    `reduced` (built once, with its _SparseEval, for value_at and ncrank) is
+    the element on the core of _reduce(L) that never pivots column row - 1
+    or row col - 1: with the pivot block P constant, the rest of L^{-1} is
+    the complement's inverse, so (L^{-1})_{row, col} = (core^{-1})_{row',
+    col'}, and rank L(t) = base d + rank core(t)."""
 
     pencil: LinearPencil
     row: int
@@ -151,21 +158,29 @@ class RealizedEntry:
     def nvars(self) -> int:
         return self.pencil.nvars
 
+    @cached_property
+    def reduced(self) -> RealizedEntry:
+        return _reduce(self.pencil, (self.row, self.col))[1]
+
+    @cached_property
+    def _eval_rows(self) -> _SparseEval:
+        return _SparseEval(self.reduced.pencil)
+
     def value_at(self, t: MatrixTuple) -> DenseMatrix:
         """The (row, col) block of L(t)^{-1}; raises Singular when L(t) is not
         invertible (the element is undefined at t).
 
         Over every field, the d columns needed are solved by _sparse.solve
-        from the sparse rows of L(t), built straight from the entries, with
-        the identity's block column col as right-hand sides."""
-        L, d = self.pencil, t.d
-        f = L.field
-        left = (self.col - 1) * d
-        cols = _sparse.solve(_SparseEval(L)(t), L.size * d,
+        from the sparse rows of core(t) of `reduced`, with the identity's
+        block column col' as right-hand sides."""
+        g, d = self.reduced, t.d
+        f = g.pencil.field
+        left = (g.col - 1) * d
+        cols = _sparse.solve(self._eval_rows(t), g.size * d,
                              [{left + b: f.one} for b in range(d)], f.p)
         if cols is None:
             raise Singular("matrix is singular")
-        top, zero = (self.row - 1) * d, f.zero
+        top, zero = (g.row - 1) * d, f.zero
         return DenseMatrix(f, d, d, [cols[b].get(top + a, zero)
                                      for a in range(d) for b in range(d)])
 
@@ -398,7 +413,7 @@ class _SparseEval:
         return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
 
 
-def _reduce(L: LinearPencil) -> tuple[int, LinearPencil]:
+def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
     """Exact constant-pivot elimination: (base, core) with rank L(t) =
     base * d + rank core(t) at every tuple t of dimension d.
 
@@ -408,7 +423,8 @@ def _reduce(L: LinearPencil) -> tuple[int, LinearPencil]:
     constant alpha, and one of row r and column c is constant, so the Schur
     complement (i, c2) -= e(i, c) e(r, c2) / alpha stays affine; row r and
     column c leave and contribute exactly d to the rank.  Constant rows are
-    drained before constant columns.
+    drained before constant columns.  keep = (row, col) never pivots column
+    row - 1 or row col - 1; the core is then the same element's RealizedEntry.
 
     The entries are read from per-row and per-column indexes onto L's own
     entry dicts, and an entry is copied only when the complement writes to
@@ -417,7 +433,8 @@ def _reduce(L: LinearPencil) -> tuple[int, LinearPencil]:
     their column: such a pivot only drops them, counting out the variable
     entries it removes, which may leave another row or column constant.
     Field arithmetic, 1 / alpha included, runs only where there is fill."""
-    f, n = L.field, L.size
+    f, n, p = L.field, L.size, L.field.p
+    kc, kr = (keep[0] - 1, keep[1] - 1) if keep else (-1, -1)
     rows: list = [{} for _ in range(n)]     # r -> {c: entry}; None once pivoted
     cols: list = [{} for _ in range(n)]     # c -> {r: entry}; None once pivoted
     rvar = [0] * n                          # entries with a variable, per row
@@ -435,16 +452,16 @@ def _reduce(L: LinearPencil) -> tuple[int, LinearPencil]:
         if todo_rows:
             r = todo_rows.pop()
             row = rows[r]
-            if not row or rvar[r]:
+            if not row or rvar[r] or r == kr or (c := min(row)) == kc \
+                    and (c := min(row.keys() - {kc}, default=-1)) < 0:
                 continue
-            c = min(row)
             col = cols[c]
         else:
             c = todo_cols.pop()
             col = cols[c]
-            if not col or cvar[c]:
+            if not col or cvar[c] or c == kc or (r := min(col)) == kr \
+                    and (r := min(col.keys() - {kr}, default=-1)) < 0:
                 continue
-            r = min(col)
             row = rows[r]
         rows[r] = cols[c] = None
         alpha = row.pop(c)[0]
@@ -470,15 +487,17 @@ def _reduce(L: LinearPencil) -> tuple[int, LinearPencil]:
             for c2, b in row.items():
                 # one of the two factors is a constant s
                 s, e = (a[0], b) if len(a) == 1 and 0 in a else (b[0], a)
-                s = f.mul(s, ainv)
+                s = s * ainv % p if p else s * ainv
                 old = row_i.get(c2)
                 new = dict(old) if old else {}
                 for k, v in e.items():
-                    x = f.sub(new.get(k, f.zero), f.mul(s, v))
-                    if f.is_zero(x):
-                        new.pop(k, None)
-                    else:
+                    x = new.get(k, 0) - s * v
+                    if p:
+                        x %= p
+                    if x:
                         new[k] = x
+                    else:
+                        new.pop(k, None)
                 if new:
                     row_i[c2] = cols[c2][i] = new
                 elif old:
@@ -496,7 +515,8 @@ def _reduce(L: LinearPencil) -> tuple[int, LinearPencil]:
     live = [r for r in range(n) if rows[r] is not None]
     cmap = {c: j for j, c in enumerate(c for c in range(n) if cols[c] is not None)}
     entries = {(i, cmap[c]): e for i, r in enumerate(live) for c, e in rows[r].items()}
-    return base, LinearPencil(f, len(live), L.nvars, entries)
+    core = LinearPencil(f, len(live), L.nvars, entries)
+    return base, RealizedEntry(core, cmap[kc] + 1, live.index(kr) + 1) if keep else core
 
 
 class PencilOracle:

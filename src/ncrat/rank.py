@@ -102,7 +102,7 @@ def make_skew_matrix(grid, field: Field) -> SkewMatrix:
                           for e in row) for row in grid)
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
-            if e is not None and probe_invertible(e.pencil, seed=17 * i + j) is None:
+            if e is not None and probe_invertible(e.reduced.pencil, seed=17 * i + j) is None:
                 exc = NotInvertiblePencil(
                     "entry pencil singular at all probed dimensions")
                 exc.entry = (i, j)
@@ -234,8 +234,10 @@ def ncrank_pencil(L: LinearPencil, params: RankParams = RankParams()) -> RankRes
 
 def ncrank_skew(M: SkewMatrix, params: RankParams = RankParams()) -> RankResult:
     """Noncommutative rank of the grid through the reduction pencil, with a
-    witness tuple T satisfying rank(M(T)) = r d exactly."""
-    L = build_reduction_pencil(M)
+    witness tuple T satisfying rank(M(T)) = r d exactly; the pencil borders
+    the entries' kept reductions (RealizedEntry.reduced), the same elements."""
+    L = build_reduction_pencil(replace(M, entries=tuple(
+        tuple(e and e.reduced for e in row) for row in M.entries)))
     offset = L.size - M.m
     schedule = params.d_schedule or tuple(range(1, 2 * M.m + 1))
     base_params = RankParams(d_schedule=schedule, trials=params.trials,

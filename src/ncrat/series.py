@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .field import (DenseMatrix, Field, MatrixTuple, Singular, invert, kron,
-                    sample_tuple, solve)
+from .field import (MAX_DIM, DenseMatrix, Field, MatrixTuple, Singular, invert,
+                    kron, sample_tuple, solve)
 from .pencil import (LinearPencil, RealizedEntry, dense_block, eval_pencil,
                      place_block)
 
@@ -81,8 +81,8 @@ def truncated_eval(S: RecognizableSeries, k: int, t: MatrixTuple) -> DenseMatrix
 def series_is_zero(S: RecognizableSeries, trials: int = 16,
                    seed: int = 0) -> SeriesVerdict:
     """Monte Carlo zero test through the degree-(s-1) truncation, evaluated
-    at dimension ceil((s+1)/2); a Zero verdict is one-sided, so trials
-    below 1 raise ValueError rather than report Zero from no trial."""
+    at dimension ceil((s+1)/2), at most MAX_DIM for a nonzero series; a Zero
+    verdict is one-sided, so trials below 1 raise ValueError."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     s = S.size
@@ -92,6 +92,8 @@ def series_is_zero(S: RecognizableSeries, trials: int = 16,
     if all(S.field.is_zero(x) for x in S.c.data) or \
             all(S.field.is_zero(x) for x in S.b.data):
         return SeriesVerdict("zero", None, d, 0, s - 1, S.field.sample_set_size())
+    if d > MAX_DIM:
+        raise ValueError(f"series of size {s} needs test dimension {d}, above {MAX_DIM}")
     for _ in range(trials):
         t = sample_tuple(S.field, nv, d, rng)
         if not truncated_eval(S, s - 1, t).is_zero():

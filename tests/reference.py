@@ -14,6 +14,11 @@ search itself: shrunk_subspace_reference, the second Wong sequence with
 of one recorded sparse elimination), and check_shrunk_dense, its check on
 dense products and rank_of.
 
+And the reference for ncrank_skew: ncrank_skew_full, the bordered
+reduction pencil over the full entry pencils rather than their kept
+reductions, with the certificate assembled from the inverses of the full
+entry pencils' evaluations.
+
 And the direct evaluations and symbolic expansions that the compiled
 pencils and series are checked against:
 - eval_abp, a branching program as the product of its evaluated layers,
@@ -34,6 +39,8 @@ from ncrat.field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
                          is_invertible, kron, rank_of, sample_tuple, solve)
 from ncrat.pencil import (LinearPencil, PencilOracle, dense_block,
                           eval_pencil, place_block)
+from ncrat.rank import (DivisibilityAnomaly, RankParams, RankResult, SkewMatrix,
+                        build_reduction_pencil, ncrank_pencil)
 from ncrat.rit import RitParams, RitVerdict, _gate_oracle
 from ncrat.series import RecognizableSeries
 
@@ -279,6 +286,54 @@ def eval_idrrsc(idr: IdrCircuit, t: MatrixTuple) -> DenseMatrix:
             inverses.append(invert(value))
         except Singular:
             raise Undefined(-1) from None
+
+
+# -- ncrank over the full entry pencils -------------------------------------------
+
+
+def assemble_full(M: SkewMatrix, t: MatrixTuple) -> DenseMatrix:
+    """The grid at t, entry (i, j) the (row, col) block of the inverse of
+    its full pencil's evaluation; raises Singular where one is singular."""
+    f, m, d = M.field, M.m, t.d
+    out = DenseMatrix.zeros(f, m * d, m * d)
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            if e is None:
+                continue
+            inv = invert(eval_pencil(e.pencil, t))
+            for a in range(d):
+                for b in range(d):
+                    out.data[(i * d + a) * m * d + j * d + b] = \
+                        inv.at((e.row - 1) * d + a, (e.col - 1) * d + b)
+    return out
+
+
+def ncrank_skew_full(M: SkewMatrix, params: RankParams = RankParams()) -> RankResult:
+    """ncrank_skew ranking build_reduction_pencil(M), the entries' full
+    pencils bordered, with the certificate from assemble_full."""
+    L = build_reduction_pencil(M)
+    offset = L.size - M.m
+    schedule = params.d_schedule or tuple(range(1, 2 * M.m + 1))
+    base_params = RankParams(d_schedule=schedule, trials=params.trials,
+                             seed=params.seed)
+    for retry in range(2):
+        res = ncrank_pencil(L, base_params if retry == 0 else
+                            RankParams(schedule, params.trials * 2, params.seed + 1))
+        r = res.r - offset
+        if r < 0 or r > M.m:
+            continue
+        try:
+            cert = rank_of(assemble_full(M, res.witness))
+        except Singular:
+            continue
+        if cert == r * res.d:
+            per = tuple((d, mx - offset * d,
+                         acc - offset if acc is not None else None)
+                        for d, mx, acc in res.per_dim)
+            return RankResult(r=r, d=res.d, witness=res.witness,
+                              certificate=cert, per_dim=per,
+                              anomalies=res.anomalies)
+    raise DivisibilityAnomaly("witness verification failed; raise trials")
 
 
 # -- pencils and series ----------------------------------------------------------

@@ -4,15 +4,18 @@ the CLI turns that refusal into exit status 2 and one `error:` line.
 Nothing of the bound's size is built: the files are headers only, and
 reading one stays small.  The bounds on variable indices in expressions
 and on PrimeField's modulus are tested at their edges in test_cli and
-test_field."""
+test_field.  series_is_zero's test dimension, ceil((s + 1) / 2) for a
+pencil of size s, meets MAX_DIM at s = 8191: a series of that size is
+tested, one of size 8192 is refused before any tuple is drawn."""
 
 import tracemalloc
 
 import pytest
 from test_fuzz_readers import _exits_two_with_one_line
 
+from ncrat import series
 from ncrat.circuit import MAX_VARS
-from ncrat.field import MAX_DIM, parse_tuple
+from ncrat.field import MAX_DIM, DenseMatrix, parse_tuple
 from ncrat.pencil import MAX_PENCIL_SIZE, parse_pencil
 
 
@@ -54,3 +57,35 @@ def test_tuple_dimension_bound(tmp_path):
     path = tmp_path / "t.mt"
     path.write_text(header.format(MAX_DIM + 1))
     _exits_two_with_one_line(["eval", "1", "--point", str(path)])
+
+
+class _Drawn(Exception):
+    """series_is_zero got past its checks to the first tuple."""
+
+
+def _series(size, boundary):
+    L, realize = _small(parse_pencil, f"field prime 7\nsize {size}\nnvars 1\n"
+                                      f"realize 1 {size}\n")
+    c = DenseMatrix.zeros(L.field, 1, size)
+    b = DenseMatrix.zeros(L.field, size, 1)
+    c.data[0] = b.data[-1] = boundary
+    return series.RecognizableSeries(c, L, b)
+
+
+def test_series_test_dimension_bound(tmp_path, monkeypatch):
+    assert MAX_DIM == 4096
+    # a zero boundary returns ZERO before the bound, at any size
+    verdict = series.series_is_zero(_series(8192, 0))
+    assert (verdict.kind, verdict.dimension) == ("zero", 4097)
+
+    def drawn(*args):
+        raise _Drawn
+    monkeypatch.setattr(series, "sample_tuple", drawn)
+    with pytest.raises(_Drawn):
+        series.series_is_zero(_series(8191, 1))
+    with pytest.raises(ValueError, match="test dimension 4097, above 4096"):
+        series.series_is_zero(_series(8192, 1))
+    for size in (8192, MAX_PENCIL_SIZE):
+        path = tmp_path / "p.lp"
+        path.write_text(f"field prime 7\nsize {size}\nnvars 1\nrealize 1 1\n")
+        _exits_two_with_one_line(["series-zero", "--file", str(path)])
