@@ -36,7 +36,7 @@ class Undefined(Exception):
 
 
 class BlowupExceeded(ValueError):
-    """Tree expansion of a shared DAG grew past the configured factor."""
+    """Folding a DAG, each shared node wherever it is reached, passed the cap."""
 
 
 @dataclass(frozen=True)
@@ -374,7 +374,7 @@ def formula_to_abp(c: RationalCircuit) -> Abp:
         raise ValueError("formula contains inverse gates")
     if not info.is_formula:
         raise ValueError("input must be tree-shaped")
-    return _fold(_expand_tree(c, info.size), c.nvars).top
+    return _fold(c, info.size).top
 
 
 # -- inversely disjoint normal form ----------------------------------------
@@ -414,61 +414,43 @@ class IdrCircuit:
         return total
 
 
-def _expand_tree(c: RationalCircuit, cap_nodes: int) -> RationalCircuit:
-    """Copy c below its output as a tree, duplicating shared nodes, in one
-    depth-first pass with an explicit stack.  The copy is in post-order:
-    every node follows its children, left before right."""
-    b = CircuitBuilder()
-    count = 0
-    done: list[int] = []                 # copies of finished subtrees
-    stack = [(c.output, False)]          # (node, children already copied)
-    while stack:
-        i, closing = stack.pop()
-        node = c.nodes[i]
-        kind = node[0]
-        if closing:
-            if kind == "inv":
-                done.append(b.inv(done.pop()))
-            else:
-                r = done.pop()
-                done.append(b._push((kind, done.pop(), r)))
-            continue
-        count += 1
-        if count > cap_nodes:
-            raise BlowupExceeded(
-                f"tree expansion exceeded {cap_nodes} nodes; the circuit shares "
-                "subexpressions too aggressively for duplication")
-        if kind == "const":
-            done.append(b.const(node[1]))
-        elif kind == "var":
-            done.append(b.var(node[1]))
-        else:
-            stack.append((i, True))
-            stack.extend((ch, False) for ch in reversed(node[1:]))
-    return b.build(done.pop(), nvars=c.nvars)
-
-
 def to_idrrsc(c: RationalCircuit) -> IdrCircuit:
     """Normalize a circuit to the inversely disjoint form: a maximal
     inverse-free top lowered to a branching program, with one placeholder
     per top-level inverse gate and recursively normalized sub-circuits.
-    DAG sharing is resolved by duplication up to 8 times the original
-    size; BlowupExceeded beyond that."""
-    return _fold(_expand_tree(c, 8 * c.size), c.nvars)
+    DAG sharing is resolved by folding a shared node again wherever it is
+    reached, up to 8 times the original size; BlowupExceeded beyond that."""
+    return _fold(c, 8 * c.size)
 
 
-def _fold(tree: RationalCircuit, nx: int) -> IdrCircuit:
-    """One forward pass over a post-order tree.  `stack` holds each
-    finished operand's branching-program layers and widths, and how many
-    placeholders they hold; those stand for the last subs on `pending`, the
-    one at pending[j] as variable nx + j + 1.  An inverse gate closes its
-    child's top into a sub and leaves a placeholder for it, so inversion
-    height is not bounded by the recursion limit.  Each operand owns its
-    lists and forms, so `*` and `+` extend and add into the left one."""
+def _fold(c: RationalCircuit, cap_nodes: int) -> IdrCircuit:
+    """One depth-first walk from c's output, left before right: a node is
+    counted against cap_nodes when opened and folded when its children are
+    done, so a shared node is folded wherever it is reached.  `stack` holds
+    each finished operand's branching-program layers and widths, and how
+    many placeholders they hold, for the last subs on `pending` (pending[j]
+    is variable nx + j + 1).  An inverse gate closes its child's top into a
+    sub and leaves a placeholder for it.  Each operand owns its lists and
+    forms, so `*` and `+` extend and add into the left one."""
+    nx = c.nvars
     pending: list[IdrCircuit] = []
     stack: list[tuple[list, list, int]] = []
-    for node in tree.nodes:
+    count = 0
+    walk = [(c.output, False)]           # (node, children already folded)
+    while walk:
+        i, closing = walk.pop()
+        node = c.nodes[i]
         kind = node[0]
+        if not closing:
+            count += 1
+            if count > cap_nodes:
+                raise BlowupExceeded(
+                    f"tree expansion exceeded {cap_nodes} nodes; the circuit shares "
+                    "subexpressions too aggressively for duplication")
+            if kind not in ("const", "var"):
+                walk.append((i, True))
+                walk.extend((ch, False) for ch in reversed(node[1:]))
+                continue
         if kind in ("add", "sub", "mul"):
             lb, wb, kb = stack.pop()
             la, wa, ka = stack.pop()
@@ -483,7 +465,7 @@ def _fold(tree: RationalCircuit, nx: int) -> IdrCircuit:
         if kind == "var":
             form = {node[1]: Fraction(1)}
         elif kind == "const":
-            form = {0: node[1]} if node[1] else {}
+            form = {0: Fraction(node[1])} if node[1] else {}
         else:
             pending.append(_close(*stack.pop(), pending, nx))
             form, k = {nx + len(pending): Fraction(1)}, 1

@@ -465,14 +465,14 @@ def _header_int(parts: list[str], key: str, lo: int, hi: int | None = None) -> i
     return bounded_int(parts[1], key, lo, hi)
 
 
-# The largest `dim` a tuple file may declare, so that a header with no
-# matrices cannot ask eval for a d x d identity of any size.  It is far
-# above every dimension ncrat writes: a witness of rit (at most 8 unless
-# --max-dim says more), of ncrank (at most 2m for an m x m skew matrix, 4
-# for data/higman.skm) or of series-zero (ceil((s + 1) / 2) for a pencil of
-# size s), or a point of hitgen (its --dim).  Each is a dimension at which
-# ncrat multiplied or eliminated d x d matrices in Python arithmetic, which
-# at d = 4096 takes d^3 = 2^36 products for one of them.
+# The largest matrix dimension ncrat accepts: a tuple file's `dim`, so that
+# a header with no matrices cannot ask eval for a d x d identity of any size,
+# and the blow-up dimensions of rit's --max-dim, ncrank's and bootstrap's
+# --dims, hitgen's --dim and series-zero's test (each refused above it).
+# Every dimension ncrat picks itself is far below: a witness of rit (at most
+# 8) or of ncrank (at most 2m for an m x m skew matrix).  At d = 4096, one
+# product or elimination of d x d matrices in Python arithmetic takes
+# d^3 = 2^36 multiplications.
 MAX_DIM = 1 << 12
 
 

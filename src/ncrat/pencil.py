@@ -19,21 +19,21 @@ map, so compile time is linear in the inversion height.
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
 Builders write blocks into that map with `place_block`, and nothing writes
-to a pencil's entries once it is built, so pencils share entry dicts.  The
-oracle reduces a pencil once by exact elimination at constant pivots, which
-reads those dicts in place and copies one only to write fill into it; most
-of the compiler's pivots have no fill and do no field arithmetic.  A
-realized entry is reduced once too, keeping its element (RealizedEntry).
+to a pencil's entries once it is built, so pencils share entry dicts.  A
+PencilOracle reduces a pencil once by exact elimination at constant pivots,
+which reads those dicts in place and copies one only to write fill into it;
+most of the compiler's pivots have no fill and do no field arithmetic.  A
+realized entry owns one, which keeps its element (RealizedEntry.oracle).
 Evaluations at a matrix tuple are built as sparse rows straight from the
-entries (_SparseEval), over every field, Q included: a realized entry's
-value is solved from its core's by _sparse.solve, which hands rows that
-fill in to the dense kernel; the oracle ranks its reduced core's, and
-`eval_pencil` scatters them into a dense matrix.  Only a core whose
-evaluations fill in over a prime the dense kernel serves (_sparse.fills) is
-evaluated by that kernel instead.  From the same rows the oracle can look
-for a shrunk subspace of its core (the second Wong sequence), which bounds
-the pencil's rank at every tuple and, shrinking by one dimension, proves it
-singular; check_shrunk re-checks one by exact ranks.
+entries (_SparseEval), over every field, Q included: an oracle ranks its
+core's, an entry's value is solved from them by _sparse.solve, which hands
+rows that fill in to the dense kernel, and `eval_pencil` scatters them into
+a dense matrix.  Only a core whose evaluations fill in over a prime the
+dense kernel serves (_sparse.fills) is evaluated by that kernel instead.
+From the same rows the oracle can look for a shrunk subspace of its core
+(the second Wong sequence), which bounds the pencil's rank at every tuple
+and, shrinking by one dimension, proves it singular; check_shrunk re-checks
+one by exact ranks.
 """
 
 from __future__ import annotations
@@ -136,11 +136,12 @@ class RealizedEntry:
     """A pencil with a designated entry (row, col), 1-indexed: the realized
     element is ((L^{-1}))_{row, col}, a d x d block once evaluated.
 
-    `reduced` (built once, with its _SparseEval, for value_at and ncrank) is
-    the element on the core of _reduce(L) that never pivots column row - 1
-    or row col - 1: with the pivot block P constant, the rest of L^{-1} is
-    the complement's inverse, so (L^{-1})_{row, col} = (core^{-1})_{row',
-    col'}, and rank L(t) = base d + rank core(t)."""
+    `oracle` (built once) is L's PencilOracle whose reduction never pivots
+    column row - 1 or row col - 1: with the pivot block P constant, the rest
+    of L^{-1} is the complement's inverse, so (L^{-1})_{row, col} =
+    (core^{-1})_{row', col'} at its `kept` (row', col'), and rank L(t) =
+    base d + rank core(t).  value_at solves from its rows, ncrank probes
+    with it, and `reduced` is its core as the same element's entry."""
 
     pencil: LinearPencil
     row: int
@@ -159,28 +160,28 @@ class RealizedEntry:
         return self.pencil.nvars
 
     @cached_property
-    def reduced(self) -> RealizedEntry:
-        return _reduce(self.pencil, (self.row, self.col))[1]
+    def oracle(self) -> PencilOracle:
+        return PencilOracle(self.pencil, (self.row, self.col))
 
-    @cached_property
-    def _eval_rows(self) -> _SparseEval:
-        return _SparseEval(self.reduced.pencil)
+    @property
+    def reduced(self) -> RealizedEntry:
+        return RealizedEntry(self.oracle.core, *self.oracle.kept)
 
     def value_at(self, t: MatrixTuple) -> DenseMatrix:
         """The (row, col) block of L(t)^{-1}; raises Singular when L(t) is not
         invertible (the element is undefined at t).
 
         Over every field, the d columns needed are solved by _sparse.solve
-        from the sparse rows of core(t) of `reduced`, with the identity's
-        block column col' as right-hand sides."""
-        g, d = self.reduced, t.d
-        f = g.pencil.field
-        left = (g.col - 1) * d
-        cols = _sparse.solve(self._eval_rows(t), g.size * d,
+        from the oracle's sparse rows of core(t), with the identity's block
+        column col' as right-hand sides."""
+        oracle, d = self.oracle, t.d
+        (row, col), f = oracle.kept, oracle.field
+        left = (col - 1) * d
+        cols = _sparse.solve(oracle._eval_rows(t), oracle.core.size * d,
                              [{left + b: f.one} for b in range(d)], f.p)
         if cols is None:
             raise Singular("matrix is singular")
-        top, zero = (g.row - 1) * d, f.zero
+        top, zero = (row - 1) * d, f.zero
         return DenseMatrix(f, d, d, [cols[b].get(top + a, zero)
                                      for a in range(d) for b in range(d)])
 
@@ -414,7 +415,7 @@ class _SparseEval:
 
 
 def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
-    """Exact constant-pivot elimination: (base, core) with rank L(t) =
+    """Exact constant-pivot elimination: (base, core, kept) with rank L(t) =
     base * d + rank core(t) at every tuple t of dimension d.
 
     A row all of whose entries are constant (no k >= 1 component) is
@@ -424,7 +425,8 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
     complement (i, c2) -= e(i, c) e(r, c2) / alpha stays affine; row r and
     column c leave and contribute exactly d to the rank.  Constant rows are
     drained before constant columns.  keep = (row, col) never pivots column
-    row - 1 or row col - 1; the core is then the same element's RealizedEntry.
+    row - 1 or row col - 1, and kept = (row', col') is where the core holds
+    the same element; kept is None when nothing is kept.
 
     The entries are read from per-row and per-column indexes onto L's own
     entry dicts, and an entry is copied only when the complement writes to
@@ -515,8 +517,8 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
     live = [r for r in range(n) if rows[r] is not None]
     cmap = {c: j for j, c in enumerate(c for c in range(n) if cols[c] is not None)}
     entries = {(i, cmap[c]): e for i, r in enumerate(live) for c, e in rows[r].items()}
-    core = LinearPencil(f, len(live), L.nvars, entries)
-    return base, RealizedEntry(core, cmap[kc] + 1, live.index(kr) + 1) if keep else core
+    kept = (cmap[kc] + 1, live.index(kr) + 1) if keep else None
+    return base, LinearPencil(f, len(live), L.nvars, entries), kept
 
 
 class PencilOracle:
@@ -526,15 +528,16 @@ class PencilOracle:
     pivots out constant rows, then constant columns, reading L's entries in
     place and doing field arithmetic only where a pivot fills in, the same
     code over every field; L is not modified, and the core may share entry
-    dicts with it.  Over every field, core(t) is built as sparse rows
+    dicts with it; with keep, it is a realized entry's one reduction (see
+    RealizedEntry).  Over every field, core(t) is built as sparse rows
     straight from the core's entries and ranked by _sparse.rank_sparse,
     unless it fills in over a prime the dense kernel supports
     (_sparse.fills) and goes there."""
 
-    def __init__(self, L: LinearPencil):
+    def __init__(self, L: LinearPencil, keep: tuple[int, int] | None = None):
         self.field = L.field
         self.size = L.size
-        self.base, self.core = _reduce(L)
+        self.base, self.core, self.kept = _reduce(L, keep)
         self._eval_rows = _SparseEval(self.core)
         self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
         self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass, replace
 
 from .circuit import ParseError, parse_expr, to_idrrsc
-from .field import (DenseMatrix, Field, MatrixTuple, Singular, field_name,
-                    rank_of, sample_tuple, solve)
+from .field import (MAX_DIM, DenseMatrix, Field, MatrixTuple, Singular,
+                    field_name, rank_of, sample_tuple, solve)
 from .pencil import (LinearPencil, PencilOracle, RealizedEntry, compile_idrrsc,
                      place_block, read_pencil)
 
@@ -73,16 +73,19 @@ class RankParams:
         if self.d_schedule and min(self.d_schedule) < 1:
             raise ValueError(f"blow-up dimensions must be at least 1, "
                              f"got {min(self.d_schedule)}")
+        if self.d_schedule and max(self.d_schedule) > MAX_DIM:
+            raise ValueError(f"blow-up dimensions must be at most {MAX_DIM}, "
+                             f"got {max(self.d_schedule)}")
 
 
-def probe_invertible(L: LinearPencil, seed: int = 0) -> MatrixTuple | None:
-    """A tuple at which L is invertible, from 8 seeded trials at each of
-    the dimensions 1, 2 and 3; None when every trial is singular."""
+def probe_invertible(oracle: PencilOracle, seed: int = 0) -> MatrixTuple | None:
+    """A tuple at which the oracle's pencil is invertible, from 8 seeded
+    trials at each of the dimensions 1, 2 and 3; None when every trial is
+    singular."""
     rng = random.Random(seed)
-    oracle = PencilOracle(L)
     for d in (1, 2, 3):
         for _ in range(8):
-            t = sample_tuple(L.field, max(L.nvars, 1), d, rng)
+            t = sample_tuple(oracle.field, max(oracle.core.nvars, 1), d, rng)
             if oracle.is_invertible_at(t):
                 return t
     return None
@@ -102,7 +105,7 @@ def make_skew_matrix(grid, field: Field) -> SkewMatrix:
                           for e in row) for row in grid)
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
-            if e is not None and probe_invertible(e.reduced.pencil, seed=17 * i + j) is None:
+            if e is not None and probe_invertible(e.oracle, seed=17 * i + j) is None:
                 exc = NotInvertiblePencil(
                     "entry pencil singular at all probed dimensions")
                 exc.entry = (i, j)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .circuit import (MAX_VARS, BlowupExceeded, RationalCircuit, Undefined,
                       classify, eval_circuit, parse_expr, to_idrrsc,
                       transport_lists)
-from .field import (DenseMatrix, Field, MatrixTuple, is_invertible,
+from .field import (MAX_DIM, DenseMatrix, Field, MatrixTuple, is_invertible,
                     sample_tuple)
 from .pencil import PencilOracle, RealizedEntry, compile_idrrsc, realize_inverse
 from .series import (FieldTooSmall, assemble_shift_point, scaling_search,
@@ -52,6 +52,8 @@ class RitParams:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.max_dim is not None and self.max_dim > MAX_DIM:
+            raise ValueError(f"max_dim must be at most {MAX_DIM}, got {self.max_dim}")
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,11 @@ def compile_circuit(c: RationalCircuit, field: Field) -> RealizedEntry:
 
 
 @functools.lru_cache(maxsize=16)
-def _gate_oracle(c: RationalCircuit, field: Field):
-    """Size of the bordered pencil for the circuit's inverse, and its
-    reduced oracle: invertible at t exactly when the circuit is defined at
-    t with an invertible value.  The pencil itself is not kept."""
-    gate = realize_inverse(compile_circuit(c, field))
-    return gate.size, PencilOracle(gate.pencil)
+def _gate_oracle(c: RationalCircuit, field: Field) -> PencilOracle:
+    """The oracle of the bordered pencil for the circuit's inverse (its
+    size is the gate's): invertible at t exactly when the circuit is defined
+    at t with an invertible value.  The pencil itself is not kept."""
+    return PencilOracle(realize_inverse(compile_circuit(c, field)).pencil)
 
 
 def rit_test(c: RationalCircuit, field: Field,
@@ -95,7 +96,8 @@ def rit_test(c: RationalCircuit, field: Field,
     singular, so the test returns the ZERO verdict the full trial loop
     would give (the nominal max_dim * trials and the per-trial bound) at
     once, and that verdict is exact."""
-    size, oracle = _gate_oracle(c, field)
+    oracle = _gate_oracle(c, field)
+    size = oracle.size
     max_dim = params.max_dim or min(size, params.dim_cap)
     zero = RitVerdict("zero", pencil_size=size,
                       trials_run=max_dim * params.trials, max_dim=max_dim,
@@ -178,14 +180,16 @@ def hitting_set_generate(n: int, s: int, h: int, d: int, kappa: int | None,
     2(h+1) d^2 generic-matrix entries, and each assignment is transported
     through p_i = sum_j q_{j0} q_{j1}^i q_{j0}.  Over F_p every point and
     product is reduced mod p as it is made; over Q they are exact integers.
-    ValueError for s, d or kappa below 1, a negative n or h, or n above
-    MAX_VARS (every point builds n matrices)."""
+    ValueError for s, d or kappa below 1, a negative n or h, n above
+    MAX_VARS (every point builds n matrices) or d above MAX_DIM."""
     for name, value, least in (("nvars", n, 0), ("size", s, 1), ("height", h, 0),
                                ("dim", d, 1), ("kappa", kappa, 1)):
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if n > MAX_VARS:
         raise ValueError(f"nvars must be at most {MAX_VARS}, got {n}")
+    if d > MAX_DIM:
+        raise ValueError(f"dim must be at most {MAX_DIM}, got {d}")
     if kappa is None:
         kappa = 2 * s * d
     nq = 2 * (h + 1)
@@ -219,7 +223,7 @@ def _certified_nowhere_invertible(c: RationalCircuit, field: Field,
     nowhere defined with an invertible value.  False, with nothing proved,
     when c does not compile."""
     try:
-        _, oracle = _gate_oracle(c, field)
+        oracle = _gate_oracle(c, field)
     except BlowupExceeded:
         return False
     return not oracle.is_invertible_at(t) and oracle.shrunk_subspace(t) is not None
@@ -291,9 +295,13 @@ def bootstrap_dimension(c: RationalCircuit, field: Field,
     expand the realized entry around the definedness point, zero-test the
     truncated series, and run the scaling search; its success is reported
     as the series route.
-    ValueError for trials below 1: no trial would read as "never defined"."""
+    ValueError for trials below 1, where no trial would read as "never
+    defined", and for a scheduled dimension above MAX_DIM."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if max(schedule, default=1) > MAX_DIM:
+        raise ValueError(f"blow-up dimensions must be at most {MAX_DIM}, "
+                         f"got {max(schedule)}")
     entry = compile_circuit(c, field)
     rows = []
     smallest_def = None

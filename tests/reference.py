@@ -101,7 +101,8 @@ def rit_full_loop(c, field, params: RitParams = RitParams()) -> RitVerdict:
     """rit_test without the search: the gate oracle ranks every trial of
     every dimension, in the same rng order, until a tuple at which the
     circuit is defined with an invertible value."""
-    size, oracle = _gate_oracle(c, field)
+    oracle = _gate_oracle(c, field)
+    size = oracle.size
     max_dim = params.max_dim or min(size, params.dim_cap)
     rng = random.Random(params.seed)
     trials_run = 0

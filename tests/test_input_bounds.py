@@ -6,16 +6,19 @@ reading one stays small.  The bounds on variable indices in expressions
 and on PrimeField's modulus are tested at their edges in test_cli and
 test_field.  series_is_zero's test dimension, ceil((s + 1) / 2) for a
 pencil of size s, meets MAX_DIM at s = 8191: a series of that size is
-tested, one of size 8192 is refused before any tuple is drawn."""
+tested, one of size 8192 is refused before any tuple is drawn.  So is a
+blow-up dimension above MAX_DIM asked of rit, ncrank, bootstrap or
+hitgen, while MAX_DIM itself gets as far as the first draw."""
 
+import os
 import tracemalloc
 
 import pytest
 from test_fuzz_readers import _exits_two_with_one_line
 
-from ncrat import series
-from ncrat.circuit import MAX_VARS
-from ncrat.field import MAX_DIM, DenseMatrix, parse_tuple
+from ncrat import rank, rit, series
+from ncrat.circuit import MAX_VARS, parse_expr
+from ncrat.field import MAX_DIM, MERSENNE61, DenseMatrix, PrimeField, parse_tuple
 from ncrat.pencil import MAX_PENCIL_SIZE, parse_pencil
 
 
@@ -89,3 +92,43 @@ def test_series_test_dimension_bound(tmp_path, monkeypatch):
         path = tmp_path / "p.lp"
         path.write_text(f"field prime 7\nsize {size}\nnvars 1\nrealize 1 1\n")
         _exits_two_with_one_line(["series-zero", "--file", str(path)])
+
+
+HIGMAN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "data", "higman.skm")
+
+
+def _blow_up(command):
+    """The library call behind `command` as a function of the blow-up
+    dimension, over M61; ncrank's skew matrix is read (and probed) here."""
+    F = PrimeField(MERSENNE61)
+    if command == "rit":
+        return lambda d: rit.rit_test(parse_expr("x1"), F, rit.RitParams(max_dim=d))
+    if command == "ncrank":
+        M = rank.read_skew_file(HIGMAN, F)
+        return lambda d: rank.ncrank_skew(M, rank.RankParams(d_schedule=(d,)))
+    if command == "bootstrap":
+        return lambda d: rit.bootstrap_dimension(parse_expr("x1"), F, schedule=(d,))
+    return lambda d: rit.hitting_set_generate(1, 1, 0, d, None, F)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("rit", ["rit", "x1", "--max-dim"]),
+    ("ncrank", ["ncrank", "--file", HIGMAN, "--dims"]),
+    ("bootstrap", ["bootstrap", "x1", "--dims"]),
+    ("hitgen", ["hitgen", "--nvars", "1", "--size", "1", "--height", "0", "--dim"])])
+def test_blow_up_dimension_bound(monkeypatch, command, argv):
+    run = _blow_up(command)
+
+    def drawn(*args):
+        raise _Drawn
+    # the first tuple (or hitgen's points) would be drawn next
+    for module, name in ((rit, "sample_tuple"), (rank, "sample_tuple"),
+                         (rit, "sparse_points")):
+        monkeypatch.setattr(module, name, drawn)
+    with pytest.raises(_Drawn):
+        run(MAX_DIM)
+    with pytest.raises(ValueError, match=f"at most {MAX_DIM}, got {MAX_DIM + 1}"):
+        run(MAX_DIM + 1)
+    monkeypatch.undo()
+    _exits_two_with_one_line(argv + [str(MAX_DIM + 1)])

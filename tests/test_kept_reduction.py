@@ -1,8 +1,8 @@
 """The kept reduction of a realized entry and the ncrank path built on it.
 
 _reduce(L, (row, col)) pivots like _reduce(L) but never at column row - 1
-or row col - 1, and returns the core as the RealizedEntry of the same
-element: its value, its Singular and the rank identity base d + rank
+or row col - 1, and returns where the core holds the same element: that
+RealizedEntry's value, its Singular and the rank identity base d + rank
 core(t) = rank L(t) are checked against tests/reference.py's dense
 elimination over four fields.  ncrank_skew ranks the reduction pencil over
 the kept reductions, and must give the RankResult that ranking it over the
@@ -25,11 +25,11 @@ from test_ceiling import _uv_3x1
 from test_golden import SKEW3
 from test_rank import mixed_grids
 
-from ncrat import pencil
+from ncrat import pencil, rank
 from ncrat.circuit import classify, parse_expr, to_idrrsc, variable_reduction
 from ncrat.field import MERSENNE61, QQ, PrimeField, Singular, sample_tuple
-from ncrat.pencil import (RealizedEntry, _reduce, compile_idrrsc, eval_pencil,
-                          pencil_from_rows, realize_inverse)
+from ncrat.pencil import (PencilOracle, RealizedEntry, _reduce, compile_idrrsc,
+                          eval_pencil, pencil_from_rows, realize_inverse)
 from ncrat.rank import (DivisibilityAnomaly, RankParams, assemble_at,
                         make_skew_matrix, ncrank_skew, probe_invertible,
                         read_skew_file)
@@ -95,7 +95,8 @@ def test_kept_reduction_matches_the_dense_inverse(case, seed):
     field, dense, row, col = case
     L = pencil_from_rows(field, dense)
     before = _snapshot(L)
-    base, g = _reduce(L, (row, col))
+    base, core, kept = _reduce(L, (row, col))
+    g = RealizedEntry(core, *kept)
     assert _snapshot(L) == before
     assert base + g.size == L.size
     if all(len(e) > (0 in e) for e in L.entries.values()) and len(L.entries) == L.size ** 2:
@@ -135,6 +136,29 @@ def test_sparse_rows_are_built_once_per_entry(monkeypatch):
     assert built == [e.reduced.size]
 
 
+def test_each_entry_is_reduced_once(monkeypatch):
+    """Over reading higman.skm, ranking it and assembling it at the witness,
+    each nonzero entry is reduced once, kept, by its oracle, and each
+    ncrank_pencil call reduces its pencil once with nothing kept."""
+    kept, ranked = [], []
+    reduce, ncrank_pencil = pencil._reduce, rank.ncrank_pencil
+
+    def counted_reduce(L, keep=None):
+        kept.append(keep is not None)
+        return reduce(L, keep)
+
+    def counted_rank(*args):
+        ranked.append(args)
+        return ncrank_pencil(*args)
+    monkeypatch.setattr(pencil, "_reduce", counted_reduce)
+    monkeypatch.setattr(rank, "ncrank_pencil", counted_rank)
+    M = read_skew_file(WORKLOADS.HIGMAN, M61)
+    res = ncrank_skew(M, RankParams(trials=8, seed=0))
+    assemble_at(M, res.witness)
+    nonzero = sum(e is not None for row in M.entries for e in row)
+    assert (kept.count(True), kept.count(False)) == (nonzero, len(ranked))
+
+
 # -- ncrank over the kept reductions ----------------------------------------------
 
 
@@ -172,8 +196,8 @@ def _same_as_full(M, params):
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):
             if e is not None:
-                assert probe_invertible(e.reduced.pencil, 17 * i + j) == \
-                    probe_invertible(e.pencil, 17 * i + j)
+                assert probe_invertible(e.oracle, 17 * i + j) == \
+                    probe_invertible(PencilOracle(e.pencil), 17 * i + j)
     res = _outcome(ncrank_skew, M, params)
     assert res == _outcome(ncrank_skew_full, M, params)
     if res is not DivisibilityAnomaly:
@@ -215,6 +239,6 @@ def test_gate_reductions_are_unchanged(name, field):
     h = hashlib.sha256()
     for label, c, _ in corpus():
         for form in (c, variable_reduction(c, classify(c).height)):
-            base, core = _reduce(realize_inverse(compile_circuit(form, field)).pencil)
+            base, core, _ = _reduce(realize_inverse(compile_circuit(form, field)).pencil)
             h.update(repr((label, base, core.size, sorted(core.entries.items()))).encode())
     assert h.hexdigest() == GATE_DIGESTS[name]

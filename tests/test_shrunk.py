@@ -48,7 +48,7 @@ MEMBERS = _members()
 def _certificate(circ, field, dims, seeds):
     """The first shrunk subspace of the circuit's gate oracle found at a
     seeded tuple, with the oracle, or (oracle, None)."""
-    _, oracle = rit._gate_oracle(circ, field)
+    oracle = rit._gate_oracle(circ, field)
     for d in dims:
         for seed in seeds:
             S = oracle.shrunk_subspace(sample_tuple(field, max(circ.nvars, 1), d, seed))
@@ -133,7 +133,7 @@ def _deficits(oracle, t):
 def test_search_equals_the_reference_on_the_corpus(field, d):
     found = 0
     for _, circ, zero in MEMBERS:
-        _, oracle = rit._gate_oracle(circ, field)
+        oracle = rit._gate_oracle(circ, field)
         t = sample_tuple(field, max(circ.nvars, 1), d, 100 + d)
         found += _same_search(oracle, t) is not None
     assert found == sum(zero for _, _, zero in MEMBERS)
