@@ -14,7 +14,11 @@ the tree-normalized compiler (each inverse gate feeds one edge of the
 top branching program); sharing a placeholder across entries is rejected
 rather than silently duplicated.  The compiler sizes every level first,
 then writes each base pencil, border and link once, at its offset in one
-map, so compile time is linear in the inversion height.
+map, so compile time is linear in the inversion height.  The same walk
+writes either layout of the composition: the paper's (compile_idrrsc, for
+`ncrat compile`, ncrank and the series), or rit's condensed one
+(compile_condensed), its Schur complement at the unit pivots of its two
+identity blocks, which realizes the same element.
 
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
@@ -251,22 +255,38 @@ def _y_occurrences(L: LinearPencil, nx: int) -> list[tuple[int, int, object] | N
 
 
 def _place_composition(entries: Entries, o: int, L: LinearPencil,
-                       shapes: list[tuple[int, int, int]], nx: int) -> list[int]:
+                       shapes: list[tuple[int, int, int]], nx: int,
+                       paper: bool = True) -> list[int]:
     """Write compose's blocks for host L at offset o, all but the realized
-    pencils, given as (size, row, col); return where each pencil goes.
+    pencils, given as (size, row, col); return where each pencil goes.  In
+    H, each pencil has realize_inverse's border.
 
-    Block layout [I | H | I | L0]: the first identity feeds the inverse
-    gadgets (columns weighted by the placeholder coefficients), the gadget
-    exits feed the second identity at the host entry that the placeholder
-    occupies, and the borders close the loop through the constant-plus-x
-    part L0 of the host.  In H, each pencil has realize_inverse's border."""
+    The paper layout [I | H | I | L0] (compose, compile_idrrsc): the first
+    identity feeds the inverse gadgets (columns weighted by the placeholder
+    coefficients), the gadget exits feed the second identity at the host
+    entry that the placeholder occupies, and the borders close the loop
+    through the constant-plus-x part L0 of the host.  The identities are
+    there so that every entry of the inverse grid is realized.
+
+    Without paper, the condensed layout [H | L0] (compile_condensed): the
+    Schur complement of the paper layout at its 2 s^2 unit pivots, row o + q
+    of the first identity and row o3 + q of the second, written directly.
+    Row o + q holds only the link beta to its gadget's exit and column o +
+    q only the -1 from L0's row i (q = i s + j); row o3 + q holds only the
+    1 into L0's column j and column o3 + q only the 1 from the exit.  So
+    the complement is the paper layout without the identities, a
+    placeholder at host entry (i0, j0) linked by (oL + i0, exit) = beta and
+    (exit, oL + j0) = -1.  At every tuple of dimension d the paper pencil's
+    rank is 2 s^2 d plus the condensed one's, and the inverse blocks on the
+    rows and columns kept, L0's included, are the same."""
     f, s = L.field, L.size
     one, minus_one = f.one, f.neg(f.one)
-    o3 = o + s * s + sum(size + 1 for size, _, _ in shapes)
-    oL = o3 + s * s
-    for q in range(s * s):
+    ss = s * s if paper else 0
+    o3 = o + ss + sum(size + 1 for size, _, _ in shapes)
+    oL = o3 + ss
+    for q in range(ss):
         entries[(o + q, o + q)] = entries[(o3 + q, o3 + q)] = {0: one}
-    offsets, off = [], o + s * s
+    offsets, off = [], o + ss
     for (size, row, col), found in zip(shapes, _y_occurrences(L, nx)):
         offsets.append(off)
         corner = off + size                 # the gadget's exit
@@ -274,12 +294,16 @@ def _place_composition(entries: Entries, o: int, L: LinearPencil,
         entries[(corner, off + row - 1)] = {0: minus_one}
         if found is not None:
             i0, j0, beta = found
-            entries[(o + i0 * s + j0, corner)] = {0: f.normalize(beta)}
-            entries[(corner, o3 + i0 * s + j0)] = {0: one}
+            if paper:
+                entries[(o + i0 * s + j0, corner)] = {0: f.normalize(beta)}
+                entries[(corner, o3 + i0 * s + j0)] = {0: one}
+            else:
+                entries[(oL + i0, corner)] = {0: f.normalize(beta)}
+                entries[(corner, oL + j0)] = {0: minus_one}
         off = corner + 1
     place_block(entries, L.entries, oL, oL,
                 lambda e: {k: v for k, v in e.items() if k <= nx})
-    for i in range(s):
+    for i in range(s if paper else 0):
         for j in range(s):
             entries[(o3 + i * s + j, oL + j)] = {0: one}
             entries[(oL + i, o + i * s + j)] = {0: minus_one}
@@ -290,7 +314,8 @@ def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
     """Substitute g_k^{-1} for the placeholder variable nx+k of L.  The
     result realizes every entry of L(x, g_1^{-1}, ..., g_m^{-1})^{-1} at
     offset 2 s^2 + shat, in a pencil of size exactly
-    sum_k size(g_k) + m + 2 s^2 + s; the layout is _place_composition's."""
+    sum_k size(g_k) + m + 2 s^2 + s; the layout is _place_composition's
+    paper layout."""
     m = L.nvars - nx
     if m != len(gs):
         raise DimensionMismatch(
@@ -310,22 +335,26 @@ def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
     return RealizedGrid(LinearPencil(L.field, N, nx, entries), N - s, s)
 
 
-def compile_idrrsc(idr: IdrCircuit, field: Field) -> RealizedEntry:
-    """Compile the recursive decomposition into a single pencil realization:
-    branching-program base case, composition step for the inverses.  Each
-    node is realized at (size - s + 1, size), s its top's size, so the sizes
-    are worked out first, subs first; then one pass from the root writes
-    each block once.  Both walks are flat lists, not recursion."""
+def _compile(idr: IdrCircuit, field: Field, paper: bool) -> tuple[RealizedEntry, int]:
+    """The compiled entry in _place_composition's paper or condensed layout,
+    and the unit pivots, 2 s^2 per composition, that the condensed layout
+    leaves out.  Each node is realized at (size - s + 1, size), s its top's
+    size, so the sizes are worked out first, subs first; then one pass from
+    the root writes each block once.  Both walks are flat lists, not
+    recursion."""
     if not idr.subs:
-        return from_abp(idr.top, field, nvars=idr.nx)
+        return from_abp(idr.top, field, nvars=idr.nx), 0
     order = [idr]
     for node in order:                   # hosts before their subs
         order.extend(node.subs)
     size: dict[int, int] = {}            # by id: its dict forms make an IdrCircuit unhashable
+    pivots = 0
     for node in reversed(order):
         s = node.top.size
-        size[id(node)] = sum(size[id(g)] + 1 for g in node.subs) + 2 * s * s + s \
-            if node.subs else s
+        ident = 2 * s * s if node.subs else 0          # the level's identity rows
+        if not paper:
+            ident, pivots = 0, pivots + ident
+        size[id(node)] = sum(size[id(g)] + 1 for g in node.subs) + ident + s
     entries: Entries = {}
     at = {id(idr): 0}
     for node in order:
@@ -335,10 +364,29 @@ def compile_idrrsc(idr: IdrCircuit, field: Field) -> RealizedEntry:
             continue
         shapes = [(size[id(g)], size[id(g)] - g.top.size + 1, size[id(g)])
                   for g in node.subs]
-        offsets = _place_composition(entries, o, top, shapes, node.nx)
+        offsets = _place_composition(entries, o, top, shapes, node.nx, paper)
         at.update(zip(map(id, node.subs), offsets))
     N = size[id(idr)]
-    return RealizedEntry(LinearPencil(field, N, idr.nx, entries), N - idr.top.size + 1, N)
+    return RealizedEntry(LinearPencil(field, N, idr.nx, entries),
+                         N - idr.top.size + 1, N), pivots
+
+
+def compile_idrrsc(idr: IdrCircuit, field: Field) -> RealizedEntry:
+    """Compile the recursive decomposition into a single pencil realization:
+    branching-program base case, composition step for the inverses, in the
+    paper layout (see _place_composition).  This is the construction that
+    `ncrat compile` writes and that ncrank, bootstrap and series consume."""
+    return _compile(idr, field, paper=True)[0]
+
+
+def compile_condensed(idr: IdrCircuit, field: Field) -> tuple[RealizedEntry, int]:
+    """compile_idrrsc's element in _place_composition's condensed layout,
+    and the number P of unit pivots it leaves out, 2 s^2 per composition, s
+    the host's size: the pencil is P rows smaller and its rank at every
+    tuple of dimension d is the paper pencil's less P d.  rit's gate needs
+    no other entry of the inverse grid, and its reduction would pivot the
+    identities away."""
+    return _compile(idr, field, paper=False)
 
 
 # -- structural rank oracle ---------------------------------------------------
@@ -415,8 +463,8 @@ class _SparseEval:
 
 
 def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
-    """Exact constant-pivot elimination: (base, core, kept) with rank L(t) =
-    base * d + rank core(t) at every tuple t of dimension d.
+    """Exact constant-pivot elimination: (base, core, kept, full) with rank
+    L(t) = base * d + rank core(t) at every tuple t of dimension d.
 
     A row all of whose entries are constant (no k >= 1 component) is
     pivoted at its lowest column; a column all of whose entries are
@@ -426,7 +474,11 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
     column c leave and contribute exactly d to the rank.  Constant rows are
     drained before constant columns.  keep = (row, col) never pivots column
     row - 1 or row col - 1, and kept = (row', col') is where the core holds
-    the same element; kept is None when nothing is kept.
+    the same element; kept is None when nothing is kept.  full says whether
+    the elimination pivots every row, which makes L(t) invertible at every
+    tuple: with nothing kept, whether the core is empty; with keep, the
+    elimination goes on with the keep released once the core is taken, and
+    full says whether that core then reduces away.
 
     The entries are read from per-row and per-column indexes onto L's own
     entry dicts, and an entry is copied only when the complement writes to
@@ -449,76 +501,86 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
     # worklists of rows and columns that turned constant, popped from the end
     todo_rows = [r for r in range(n - 1, -1, -1) if not rvar[r]]
     todo_cols = [c for c in range(n - 1, -1, -1) if not cvar[c]]
-    base = 0
-    while todo_rows or todo_cols:
-        if todo_rows:
-            r = todo_rows.pop()
-            row = rows[r]
-            if not row or rvar[r] or r == kr or (c := min(row)) == kc \
-                    and (c := min(row.keys() - {kc}, default=-1)) < 0:
-                continue
-            col = cols[c]
-        else:
-            c = todo_cols.pop()
-            col = cols[c]
-            if not col or cvar[c] or c == kc or (r := min(col)) == kr \
-                    and (r := min(col.keys() - {kr}, default=-1)) < 0:
-                continue
-            row = rows[r]
-        rows[r] = cols[c] = None
-        alpha = row.pop(c)[0]
-        del col[r]
-        base += 1
-        for c2, e in row.items():
-            del cols[c2][r]
-            if len(e) > (0 in e):
-                cvar[c2] -= 1
-                if not cvar[c2]:
-                    todo_cols.append(c2)
-        for i, e in col.items():
-            del rows[i][c]
-            if len(e) > (0 in e):
-                rvar[i] -= 1
-                if not rvar[i]:
-                    todo_rows.append(i)
-        if not (row and col):
-            continue
-        ainv = f.inv(alpha)
-        for i, a in col.items():
-            row_i = rows[i]
-            for c2, b in row.items():
-                # one of the two factors is a constant s
-                s, e = (a[0], b) if len(a) == 1 and 0 in a else (b[0], a)
-                s = s * ainv % p if p else s * ainv
-                old = row_i.get(c2)
-                new = dict(old) if old else {}
-                for k, v in e.items():
-                    x = new.get(k, 0) - s * v
-                    if p:
-                        x %= p
-                    if x:
-                        new[k] = x
-                    else:
-                        new.pop(k, None)
-                if new:
-                    row_i[c2] = cols[c2][i] = new
-                elif old:
-                    del row_i[c2], cols[c2][i]
-                delta = len(new) > (0 in new)
-                if old:
-                    delta -= len(old) > (0 in old)
-                if delta:
-                    rvar[i] += delta
-                    cvar[c2] += delta
-                    if not rvar[i]:
-                        todo_rows.append(i)
+    base, out = 0, None
+    while True:
+        while todo_rows or todo_cols:
+            if todo_rows:
+                r = todo_rows.pop()
+                row = rows[r]
+                if not row or rvar[r] or r == kr or (c := min(row)) == kc \
+                        and (c := min(row.keys() - {kc}, default=-1)) < 0:
+                    continue
+                col = cols[c]
+            else:
+                c = todo_cols.pop()
+                col = cols[c]
+                if not col or cvar[c] or c == kc or (r := min(col)) == kr \
+                        and (r := min(col.keys() - {kr}, default=-1)) < 0:
+                    continue
+                row = rows[r]
+            rows[r] = cols[c] = None
+            alpha = row.pop(c)[0]
+            del col[r]
+            base += 1
+            for c2, e in row.items():
+                del cols[c2][r]
+                if len(e) > (0 in e):
+                    cvar[c2] -= 1
                     if not cvar[c2]:
                         todo_cols.append(c2)
-    live = [r for r in range(n) if rows[r] is not None]
-    cmap = {c: j for j, c in enumerate(c for c in range(n) if cols[c] is not None)}
-    entries = {(i, cmap[c]): e for i, r in enumerate(live) for c, e in rows[r].items()}
-    kept = (cmap[kc] + 1, live.index(kr) + 1) if keep else None
-    return base, LinearPencil(f, len(live), L.nvars, entries), kept
+            for i, e in col.items():
+                del rows[i][c]
+                if len(e) > (0 in e):
+                    rvar[i] -= 1
+                    if not rvar[i]:
+                        todo_rows.append(i)
+            if not (row and col):
+                continue
+            ainv = f.inv(alpha)
+            for i, a in col.items():
+                row_i = rows[i]
+                for c2, b in row.items():
+                    # one of the two factors is a constant s
+                    s, e = (a[0], b) if len(a) == 1 and 0 in a else (b[0], a)
+                    s = s * ainv % p if p else s * ainv
+                    old = row_i.get(c2)
+                    new = dict(old) if old else {}
+                    for k, v in e.items():
+                        x = new.get(k, 0) - s * v
+                        if p:
+                            x %= p
+                        if x:
+                            new[k] = x
+                        else:
+                            new.pop(k, None)
+                    if new:
+                        row_i[c2] = cols[c2][i] = new
+                    elif old:
+                        del row_i[c2], cols[c2][i]
+                    delta = len(new) > (0 in new)
+                    if old:
+                        delta -= len(old) > (0 in old)
+                    if delta:
+                        rvar[i] += delta
+                        cvar[c2] += delta
+                        if not rvar[i]:
+                            todo_rows.append(i)
+                        if not cvar[c2]:
+                            todo_cols.append(c2)
+        if out is None:
+            live = [r for r in range(n) if rows[r] is not None]
+            cmap = {c: j for j, c in enumerate(c for c in range(n) if cols[c] is not None)}
+            entries = {(i, cmap[c]): e for i, r in enumerate(live)
+                       for c, e in rows[r].items()}
+            kept = (cmap[kc] + 1, live.index(kr) + 1) if keep else None
+            out = base, LinearPencil(f, len(live), L.nvars, entries), kept
+        if kc == kr == -1:
+            return (*out, base == n)
+        # the core is taken and shares no dict the fill writes to: release
+        # the keep and pivot on
+        kc = kr = -1
+        todo_rows = [r for r in range(n - 1, -1, -1) if rows[r] is not None and not rvar[r]]
+        todo_cols = [c for c in range(n - 1, -1, -1) if cols[c] is not None and not cvar[c]]
 
 
 class PencilOracle:
@@ -532,12 +594,19 @@ class PencilOracle:
     RealizedEntry).  Over every field, core(t) is built as sparse rows
     straight from the core's entries and ranked by _sparse.rank_sparse,
     unless it fills in over a prime the dense kernel supports
-    (_sparse.fills) and goes there."""
+    (_sparse.fills) and goes there.
 
-    def __init__(self, L: LinearPencil, keep: tuple[int, int] | None = None):
+    pivoted counts the unit pivots L's builder already took (those
+    compile_condensed leaves out of rit's gate), and size and base count
+    them too.  invertible_everywhere is _reduce's full: the elimination,
+    finished with any keep released, pivots every row."""
+
+    def __init__(self, L: LinearPencil, keep: tuple[int, int] | None = None,
+                 pivoted: int = 0):
         self.field = L.field
-        self.size = L.size
-        self.base, self.core, self.kept = _reduce(L, keep)
+        self.size = L.size + pivoted
+        base, self.core, self.kept, self.invertible_everywhere = _reduce(L, keep)
+        self.base = base + pivoted
         self._eval_rows = _SparseEval(self.core)
         self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
         self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched

@@ -94,7 +94,9 @@ def probe_invertible(oracle: PencilOracle, seed: int = 0) -> MatrixTuple | None:
 def make_skew_matrix(grid, field: Field) -> SkewMatrix:
     """Check a square grid of realized entries (None marks a zero entry),
     widen every entry to the grid's variables and probe each entry pencil
-    for invertibility; NotInvertiblePencil names the first that fails."""
+    for invertibility; NotInvertiblePencil names the first that fails.  An
+    entry whose oracle's elimination proves it invertible everywhere (a
+    branching program's pencil, say) is not probed."""
     m = len(grid)
     if any(len(row) != m for row in grid):
         raise ValueError("grid must be square")
@@ -105,7 +107,8 @@ def make_skew_matrix(grid, field: Field) -> SkewMatrix:
                           for e in row) for row in grid)
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
-            if e is not None and probe_invertible(e.oracle, seed=17 * i + j) is None:
+            if e is not None and not e.oracle.invertible_everywhere \
+                    and probe_invertible(e.oracle, seed=17 * i + j) is None:
                 exc = NotInvertiblePencil(
                     "entry pencil singular at all probed dimensions")
                 exc.entry = (i, j)

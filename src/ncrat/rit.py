@@ -31,7 +31,8 @@ from .circuit import (MAX_VARS, BlowupExceeded, RationalCircuit, Undefined,
                       transport_lists)
 from .field import (MAX_DIM, DenseMatrix, Field, MatrixTuple, is_invertible,
                     sample_tuple)
-from .pencil import PencilOracle, RealizedEntry, compile_idrrsc, realize_inverse
+from .pencil import (PencilOracle, RealizedEntry, compile_condensed, compile_idrrsc,
+                     realize_inverse)
 from .series import (FieldTooSmall, assemble_shift_point, scaling_search,
                      series_is_zero, shifted_entry_series)
 
@@ -80,8 +81,13 @@ def compile_circuit(c: RationalCircuit, field: Field) -> RealizedEntry:
 def _gate_oracle(c: RationalCircuit, field: Field) -> PencilOracle:
     """The oracle of the bordered pencil for the circuit's inverse (its
     size is the gate's): invertible at t exactly when the circuit is defined
-    at t with an invertible value.  The pencil itself is not kept."""
-    return PencilOracle(realize_inverse(compile_circuit(c, field)).pencil)
+    at t with an invertible value.  The pencil itself is not kept.
+
+    The border goes around compile_condensed's entry, not compile_circuit's.
+    It touches none of the P unit pivots that entry leaves out, so the
+    oracle, told of them, has the paper gate's size, base and core."""
+    entry, pivoted = compile_condensed(to_idrrsc(c), field)
+    return PencilOracle(realize_inverse(entry).pencil, pivoted=pivoted)
 
 
 def rit_test(c: RationalCircuit, field: Field,

@@ -22,21 +22,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import _invert_generic, _rank_generic, assemble_full, ncrank_skew_full
 from test_ceiling import _uv_3x1
+from test_circuit import _random_circuit
 from test_golden import SKEW3
 from test_rank import mixed_grids
 
 from ncrat import pencil, rank
 from ncrat.circuit import classify, parse_expr, to_idrrsc, variable_reduction
-from ncrat.field import MERSENNE61, QQ, PrimeField, Singular, sample_tuple
+from ncrat.field import MERSENNE61, QQ, PrimeField, Singular, rank_of, sample_tuple
 from ncrat.pencil import (PencilOracle, RealizedEntry, _reduce, compile_idrrsc,
                           eval_pencil, pencil_from_rows, realize_inverse)
 from ncrat.rank import (DivisibilityAnomaly, RankParams, assemble_at,
                         make_skew_matrix, ncrank_skew, probe_invertible,
                         read_skew_file)
-from ncrat.rit import compile_circuit, corpus
+from ncrat.rit import _gate_oracle, compile_circuit, corpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-M61, F101 = PrimeField(MERSENNE61), PrimeField(101)
+M61, F7, F101 = PrimeField(MERSENNE61), PrimeField(7), PrimeField(101)
 FIELDS = (M61, F101, PrimeField((1 << 61) + 15), QQ)
 VALUES = (1, -1, 2, -3, Fraction(1, 2))
 
@@ -95,7 +96,7 @@ def test_kept_reduction_matches_the_dense_inverse(case, seed):
     field, dense, row, col = case
     L = pencil_from_rows(field, dense)
     before = _snapshot(L)
-    base, core, kept = _reduce(L, (row, col))
+    base, core, kept, full = _reduce(L, (row, col))
     g = RealizedEntry(core, *kept)
     assert _snapshot(L) == before
     assert base + g.size == L.size
@@ -109,6 +110,7 @@ def test_kept_reduction_matches_the_dense_inverse(case, seed):
         rank = _rank_generic(A)
         core_rank = _rank_generic(eval_pencil(g.pencil, t))
         assert rank == base * d + core_rank
+        assert rank == L.size * d or not full
         if rank < L.size * d:
             for entry in (e, g):
                 with pytest.raises(Singular):
@@ -234,11 +236,50 @@ GATE_DIGESTS = {
 }
 
 
+def _reduced(oracle):
+    return oracle.base, oracle.core.size, sorted(oracle.core.entries.items())
+
+
 @pytest.mark.parametrize("name, field", [("M61", M61), ("Q", QQ)])
 def test_gate_reductions_are_unchanged(name, field):
-    h = hashlib.sha256()
+    """The paper gate, reduced by _reduce, and rit's gate oracle, built on
+    the condensed composition, both give the recorded digest; the oracle's
+    size is the paper gate's."""
+    paper, condensed = hashlib.sha256(), hashlib.sha256()
     for label, c, _ in corpus():
         for form in (c, variable_reduction(c, classify(c).height)):
-            base, core, _ = _reduce(realize_inverse(compile_circuit(form, field)).pencil)
-            h.update(repr((label, base, core.size, sorted(core.entries.items()))).encode())
-    assert h.hexdigest() == GATE_DIGESTS[name]
+            L = realize_inverse(compile_circuit(form, field)).pencil
+            base, core, _, _ = _reduce(L)
+            paper.update(repr((label, base, core.size, sorted(core.entries.items()))).encode())
+            oracle = _gate_oracle(form, field)
+            assert oracle.size == L.size
+            condensed.update(repr((label, *_reduced(oracle))).encode())
+    assert paper.hexdigest() == GATE_DIGESTS[name]
+    assert condensed.hexdigest() == GATE_DIGESTS[name]
+
+
+def _compile_pin_circuits():
+    """The circuits of test_compiled_pencils_are_unchanged but the corpus:
+    240 seeded random circuits (every third a DAG that shares inverse
+    gates), inv( nested 60 deep and one top holding 43 inverse gates."""
+    rng = random.Random(0x1DF)
+    circuits = [_random_circuit(rng, dag=k % 3 == 2) for k in range(240)]
+    circuits.append(parse_expr("inv(" * 60 + "x1 + inv(x2)" + ")" * 60))
+    circuits.append(parse_expr(" + ".join(["inv(x1)"] * 40)
+                               + " + x2*inv(inv(x1))*inv(x2)"))
+    return circuits
+
+
+@pytest.mark.parametrize("field", [M61, F7, QQ], ids=["M61", "F7", "Q"])
+def test_condensed_gate_reduces_as_the_paper_gate(field):
+    """rit's gate oracle, built on compile_condensed, has the size, base and
+    core of the paper gate's oracle, and its rank_at is the paper gate's
+    exact rank at tuples of dimension 1-3."""
+    rng = random.Random(0x6A7E)
+    for c in _compile_pin_circuits():
+        L = realize_inverse(compile_circuit(c, field)).pencil
+        want, got = PencilOracle(L), _gate_oracle(c, field)
+        assert (got.size, *_reduced(got)) == (want.size, *_reduced(want))
+        for d in (1, 2, 3):
+            t = sample_tuple(field, max(c.nvars, 1), d, rng)
+            assert got.rank_at(t) == rank_of(eval_pencil(L, t))

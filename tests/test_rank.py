@@ -61,6 +61,32 @@ def test_make_skew_matrix_detects_never_invertible():
     assert exc.value.entry == (0, 0)
 
 
+def test_make_skew_matrix_probes_only_entries_not_proved_invertible(monkeypatch):
+    # a branching program's pencil reduces away once its kept row and
+    # column are released, so it is invertible everywhere and never probed;
+    # an inverse gadget is probed, and a singular pencil is still refused
+    from ncrat import rank
+    probed = []
+    probe = rank.probe_invertible
+
+    def counted(oracle, seed=0):
+        probed.append(oracle)
+        return probe(oracle, seed)
+    monkeypatch.setattr(rank, "probe_invertible", counted)
+    abp = from_abp(formula_to_abp(parse_expr("x1*x2 - x2*x1 + 3")), F)
+    assert abp.oracle.invertible_everywhere
+    make_skew_matrix([[abp, None], [entry_of("x3 + x1*x2"), entry_of("2")]], F)
+    assert probed == []
+    gadget = realize_inverse(entry_of("x1"))
+    assert not gadget.oracle.invertible_everywhere
+    make_skew_matrix([[gadget]], F)
+    assert len(probed) == 1
+    L = pencil_from_rows(F, [[[0, 0], [0, 1]], [[0, 0], [1, 0]]])
+    with pytest.raises(NotInvertiblePencil):
+        make_skew_matrix([[abp, RealizedEntry(L, 1, 2)], [None, abp]], F)
+    assert len(probed) == 2
+
+
 # -- reduction pencil ----------------------------------------------------------------
 
 def test_reduction_pencil_size():

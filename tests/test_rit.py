@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from ncrat.circuit import (BlowupExceeded, classify, eval_circuit, parse_expr,
                            transport_tuple, variable_reduction)
 from ncrat.field import QQ, DenseMatrix, PrimeField, is_invertible, prime_field
-from ncrat.pencil import compile_idrrsc
+from ncrat.pencil import compile_condensed
 from ncrat.rit import (RitParams, WitnessNotFound,
                        bootstrap_dimension, corpus, hitting_set_generate,
                        rit_test, sparse_points, strong_witness, verify_strong)
@@ -93,8 +93,8 @@ def test_rit_then_strong_witness_compiles_once(monkeypatch):
 
     def counted(idr, field):
         calls.append(idr)
-        return compile_idrrsc(idr, field)
-    monkeypatch.setattr(rit, "compile_idrrsc", counted)
+        return compile_condensed(idr, field)
+    monkeypatch.setattr(rit, "compile_condensed", counted)
     rit._gate_oracle.cache_clear()
     circ = parse_expr("inv(x1 + inv(x2))*x3")
     params = RitParams(trials=4, seed=0)
