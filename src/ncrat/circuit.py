@@ -15,10 +15,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .field import DenseMatrix, MatrixTuple, Singular, invert, parse_number
 
-LinForm = dict  # var index -> Fraction, key 0 is the constant slot
+LinForm = dict  # var index -> int or Fraction, key 0 is the constant slot
 
 
 class ParseError(Exception):
@@ -50,15 +51,19 @@ class RationalCircuit:
 
     @cached_property
     def reachable(self) -> tuple[int, ...]:
-        seen = set()
-        stack = [self.output]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(_children(self.nodes[i]))
-        return tuple(sorted(seen))
+        """The nodes the output depends on, in index order: one sweep down
+        from the output, as children precede parents."""
+        nodes, out = self.nodes, self.output
+        seen = [False] * (out + 1)
+        seen[out] = True
+        for i in range(out, -1, -1):
+            if seen[i]:
+                node = nodes[i]
+                if len(node) == 3:
+                    seen[node[1]] = seen[node[2]] = True
+                elif node[0] == "inv":
+                    seen[node[1]] = True
+        return tuple(compress(range(out + 1), seen))
 
     @cached_property
     def size(self) -> int:
@@ -110,14 +115,11 @@ class CircuitBuilder:
 # name such as x99999999999999999999 would otherwise never finish.
 MAX_VARS = 1 << 16
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<inv>inv\b)
-  | (?P<var>x[1-9][0-9]*|y[0-9]+_[01])
-  | (?P<int>[0-9]+)
-  | (?P<pinv>\^-1)
-  | (?P<op>[-+*/()])
-""", re.VERBOSE)
+# After any whitespace, one token: a keyword, a name, a number, ^-1, an
+# operator, or a character that starts no token (\S), which _fail reports.
+_TOKEN = re.compile(r"\s*(inv\b|x[1-9][0-9]*|y[0-9]+_[01]|[0-9]+|\^-1|[-+*/()]|\S)")
+_ONE_CHAR_TOKENS = frozenset("0123456789+-*/()")
+_DIGITS = frozenset("0123456789")
 
 
 def _var_index(name: str) -> int:
@@ -130,111 +132,109 @@ def _var_index(name: str) -> int:
     return int(digits) if name[0] == "x" else 2 * int(digits) + int(b) + 1
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(), pos))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
+def _fail(text: str, toks: list, i: int, message: str):
+    """Raise ParseError at token i (toks[-1] is the end, ""), unless some
+    token is a character that starts no token: then the first of those."""
+    pos = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+    for j, tok in enumerate(toks):
+        if len(tok) == 1 and tok not in _ONE_CHAR_TOKENS:
+            raise ParseError(f"unexpected character {tok!r}", pos[j])
+    raise ParseError(message, pos[i])
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.b = CircuitBuilder()
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind=None, value=None):
-        tok = self.toks[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        if value is not None and tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def _at_op(self, ops: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "op" and tok[1] in ops
-
-    def parse(self) -> RationalCircuit:
-        """Recursive descent (grammar in the README) with an explicit stack:
-        `frames` saves the state outside each open "(" or "inv(", which is
-        `acc` (terms so far), `op` (the operator before the current term)
-        and `term` (factors so far).  Nodes come out in post-order."""
-        b = self.b
-        frames: list[tuple] = []
-        acc = op = term = None
-        while True:
-            tok = self.peek()
-            if tok[0] == "inv" or self._at_op("("):
-                self.take()
-                if tok[0] == "inv":
-                    self.take("op", "(")
-                frames.append((tok[0], acc, op, term))
-                acc = op = term = None
-                continue
-            node = self.atom()
-            while True:  # node is a complete atom; close what it completes
-                while self.peek()[0] == "pinv":
-                    self.take()
-                    node = b.inv(node)
-                term = node if term is None else b.mul(term, node)
-                if self._at_op("*"):
-                    self.take()
-                    break
-                if op is None:
-                    acc = term
-                else:
-                    acc = b.add(acc, term) if op == "+" else b.sub(acc, term)
-                term = None
-                if self._at_op("+-"):
-                    op = self.take()[1]
-                    break
-                if not frames:
-                    tok = self.peek()
-                    if tok[0] != "eof":
-                        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-                    return b.build(acc)
-                self.take("op", ")")
-                opener, outer_acc, op, term = frames.pop()
-                node = b.inv(acc) if opener == "inv" else acc
-                acc = outer_acc
-
-    def atom(self) -> int:
-        tok = self.peek()
-        if tok[0] == "var":
-            self.take()
-            k = _var_index(tok[1])
-            if k > MAX_VARS:
-                raise ParseError(f"variable index above {MAX_VARS}", tok[2])
-            return self.b.var(k)
-        if tok[0] == "int":
-            self.take()
-            num = int(tok[1])
-            if self._at_op("/"):
-                self.take()
-                den = self.take("int")
-                if int(den[1]) == 0:
-                    raise ParseError("zero denominator", den[2])
-                return self.b.const(Fraction(num, int(den[1])))
-            return self.b.const(num)
-        raise ParseError(f"expected an atom, found {tok[1]!r}", tok[2])
+def _expect(text: str, toks: list, i: int, op: str):
+    """The error for token i where the operator op must stand."""
+    tok = toks[i]
+    what = repr(op) if tok and tok in "+-*/()" else "op"
+    _fail(text, toks, i, f"expected {what}, found {tok!r}")
 
 
 def parse_expr(text: str) -> RationalCircuit:
-    """Parse an expression into a tree-shaped circuit (a formula)."""
-    return _Parser(text).parse()
+    """Parse an expression into a tree-shaped circuit (a formula).
+
+    Recursive descent (grammar in the README) with an explicit stack over
+    the token strings: `frames` saves the state outside each open "(" or
+    "inv(", which is `acc` (terms so far), `op` (the operator before the
+    current term) and `term` (factors so far).  Nodes come out in
+    post-order, so every node is reachable."""
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    nodes: list[tuple] = []
+    push = nodes.append
+    frames: list[tuple] = []
+    acc = op = term = None
+    nvars = i = 0
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "(" or tok == "inv":
+            if tok == "inv":
+                if toks[i] != "(":
+                    _expect(text, toks, i, "(")
+                i += 1
+            frames.append((tok, acc, op, term))
+            acc = op = term = None
+            continue
+        if len(tok) > 1 and tok[0] in "xy":
+            k = int(tok[1:]) if tok[0] == "x" and len(tok) < 7 else _var_index(tok)
+            if k > MAX_VARS:
+                _fail(text, toks, i - 1, f"variable index above {MAX_VARS}")
+            if k > nvars:
+                nvars = k
+            push(("var", k))
+        elif tok[:1] in _DIGITS:
+            if toks[i] == "/":
+                den = toks[i + 1]
+                if den[:1] not in _DIGITS:
+                    _fail(text, toks, i + 1, f"expected int, found {den!r}")
+                if int(den) == 0:
+                    _fail(text, toks, i + 1, "zero denominator")
+                push(("const", Fraction(int(tok), int(den))))
+                i += 2
+            else:
+                push(("const", Fraction(int(tok))))
+        else:
+            _fail(text, toks, i - 1, f"expected an atom, found {tok!r}")
+        node = len(nodes) - 1
+        while True:  # node is a complete atom; close what it completes
+            tok = toks[i]
+            while tok == "^-1":
+                push(("inv", node))
+                node = len(nodes) - 1
+                i += 1
+                tok = toks[i]
+            if term is None:
+                term = node
+            else:
+                push(("mul", term, node))
+                term = len(nodes) - 1
+            if tok == "*":
+                i += 1
+                break
+            if op is None:
+                acc = term
+            else:
+                push(("add" if op == "+" else "sub", acc, term))
+                acc = len(nodes) - 1
+            term = None
+            if tok == "+" or tok == "-":
+                op = tok
+                i += 1
+                break
+            if not frames:
+                if tok:
+                    _fail(text, toks, i, f"trailing input {tok!r}")
+                return RationalCircuit(tuple(nodes), acc, nvars)
+            if tok != ")":
+                _expect(text, toks, i, ")")
+            i += 1
+            opener, outer_acc, op, term = frames.pop()
+            if opener == "inv":
+                push(("inv", acc))
+                node = len(nodes) - 1
+            else:
+                node = acc
+            acc = outer_acc
 
 
 # -- structural analysis ---------------------------------------------------
@@ -308,7 +308,8 @@ class Abp:
     """Layered branching program in normal form: vertex layers of widths
     w0, ..., w_d with w0 = w_d = 1, and layers[t] the edges from layer t to
     layer t + 1, stored sparse as {(i, j): form} with no empty form; a form
-    is affine, {var index -> Fraction} with key 0 the constant part."""
+    is affine, {var index -> int or Fraction} with key 0 the constant part,
+    a Fraction only where a value is not an integer."""
 
     layers: tuple
     widths: tuple
@@ -322,48 +323,72 @@ class Abp:
     def width(self) -> int:
         return max(self.widths)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(self.widths)
 
 
-def _form_add(a: LinForm, b: LinForm) -> LinForm:
-    """a + b, written into a, which no other node's layers hold: a copy of
-    a would make a sum of n one-layer terms take time quadratic in n."""
-    for k, v in b.items():
-        s = a.get(k, Fraction(0)) + v
-        if s == 0:
-            a.pop(k, None)
-        else:
-            a[k] = s
-    return a
+def _sum(a: tuple, b: tuple, negate_b: bool) -> tuple:
+    """The operand a + b or a - b (see _fold).  Two one-layer operands are
+    added at once, into a's one form, which no other operand holds, so a
+    left-nested sum of n one-layer terms takes time linear in n.  Otherwise
+    the sum is a node (a, b, negate_b, widths, k), laid out by _lay once
+    the whole chain of + and - is known: each side is padded to the deeper
+    one's depth by identity layers, and in every inner vertex layer b's
+    vertices go after a's."""
+    wa, wb = a[-2], b[-2]
+    if len(wa) == len(wb) == 2:
+        (dst,), (src,) = a[0], b[0]
+        for form in src.values():        # at most one, at (0, 0)
+            into = dst.setdefault((0, 0), {})
+            for k, v in form.items():
+                if x := into.get(k, 0) + (-v if negate_b else v):
+                    into[k] = x
+                else:
+                    del into[k]
+            if not into:
+                del dst[0, 0]
+        return a[0], wa, a[2] + b[2]
+    depth = max(len(wa), len(wb)) - 1
+    widths = [1] + [(wa[t] if t < len(wa) else 1) + (wb[t] if t < len(wb) else 1)
+                    for t in range(1, depth)] + [1]
+    return a, b, negate_b, widths, a[-1] + b[-1]
 
 
-def _abp_sum(a: tuple[list, list], b: tuple[list, list], negate_b: bool) -> None:
-    """Write the branching program b, given as (layers, widths), into a as
-    a + b or a - b: the shorter one is padded with identity layers, and b's
-    vertices go after a's in every inner layer.  Both own their lists and
-    forms: a's are changed in place and b's are moved into them."""
-    (la, wa), (lb, wb) = a, b
-    for layers, widths in (a, b):
-        while len(layers) < max(len(la), len(lb)):
-            layers.append({(0, 0): {0: Fraction(1)}})
-            widths.append(1)
-    if negate_b:
-        for form in lb[0].values():
-            for k in form:
-                form[k] = -form[k]
-    last = len(la) - 1
-    for t, (dst, src) in enumerate(zip(la, lb)):
-        ro = wa[t] if t > 0 else 0
-        co = wa[t + 1] if t < last else 0
-        for (i, j), form in src.items():
-            key = (ro + i, co + j)
-            if key not in dst:
-                dst[key] = form
-            elif not _form_add(dst[key], form):
-                del dst[key]
-    wa[1:-1] = [x + y for x, y in zip(wa[1:-1], wb[1:-1])]
+def _lay(op: tuple) -> tuple:
+    """An operand as (layers, widths, k).  A sum node's summands are each
+    written once, at their offsets, into one list of layers, with the
+    identity edges that pad them and the first layer of each b of an a - b
+    negated.  Within a layer, edges go in the order the summands stand and
+    each padding edge follows the summands it pads, which is the order that
+    adding the operands pairwise, innermost sums first, leaves."""
+    if len(op) == 3:
+        return op
+    widths = op[3]
+    out: list[dict] = [{} for _ in range(len(widths) - 1)]
+    todo = [(op, [0] * len(widths), False)]     # (operand, offsets, negated)
+    while todo:
+        node, off, neg = todo.pop()
+        depth = len(node[-2]) - 1
+        for t in range(depth, len(off) - 1):    # pad to the enclosing depth
+            out[t][off[t], off[t + 1]] = {0: 1}
+        if len(node) == 5:
+            a, b, sub = node[:3]
+            wa = a[-2]
+            shift = [off[t] + (wa[t] if t < len(wa) else 1) for t in range(1, depth)]
+            todo.append((b, [off[0], *shift, off[depth]], neg != sub))
+            todo.append((a, off[:depth + 1], neg))
+            continue
+        layers = node[0]
+        if neg:
+            for form in layers[0].values():
+                for k in form:
+                    form[k] = -form[k]
+        for t, layer in enumerate(layers):
+            ro, co, dst = off[t], off[t + 1], out[t]
+            for (i, j), form in layer.items():
+                dst[ro + i, co + j] = form
+    return out, widths, op[-1]
 
 
 def formula_to_abp(c: RationalCircuit) -> Abp:
@@ -427,63 +452,70 @@ def _fold(c: RationalCircuit, cap_nodes: int) -> IdrCircuit:
     """One depth-first walk from c's output, left before right: a node is
     counted against cap_nodes when opened and folded when its children are
     done, so a shared node is folded wherever it is reached.  `stack` holds
-    each finished operand's branching-program layers and widths, and how
-    many placeholders they hold, for the last subs on `pending` (pending[j]
-    is variable nx + j + 1).  An inverse gate closes its child's top into a
-    sub and leaves a placeholder for it.  Each operand owns its lists and
-    forms, so `*` and `+` extend and add into the left one."""
+    each finished operand, for the last subs on `pending` (pending[j] is
+    variable nx + j + 1): its branching-program layers and widths and how
+    many placeholders they hold, or a sum node (_sum) whose layout waits
+    until a product, an inverse or the end takes it (_lay), so that a chain
+    of + and - is laid out once however it nests.  An inverse gate closes
+    its child's top into a sub and leaves a placeholder for it.  Each
+    operand owns its lists and forms, so `*` extends the left one.  A
+    coefficient is an int unless a constant makes it a true fraction."""
     nx = c.nvars
     pending: list[IdrCircuit] = []
-    stack: list[tuple[list, list, int]] = []
+    stack: list[tuple] = []
     count = 0
-    walk = [(c.output, False)]           # (node, children already folded)
+    nodes = c.nodes
+    walk = [c.output]                    # i to open node i, ~i to fold it
     while walk:
-        i, closing = walk.pop()
-        node = c.nodes[i]
-        kind = node[0]
-        if not closing:
+        i = walk.pop()
+        if i >= 0:
             count += 1
             if count > cap_nodes:
                 raise BlowupExceeded(
                     f"tree expansion exceeded {cap_nodes} nodes; the circuit shares "
                     "subexpressions too aggressively for duplication")
-            if kind not in ("const", "var"):
-                walk.append((i, True))
-                walk.extend((ch, False) for ch in reversed(node[1:]))
-                continue
-        if kind in ("add", "sub", "mul"):
-            lb, wb, kb = stack.pop()
-            la, wa, ka = stack.pop()
-            if kind == "mul":
-                la += lb
-                wa += wb[1:]
+            node = nodes[i]
+            kind = node[0]
+            if kind == "var":
+                stack.append(([{(0, 0): {node[1]: 1}}], [1, 1], 0))
+            elif kind == "const":
+                v = node[1]
+                v = v.numerator if v.denominator == 1 else v
+                stack.append(([{(0, 0): {0: v}} if v else {}], [1, 1], 0))
             else:
-                _abp_sum((la, wa), (lb, wb), kind == "sub")
-            stack.append((la, wa, ka + kb))
+                walk += (~i, node[2], node[1]) if len(node) == 3 else (~i, node[1])
             continue
-        k = 0
-        if kind == "var":
-            form = {node[1]: Fraction(1)}
-        elif kind == "const":
-            form = {0: Fraction(node[1])} if node[1] else {}
+        node = nodes[~i]
+        kind = node[0]
+        b = stack.pop()
+        if kind == "inv":
+            pending.append(_close(*_lay(b), pending, nx))
+            stack.append(([{(0, 0): {nx + len(pending): 1}}], [1, 1], 1))
+        elif kind == "mul":
+            la, wa, ka = _lay(stack.pop())
+            lb, wb, kb = _lay(b)
+            la += lb
+            wa += wb[1:]
+            stack.append((la, wa, ka + kb))
         else:
-            pending.append(_close(*stack.pop(), pending, nx))
-            form, k = {nx + len(pending): Fraction(1)}, 1
-        stack.append(([{(0, 0): form} if form else {}], [1, 1], k))
-    return _close(*stack.pop(), pending, nx)
+            stack.append(_sum(stack.pop(), b, kind == "sub"))
+    return _close(*_lay(stack.pop()), pending, nx)
 
 
 def _close(layers: list, widths: list, k: int, pending: list, nx: int) -> IdrCircuit:
     """Freeze a finished top whose k placeholders stand for the last k subs
     on pending: take those subs off, and renumber the placeholders to
-    nx+1, ..., nx+k, which keeps them in index order."""
+    nx+1, ..., nx+k, which keeps them in index order.  Each placeholder
+    stands in one form and never cancels, so with k of them nx + k is the
+    largest variable."""
     base = len(pending) - k
     subs = tuple(pending[base:])
     del pending[base:]
     if k and base:
         layers = [{ij: {(v - base if v > nx else v): a for v, a in f.items()}
                    for ij, f in m.items()} for m in layers]
-    nvars = max((v for m in layers for f in m.values() for v in f), default=0)
+    nvars = nx + k if k else max((v for m in layers for f in m.values() for v in f),
+                                 default=0)
     return IdrCircuit(top=Abp(layers=tuple(layers), widths=tuple(widths), nvars=nvars),
                       nx=nx, subs=subs)
 

@@ -95,6 +95,8 @@ class PrimeField:
     def normalize(self, a) -> int:
         """a mod p; ValueError for a fraction whose denominator p divides,
         a constant with no value in F_p."""
+        if type(a) is int:
+            return a % self.p
         if isinstance(a, Fraction):
             if a.denominator % self.p == 0:
                 raise ValueError(f"constant {a} is undefined in F_{self.p}: "

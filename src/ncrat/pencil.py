@@ -22,22 +22,23 @@ identity blocks, which realizes the same element.
 
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
-Builders write blocks into that map with `place_block`, and nothing writes
+Builders write blocks into that map with `place_block`, the compiler its
+branching programs' entries straight at their offsets, and nothing writes
 to a pencil's entries once it is built, so pencils share entry dicts.  A
 PencilOracle reduces a pencil once by exact elimination at constant pivots,
 which reads those dicts in place and copies one only to write fill into it;
-most of the compiler's pivots have no fill and do no field arithmetic.  A
-realized entry owns one, which keeps its element (RealizedEntry.oracle).
-Evaluations at a matrix tuple are built as sparse rows straight from the
-entries (_SparseEval), over every field, Q included: an oracle ranks its
-core's, an entry's value is solved from them by _sparse.solve, which hands
-rows that fill in to the dense kernel, and `eval_pencil` scatters them into
-a dense matrix.  Only a core whose evaluations fill in over a prime the
-dense kernel serves (_sparse.fills) is evaluated by that kernel instead.
-From the same rows the oracle can look for a shrunk subspace of its core
-(the second Wong sequence), which bounds the pencil's rank at every tuple
-and, shrinking by one dimension, proves it singular; check_shrunk re-checks
-one by exact ranks.
+most of the compiler's pivots fill in, mostly scaling by +-1, which needs
+no multiplication.  A realized entry owns one, which keeps its element
+(RealizedEntry.oracle).  Evaluations at a matrix tuple are built as sparse
+rows straight from the entries (_SparseEval), over every field, Q included:
+an oracle ranks its core's, an entry's value is solved from them by
+_sparse.solve, which hands rows that fill in to the dense kernel, and
+`eval_pencil` scatters them into a dense matrix.  Only a core whose
+evaluations fill in over a prime the dense kernel serves (_sparse.fills) is
+evaluated by that kernel instead.  From the same rows the oracle can look
+for a shrunk subspace of its core (the second Wong sequence), which bounds
+the pencil's rank at every tuple and, shrinking by one dimension, proves it
+singular; check_shrunk re-checks one by exact ranks.
 """
 
 from __future__ import annotations
@@ -86,15 +87,11 @@ class LinearPencil:
         return mats
 
 
-def place_block(dst: Entries, block: Entries, ro: int = 0, co: int = 0,
-                coeff=None) -> None:
+def place_block(dst: Entries, block: Entries, ro: int = 0, co: int = 0) -> None:
     """Write block, a map (i, j) -> {k: value}, into dst at offset (ro, co).
     Each component is assigned, as in a dense coefficient matrix: other
-    components already at (ro + i, co + j) stay, a zero value removes one.
-    coeff, when given, rewrites each {k: value} of the block first
-    (renaming, negating or dropping coefficients)."""
-    shifted = {(ro + i, co + j): e if coeff is None else coeff(e)
-               for (i, j), e in block.items()}
+    components already at (ro + i, co + j) stay, a zero value removes one."""
+    shifted = {(ro + i, co + j): e for (i, j), e in block.items()}
     for key in shifted.keys() & dst.keys():
         shifted[key] = {**dst[key], **shifted[key]}
     dst.update(shifted)
@@ -198,16 +195,41 @@ def from_abp(a: Abp, field: Field, nvars: int | None = None) -> RealizedEntry:
     polynomial realized in the upper right corner; invertible at every
     tuple."""
     n = a.nvars if nvars is None else nvars
-    N = a.size
-    entries = {(i, i): {0: field.one} for i in range(N)}
-    off = 0
+    entries = dict(_abp_entries(a, field, 0, max(n, a.nvars))[0])
+    return RealizedEntry(LinearPencil(field, a.size, n, entries), 1, a.size)
+
+
+def _abp_entries(a: Abp, field: Field, o: int, nx: int, m: int = 0):
+    """from_abp's entries for a at offset (o, o), as ((row, col), entry) in
+    the order it writes them: the unit diagonal, then each layer's edges,
+    whose forms are negated and normalized, zeros dropped.  Variable nx + q,
+    1 <= q <= m, is a placeholder: it is left out of its entry, and occ[q -
+    1] is its (row, col, value) relative to o, or None where it is absent.
+    Returns (entries, occ)."""
+    neg, norm = field.neg, field.normalize
+    unit = {0: field.one}
+    out = [((q, q), unit) for q in range(o, o + a.size)]
+    occ: list = [None] * m
+    off = o
     for layer, w in zip(a.layers, a.widths):
-        # each layer joins the width-w block at off to the next block
-        place_block(entries, layer, off, off + w,
-                    lambda form: {k: field.neg(field.normalize(v))
-                                  for k, v in form.items()})
+        for (i, j), form in layer.items():
+            e = {}
+            for k, v in form.items():
+                x = neg(norm(v))
+                if not x:
+                    continue
+                if k <= nx:
+                    e[k] = x
+                elif occ[k - nx - 1] is None:
+                    occ[k - nx - 1] = (off - o + i, off - o + w + j, x)
+                else:
+                    raise DisjointnessViolation(
+                        f"placeholder variable {k} occurs in more than one "
+                        "entry of the host pencil")
+            if e:
+                out.append(((off + i, off + w + j), e))
         off += w
-    return RealizedEntry(LinearPencil(field, N, n, entries), 1, N)
+    return out, occ
 
 
 # -- inverse gadgets and composition ------------------------------------------
@@ -220,8 +242,8 @@ def realize_inverse(g: RealizedEntry) -> RealizedEntry:
     f = g.pencil.field
     s = g.size
     entries = dict(g.pencil.entries)
-    place_block(entries, {(g.col - 1, s): {0: f.one},           # e_v column
-                          (s, g.row - 1): {0: f.neg(f.one)}})   # -e_u^T row
+    entries[g.col - 1, s] = {0: f.one}              # e_v column
+    entries[s, g.row - 1] = {0: f.neg(f.one)}       # -e_u^T row
     return RealizedEntry(LinearPencil(f, s + 1, g.nvars, entries), s + 1, s + 1)
 
 
@@ -254,12 +276,15 @@ def _y_occurrences(L: LinearPencil, nx: int) -> list[tuple[int, int, object] | N
     return occ
 
 
-def _place_composition(entries: Entries, o: int, L: LinearPencil,
-                       shapes: list[tuple[int, int, int]], nx: int,
+def _place_composition(entries: Entries, o: int, field: Field, s: int,
+                       host: list, occ: list, shapes: list[tuple[int, int, int]],
                        paper: bool = True) -> list[int]:
-    """Write compose's blocks for host L at offset o, all but the realized
-    pencils, given as (size, row, col); return where each pencil goes.  In
-    H, each pencil has realize_inverse's border.
+    """Write compose's blocks at offset o, all but the realized pencils,
+    given as (size, row, col); return where each pencil goes.  In H, each
+    pencil has realize_inverse's border.  The host, of size s, comes as its
+    entries at offset (oL, oL) without its placeholders, oL the last s rows
+    of the composition, and occ[k - 1], the (row, col, value) in the host of
+    its k-th placeholder, or None.
 
     The paper layout [I | H | I | L0] (compose, compile_idrrsc): the first
     identity feeds the inverse gadgets (columns weighted by the placeholder
@@ -279,15 +304,14 @@ def _place_composition(entries: Entries, o: int, L: LinearPencil,
     (exit, oL + j0) = -1.  At every tuple of dimension d the paper pencil's
     rank is 2 s^2 d plus the condensed one's, and the inverse blocks on the
     rows and columns kept, L0's included, are the same."""
-    f, s = L.field, L.size
-    one, minus_one = f.one, f.neg(f.one)
+    one, minus_one = field.one, field.neg(field.one)
     ss = s * s if paper else 0
     o3 = o + ss + sum(size + 1 for size, _, _ in shapes)
     oL = o3 + ss
     for q in range(ss):
         entries[(o + q, o + q)] = entries[(o3 + q, o3 + q)] = {0: one}
     offsets, off = [], o + ss
-    for (size, row, col), found in zip(shapes, _y_occurrences(L, nx)):
+    for (size, row, col), found in zip(shapes, occ):
         offsets.append(off)
         corner = off + size                 # the gadget's exit
         entries[(off + col - 1, corner)] = {0: one}
@@ -295,14 +319,13 @@ def _place_composition(entries: Entries, o: int, L: LinearPencil,
         if found is not None:
             i0, j0, beta = found
             if paper:
-                entries[(o + i0 * s + j0, corner)] = {0: f.normalize(beta)}
+                entries[(o + i0 * s + j0, corner)] = {0: beta}
                 entries[(corner, o3 + i0 * s + j0)] = {0: one}
             else:
-                entries[(oL + i0, corner)] = {0: f.normalize(beta)}
+                entries[(oL + i0, corner)] = {0: beta}
                 entries[(corner, oL + j0)] = {0: minus_one}
         off = corner + 1
-    place_block(entries, L.entries, oL, oL,
-                lambda e: {k: v for k, v in e.items() if k <= nx})
+    entries.update(host)
     for i in range(s if paper else 0):
         for j in range(s):
             entries[(o3 + i * s + j, oL + j)] = {0: one}
@@ -327,11 +350,14 @@ def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
     if m == 0:
         return RealizedGrid(L, 0, L.size)
     s = L.size
+    N = sum(g.size + 1 for g in gs) + 2 * s * s + s
+    host = [((N - s + i, N - s + j), x) for (i, j), e in L.entries.items()
+            if (x := {k: v for k, v in e.items() if k <= nx})]
     entries: Entries = {}
     shapes = [(g.size, g.row, g.col) for g in gs]
-    for g, off in zip(gs, _place_composition(entries, 0, L, shapes, nx)):
+    offsets = _place_composition(entries, 0, L.field, s, host, _y_occurrences(L, nx), shapes)
+    for g, off in zip(gs, offsets):
         place_block(entries, g.pencil.entries, off, off)
-    N = sum(g.size + 1 for g in gs) + 2 * s * s + s
     return RealizedGrid(LinearPencil(L.field, N, nx, entries), N - s, s)
 
 
@@ -358,13 +384,14 @@ def _compile(idr: IdrCircuit, field: Field, paper: bool) -> tuple[RealizedEntry,
     entries: Entries = {}
     at = {id(idr): 0}
     for node in order:
-        o, top = at[id(node)], from_abp(node.top, field, nvars=node.nx + node.m).pencil
+        o, s = at[id(node)], node.top.size
+        host, occ = _abp_entries(node.top, field, o + size[id(node)] - s, node.nx, node.m)
         if not node.subs:
-            place_block(entries, top.entries, o, o)
+            entries.update(host)
             continue
         shapes = [(size[id(g)], size[id(g)] - g.top.size + 1, size[id(g)])
                   for g in node.subs]
-        offsets = _place_composition(entries, o, top, shapes, node.nx, paper)
+        offsets = _place_composition(entries, o, field, s, host, occ, shapes, paper)
         at.update(zip(map(id, node.subs), offsets))
     N = size[id(idr)]
     return RealizedEntry(LinearPencil(field, N, idr.nx, entries),
@@ -404,16 +431,17 @@ class _SparseEval:
         # per row, the columns of its entries with a variable and its
         # constant-only entries (col, constant); and the entries with a
         # variable, (constant, ((k, value), ...)), in (row, col) order
-        self._rows = [([], []) for _ in range(L.size)]
-        self._var: list[tuple] = []
+        rows = self._rows = [([], []) for _ in range(L.size)]
+        var: list[tuple] = []
+        self._var = var
         for (r, c), e in sorted(L.entries.items()):
             if len(e) > (0 in e):
-                self._var.append((e.get(0, 0),
-                                  tuple((k, v) for k, v in sorted(e.items()) if k)))
-                self._rows[r][0].append(c)
+                ks = sorted(e.items())
+                var.append((ks.pop(0)[1] if ks[0][0] == 0 else 0, tuple(ks)))
+                rows[r][0].append(c)
             else:
-                self._rows[r][1].append((c, e[0]))
-        self._nconst = sum(len(const) for _, const in self._rows)
+                rows[r][1].append((c, e[0]))
+        self._nconst = len(L.entries) - len(var)
         self._cols: dict[int, list] = {}     # d -> block columns of each row
 
     def nnz(self, d: int) -> int:
@@ -482,12 +510,14 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
 
     The entries are read from per-row and per-column indexes onto L's own
     entry dicts, and an entry is copied only when the complement writes to
-    it, so L is left as it was.  The compiler's pencils are mostly identity
-    and +-1 links, so most pivots have nothing else in their row or in
-    their column: such a pivot only drops them, counting out the variable
-    entries it removes, which may leave another row or column constant.
-    Field arithmetic, 1 / alpha included, runs only where there is fill."""
+    it, so L is left as it was.  On the compiler's pencils most pivots fill
+    in (654 of the 779 on the seed-401 rit-corpus gates), mostly one fresh
+    entry each, e scaled by s.  Their constants are mostly +-1, and so are
+    alpha and s: a fresh entry at s = 1 is the dict e itself (no dict is
+    written in place), one at s = -1 is negated, and only other scalars,
+    1 / alpha included, need multiplications."""
     f, n, p = L.field, L.size, L.field.p
+    minus_one = f.neg(f.one)
     kc, kr = (keep[0] - 1, keep[1] - 1) if keep else (-1, -1)
     rows: list = [{} for _ in range(n)]     # r -> {c: entry}; None once pivoted
     cols: list = [{} for _ in range(n)]     # c -> {r: entry}; None once pivoted
@@ -503,50 +533,81 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
     todo_cols = [c for c in range(n - 1, -1, -1) if not cvar[c]]
     base, out = 0, None
     while True:
-        while todo_rows or todo_cols:
+        while True:
             if todo_rows:
                 r = todo_rows.pop()
                 row = rows[r]
-                if not row or rvar[r] or r == kr or (c := min(row)) == kc \
-                        and (c := min(row.keys() - {kc}, default=-1)) < 0:
+                if not row or rvar[r] or r == kr:
+                    continue
+                c = min(row)
+                if c == kc and (c := min(row.keys() - {kc}, default=-1)) < 0:
                     continue
                 col = cols[c]
-            else:
+            elif todo_cols:
                 c = todo_cols.pop()
                 col = cols[c]
-                if not col or cvar[c] or c == kc or (r := min(col)) == kr \
-                        and (r := min(col.keys() - {kr}, default=-1)) < 0:
+                if not col or cvar[c] or c == kc:
+                    continue
+                r = min(col)
+                if r == kr and (r := min(col.keys() - {kr}, default=-1)) < 0:
                     continue
                 row = rows[r]
+            else:
+                break
             rows[r] = cols[c] = None
             alpha = row.pop(c)[0]
             del col[r]
             base += 1
-            for c2, e in row.items():
-                del cols[c2][r]
-                if len(e) > (0 in e):
-                    cvar[c2] -= 1
-                    if not cvar[c2]:
-                        todo_cols.append(c2)
-            for i, e in col.items():
-                del rows[i][c]
-                if len(e) > (0 in e):
-                    rvar[i] -= 1
-                    if not rvar[i]:
-                        todo_rows.append(i)
+            by_row = not rvar[r]            # row r is constant
+            if by_row:
+                for c2 in row:
+                    del cols[c2][r]
+            else:
+                for c2, e in row.items():
+                    del cols[c2][r]
+                    if len(e) > (0 in e):
+                        cvar[c2] -= 1
+                        if not cvar[c2]:
+                            todo_cols.append(c2)
+            if not cvar[c]:                 # column c is constant
+                for i in col:
+                    del rows[i][c]
+            else:
+                for i, e in col.items():
+                    del rows[i][c]
+                    if len(e) > (0 in e):
+                        rvar[i] -= 1
+                        if not rvar[i]:
+                            todo_rows.append(i)
             if not (row and col):
                 continue
-            ainv = f.inv(alpha)
+            # each new entry is old + s e, s = -(the pair's constant) / alpha:
+            # b's when row r is constant (every b is then), else a's, and
+            # s = +-1 needs no multiplication
+            ainv = alpha if alpha == 1 or alpha == minus_one else f.inv(alpha)
+            m = p - ainv if p else -ainv
             for i, a in col.items():
                 row_i = rows[i]
                 for c2, b in row.items():
-                    # one of the two factors is a constant s
-                    s, e = (a[0], b) if len(a) == 1 and 0 in a else (b[0], a)
-                    s = s * ainv % p if p else s * ainv
+                    s, e = (b[0], a) if by_row else (a[0], b)
+                    s = s if m == 1 else (p - s if p else -s) if m == minus_one \
+                        else s * m % p if p else s * m
                     old = row_i.get(c2)
-                    new = dict(old) if old else {}
+                    if old is None:             # a fresh entry: e scaled, no zero
+                        if s != 1:
+                            new = {}
+                            for k, v in e.items():
+                                new[k] = (p - v if p else -v) if s == minus_one \
+                                    else s * v % p if p else s * v
+                            e = new
+                        row_i[c2] = cols[c2][i] = e
+                        if len(e) > (0 in e):
+                            rvar[i] += 1
+                            cvar[c2] += 1
+                        continue
+                    new = dict(old)
                     for k, v in e.items():
-                        x = new.get(k, 0) - s * v
+                        x = new.get(k, 0) + s * v
                         if p:
                             x %= p
                         if x:
@@ -555,11 +616,9 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
                             new.pop(k, None)
                     if new:
                         row_i[c2] = cols[c2][i] = new
-                    elif old:
+                    else:
                         del row_i[c2], cols[c2][i]
-                    delta = len(new) > (0 in new)
-                    if old:
-                        delta -= len(old) > (0 in old)
+                    delta = (len(new) > (0 in new)) - (len(old) > (0 in old))
                     if delta:
                         rvar[i] += delta
                         cvar[c2] += delta

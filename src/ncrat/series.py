@@ -185,7 +185,7 @@ def shifted_entry_series(entry: RealizedEntry,
             cols = {ab: e for ab, e in P.items() if ab[1] % d == j}
             for k in range(d):
                 q = (i - 1) * d * d + j * d + k + 1
-                place_block(entries, cols, 0, k - j, lambda e: {q: e[0]})
+                place_block(entries, {ab: {q: e[0]} for ab, e in cols.items()}, 0, k - j)
     # one fresh variable per (shift matrix, j, k), the layout
     # assemble_shift_point folds back, even where L has fewer variables
     M = LinearPencil(f, sd, shift.n * d * d, entries)
