@@ -237,8 +237,8 @@ def _abp_entries(a: Abp, field: Field, o: int, nx: int, m: int = 0):
 
 def realize_inverse(g: RealizedEntry) -> RealizedEntry:
     """One-row, one-column border around g's pencil; the bottom-right corner
-    of the inverse is g^{-1}.  Invertible at t exactly when g is defined at
-    t and g(t) is invertible."""
+    of the inverse is g^{-1}.  Invertible at t if g's pencil and g(t) are,
+    and may be if not: around inv(x1 - x1) it is invertible everywhere."""
     f = g.pencil.field
     s = g.size
     entries = dict(g.pencil.entries)

@@ -1,16 +1,18 @@
 """Rational identity testing and the strong hitting-set pipeline.
 
 A circuit is nonzero in the free skew field exactly when its inverse is
-defined somewhere, and the compiled pencil of the inverse is invertible
-at a tuple exactly when the circuit is defined there with an invertible
-value.  So the randomized test samples tuples of growing dimension,
-checks pencil invertibility through the reduced core, and re-verifies
-any hit by direct evaluation.  Zero verdicts are one-sided Monte Carlo,
+defined somewhere.  The compiled pencil of the inverse (the gate) is
+invertible wherever the circuit is defined with an invertible value, and
+may be elsewhere: inv(x1 - x1)'s is invertible everywhere.  So the
+randomized test samples tuples of growing dimension, checks the gate
+through its reduced core, and re-verifies any hit by direct evaluation,
+which keeps NONZERO sound.  Zero verdicts are one-sided Monte Carlo,
 except where the oracle finds a shrunk subspace of the core (over every
 field, Q included, searched from the first singular trial of each
-dimension below the last): that proves the pencil singular at every
-tuple, so the test ends there with the ZERO verdict, trial count and
-error bound the remaining trials would give, and the verdict is exact.
+dimension below the last): that proves the gate singular everywhere, so
+the circuit is nowhere defined with an invertible value, and the test
+ends there with the exact ZERO verdict, trial count and error bound the
+remaining trials would give.
 
 The hitting-set generator runs the desk-scale version of the pipeline:
 variable reduction to 2(h+1) variables, generic matrices of an explicit
@@ -80,8 +82,8 @@ def compile_circuit(c: RationalCircuit, field: Field) -> RealizedEntry:
 @functools.lru_cache(maxsize=16)
 def _gate_oracle(c: RationalCircuit, field: Field) -> PencilOracle:
     """The oracle of the bordered pencil for the circuit's inverse (its
-    size is the gate's): invertible at t exactly when the circuit is defined
-    at t with an invertible value.  The pencil itself is not kept.
+    size is the gate's): invertible wherever the circuit is defined with an
+    invertible value, but not only there.  The pencil itself is not kept.
 
     The border goes around compile_condensed's entry, not compile_circuit's.
     It touches none of the P unit pivots that entry leaves out, so the

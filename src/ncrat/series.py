@@ -1,6 +1,6 @@
 """Recognizable series (c, M, b): truncated evaluation, the finite-degree
-zero test, and the scalar-scaling search that upgrades a nonzero
-truncation to a nonzero full value.
+zero test, and the scalar-scaling search, bounded by 2sd scalars at a
+d x d tuple, that upgrades a nonzero truncation to a nonzero full value.
 
 A series c^t (I - M)^{-1} b with homogeneous transition pencil M of size
 s is zero exactly when its truncation to degree s-1 is zero; the
@@ -20,7 +20,7 @@ from .pencil import (LinearPencil, RealizedEntry, dense_block, eval_pencil,
 
 
 class FieldTooSmall(Exception):
-    """The scaling scan exhausted the field without a usable value."""
+    """The scaling scan ran out of field or max_scan before its 2sd bound."""
 
 
 @dataclass(frozen=True)
@@ -102,38 +102,36 @@ def series_is_zero(S: RecognizableSeries, trials: int = 16,
                          S.field.sample_set_size())
 
 
-def _field_size(f: Field) -> int:
-    return f.p if f.kind == "prime" else 1 << 62
-
-
 def scaling_search(S: RecognizableSeries, t: MatrixTuple,
                    max_scan: int | None = None) -> tuple[int, DenseMatrix]:
-    """Given a nonzero truncation at t, scan tau = 1, 2, ... for the first
-    scalar with I - M(tau t) invertible and a nonzero full value.  The bad
-    values are roots of one determinant and one numerator polynomial in
-    tau, so the scan is short; FieldTooSmall only if the field runs out."""
+    """Scan tau = 1, 2, ... for the first scalar with I - M(tau t)
+    invertible and c^t (I - M(tau t))^{-1} b nonzero.  With s the series
+    size and d = t.d, a bad tau is a root of det(I - tau M(t)), of degree
+    at most sd, or of c^t adj(I - tau M(t)) b, of degree below sd, so one
+    of the first 2sd scalars is usable unless the value vanishes along
+    tau t, which makes the truncation at t zero.  Returns that tau and its
+    value; FieldTooSmall if the field or max_scan ends the scan first,
+    ValueError if all 2sd scalars fail."""
     f = S.field
-    if truncated_eval(S, S.size - 1, t).is_zero():
-        raise ValueError("scaling search requires a nonzero truncation at t")
     eye = DenseMatrix.identity(f, t.d)
     cb = kron(S.c, eye)
     bb = kron(S.b, eye)
     Mt = eval_pencil(S.M, t)
     big_eye = DenseMatrix.identity(f, Mt.rows)
-    limit = max_scan if max_scan is not None else _field_size(f) - 1
-    tau = 0
-    while tau < limit:
-        tau += 1
-        tf = f.normalize(tau)
-        if f.is_zero(tf):
-            break
+    bound = 2 * Mt.rows
+    scan = min(bound, f.p - 1) if f.kind == "prime" else bound
+    if max_scan is not None:
+        scan = min(scan, max_scan)
+    for tau in range(1, scan + 1):
         try:
-            value = cb.matmul(solve(big_eye.sub(Mt.scale(tf)), bb))
+            value = cb.matmul(solve(big_eye.sub(Mt.scale(f.normalize(tau))), bb))
         except Singular:
             continue
         if not value.is_zero():
             return tau, value
-    raise FieldTooSmall("no usable scaling value found")
+    if scan < bound:
+        raise FieldTooSmall("no usable scaling value found")
+    raise ValueError("all 2sd scaling values fail: the truncation at t is zero")
 
 
 def assemble_shift_point(shift: MatrixTuple, zwitness: MatrixTuple,

@@ -26,7 +26,8 @@ pencils and series are checked against:
   bottom-up with its inverses taken directly;
 - expand_abp and symbolic_truncation, a branching program and a series
   truncation expanded in the free algebra (freepoly);
-- full_eval, a series' value (c x I)(I - M(t))^{-1}(b x I) by one solve;
+- full_eval, a series' value (c x I)(I - M(t))^{-1}(b x I) by one solve,
+  and scaling_scan, the scaling search by brute force over every scalar;
 - blowup_shift, the generic-matrix blow-up of a pencil around a shift.
 """
 
@@ -367,6 +368,31 @@ def full_eval(S: RecognizableSeries, t: MatrixTuple) -> DenseMatrix:
     Mt = eval_pencil(S.M, t)
     return kron(S.c, eye).matmul(solve(DenseMatrix.identity(f, Mt.rows).sub(Mt),
                                        kron(S.b, eye)))
+
+
+def scaling_scan(S: RecognizableSeries, t: MatrixTuple,
+                 cap: int = 64) -> tuple[int, DenseMatrix] | None:
+    """The first tau in 1 .. p - 1 at which the series' value at the scaled
+    tuple tau t is defined and nonzero, with that value, or None; the scan
+    stops at cap over Q and over fields with more than cap + 1 elements.
+    Each value is (c x I) _invert_generic(I - M(tau t)) (b x I), with M
+    evaluated at the scaled matrices themselves."""
+    f = S.field
+    eye = DenseMatrix.identity(f, t.d)
+    cb, bb = kron(S.c, eye), kron(S.b, eye)
+    last = min(cap, f.p - 1) if f.kind == "prime" else cap
+    for tau in range(1, last + 1):
+        scaled = MatrixTuple(f, t.d, tuple(m.scale(f.normalize(tau))
+                                           for m in t.mats))
+        Mt = eval_pencil(S.M, scaled)
+        try:
+            inv = _invert_generic(DenseMatrix.identity(f, Mt.rows).sub(Mt))
+        except Singular:
+            continue
+        value = cb.matmul(inv).matmul(bb)
+        if not value.is_zero():
+            return tau, value
+    return None
 
 
 def symbolic_truncation(S: RecognizableSeries, k: int) -> freepoly.NcPoly:

@@ -562,6 +562,26 @@ def test_bootstrap_report_is_unchanged(case):
     assert _digest(out) == BOOTSTRAP_CLI_GOLDEN[case]
 
 
+# SHA-256 of bootstrap's report over F_3, where the scaling scan runs out
+# of field: each d = 1 row reads truncation_nonzero=True tau=None.
+BOOTSTRAP_SMALL_FIELD_GOLDEN = {
+    ("inv(x1) + inv(x2)", "1,2,3"):
+        "95077321aac0589c1855b3f52cdb88524c1d4f3afbacb5c829f4008f7c2583d7",
+    ("inv(x1+x2) - inv(x1)", "1,2"):
+        "1557a8de1bf14a31c387cfdc42ca8ecefecf6a2ca80e7f51d50f2c6796cfc4e6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOTSTRAP_SMALL_FIELD_GOLDEN), ids=" ".join)
+def test_bootstrap_small_field_report_is_unchanged(case):
+    expr, dims = case
+    status, out = run(["bootstrap", expr, "--prime", "3", "--dims", dims, "--json"])
+    assert status == 0
+    assert "dim_1 defined=True invertible=True route=series series_size=16 " \
+        "truncation_nonzero=True tau=None" in out
+    assert _digest(out) == BOOTSTRAP_SMALL_FIELD_GOLDEN[case]
+
+
 @pytest.mark.parametrize("case", sorted(HITGEN_CLI_GOLDEN), ids=" ".join)
 def test_hitgen_report_and_files_are_unchanged(tmp_path, case):
     field, shape = case

@@ -3,12 +3,12 @@ import random
 import pytest
 
 import freepoly as fp
-from ncrat.field import (DenseMatrix, MatrixTuple, PrimeField, Singular,
+from ncrat.field import (QQ, DenseMatrix, MatrixTuple, PrimeField, Singular,
                          invert, kron, prime_field, sample_tuple)
 from ncrat.pencil import eval_pencil, pencil_from_rows
 from ncrat.series import (FieldTooSmall, RecognizableSeries, scaling_search,
                           series_is_zero, shifted_entry_series, truncated_eval)
-from reference import full_eval, symbolic_truncation
+from reference import full_eval, scaling_scan, symbolic_truncation
 
 F = prime_field()
 F7 = PrimeField(7)
@@ -263,6 +263,69 @@ def test_scaling_random_series_within_bound(rng):
         assert tau <= size * t.d * size + 1
         found += 1
     assert found >= 20
+
+
+def _small_series(rng, field, size, nvars):
+    """Entries from small integers, zeros frequent, so that singular
+    scalars, vanishing values and zero truncations all occur."""
+    def draw(n):
+        return [rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(n)]
+    coeffs = [[[0] * size] * size] + [
+        [draw(size) for _ in range(size)] for _ in range(nvars)]
+    return RecognizableSeries(DenseMatrix.from_rows(field, [draw(size)]),
+                              pencil_from_rows(field, coeffs),
+                              DenseMatrix.from_rows(field, [[v] for v in draw(size)]))
+
+
+def test_scaling_matches_brute_force_scan():
+    # the first usable tau lies within 2sd whenever the value survives along
+    # tau t; the scan stops there, or where a small field runs out first
+    rng = random.Random(26)
+    outcomes = {}
+    for field in (QQ, F7, PrimeField(11), PrimeField(101), F):
+        for _ in range(40):
+            size, nvars, d = rng.randint(1, 4), rng.randint(1, 2), rng.randint(1, 2)
+            S = _small_series(rng, field, size, nvars)
+            if rng.random() < 0.5:
+                t = sample_tuple(field, nvars, d, rng)
+            else:
+                t = MatrixTuple(field, d, tuple(
+                    DenseMatrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(d)]
+                                                  for _ in range(d)])
+                    for _ in range(nvars)))
+            bound = 2 * size * d
+            ref = scaling_scan(S, t, cap=bound + 8)
+            nonzero = not fp.eval_poly(symbolic_truncation(S, size - 1), t).is_zero()
+            if ref is not None and ref[0] <= bound:
+                assert scaling_search(S, t) == ref
+                outcome = "hit" if nonzero else "hit at a zero truncation"
+            elif field.kind == "prime" and field.p - 1 < bound:
+                with pytest.raises(FieldTooSmall):
+                    scaling_search(S, t)
+                outcome = "field too small"
+            else:
+                assert ref is None and not nonzero
+                with pytest.raises(ValueError):
+                    scaling_search(S, t)
+                outcome = "no hit"
+            outcomes.setdefault(outcome, set()).add(field)
+    assert set(outcomes) == {"hit", "hit at a zero truncation",
+                             "field too small", "no hit"}
+    assert len(outcomes["hit"]) == 5
+
+
+@pytest.mark.parametrize("field", (QQ, F), ids=("Q", "M61"))
+def test_scaling_finds_tau_where_the_truncation_vanishes(field):
+    # M = diag(x1, 0), c = b = e1 at x1 = -1: the truncation 1 + x1 is zero,
+    # the value 1/(1 - x1) is 1/2 at tau = 1
+    S = RecognizableSeries(DenseMatrix.from_rows(field, [[1, 0]]),
+                           pencil_from_rows(field, [[[0, 0], [0, 0]],
+                                                    [[1, 0], [0, 0]]]),
+                           DenseMatrix.from_rows(field, [[1], [0]]))
+    t = MatrixTuple(field, 1, (DenseMatrix.from_rows(field, [[-1]]),))
+    assert truncated_eval(S, S.size - 1, t).is_zero()
+    tau, value = scaling_search(S, t)
+    assert tau == 1 and value.data == [field.inv(field.normalize(2))]
 
 
 # -- shift expansion -----------------------------------------------------------------------
