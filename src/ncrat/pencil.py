@@ -428,66 +428,49 @@ class _SparseEval:
     def __init__(self, L: LinearPencil):
         self.field = L.field
         self.nvars = L.nvars
-        # per row, the columns of its entries with a variable and its
-        # constant-only entries (col, constant); and the entries with a
-        # variable, (constant, ((k, value), ...)), in (row, col) order
+        # per row, its entries with a variable (col, constant, ((k, value),
+        # ...)) and its constant-only entries (col, constant)
         rows = self._rows = [([], []) for _ in range(L.size)]
-        var: list[tuple] = []
-        self._var = var
+        nvar = 0
         for (r, c), e in sorted(L.entries.items()):
             if len(e) > (0 in e):
                 ks = sorted(e.items())
-                var.append((ks.pop(0)[1] if ks[0][0] == 0 else 0, tuple(ks)))
-                rows[r][0].append(c)
+                rows[r][0].append((c, ks.pop(0)[1] if ks[0][0] == 0 else 0, ks))
+                nvar += 1
             else:
                 rows[r][1].append((c, e[0]))
-        self._nconst = len(L.entries) - len(var)
-        self._cols: dict[int, list] = {}     # d -> block columns of each row
+        self._nvar, self._nconst = nvar, len(L.entries) - nvar
 
     def nnz(self, d: int) -> int:
         """The most nonzeros the rows at dimension d can hold."""
-        return len(self._var) * d * d + self._nconst * d
+        return self._nvar * d * d + self._nconst * d
 
     def __call__(self, t: MatrixTuple) -> dict:
-        """The nonzeros of A0 x I_d + sum Ai x t_i, every row present."""
+        """The nonzeros of A0 x I_d + sum Ai x t_i, every row present, built
+        slot by slot: slot (a, b) of the block at (r, c) is entry (r d + a,
+        c d + b), and one pass over the entries fills it in every block."""
         if self.nvars > t.n:
             raise ValueError("tuple has fewer matrices than the pencil has variables")
-        d = t.d
-        lines = self._block_lines(t)      # line a: row a of every block
-        cols = self._cols.get(d)
-        if cols is None:
-            cols = self._cols[d] = [[c * d + b for c in cs for b in range(d)]
-                                    for cs, _ in self._rows]
-        rows = {}
-        lo = 0
-        for r, (cs, const) in enumerate(self._rows):
-            hi = lo + len(cs) * d
-            for a, line in enumerate(lines):
-                seg = line[lo:hi]
-                row = dict(zip(cols[r], seg))
-                if 0 in seg:
-                    row = {j: x for j, x in row.items() if x}
-                for c, v0 in const:
-                    row[c * d + a] = v0
-                rows[r * d + a] = row
-            lo = hi
-        return rows
-
-    def _block_lines(self, t: MatrixTuple) -> list:
-        """d lists: list a holds row a of the d x d block of each entry with
-        a variable, one block after the other."""
         d, p = t.d, self.field.p
-        mats = [m.data for m in t.mats]
-        blks = []
-        for v0, ((k, v), *more) in self._var:
-            blk = [v * x for x in mats[k - 1]]
-            for k, v in more:
-                blk = [y + v * x for y, x in zip(blk, mats[k - 1])]
-            if v0:
-                for q in range(0, d * d, d + 1):
-                    blk[q] += v0
-            blks.append([x % p for x in blk] if p else blk)
-        return [[x for blk in blks for x in blk[a * d:a * d + d]] for a in range(d)]
+        out = {i: {} for i in range(len(self._rows) * d)}
+        for q in range(d * d):                   # slot (a, b) of every block
+            a, b = divmod(q, d)
+            s = [0] + [m.data[q] for m in t.mats]           # t_k[a, b] at k
+            for r, (var, const) in enumerate(self._rows):
+                row = out[r * d + a]
+                for c, x, ks in var:
+                    if a != b:
+                        x = 0
+                    for k, v in ks:
+                        x += v * s[k]
+                    if p:
+                        x %= p
+                    if x:
+                        row[c * d + b] = x
+                if a == b:
+                    for c, v0 in const:
+                        row[c * d + a] = v0
+        return out
 
 
 def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
@@ -653,7 +636,9 @@ class PencilOracle:
     RealizedEntry).  Over every field, core(t) is built as sparse rows
     straight from the core's entries and ranked by _sparse.rank_sparse,
     unless it fills in over a prime the dense kernel supports
-    (_sparse.fills) and goes there.
+    (_sparse.fills) and goes there.  rank_at keeps the record of its last
+    sparse elimination, with no inverse taken, for shrunk_subspace at the
+    same tuple.
 
     pivoted counts the unit pivots L's builder already took (those
     compile_condensed leaves out of rit's gate), and size and base count
@@ -669,6 +654,7 @@ class PencilOracle:
         self._eval_rows = _SparseEval(self.core)
         self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
         self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched
+        self._last = None            # (t, _sparse.Record of core(t)), the last eliminated
 
     @property
     def core_size(self) -> int:
@@ -683,7 +669,10 @@ class PencilOracle:
         return _sparse.fills(self.field.p, n, n, self._eval_rows.nnz(d))
 
     def rank_at(self, t: MatrixTuple) -> int:
+        """base d + rank core(t).  Where core(t) is eliminated sparse to the
+        end, its record replaces the last tuple's, kept with t."""
         d = t.d
+        self._last = None
         if self.core.size == 0:
             return self.base * d
         if self._dense_at(d):
@@ -692,7 +681,10 @@ class PencilOracle:
                 self._coeffs = _modnum.pencil_coeffs(self.core)
             ev = _modnum.eval_pencil_mod(self._coeffs, _modnum.stack(t), d, self.field.p)
             return self.base * d + _modnum.rank_mod(ev, self.field.p)
-        return self.base * d + _sparse.rank_sparse(self._eval_rows(t), self.field.p)
+        record = _sparse.Record()
+        rank = _sparse.rank_sparse(self._eval_rows(t), self.field.p, record, hand_off=True)
+        self._last = (t, record) if len(record) == rank else None
+        return self.base * d + rank
 
     def is_invertible_at(self, t: MatrixTuple) -> bool:
         return self.rank_at(t) == self.size * t.d
@@ -700,12 +692,11 @@ class PencilOracle:
     def shrunk_subspace(self, t: MatrixTuple, deficit: int = 1) -> DenseMatrix | None:
         """A shrunk subspace S of the core with dim S - dim sum_k A_k S >=
         deficit, found from A = core(t) and returned as a core.size x dim S
-        matrix whose columns are S's reduced echelon basis (what
-        _sparse.row_basis gives, which depends only on the span), once
-        check_shrunk accepts it; None when none is found, and where rank_at
-        evaluates core(t) densely, because the search stays sparse to the
-        end (n = 120, every core entry holding a variable, d = 1: 1.8-2.8 s,
-        most of it the images A_k s, against 0.08-0.13 s for rank_at).  The
+        matrix whose columns are S's reduced echelon basis (which depends
+        only on the span), once check_shrunk accepts it; None when none is
+        found, and where rank_at evaluates core(t) densely, because the
+        search stays sparse to the end (n = 120, every core entry holding a
+        variable, d = 1: 1.5-1.7 s, against 0.02 s for a warm rank_at).  The
         search is exact over every field, Q included.
 
         What S proves, with A_0 the constant term: at any tuple t' of any
@@ -721,12 +712,12 @@ class PencilOracle:
         holds the u with A u in T x F^d, S is the span of the columns of
         each u of U read as an n x d matrix (u[i d + a] at (i, a)), the
         least S with U inside S x F^d, and T' = sum_k A_k S.  A is factored
-        once: rank_sparse eliminates it, recording its pivot rows and row
-        updates, and U is ker A, read off the pivot rows, plus a preimage
-        (_sparse.preimage) of tau x e_a for each direction tau of T and
-        each a < d.  T and S only grow, so a step solves for T's new
-        directions only, and S's new directions are the slices of their
-        preimages that extend S (at d = 1, all of them).  T' needs only the
+        once: the search reads the record rank_at kept at this tuple object,
+        or has rank_sparse record an elimination of A, and U is ker A, read
+        off the pivot rows, plus a preimage (_sparse.preimage) of tau x e_a
+        for each direction tau of T and each a < d.  T and S only grow, so a
+        step solves for T's new directions only, and S's new directions are
+        the slices of their preimages that extend S.  T' needs only the
         images A_k s, k >= 1, of S's new directions, added to T's reduced
         echelon basis: slice b of A u is A_0 s_b + sum_(k >= 1, a)
         t_k[b, a] A_k s_a, which lies in T, so A_0 S lies in T + sum_(k >=
@@ -741,12 +732,13 @@ class PencilOracle:
         if n == 0 or self._dense_at(d):
             return None
         p = self.field.p
-        pivots: list = []
-        _sparse.rank_sparse(self._eval_rows(t), p, pivots)
-        S: list = []                    # a basis of S, in the order found
-        sliced: dict = {}               # at d > 1, S's reduced echelon basis
+        if self._last is None or self._last[0] is not t:
+            self._last = (t, _sparse.Record())
+            _sparse.rank_sparse(self._eval_rows(t), p, self._last[1])
+        record = self._last[1]
+        S: dict = {}                    # S's reduced echelon basis
         T: dict = {}                    # T's reduced echelon basis
-        fresh = self._new_slices(S, sliced, _sparse.kernel(pivots, n * d, p).values(), d)
+        fresh = self._new_slices(S, _sparse.kernel(record, n * d, p).values(), d)
         while True:
             grown = [c for s in fresh for img in self._images(s)
                      if (c := _sparse.extend_basis(T, img, p)) is not None]
@@ -757,41 +749,30 @@ class PencilOracle:
             solved = []
             for c in grown:
                 for a in range(d):
-                    x = _sparse.preimage(pivots, {i * d + a: v for i, v in T[c].items()}, p)
+                    x = _sparse.preimage(record, {i * d + a: v for i, v in T[c].items()}, p)
                     if x is None:
                         return None
                     solved.append(x)
-            fresh = self._new_slices(S, sliced, solved, d)
-        S = [sliced[c] for c in sorted(sliced)] if d > 1 else \
-            _sparse.row_basis(dict(enumerate(S)), p)
+            fresh = self._new_slices(S, solved, d)
         basis = DenseMatrix.zeros(self.field, n, len(S))
-        for q, s in enumerate(S):
-            for i, v in s.items():
+        for q, c in enumerate(sorted(S)):
+            for i, v in S[c].items():
                 basis.data[i * len(S) + q] = v
         return basis if check_shrunk(self.core, basis, deficit) else None
 
-    def _new_slices(self, S: list, sliced: dict, vectors, d: int) -> list:
+    def _new_slices(self, S: dict, vectors, d: int) -> list:
         """New directions of S from the slices (x[i d + a] at i, a < d) of
-        the vectors x over F^(nd), appended to S.  At d = 1 each x is its
-        own slice and is new: A maps the vectors it is given, a basis of ker
-        A or preimages of T's new directions, to 0 or to vectors independent
-        modulo T, so no combination of them falls in S.  At d > 1 the slices
-        extend S's reduced echelon basis, and its new rows are the new
-        directions."""
-        if d == 1:
-            fresh = list(vectors)
-        else:
-            added = []
-            for x in vectors:
-                slices: dict[int, dict] = {}
-                for j, v in x.items():
-                    i, a = divmod(j, d)
-                    slices.setdefault(a, {})[i] = v
-                added += [c for sl in slices.values()
-                          if (c := _sparse.extend_basis(sliced, sl, self.field.p)) is not None]
-            fresh = [sliced[c] for c in added]
-        S += fresh
-        return fresh
+        the vectors x over F^(nd): the slices extend S's reduced echelon
+        basis, and its new rows are the new directions."""
+        added = []
+        for x in vectors:
+            slices: dict[int, dict] = {}
+            for j, v in x.items():
+                i, a = divmod(j, d)
+                slices.setdefault(a, {})[i] = v
+            added += [c for sl in slices.values()
+                      if (c := _sparse.extend_basis(S, sl, self.field.p)) is not None]
+        return [S[c] for c in added]
 
     def _images(self, s: dict) -> list:
         """The images A_k s, k = 1..nvars, of s {i: value} over F^n that are

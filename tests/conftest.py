@@ -30,8 +30,9 @@ def rng():
 @pytest.fixture
 def dense_route(monkeypatch):
     """Counts the calls of _modnum.solve_mod by the shape of their matrix,
-    and fails any elimination that _sparse records for a preimage: a
-    system that fills in is solved densely, never on the sparse path."""
+    and fails any elimination that _sparse records whole, to read
+    preimages from: a system that fills in is solved densely, never on the
+    sparse path."""
     from ncrat import _modnum, _sparse
     calls = []
     solve_mod, rank_sparse = _modnum.solve_mod, _sparse.rank_sparse
@@ -40,9 +41,9 @@ def dense_route(monkeypatch):
         calls.append(args[0].shape)
         return solve_mod(*args)
 
-    def unrecorded(rows, p, pivots=None):
-        assert pivots is None, "a dense system took the recorded sparse path"
-        return rank_sparse(rows, p)
+    def unrecorded(rows, p, record=None, hand_off=False):
+        assert record is None or hand_off, "a dense system took the recorded sparse path"
+        return rank_sparse(rows, p, record, hand_off)
 
     def preimage(*args):
         raise AssertionError("a dense system was solved by preimages")

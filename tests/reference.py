@@ -10,9 +10,10 @@ and RealizedEntry.value_at against it rather than against each other.
 Also the reference for rit_test's early ZERO: rit_full_loop, the
 randomized test with no shrunk-subspace search.  And the references for the
 search itself: shrunk_subspace_reference, the second Wong sequence with
-[A | -W] eliminated afresh at every step by nullspace_sparse (the kernel
-of one recorded sparse elimination), and check_shrunk_dense, its check on
-dense products and rank_of.
+[A | -W] eliminated afresh at every step by nullspace_sparse and S and T
+kept as row_basis (both read off the reduced row echelon form by dense
+Gauss-Jordan elimination), and check_shrunk_dense, its check on dense
+products and rank_of.
 
 And the reference for ncrank_skew: ncrank_skew_full, the bordered
 reduction pencil over the full entry pencils rather than their kept
@@ -34,10 +35,10 @@ pencils and series are checked against:
 import random
 
 import freepoly
-from ncrat import _sparse
 from ncrat.circuit import Abp, IdrCircuit, LinForm, Undefined, eval_circuit
-from ncrat.field import (DenseMatrix, Field, MatrixTuple, Singular, invert,
-                         is_invertible, kron, rank_of, sample_tuple, solve)
+from ncrat.field import (QQ, DenseMatrix, Field, MatrixTuple, PrimeField,
+                         Singular, invert, is_invertible, kron, rank_of,
+                         sample_tuple, solve)
 from ncrat.pencil import (LinearPencil, PencilOracle, dense_block,
                           eval_pencil, place_block)
 from ncrat.rank import (DivisibilityAnomaly, RankParams, RankResult, SkewMatrix,
@@ -127,13 +128,52 @@ def rit_full_loop(c, field, params: RitParams = RitParams()) -> RitVerdict:
                       error_bound_den=field.sample_set_size())
 
 
+def _reduced_echelon(rows: dict, ncols: int, p: int) -> tuple[list, list]:
+    """The reduced row echelon form R of M, with rows {i: {j: value}} over
+    the columns 0..ncols-1 of the field of characteristic p (0 for Q), as
+    dense lists, and the pivot column of each nonzero row of R, which come
+    first: dense Gauss-Jordan elimination with first-nonzero pivoting
+    through the field's own operations."""
+    f = PrimeField(p) if p else QQ
+    a = [[f.normalize(row.get(j, 0)) for j in range(ncols)] for row in rows.values()]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if not f.is_zero(a[i][c])), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = f.inv(a[r][c])
+        nonzero = [(q, f.mul(inv, y)) for q, y in enumerate(a[r]) if not f.is_zero(y)]
+        for q, y in nonzero:
+            a[r][q] = y
+        for i in range(len(a)):
+            if i != r and not f.is_zero(a[i][c]):
+                fac, row = a[i][c], a[i]
+                for q, y in nonzero:
+                    row[q] = f.sub(row[q], f.mul(fac, y))
+        pivots.append(c)
+    return a, pivots
+
+
 def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:
-    """A basis of {x : M x = 0} for M with rows {i: {j: value}}
-    (consumed) over the columns 0..ncols-1, as _sparse.kernel reads it off
-    rank_sparse's record."""
-    pivots: list = []
-    _sparse.rank_sparse(rows, p, pivots)
-    return _sparse.kernel(pivots, ncols, p)
+    """A basis of {x : M x = 0} for M with rows {i: {j: value}} over the
+    columns 0..ncols-1, keyed as _sparse.kernel keys it: for each pivotless
+    column g, the x {j: value} with x_g = 1 and 0 at the other pivotless
+    columns, read off M's reduced row echelon form R as x_c = -R_qg at the
+    pivot column c of each row q (_reduced_echelon)."""
+    R, pivots = _reduced_echelon(rows, ncols, p)
+    return {g: {g: 1, **{c: -R[q][g] % p if p else -R[q][g]
+                         for q, c in enumerate(pivots) if R[q][g]}}
+            for g in range(ncols) if g not in pivots}
+
+
+def row_basis(rows: dict, p: int) -> list[dict]:
+    """The reduced echelon basis {j: value} of the span of the rows {i: {j:
+    value}}: the nonzero rows of their reduced row echelon form."""
+    R, pivots = _reduced_echelon(rows, 1 + max((j for row in rows.values() for j in row),
+                                               default=-1), p)
+    return [{j: x for j, x in enumerate(row) if x} for row in R[:len(pivots)]]
 
 
 def shrunk_subspace_reference(oracle: PencilOracle, t: MatrixTuple,
@@ -166,7 +206,7 @@ def shrunk_subspace_reference(oracle: PencilOracle, t: MatrixTuple,
                 if j < nd:
                     i, a = divmod(j, d)
                     slices.setdefault((f, a), {})[i] = v
-        S = _sparse.row_basis(dict(enumerate(slices.values())), p)
+        S = row_basis(dict(enumerate(slices.values())), p)
         images: dict[tuple, dict] = {}     # (s, k) -> A_k s
         for q, s in enumerate(S):
             for c, x in s.items():
@@ -175,7 +215,7 @@ def shrunk_subspace_reference(oracle: PencilOracle, t: MatrixTuple,
                         img = images.setdefault((q, k), {})
                         y = img.get(r, 0) + v * x
                         img[r] = y % p if p else y
-        grown = _sparse.row_basis(
+        grown = row_basis(
             {m: {r: y for r, y in img.items() if y}
              for m, img in enumerate(images.values())}, p)
         if len(S) - len(grown) >= deficit:

@@ -9,7 +9,7 @@ from ncrat.field import (DEFAULT_PRIME, MERSENNE61, QQ, DenseMatrix,
                          MatrixTuple, PrimeField, Singular, _is_prime,
                          dump_tuple, invert, is_invertible, kron, parse_tuple,
                          prime_field, rank_of, sample_tuple, solve)
-from reference import _invert_generic, _rank_generic, nullspace_sparse
+from reference import _invert_generic, _rank_generic, nullspace_sparse, row_basis
 
 F = prime_field()
 F101 = PrimeField(101)
@@ -288,7 +288,6 @@ def test_nullspace_and_row_basis_match_generic(case):
     # the kernel has m - rank vectors, each keyed by its pivotless column
     # (1 there, 0 at the other keys) and killed by every row; the row basis
     # has rank vectors and spans the rows
-    from ncrat._sparse import row_basis
     p, n, m, a = case
     Fp = PrimeField(p)
 
@@ -316,7 +315,7 @@ def _solves(rows, m, p, seed):
     and characteristic p (0 for Q): each image M x0 gets an x with M x =
     M x0, and a random right-hand side gets None exactly when it raises the
     rank of [M | w]; and kernel agrees with nullspace_sparse."""
-    from ncrat._sparse import kernel, preimage, rank_sparse
+    from ncrat._sparse import Record, kernel, preimage, rank_sparse
     rng = random.Random(seed)
     field = PrimeField(p) if p else QQ
 
@@ -330,19 +329,19 @@ def _solves(rows, m, p, seed):
             if y % p if p else y:
                 out[i] = y % p if p else y
         return out
-    pivots: list = []
-    rank = rank_sparse(copy(), p, pivots)
-    assert kernel(pivots, m, p) == nullspace_sparse(copy(), m, p)
+    record = Record()
+    rank = rank_sparse(copy(), p, record)
+    assert kernel(record, m, p) == nullspace_sparse(copy(), m, p)
     for _ in range(3):
         w = times({j: field.rand(rng) for j in range(m) if rng.random() < 0.5})
-        x = preimage(pivots, w, p)
+        x = preimage(record, w, p)
         assert x is not None and times(x) == w
         w = {i: field.rand(rng) for i in rows if rng.random() < 0.3}
         w = {i: v for i, v in w.items() if v}
         grown = copy()
         for i, v in w.items():
             grown[i][m] = v
-        x = preimage(pivots, w, p)
+        x = preimage(record, w, p)
         assert (x is None) == (rank_sparse(grown, p) > rank)
         assert x is None or times(x) == w
 
@@ -358,7 +357,7 @@ def test_preimage_solves_exactly_the_images(case, seed):
 def test_extend_basis_gives_the_row_basis_in_any_order():
     # the reduced echelon basis depends only on the span: rows added one at
     # a time, in any order, give row_basis's rows, over F_7, M61 and Q
-    from ncrat._sparse import extend_basis, row_basis
+    from ncrat._sparse import extend_basis
     rng = random.Random(3)
     for p in (7, MERSENNE61, 0):
         field = PrimeField(p) if p else QQ
@@ -399,7 +398,7 @@ def rational_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_sparse_routines_over_q_match_generic(case):
     # p = 0: the same elimination in Fractions, checked by exact sums
-    from ncrat._sparse import rank_sparse, row_basis
+    from ncrat._sparse import rank_sparse
     n, m, rows = case
 
     def copy():
@@ -443,7 +442,6 @@ def test_q_and_unsupported_primes_never_reach_the_dense_kernel():
 
 @pytest.mark.parametrize("p", [7, 101, (1 << 31) - 1, DEFAULT_PRIME])
 def test_nullspace_and_row_basis_of_empty_matrices(p):
-    from ncrat._sparse import row_basis
     assert nullspace_sparse({}, 0, p) == {} and row_basis({}, p) == []
     assert nullspace_sparse({0: {}, 1: {}}, 2, p) == {0: {0: 1}, 1: {1: 1}}
     assert row_basis({0: {}, 1: {}}, p) == []

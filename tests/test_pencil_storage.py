@@ -9,10 +9,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncrat import _modnum, _sparse
+from ncrat import _modnum, _sparse, pencil
 from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, Singular,
                          kron, sample_tuple)
 from ncrat.pencil import (LinearPencil, PencilOracle, RealizedEntry,
@@ -86,6 +86,55 @@ def test_oracle_rows_are_the_nonzeros_of_the_evaluation(case):
     assert oracle._eval_rows(t) == want
 
 
+def _kron_sum_rows(L, t):
+    """The nonzeros of A0 x I + sum_k Ak x t_k, from the dense
+    coefficients and Kronecker products, as rows {i: {j: value}}."""
+    A = L.coeffs
+    ev = kron(A[0], DenseMatrix.identity(L.field, t.d))
+    for k in range(L.nvars):
+        ev = ev.add(kron(A[k + 1], t.mats[k]))
+    return {i: {j: ev.at(i, j) for j in range(ev.cols) if ev.at(i, j)}
+            for i in range(ev.rows)}
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A pencil whose entries mix constant-only ones, ones with variables
+    and no constant or a stored zero constant, and rows holding one
+    variable in several entries, with a tuple of dimension 1-4 that may
+    hold more matrices than the pencil has variables."""
+    field = draw(st.sampled_from(FIELDS))
+    size, nvars = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    constant = st.none() | st.just(0) | _values(field)
+    entries = {}
+    for pos in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                             max_size=3 * size, unique=True)):
+        e = draw(st.dictionaries(st.integers(1, nvars), _values(field))) if nvars else {}
+        c = draw(constant)
+        if c is not None and (c or e):
+            e[0] = c
+        if e:
+            entries[pos] = e
+    if nvars and size > 1:                      # variable 1 twice in row 0
+        entries[(0, 0)] = {1: draw(_values(field))}
+        entries[(0, size - 1)] = {0: 0, 1: draw(_values(field))}
+    L = LinearPencil(field, size, nvars, entries)
+    n = nvars + draw(st.integers(0, 2))
+    return L, sample_tuple(field, n, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluation_cases())
+@example((LinearPencil(QQ, 2, 0, {(0, 0): {0: Fraction(3)}, (1, 0): {0: Fraction(-1, 2)}}),
+          sample_tuple(QQ, 2, 3, 5)))
+def test_core_rows_are_the_kron_sum_entry_by_entry(case):
+    L, t = case
+    rows = pencil._SparseEval(L)(t)
+    assert rows == _kron_sum_rows(L, t)
+    assert all(0 < x < L.field.p for row in rows.values() for x in row.values()) \
+        if L.field.p else all(type(x) is Fraction for row in rows.values() for x in row.values())
+
+
 @pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1])
 def test_dense_core_is_ranked_densely(monkeypatch, p):
     # every entry holds a variable, and core rows 0 and 1 are equal: the rows
@@ -124,9 +173,16 @@ def test_arrow_core_fills_in_and_is_handed_off(monkeypatch, p):
     dense = _modnum.rank_rows
     monkeypatch.setattr(_modnum, "rank_rows", lambda live, order, p:
                         seen.append((len(live), len(order))) or dense(live, order, p))
+    evaluate, evaluated = pencil._SparseEval.__call__, []
+    monkeypatch.setattr(pencil._SparseEval, "__call__",
+                        lambda self, t: evaluated.append(t) or evaluate(self, t))
     for seed in range(3):
         t = sample_tuple(field, 3, 8, seed)
         assert oracle.rank_at(t) == _rank_generic(eval_pencil(L, t))
+        # the elimination handed off keeps no record: a search at t
+        # evaluates core(t) again and eliminates it sparse to the end
+        evaluated.clear()
+        assert oracle.shrunk_subspace(t) is None and evaluated == [t]
     assert seen and all(0 < rows < 96 for rows, _ in seen)
 
 

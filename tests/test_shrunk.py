@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ncrat import rit
+from ncrat import _sparse, pencil, rit
 from ncrat.circuit import classify, parse_expr, variable_reduction
 from ncrat.field import (MERSENNE61, QQ, DenseMatrix, PrimeField, rank_of,
                          sample_tuple)
@@ -127,16 +127,79 @@ def _deficits(oracle, t):
     return sorted({1, oracle.core_size - (r - oracle.base)})
 
 
+# the corpus searches run over the search fields and F_101, which the dense
+# kernel serves, so that rank_at there may hand off a block that fills in
+REUSE_FIELDS = [f for f, _ in SEARCH_FIELDS] + [PrimeField(101)]
+REUSE_IDS = [tag.lstrip("-") or "M61" for _, tag in SEARCH_FIELDS] + ["F101"]
+
+
+def _fresh_oracle(circ, field):
+    """The circuit's gate oracle, built anew rather than from rit's cache."""
+    return rit._gate_oracle.__wrapped__(circ, field)
+
+
+@pytest.fixture
+def core_eliminations(monkeypatch):
+    """A list that gains "evaluated" at each evaluation of an oracle's
+    core(t) and "eliminated" at each rank_sparse call on one of them."""
+    made, count = [], []
+    evaluate, rank_sparse = pencil._SparseEval.__call__, _sparse.rank_sparse
+
+    def evaluated(self, t):
+        made.append(evaluate(self, t))
+        count.append("evaluated")
+        return made[-1]
+
+    def eliminated(rows, p, record=None, hand_off=False):
+        if any(rows is m for m in made):
+            count.append("eliminated")
+        return rank_sparse(rows, p, record, hand_off)
+    monkeypatch.setattr(pencil._SparseEval, "__call__", evaluated)
+    monkeypatch.setattr(_sparse, "rank_sparse", eliminated)
+    return count
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("field", [f for f, _ in SEARCH_FIELDS],
-                         ids=[tag.lstrip("-") or "M61" for _, tag in SEARCH_FIELDS])
-def test_search_equals_the_reference_on_the_corpus(field, d):
+@pytest.mark.parametrize("field", REUSE_FIELDS, ids=REUSE_IDS)
+def test_search_equals_the_reference_on_the_corpus(core_eliminations, field, d):
+    # rank_at(t) keeps its record (no member's core fills in), and the
+    # search at t reads it: core(t) is neither evaluated nor eliminated again
     found = 0
-    for _, circ, zero in MEMBERS:
-        oracle = rit._gate_oracle(circ, field)
+    for name, circ, zero in MEMBERS:
+        oracle = _fresh_oracle(circ, field)
         t = sample_tuple(field, max(circ.nvars, 1), d, 100 + d)
-        found += _same_search(oracle, t) is not None
+        want = shrunk_subspace_reference(_fresh_oracle(circ, field), t)
+        oracle.rank_at(t)
+        core_eliminations.clear()
+        S = oracle.shrunk_subspace(t)
+        assert core_eliminations == [], name
+        assert (S is None) == (want is None), name
+        if S is not None:
+            assert (S.rows, S.cols, S.data) == (want.rows, want.cols, want.data), name
+            assert list(map(type, S.data)) == list(map(type, want.data)), name
+        found += S is not None
     assert found == sum(zero for _, _, zero in MEMBERS)
+
+
+@pytest.mark.parametrize("field", REUSE_FIELDS, ids=REUSE_IDS)
+def test_a_search_at_another_tuple_never_reads_the_kept_record(field):
+    # the kept record is rank_at's last tuple's, read only at that tuple
+    # object: a search at another tuple of the same dimension or another,
+    # or at an earlier tuple once rank_at has moved on, is a fresh search's
+    for name, circ, _ in MEMBERS:
+        nv = max(circ.nvars, 1)
+        u1, u2, v1, v2 = (sample_tuple(field, nv, d, seed)
+                          for d, seed in ((1, 300), (1, 301), (2, 302), (2, 303)))
+        fresh = _fresh_oracle(circ, field)         # searches, never ranks
+        want = {id(t): fresh.shrunk_subspace(t) for t in (u1, u2, v1, v2)}
+        oracle = _fresh_oracle(circ, field)
+        for ranked, searched in (([u1], u2), ([v1], v2), ([u1], v1), ([v1], u1),
+                                 ([u1, u2], u1), ([v1, u1], v1)):
+            for t in ranked:
+                oracle.rank_at(t)
+            S, R = oracle.shrunk_subspace(searched), want[id(searched)]
+            assert (S is None) == (R is None), (name, searched.d)
+            assert S is None or S.data == R.data, (name, searched.d)
 
 
 @settings(max_examples=80, deadline=None)
