@@ -557,46 +557,21 @@ def variable_reduction(c: RationalCircuit, h: int) -> RationalCircuit:
 
 
 def transport_tuple(q: MatrixTuple, n: int, h: int) -> MatrixTuple:
-    """Map a witness for the reduced circuit back: p_i = sum_j q_{j0} q_{j1}^i q_{j0}."""
+    """Map a witness for the reduced circuit back: p_i = sum_j q_{j0} q_{j1}^i
+    q_{j0} for i = 1..n, each term (q_{j0} q_{j1}^i) q_{j0} with q_{j1}^i
+    carried over from i - 1.  Over Q, int entries give int entries."""
     if q.n < 2 * (h + 1):
         raise ValueError("tuple too short for the reduction parameters")
-    f = q.field
-    accs = transport_lists([m.to_lists() for m in q.mats[:2 * (h + 1)]], n,
-                           f.p or None)
-    return MatrixTuple(f, q.d, tuple(DenseMatrix.from_rows(f, acc) for acc in accs))
-
-
-def transport_lists(qs: list, n: int, p: int | None) -> list:
-    """p_1..p_n of transport_tuple for q_{00}, q_{01}, q_{10}, q_{11}, ...
-    given as d x d lists of rows of numbers: each product is reduced mod p
-    unless p is None, each sum is left unreduced, and q_{j1}^i is carried
-    over from i - 1."""
-    d = len(qs[0])
-    accs = [[[0] * d for _ in range(d)] for _ in range(n)]
+    qs = q.mats[:2 * (h + 1)]
+    accs: list = [None] * n
     for q0, q1 in zip(qs[::2], qs[1::2]):
         pw = q1                               # q1^i for i = 1..n in turn
-        for i, acc in enumerate(accs):
+        for i in range(n):
             if i:
-                pw = _imatmul(pw, q1, p)
-            term = _imatmul(_imatmul(q0, pw, p), q0, p)
-            for ra, rb in zip(acc, term):
-                ra[:] = [a + b for a, b in zip(ra, rb)]
-    return accs
-
-
-def _imatmul(a: list, b: list, p: int | None = None) -> list:
-    """a b for lists of rows of numbers, reduced mod p unless p is None."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            v = a[i][t]
-            if v:
-                for j in range(m):
-                    out[i][j] += v * b[t][j]
-        if p is not None:
-            out[i] = [x % p for x in out[i]]
-    return out
+                pw = pw.matmul(q1)
+            term = q0.matmul(pw).matmul(q0)
+            accs[i] = term if accs[i] is None else accs[i].add(term)
+    return MatrixTuple(q.field, q.d, tuple(accs))
 
 
 # -- circuit file format -----------------------------------------------------

@@ -286,9 +286,10 @@ class DenseMatrix:
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_shape(other)
-        f = self.field
-        return DenseMatrix(f, self.rows, self.cols,
-                           [f.add(a, b) for a, b in zip(self.data, other.data)])
+        p = self.field.p
+        sums = list(map(operator.add, self.data, other.data))
+        return DenseMatrix(self.field, self.rows, self.cols,
+                           [x % p for x in sums] if p else sums)
 
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_shape(other)
@@ -308,17 +309,16 @@ class DenseMatrix:
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        f = self.field
-        p, zero = f.p, f.zero
-        n, k, m = self.rows, self.cols, other.cols
+        f, p = self.field, self.field.p
+        k, m, mul = self.cols, other.cols, operator.mul
+        rows = [self.data[i * k:(i + 1) * k] for i in range(self.rows)]
         cols = [other.data[j::m] for j in range(m)]
-        out = []
-        for i in range(n):
-            # each entry of row i summed unreduced, then reduced once
-            row = self.data[i * k:(i + 1) * k]
-            sums = [sum(map(operator.mul, row, col), zero) for col in cols]
-            out += [x % p for x in sums] if p else sums
-        return DenseMatrix(f, n, m, out)
+        # each entry summed unreduced from int 0, then reduced once
+        if p:
+            out = [sum(map(mul, row, col)) % p for row in rows for col in cols]
+        else:
+            out = [sum(map(mul, row, col)) for row in rows for col in cols]
+        return DenseMatrix(f, self.rows, m, out)
 
     def transpose(self) -> "DenseMatrix":
         out = [self.field.zero] * (self.rows * self.cols)

@@ -18,8 +18,8 @@ The hitting-set generator runs the desk-scale version of the pipeline:
 variable reduction to 2(h+1) variables, generic matrices of an explicit
 dimension d in place of the conditional logarithmic bound, sparse-point
 assignments at prime-power values (reduced mod p over F_p, exact integers
-over Q), and transport of each assignment back through
-p_i = sum_j q_{j0} q_{j1}^i q_{j0}.
+over Q), and each assignment carried back by transport_tuple, as a witness
+for a reduced circuit is: p_i = sum_j q_{j0} q_{j1}^i q_{j0}.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .circuit import (MAX_VARS, BlowupExceeded, RationalCircuit, Undefined,
                       classify, eval_circuit, parse_expr, to_idrrsc,
-                      transport_lists)
+                      transport_tuple)
 from .field import (MAX_DIM, DenseMatrix, Field, MatrixTuple, is_invertible,
                     sample_tuple)
 from .pencil import (PencilOracle, RealizedEntry, compile_condensed, compile_idrrsc,
@@ -160,14 +160,14 @@ def _first_primes(n: int) -> list[int]:
     return primes
 
 
-def sparse_points(nvars: int, kappa: int, base_offset: int = 0,
-                  p: int | None = None) -> list[list[int]]:
-    """Points (q_1^j, ..., q_nvars^j) for j = 0..kappa-1 over exact integers
-    (reduced mod p when p is given), with distinct primes q_i: distinct
-    monomials take distinct values at the prime vector, so any nonzero
-    kappa-sparse commutative polynomial survives at some point (Vandermonde
-    argument)."""
-    primes = _first_primes(nvars + base_offset)[base_offset:]
+def sparse_points(nvars: int, kappa: int, p: int | None = None) -> list[list[int]]:
+    """Points (q_1^j, ..., q_nvars^j) for j = 0..kappa-1, q_i the first nvars
+    primes, reduced mod p when p is given.  Over the integers distinct
+    monomials take distinct values, so any nonzero kappa-sparse commutative
+    polynomial survives at some point (Vandermonde argument).  Mod p they
+    need not: a q_i equal to p is 0 (the fourth prime over F_7), and since
+    q^(p-1) = 1 the powers of each q_i repeat with a period dividing p - 1."""
+    primes = _first_primes(nvars)
     return [[pow(q, j, p) for q in primes] for j in range(kappa)]
 
 
@@ -182,14 +182,15 @@ class HittingSet:
 
 
 def hitting_set_generate(n: int, s: int, h: int, d: int, kappa: int | None,
-                         field: Field, base_offset: int = 0) -> HittingSet:
+                         field: Field) -> HittingSet:
     """Desk-scale strong hitting set for circuits with at most n variables,
-    size s, inversion height h: sparse points assign integer values to the
-    2(h+1) d^2 generic-matrix entries, and each assignment is transported
-    through p_i = sum_j q_{j0} q_{j1}^i q_{j0}.  Over F_p every point and
-    product is reduced mod p as it is made; over Q they are exact integers.
-    ValueError for s, d or kappa below 1, a negative n or h, n above
-    MAX_VARS (every point builds n matrices) or d above MAX_DIM."""
+    size s, inversion height h: each sparse point fills the 2(h+1) d x d
+    generic matrices, and transport_tuple carries them back through p_i =
+    sum_j q_{j0} q_{j1}^i q_{j0}.  Over F_p points and products are reduced
+    as they are made; over Q they are ints until each entry of the result
+    is normalized once, to a Fraction.  ValueError for s, d or kappa below
+    1, a negative n or h, n above MAX_VARS (every point builds n matrices)
+    or d above MAX_DIM."""
     for name, value, least in (("nvars", n, 0), ("size", s, 1), ("height", h, 0),
                                ("dim", d, 1), ("kappa", kappa, 1)):
         if value is not None and value < least:
@@ -200,16 +201,15 @@ def hitting_set_generate(n: int, s: int, h: int, d: int, kappa: int | None,
         raise ValueError(f"dim must be at most {MAX_DIM}, got {d}")
     if kappa is None:
         kappa = 2 * s * d
-    nq = 2 * (h + 1)
-    p = field.p if field.kind == "prime" else None
-    pts = sparse_points(nq * d * d, kappa, base_offset, p)
+    nq, dd = 2 * (h + 1), d * d
+    norm = field.normalize
     tuples = []
-    for pt in pts:
-        qmats = [[pt[k * d * d + a * d:k * d * d + (a + 1) * d] for a in range(d)]
-                 for k in range(nq)]
+    for pt in sparse_points(nq * dd, kappa, field.p or None):
+        q = MatrixTuple(field, d, tuple(DenseMatrix(field, d, d, pt[k * dd:(k + 1) * dd])
+                                        for k in range(nq)))
         tuples.append(MatrixTuple(field, d, tuple(
-            DenseMatrix.from_rows(field, acc)
-            for acc in transport_lists(qmats, n, p))))
+            DenseMatrix(field, d, d, [norm(x) for x in m.data])
+            for m in transport_tuple(q, n, h).mats)))
     return HittingSet(tuple(tuples), n=n, s=s, h=h, d=d, kappa=kappa)
 
 

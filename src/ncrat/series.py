@@ -20,7 +20,7 @@ from .pencil import (LinearPencil, RealizedEntry, dense_block, eval_pencil,
 
 
 class FieldTooSmall(Exception):
-    """The scaling scan ran out of field or max_scan before its 2sd bound."""
+    """The scaling scan ran out of F_p's p - 1 nonzero scalars before 2sd."""
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,15 @@ def series_is_zero(S: RecognizableSeries, trials: int = 16,
                          S.field.sample_set_size())
 
 
-def scaling_search(S: RecognizableSeries, t: MatrixTuple,
-                   max_scan: int | None = None) -> tuple[int, DenseMatrix]:
+def scaling_search(S: RecognizableSeries, t: MatrixTuple) -> tuple[int, DenseMatrix]:
     """Scan tau = 1, 2, ... for the first scalar with I - M(tau t)
     invertible and c^t (I - M(tau t))^{-1} b nonzero.  With s the series
     size and d = t.d, a bad tau is a root of det(I - tau M(t)), of degree
     at most sd, or of c^t adj(I - tau M(t)) b, of degree below sd, so one
     of the first 2sd scalars is usable unless the value vanishes along
     tau t, which makes the truncation at t zero.  Returns that tau and its
-    value; FieldTooSmall if the field or max_scan ends the scan first,
-    ValueError if all 2sd scalars fail."""
+    value; FieldTooSmall if F_p ends the scan first, at p - 1 < 2sd, ValueError
+    if all 2sd scalars fail."""
     f = S.field
     eye = DenseMatrix.identity(f, t.d)
     cb = kron(S.c, eye)
@@ -120,8 +119,6 @@ def scaling_search(S: RecognizableSeries, t: MatrixTuple,
     big_eye = DenseMatrix.identity(f, Mt.rows)
     bound = 2 * Mt.rows
     scan = min(bound, f.p - 1) if f.kind == "prime" else bound
-    if max_scan is not None:
-        scan = min(scan, max_scan)
     for tau in range(1, scan + 1):
         try:
             value = cb.matmul(solve(big_eye.sub(Mt.scale(f.normalize(tau))), bb))

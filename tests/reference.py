@@ -33,10 +33,12 @@ pencils and series are checked against:
 """
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import freepoly
 from ncrat.circuit import Abp, IdrCircuit, LinForm, Undefined, eval_circuit
-from ncrat.field import (QQ, DenseMatrix, Field, MatrixTuple, PrimeField,
+from ncrat.field import (DenseMatrix, Field, MatrixTuple, PrimeField,
                          Singular, invert, is_invertible, kron, rank_of,
                          sample_tuple, solve)
 from ncrat.pencil import (LinearPencil, PencilOracle, dense_block,
@@ -132,9 +134,12 @@ def _reduced_echelon(rows: dict, ncols: int, p: int) -> tuple[list, list]:
     """The reduced row echelon form R of M, with rows {i: {j: value}} over
     the columns 0..ncols-1 of the field of characteristic p (0 for Q), as
     dense lists, and the pivot column of each nonzero row of R, which come
-    first: dense Gauss-Jordan elimination with first-nonzero pivoting
-    through the field's own operations."""
-    f = PrimeField(p) if p else QQ
+    first: dense Gauss-Jordan elimination with first-nonzero pivoting, over
+    F_p through the field's own operations.  Over Q it runs on integer
+    rows (_reduced_echelon_q); R is unique, so the result is the same."""
+    if not p:
+        return _reduced_echelon_q(rows, ncols)
+    f = PrimeField(p)
     a = [[f.normalize(row.get(j, 0)) for j in range(ncols)] for row in rows.values()]
     pivots = []
     for c in range(ncols):
@@ -154,6 +159,37 @@ def _reduced_echelon(rows: dict, ncols: int, p: int) -> tuple[list, list]:
                     row[q] = f.sub(row[q], f.mul(fac, y))
         pivots.append(c)
     return a, pivots
+
+
+def _reduced_echelon_q(rows: dict, ncols: int) -> tuple[list, list]:
+    """_reduced_echelon over Q, fraction-free: each row is scaled to
+    integers by its denominators' lcm, the pivot row a_r clears column c of
+    every other row a_i as a_i <- (v a_i - u a_r) / g with v = a_r[c], u =
+    a_i[c] and g = gcd(u, v), the updated row is divided by the gcd of its
+    entries, and each pivot row is divided by its pivot at the end."""
+    a = []
+    for row in rows.values():
+        vals = [Fraction(row.get(j, 0)) for j in range(ncols)]
+        den = lcm(*(x.denominator for x in vals))
+        a.append([x.numerator * (den // x.denominator) for x in vals])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                g = gcd(prow[c], row[c])
+                v, u = prow[c] // g, row[c] // g
+                row = [v * x - u * y for x, y in zip(row, prow)]
+                content = gcd(*row)
+                a[i] = [x // content for x in row] if content > 1 else row
+        pivots.append(c)
+    return ([[Fraction(x, a[q][c]) for x in a[q]] for q, c in enumerate(pivots)]
+            + [[Fraction(0)] * ncols for _ in range(len(pivots), len(a))]), pivots
 
 
 def nullspace_sparse(rows: dict, ncols: int, p: int) -> dict:

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrat.circuit import (BlowupExceeded, classify, eval_circuit, parse_expr,
                            transport_tuple, variable_reduction)
-from ncrat.field import QQ, DenseMatrix, PrimeField, is_invertible, prime_field
+from ncrat.field import (QQ, DenseMatrix, MatrixTuple, PrimeField, is_invertible,
+                         prime_field, sample_tuple)
 from ncrat.pencil import compile_condensed
 from ncrat.rit import (RitParams, WitnessNotFound,
                        bootstrap_dimension, corpus, hitting_set_generate,
@@ -161,38 +164,60 @@ def test_hitgen_default_kappa():
     assert hs.kappa == 2 * 3 * 1 and len(hs.tuples) == hs.kappa
 
 
+def _listmul(a: list, b: list) -> list:
+    """a b for lists of rows of integers, written out here so that the
+    expectations below share no product with the code under test."""
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _transport_lists(qm: list, n: int) -> list:
+    """p_i = sum_j q_j0 q_j1^i q_j0 for i = 1..n on lists of rows."""
+    d = len(qm[0])
+    out = []
+    for i in range(1, n + 1):
+        acc = [[0] * d for _ in range(d)]
+        for q0, q1 in zip(qm[::2], qm[1::2]):
+            pw = q1
+            for _ in range(i - 1):
+                pw = _listmul(pw, q1)
+            term = _listmul(_listmul(q0, pw), q0)
+            acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, term)]
+        out.append(acc)
+    return out
+
+
 def test_hitgen_transport_structure():
     # each tuple satisfies p_i = sum_j q_j0 q_j1^i q_j0 for integer q blocks
     hs = hitting_set_generate(2, 4, 1, 2, 3, F)
-    from ncrat.circuit import _imatmul
-    from ncrat.rit import sparse_points as sp
-    pts = sp(2 * 2 * 2 * 2, 3)
+    pts = sparse_points(2 * 2 * 2 * 2, 3)
     for t, pt in zip(hs.tuples, pts):
         qm = [[[pt[k * 4 + a * 2 + b] for b in range(2)] for a in range(2)]
               for k in range(4)]
-        for i in (1, 2):
-            acc = [[0, 0], [0, 0]]
-            for j in range(2):
-                pw = qm[2 * j + 1]
-                for _ in range(i - 1):
-                    pw = _imatmul(pw, qm[2 * j + 1])
-                term = _imatmul(_imatmul(qm[2 * j], pw), qm[2 * j])
-                acc = [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(acc, term)]
-            expect = DenseMatrix.from_rows(F, acc)
-            assert t.mats[i - 1] == expect
+        expect = [DenseMatrix.from_rows(F, acc) for acc in _transport_lists(qm, 2)]
+        assert list(t.mats) == expect
+
+
+def test_transport_tuple_over_q_keeps_fractions():
+    # a Q witness transports to Fractions, the sums written out above
+    q = sample_tuple(QQ, 4, 2, 3)
+    q = MatrixTuple(QQ, 2, (q.mats[0].scale(Fraction(1, 3)),) + q.mats[1:])
+    p = transport_tuple(q, n=3, h=1)
+    assert all(type(x) is Fraction for m in p.mats for x in m.data)
+    assert [m.to_lists() for m in p.mats] == \
+        _transport_lists([m.to_lists() for m in q.mats], 3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 1), st.integers(1, 3),
-       st.integers(1, 4), st.integers(0, 2),
-       st.sampled_from([7, 101, (1 << 31) - 1, (1 << 61) - 1]))
-def test_hitgen_mod_p_is_the_exact_construction_reduced(n, s, h, d, kappa, offset, p):
+       st.integers(1, 4), st.sampled_from([7, 101, (1 << 31) - 1, (1 << 61) - 1]))
+def test_hitgen_mod_p_is_the_exact_construction_reduced(n, s, h, d, kappa, p):
     # over F_p points and products are reduced as they are made; over Q the
-    # same construction runs on exact integers
+    # same construction runs on exact integers and ends in Fractions
     Fp = PrimeField(p)
-    exact = hitting_set_generate(n, s, h, d, kappa, QQ, base_offset=offset)
-    reduced = hitting_set_generate(n, s, h, d, kappa, Fp, base_offset=offset)
+    exact = hitting_set_generate(n, s, h, d, kappa, QQ)
+    reduced = hitting_set_generate(n, s, h, d, kappa, Fp)
+    assert all(type(x) is Fraction for t in exact.tuples for m in t.mats for x in m.data)
     assert [[[Fp.normalize(x) for x in m.data] for m in t.mats] for t in exact.tuples] == \
         [[m.data for m in t.mats] for t in reduced.tuples]
 

@@ -243,10 +243,15 @@ def test_scaling_requires_nonzero_truncation(rng):
 
 
 def test_scaling_respects_scan_cap():
-    S = geometric()
-    t = MatrixTuple(F, 1, (DenseMatrix.from_rows(F, [[1]]),))
+    # over F_3 the scan ends at p - 1 = 2 < 2sd = 4: M = diag(1, 2) x1 at
+    # t = ([1]) makes I - tau M(t) singular at both tau = 1 and tau = 2
+    F3 = PrimeField(3)
+    S = RecognizableSeries(DenseMatrix.from_rows(F3, [[1, 1]]),
+                           pencil_from_rows(F3, [[[0, 0], [0, 0]], [[1, 0], [0, 2]]]),
+                           DenseMatrix.from_rows(F3, [[1], [1]]))
+    t = MatrixTuple(F3, 1, (DenseMatrix.from_rows(F3, [[1]]),))
     with pytest.raises(FieldTooSmall):
-        scaling_search(S, t, max_scan=1)
+        scaling_search(S, t)
 
 
 def test_scaling_random_series_within_bound(rng):
