@@ -272,32 +272,45 @@ def classify(c: RationalCircuit) -> CircuitInfo:
 
 def eval_circuit(c: RationalCircuit, t: MatrixTuple) -> DenseMatrix:
     """Bottom-up evaluation at a matrix tuple; raises Undefined(node) when
-    an inverse gate hits a singular value."""
+    an inverse gate hits a singular value.  At d = 1 the nodes hold the
+    tuple's entries as field scalars, with the field's own operations, and
+    only the output is wrapped as a 1 x 1 matrix: the values and types the
+    1 x 1 matrix operations give (over Q an inverse is a Fraction)."""
     if c.nvars > t.n:
         raise ValueError("tuple has fewer matrices than the circuit has variables")
-    field = t.field
-    vals: dict[int, DenseMatrix] = {}
+    field, d = t.field, t.d
+    if d == 1:
+        args = [m.data[0] for m in t.mats]
+        const, add, sub, mul, inv = field.normalize, field.add, field.sub, field.mul, field.inv
+    else:
+        args = t.mats
+        add, sub, mul, inv = DenseMatrix.add, DenseMatrix.sub, DenseMatrix.matmul, invert
+
+        def const(v):
+            return DenseMatrix.identity(field, d).scale(v)
+    vals: dict[int, object] = {}
     for i in c.reachable:
         node = c.nodes[i]
         kind = node[0]
         if kind == "const":
-            vals[i] = DenseMatrix.identity(field, t.d).scale(field.normalize(node[1]))
+            vals[i] = const(node[1])
         elif kind == "var":
-            vals[i] = t.mats[node[1] - 1]
+            vals[i] = args[node[1] - 1]
         elif kind == "add":
-            vals[i] = vals[node[1]].add(vals[node[2]])
+            vals[i] = add(vals[node[1]], vals[node[2]])
         elif kind == "sub":
-            vals[i] = vals[node[1]].sub(vals[node[2]])
+            vals[i] = sub(vals[node[1]], vals[node[2]])
         elif kind == "mul":
-            vals[i] = vals[node[1]].matmul(vals[node[2]])
+            vals[i] = mul(vals[node[1]], vals[node[2]])
         elif kind == "inv":
             try:
-                vals[i] = invert(vals[node[1]])
+                vals[i] = inv(vals[node[1]])
             except Singular:
                 raise Undefined(i) from None
         else:
             raise ValueError(f"unknown node kind {kind!r}")
-    return vals[c.output]
+    out = vals[c.output]
+    return DenseMatrix(field, 1, 1, [out]) if d == 1 else out
 
 
 # -- algebraic branching programs ------------------------------------------

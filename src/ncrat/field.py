@@ -293,9 +293,10 @@ class DenseMatrix:
 
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_shape(other)
-        f = self.field
-        return DenseMatrix(f, self.rows, self.cols,
-                           [f.sub(a, b) for a, b in zip(self.data, other.data)])
+        p = self.field.p
+        diffs = list(map(operator.sub, self.data, other.data))
+        return DenseMatrix(self.field, self.rows, self.cols,
+                           [x % p for x in diffs] if p else diffs)
 
     def scale(self, c) -> "DenseMatrix":
         f = self.field

@@ -13,7 +13,8 @@ from ncrat.circuit import (Abp, BlowupExceeded, CircuitBuilder, IdrCircuit,
                            eval_circuit, formula_to_abp, parse_circuit,
                            parse_expr, to_idrrsc, transport_tuple,
                            variable_reduction)
-from ncrat.field import QQ, DenseMatrix, MatrixTuple, prime_field, sample_tuple
+from ncrat.field import (QQ, DenseMatrix, MatrixTuple, kron, prime_field,
+                         sample_tuple)
 from ncrat.pencil import compile_idrrsc, dump_pencil
 from ncrat.rit import corpus
 from reference import eval_abp, eval_idrrsc, expand_abp
@@ -449,6 +450,95 @@ def trees(draw):
 @given(trees())
 def test_circuit_file_round_trips_generated_trees(c):
     assert parse_circuit(dump_circuit(c)) == c
+
+
+# -- evaluation at d = 1, on field scalars ------------------------------------------
+
+F7, F101 = prime_field(7), prime_field(101)
+SCALAR_FIELDS = (F, F7, F101, QQ)
+
+
+def _eval_scalar_and_diagonal(c, field, entries):
+    """eval_circuit at the 1 x 1 tuple of entries, which runs on field
+    scalars, and at its Kronecker product with I_2 (each a as diag(a, a)),
+    which runs on DenseMatrix operations; an inverse gate at a singular
+    value gives ("undefined", node), a constant with no value in the field
+    "no value"."""
+    t = MatrixTuple(field, 1, tuple(DenseMatrix(field, 1, 1, [a]) for a in entries))
+    i2 = DenseMatrix.identity(field, 2)
+    outs = []
+    for u in (t, MatrixTuple(field, 2, tuple(kron(m, i2) for m in t.mats))):
+        try:
+            outs.append(eval_circuit(c, u))
+        except Undefined as exc:
+            outs.append(("undefined", exc.node))
+        except ValueError:
+            outs.append("no value")
+    one, two = outs
+    if isinstance(one, DenseMatrix):
+        assert (one.rows, one.cols) == (1, 1)
+        assert two == kron(one, i2)
+        return one.data[0]
+    assert two == one
+    return one
+
+
+def _check_scalar(x, field):
+    """Entries are canonical residues over a prime and Fractions over Q."""
+    if field.p:
+        assert type(x) is int and 0 <= x < field.p
+    else:
+        assert type(x) is Fraction
+
+
+@st.composite
+def scalar_points(draw):
+    """A field and six entries, small ones often, so that F_7 and Q hit
+    singular inverses."""
+    field = draw(st.sampled_from(SCALAR_FIELDS))
+    if field.p:
+        entry = st.one_of(st.integers(0, 3), st.integers(0, field.p - 1))
+    else:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return field, draw(st.lists(entry, min_size=6, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(), scalar_points())
+def test_eval_on_scalars_matches_diagonal_matrices(c, point):
+    field, entries = point
+    out = _eval_scalar_and_diagonal(c, field, entries)
+    if not isinstance(out, (tuple, str)):
+        _check_scalar(out, field)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=["M61", "F7", "F101", "Q"])
+def test_eval_on_scalars_explicit_cases(field):
+    # constants only, at a tuple of no matrices
+    out = _eval_scalar_and_diagonal(parse_expr("2/3 * 5 - 1"), field, [])
+    _check_scalar(out, field)
+    assert out == field.sub(field.mul(field.normalize(Fraction(2, 3)), 5), 1)
+    # the output is a var node: the entry itself
+    entries = [field.normalize(4), field.normalize(5)]
+    assert _eval_scalar_and_diagonal(parse_expr("x2"), field, entries) == entries[1]
+    # a difference below zero is reduced: p - 1, or -1 over Q
+    _check_scalar(_eval_scalar_and_diagonal(parse_expr("x1 - x2"), field, entries), field)
+    # an inverse of zero is undefined at the inverse node on both paths
+    c = parse_expr("x2*inv(x1 - x1)")
+    inv_node = next(i for i, node in enumerate(c.nodes) if node[0] == "inv")
+    assert _eval_scalar_and_diagonal(c, field, entries) == ("undefined", inv_node)
+
+
+def test_eval_on_scalars_over_q_with_int_entries():
+    # the 1 x 1 matrix operations keep int products and sums, and an inverse
+    # is the Fraction that the solver returns
+    ints = [3, -5]
+    prod = _eval_scalar_and_diagonal(parse_expr("x1*x2 + x2"), QQ, ints)
+    assert prod == -20 and type(prod) is int
+    inv = _eval_scalar_and_diagonal(parse_expr("inv(x1)"), QQ, ints)
+    assert inv == Fraction(1, 3) and type(inv) is Fraction
+    mixed = _eval_scalar_and_diagonal(parse_expr("inv(x1 - x2) * x1 + 1/3"), QQ, ints)
+    assert mixed == Fraction(17, 24) and type(mixed) is Fraction
 
 
 @pytest.mark.parametrize("text,where", [
