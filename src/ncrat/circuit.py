@@ -342,26 +342,11 @@ class Abp:
 
 
 def _sum(a: tuple, b: tuple, negate_b: bool) -> tuple:
-    """The operand a + b or a - b (see _fold).  Two one-layer operands are
-    added at once, into a's one form, which no other operand holds, so a
-    left-nested sum of n one-layer terms takes time linear in n.  Otherwise
-    the sum is a node (a, b, negate_b, widths, k), laid out by _lay once
-    the whole chain of + and - is known: each side is padded to the deeper
-    one's depth by identity layers, and in every inner vertex layer b's
-    vertices go after a's."""
+    """The sum node (a, b, negate_b, widths, k) for a + b or a - b (see
+    _fold), laid out by _lay once the whole chain of + and - is known: each
+    side is padded to the deeper one's depth by identity layers, and in
+    every inner vertex layer b's vertices go after a's."""
     wa, wb = a[-2], b[-2]
-    if len(wa) == len(wb) == 2:
-        (dst,), (src,) = a[0], b[0]
-        for form in src.values():        # at most one, at (0, 0)
-            into = dst.setdefault((0, 0), {})
-            for k, v in form.items():
-                if x := into.get(k, 0) + (-v if negate_b else v):
-                    into[k] = x
-                else:
-                    del into[k]
-            if not into:
-                del dst[0, 0]
-        return a[0], wa, a[2] + b[2]
     depth = max(len(wa), len(wb)) - 1
     widths = [1] + [(wa[t] if t < len(wa) else 1) + (wb[t] if t < len(wb) else 1)
                     for t in range(1, depth)] + [1]
@@ -374,7 +359,10 @@ def _lay(op: tuple) -> tuple:
     identity edges that pad them and the first layer of each b of an a - b
     negated.  Within a layer, edges go in the order the summands stand and
     each padding edge follows the summands it pads, which is the order that
-    adding the operands pairwise, innermost sums first, leaves."""
+    adding the operands pairwise, innermost sums first, leaves.  Summands
+    share an edge only in a sum of depth 1: there each later form is added
+    into the earlier one, dropping a coefficient that cancels and an edge
+    left empty."""
     if len(op) == 3:
         return op
     widths = op[3]
@@ -390,7 +378,7 @@ def _lay(op: tuple) -> tuple:
             wa = a[-2]
             shift = [off[t] + (wa[t] if t < len(wa) else 1) for t in range(1, depth)]
             todo.append((b, [off[0], *shift, off[depth]], neg != sub))
-            todo.append((a, off[:depth + 1], neg))
+            todo.append((a, off if len(off) == depth + 1 else off[:depth + 1], neg))
             continue
         layers = node[0]
         if neg:
@@ -400,7 +388,15 @@ def _lay(op: tuple) -> tuple:
         for t, layer in enumerate(layers):
             ro, co, dst = off[t], off[t + 1], out[t]
             for (i, j), form in layer.items():
-                dst[ro + i, co + j] = form
+                into = dst.setdefault((ro + i, co + j), form)
+                if into is not form:
+                    for k, v in form.items():
+                        if x := into.get(k, 0) + v:
+                            into[k] = x
+                        else:
+                            del into[k]
+                    if not into:
+                        del dst[ro + i, co + j]
     return out, widths, op[-1]
 
 
@@ -468,10 +464,11 @@ def _fold(c: RationalCircuit, cap_nodes: int) -> IdrCircuit:
     each finished operand, for the last subs on `pending` (pending[j] is
     variable nx + j + 1): its branching-program layers and widths and how
     many placeholders they hold, or a sum node (_sum) whose layout waits
-    until a product, an inverse or the end takes it (_lay), so that a chain
-    of + and - is laid out once however it nests.  An inverse gate closes
-    its child's top into a sub and leaves a placeholder for it.  Each
-    operand owns its lists and forms, so `*` extends the left one.  A
+    until a product, an inverse or the end takes it (_lay), so that every
+    chain of + and -, one-layer terms included, is laid out once however it
+    nests.  An inverse gate closes its child's top into a sub and leaves a
+    placeholder for it.  Each operand owns its lists and forms, so `*`
+    extends the left one and _lay adds into the first summand's form.  A
     coefficient is an int unless a constant makes it a true fraction."""
     nx = c.nvars
     pending: list[IdrCircuit] = []

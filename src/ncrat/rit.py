@@ -416,9 +416,7 @@ ZERO_EXPRESSIONS: tuple[tuple[str, str], ...] = (
 )
 
 
-def corpus(include_zero: bool = True):
+def corpus():
     """Parsed reference corpus as (label, circuit, expected_zero) triples."""
-    out = [(name, parse_expr(src), False) for name, src in NONZERO_EXPRESSIONS]
-    if include_zero:
-        out += [(name, parse_expr(src), True) for name, src in ZERO_EXPRESSIONS]
-    return out
+    return ([(name, parse_expr(src), False) for name, src in NONZERO_EXPRESSIONS]
+            + [(name, parse_expr(src), True) for name, src in ZERO_EXPRESSIONS])

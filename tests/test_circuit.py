@@ -327,6 +327,83 @@ def test_compiled_sums_are_unchanged():
         "768c8fee727ec97ca6c2c93db2bcc94b0f0f123a6b3aa0514de102cdfb5ad546"
 
 
+def _pencil_files(c):
+    idr = to_idrrsc(c)
+    files = []
+    for field in (F, prime_field(7), QQ):
+        e = compile_idrrsc(idr, field)
+        files.append(dump_pencil(e.pencil, (e.row, e.col)))
+    return files
+
+
+def _one_layer_term(b, kind):
+    if kind in ("x1", "x2", "x3"):
+        return b.var(int(kind[1]))
+    if kind in ("inv(x1)", "inv(x2)", "inv(x3)"):
+        return b.inv(b.var(int(kind[5])))
+    return b.const(kind)
+
+
+def _signed_tree(b, seq, rng):
+    """seq is [(sign, term), ...] with the first sign +1; a random binary
+    tree of + and - whose value is the signed sum, each sign pushed through
+    the - above it, so that the tree holds the same signed sequence."""
+    if len(seq) == 1:
+        return _one_layer_term(b, seq[0][1])
+    m = rng.randrange(1, len(seq))
+    left, right = seq[:m], seq[m:]
+    if right[0][0] > 0:
+        return b.add(_signed_tree(b, left, rng), _signed_tree(b, right, rng))
+    flipped = [(-s, t) for s, t in right]
+    return b.sub(_signed_tree(b, left, rng), _signed_tree(b, flipped, rng))
+
+
+def test_one_layer_chains_compile_alike_however_they_nest():
+    """A signed sequence of one-layer terms (variables, constants, 0 and
+    inverted variables), written left-nested and as a random tree of + and
+    -, compiles to the same pencil files over M61, F_7 and Q, and its top's
+    one form is the signed sum of the terms, the j-th inverse standing for
+    placeholder nx + j."""
+    rng = random.Random(0x51C)
+    kinds = ["x1", "x2", "x3", "inv(x1)", "inv(x2)", "inv(x3)",
+             0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)]
+    for _ in range(300):
+        seq = [(1, rng.choice(kinds))]
+        seq += [(rng.choice((1, -1)), rng.choice(kinds)) for _ in range(rng.randrange(8))]
+        b = CircuitBuilder()
+        out = _one_layer_term(b, seq[0][1])
+        for s, t in seq[1:]:
+            out = (b.add if s > 0 else b.sub)(out, _one_layer_term(b, t))
+        left_nested = b.build(out)
+        b = CircuitBuilder()
+        tree = b.build(_signed_tree(b, seq, rng))
+        assert _pencil_files(tree) == _pencil_files(left_nested), seq
+        want: dict = {}
+        inverses = 0
+        for s, t in seq:
+            if isinstance(t, str) and t.startswith("inv"):
+                inverses += 1
+                k, v = tree.nvars + inverses, s
+            else:
+                k, v = (int(t[1]), s) if isinstance(t, str) else (0, s * t)
+            want[k] = want.get(k, 0) + v
+        want = {k: v for k, v in want.items() if v}
+        (layer,) = to_idrrsc(tree).top.layers
+        assert layer == ({(0, 0): want} if want else {}), seq
+
+
+@pytest.mark.parametrize("nested,flat", [
+    ("x1 + ((x2 - x1) + x1)", "x1 + x2 - x1 + x1"),
+    ("x1 - (x1 - 0)", "x1 - x1 + 0"),
+    ("0 - (x1 - x1)", "0 - x1 + x1"),
+])
+def test_one_layer_cancellations_compile_alike_however_they_nest(nested, flat):
+    assert _pencil_files(parse_expr(nested)) == _pencil_files(parse_expr(flat))
+    (layer,) = to_idrrsc(parse_expr(nested)).top.layers
+    assert all(layer.values())                            # no empty form
+    assert all(all(f.values()) for f in layer.values())   # no coefficient 0
+
+
 # -- variable reduction ----------------------------------------------------------
 
 def test_variable_reduction_single_variable_shape():
