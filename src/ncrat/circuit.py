@@ -392,7 +392,7 @@ def _lay(op: tuple) -> tuple:
                 if into is not form:
                     for k, v in form.items():
                         if x := into.get(k, 0) + v:
-                            into[k] = x
+                            into[k] = x if x.denominator != 1 else x.numerator
                         else:
                             del into[k]
                     if not into:

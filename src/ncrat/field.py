@@ -395,6 +395,8 @@ def _solve(a: DenseMatrix, rhs: list) -> DenseMatrix:
 
 
 def is_invertible(m: DenseMatrix) -> bool:
+    if m.rows == 1 == m.cols:            # a scalar, held canonical
+        return m.data[0] != 0
     return m.is_square and rank_of(m) == m.rows
 
 

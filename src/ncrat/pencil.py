@@ -25,17 +25,17 @@ compiler's pencils hold a few nonzeros per row at sizes in the thousands.
 Builders write blocks into that map with `place_block`, the compiler its
 branching programs' entries straight at their offsets, and nothing writes
 to a pencil's entries once it is built, so pencils share entry dicts.  A
-PencilOracle reduces a pencil once by exact elimination at constant pivots,
-which reads those dicts in place and copies one only to write fill into it;
-most of the compiler's pivots fill in, mostly scaling by +-1, which needs
-no multiplication.  A realized entry owns one, which keeps its element
-(RealizedEntry.oracle).  Evaluations at a matrix tuple are built as sparse
-rows straight from the entries (_SparseEval), over every field, Q included:
-an oracle ranks its core's, an entry's value is solved from them by
-_sparse.solve, which hands rows that fill in to the dense kernel, and
-`eval_pencil` scatters them into a dense matrix.  Only a core whose
-evaluations fill in over a prime the dense kernel serves (_sparse.fills) is
-evaluated by that kernel instead.  From the same rows the oracle can look
+PencilOracle reduces a pencil once, on first use, by exact elimination at
+constant pivots, which reads those dicts in place and copies one only to
+write fill into it; most of the compiler's pivots fill in, mostly scaling
+by +-1, which needs no multiplication.  A realized entry owns one, which
+keeps its element (RealizedEntry.oracle).  Evaluations at a matrix tuple
+are built as sparse rows straight from the entries (_SparseEval), over
+every field, Q included: an oracle ranks its core's, an entry's value is
+solved from them by _sparse.solve, which hands rows that fill in to the
+dense kernel, and `eval_pencil` scatters them into a dense matrix.  Only a
+core whose evaluations fill in over a prime the dense kernel serves
+(_sparse.fills) is evaluated by that kernel instead.  From the same rows the oracle can look
 for a shrunk subspace of its core (the second Wong sequence), which bounds
 the pencil's rank at every tuple and, shrinking by one dimension, proves it
 singular; check_shrunk re-checks one by exact ranks.
@@ -625,9 +625,13 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
         todo_cols = [c for c in range(n - 1, -1, -1) if cols[c] is not None and not cvar[c]]
 
 
+# what PencilOracle sets when it reduces, on the first read of one
+_REDUCED = frozenset(("base", "core", "kept", "invertible_everywhere", "_eval_rows"))
+
+
 class PencilOracle:
     """Rank and invertibility of a pencil at matrix tuples, through an
-    exact structural reduction done once at construction: rank(L(t)) =
+    exact structural reduction done once, on first use: rank(L(t)) =
     base * d + rank(core(t)) for every tuple t.  The reduction (_reduce)
     pivots out constant rows, then constant columns, reading L's entries in
     place and doing field arithmetic only where a pivot fills in, the same
@@ -643,18 +647,34 @@ class PencilOracle:
     pivoted counts the unit pivots L's builder already took (those
     compile_condensed leaves out of rit's gate), and size and base count
     them too.  invertible_everywhere is _reduce's full: the elimination,
-    finished with any keep released, pivots every row."""
+    finished with any keep released, pivots every row.
+
+    size is known at construction; the reduction runs at the first read of
+    base, core, kept or invertible_everywhere, or the first rank_at or
+    search, and sets them as plain attributes.  Until then the oracle holds
+    L, so an oracle that is never asked (rit's gate at a formula its first
+    evaluation hits) costs no elimination."""
 
     def __init__(self, L: LinearPencil, keep: tuple[int, int] | None = None,
                  pivoted: int = 0):
         self.field = L.field
         self.size = L.size + pivoted
-        base, self.core, self.kept, self.invertible_everywhere = _reduce(L, keep)
-        self.base = base + pivoted
-        self._eval_rows = _SparseEval(self.core)
+        self._unreduced = (L, keep, pivoted)
         self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
         self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched
         self._last = None            # (t, _sparse.Record of core(t)), the last eliminated
+
+    def __getattr__(self, name: str):
+        """Reached only for an attribute not set: the reduction's, before
+        it has run."""
+        if name not in _REDUCED:
+            raise AttributeError(name)
+        L, keep, pivoted = self._unreduced
+        base, self.core, self.kept, self.invertible_everywhere = _reduce(L, keep)
+        self.base = base + pivoted
+        self._eval_rows = _SparseEval(self.core)
+        del self._unreduced
+        return self.__dict__[name]
 
     @property
     def core_size(self) -> int:

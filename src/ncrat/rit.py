@@ -4,15 +4,17 @@ A circuit is nonzero in the free skew field exactly when its inverse is
 defined somewhere.  The compiled pencil of the inverse (the gate) is
 invertible wherever the circuit is defined with an invertible value, and
 may be elsewhere: inv(x1 - x1)'s is invertible everywhere.  So the
-randomized test samples tuples of growing dimension, checks the gate
-through its reduced core, and re-verifies any hit by direct evaluation,
-which keeps NONZERO sound.  Zero verdicts are one-sided Monte Carlo,
-except where the oracle finds a shrunk subspace of the core (over every
-field, Q included, searched from the first singular trial of each
-dimension below the last): that proves the gate singular everywhere, so
-the circuit is nowhere defined with an invertible value, and the test
-ends there with the exact ZERO verdict, trial count and error bound the
-remaining trials would give.
+randomized test samples tuples of growing dimension and evaluates the
+circuit at each: a defined, invertible value is a NONZERO verdict with its
+witness, sound as it stands.  Only a trial that misses asks the gate, whose
+oracle reduces it at that first question; a gate singular there is where
+the search starts.  Zero verdicts are one-sided Monte Carlo, except where
+the oracle finds a shrunk subspace of the core (over every field, Q
+included, searched from the first trial of each dimension below the last
+that misses at a singular gate): that proves the gate singular
+everywhere, so the circuit is nowhere defined with an invertible value,
+and the test ends there with the exact ZERO verdict, trial count and
+error bound the remaining trials would give.
 
 The hitting-set generator runs the desk-scale version of the pipeline:
 variable reduction to 2(h+1) variables, generic matrices of an explicit
@@ -83,7 +85,8 @@ def compile_circuit(c: RationalCircuit, field: Field) -> RealizedEntry:
 def _gate_oracle(c: RationalCircuit, field: Field) -> PencilOracle:
     """The oracle of the bordered pencil for the circuit's inverse (its
     size is the gate's): invertible wherever the circuit is defined with an
-    invertible value, but not only there.  The pencil itself is not kept.
+    invertible value, but not only there.  The oracle holds the pencil
+    until its first use reduces it (see PencilOracle).
 
     The border goes around compile_condensed's entry, not compile_circuit's.
     It touches none of the P unit pivots that entry leaves out, so the
@@ -95,15 +98,19 @@ def _gate_oracle(c: RationalCircuit, field: Field) -> PencilOracle:
 def rit_test(c: RationalCircuit, field: Field,
              params: RitParams = RitParams()) -> RitVerdict:
     """Randomized black-box zero test; NonZero verdicts ship a tuple at
-    which the circuit is defined with an invertible value, re-verified by
-    direct evaluation.
+    which the circuit is defined with an invertible value, found by direct
+    evaluation.
 
-    At the first tuple of a dimension below max_dim that the oracle finds
-    singular, the oracle searches for a shrunk subspace of its core, once
-    per dimension.  One that check_shrunk accepts makes every later trial
-    singular, so the test returns the ZERO verdict the full trial loop
-    would give (the nominal max_dim * trials and the per-trial bound) at
-    once, and that verdict is exact."""
+    Each trial evaluates first.  A miss (undefined, or a singular value)
+    asks the gate oracle, until a search has run at this dimension: at the
+    first tuple of a dimension below max_dim where the gate is singular,
+    the oracle searches for a shrunk subspace of its core.  One that
+    check_shrunk accepts makes every later trial singular, so the test
+    returns the ZERO verdict the full trial loop would give (the nominal
+    max_dim * trials and the per-trial bound) at once, and that verdict is
+    exact.  Where the evaluation hits, the gate is invertible, so asking it
+    first would change no verdict, witness or trial count; a circuit hit at
+    once leaves its gate unreduced."""
     oracle = _gate_oracle(c, field)
     size = oracle.size
     max_dim = params.max_dim or min(size, params.dim_cap)
@@ -119,22 +126,19 @@ def rit_test(c: RationalCircuit, field: Field,
         for _ in range(params.trials):
             trials_run += 1
             t = sample_tuple(field, nv, d, rng)
-            if not oracle.is_invertible_at(t):
+            try:
+                if is_invertible(eval_circuit(c, t)):
+                    return RitVerdict("nonzero", witness=t, dimension=d,
+                                      pencil_size=size, trials_run=trials_run,
+                                      max_dim=max_dim)
+            except Undefined:
+                pass
+            if not searched and not oracle.is_invertible_at(t):
                 # a shrunk subspace fails the oracle at every later trial,
                 # so the loop's verdict is known: the same ZERO, now exact
-                if not searched:
-                    searched = True
-                    if oracle.shrunk_subspace(t) is not None:
-                        return zero
-                continue
-            try:
-                value = eval_circuit(c, t)
-            except Undefined:
-                continue
-            if is_invertible(value):
-                return RitVerdict("nonzero", witness=t, dimension=d,
-                                  pencil_size=size, trials_run=trials_run,
-                                  max_dim=max_dim)
+                searched = True
+                if oracle.shrunk_subspace(t) is not None:
+                    return zero
     return zero
 
 

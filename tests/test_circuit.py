@@ -404,6 +404,19 @@ def test_one_layer_cancellations_compile_alike_however_they_nest(nested, flat):
     assert all(all(f.values()) for f in layer.values())   # no coefficient 0
 
 
+@pytest.mark.parametrize("src,want", [
+    ("1/2 + 1/2 + x1", {0: 1, 1: 1}),
+    ("1/2 - 3/2 + x1", {0: -1, 1: 1}),
+    ("1/3 + 1/3 - x1", {0: Fraction(2, 3), 1: -1}),
+    ("x1 + 2/3 + 1/3 + x1", {1: 2, 0: 1}),
+])
+def test_a_sum_of_constants_is_an_int_where_it_is_integral(src, want):
+    (layer,) = to_idrrsc(parse_expr(src)).top.layers
+    (form,) = layer.values()
+    assert form == want
+    assert {k: type(v) for k, v in form.items()} == {k: type(v) for k, v in want.items()}
+
+
 # -- variable reduction ----------------------------------------------------------
 
 def test_variable_reduction_single_variable_shape():

@@ -472,6 +472,20 @@ def test_rank_rational():
     assert rank_of(m) == 1
 
 
+@pytest.mark.parametrize("field", [F, F7, QQ], ids=["M61", "F7", "Q"])
+def test_a_scalar_is_invertible_where_its_rank_is_one(field, rng):
+    # is_invertible reads a 1 x 1 matrix's one entry, where rit's trials at
+    # dimension 1 land
+    values = [field.zero, field.one, field.normalize(-1), field.normalize(Fraction(2, 3))]
+    values += [field.rand(rng) for _ in range(30)]
+    seen = set()
+    for x in values:
+        m = DenseMatrix(field, 1, 1, [x])
+        assert is_invertible(m) == (rank_of(m) == 1), x
+        seen.add(is_invertible(m))
+    assert seen == {False, True}
+
+
 # -- inverse ---------------------------------------------------------------------
 
 def test_invert_identity():

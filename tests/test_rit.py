@@ -1,17 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from conftest import random_formula
 from hypothesis import strategies as st
 
-from ncrat.circuit import (BlowupExceeded, classify, eval_circuit, parse_expr,
-                           transport_tuple, variable_reduction)
+from ncrat.circuit import (BlowupExceeded, Undefined, classify, eval_circuit,
+                           parse_expr, to_idrrsc, transport_tuple,
+                           variable_reduction)
 from ncrat.field import (QQ, DenseMatrix, MatrixTuple, PrimeField, is_invertible,
                          prime_field, sample_tuple)
-from ncrat.pencil import compile_condensed
-from ncrat.rit import (RitParams, WitnessNotFound,
-                       bootstrap_dimension, corpus, hitting_set_generate,
-                       rit_test, sparse_points, strong_witness, verify_strong)
+from ncrat.pencil import _reduce, compile_condensed, realize_inverse
+from ncrat.rit import (RitParams, WitnessNotFound, _gate_oracle,
+                       bootstrap_dimension, compile_circuit, corpus,
+                       hitting_set_generate, rit_test, sparse_points,
+                       strong_witness, verify_strong)
 
 F = prime_field()
 HUA = "inv(x1 + x1*inv(x2)*x1) + inv(x1+x2) - inv(x1)"
@@ -104,6 +108,77 @@ def test_rit_then_strong_witness_compiles_once(monkeypatch):
     assert rit_test(circ, F, params).kind == "nonzero"
     strong_witness(circ, F, params)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [F, prime_field(101), QQ], ids=["M61", "F101", "Q"])
+def test_gate_is_invertible_wherever_the_value_is(field):
+    # rit_test evaluates first and asks the gate only on a miss: that gives
+    # its old verdicts only if the gate is invertible at every tuple where
+    # the circuit is defined with an invertible value
+    rng = random.Random(0x6A7E)
+    circuits = [c for _, c, _ in corpus()]
+    circuits += [random_formula(rng, 3, h, 8) for h in (0, 1, 2) for _ in range(8)]
+    hits = 0
+    for c in circuits:
+        oracle = _gate_oracle(c, field)
+        for d in (1, 2):
+            for _ in range(3):
+                t = sample_tuple(field, max(c.nvars, 1), d, rng)
+                try:
+                    value = eval_circuit(c, t)
+                except Undefined:
+                    continue
+                if is_invertible(value):
+                    hits += 1
+                    assert oracle.is_invertible_at(t)
+    assert hits > len(circuits)
+
+
+def test_a_hit_at_the_first_trial_leaves_the_gate_unreduced(monkeypatch):
+    from ncrat import pencil, rit
+    reduced = []
+    reduce = pencil._reduce
+
+    def counted(L, keep=None):
+        reduced.append(L.size)
+        return reduce(L, keep)
+    monkeypatch.setattr(pencil, "_reduce", counted)
+    rit._gate_oracle.cache_clear()
+    circ = parse_expr("inv(x1) + x2")
+    v = rit_test(circ, F, RitParams(seed=0))
+    assert v.kind == "nonzero" and v.trials_run == 1
+    assert reduced == []
+    oracle = _gate_oracle(circ, F)
+    paper = realize_inverse(compile_circuit(circ, F)).pencil
+    assert oracle.size == v.pencil_size == paper.size
+    assert reduced == []
+
+
+@pytest.mark.parametrize("first", ["base", "core"])
+def test_the_gate_reduces_once_at_its_first_read(monkeypatch, first):
+    from ncrat import pencil, rit
+    circ = parse_expr("inv(x1 + x1*inv(x2)*x1) + x2")
+    entry, pivoted = compile_condensed(to_idrrsc(circ), F)
+    base, core, kept, full = _reduce(realize_inverse(entry).pencil)
+    reduced = []
+    reduce = pencil._reduce
+
+    def counted(L, keep=None):
+        reduced.append(L.size)
+        return reduce(L, keep)
+    monkeypatch.setattr(pencil, "_reduce", counted)
+    rit._gate_oracle.cache_clear()
+    oracle = _gate_oracle(circ, F)
+    assert reduced == []
+    getattr(oracle, first)
+    assert len(reduced) == 1
+    assert (oracle.base, oracle.core.size, oracle.core.entries, oracle.kept,
+            oracle.invertible_everywhere) == (base + pivoted, core.size,
+                                              core.entries, kept, full)
+    t = sample_tuple(F, 2, 2, random.Random(1))
+    oracle.rank_at(t)
+    oracle.shrunk_subspace(t)
+    assert len(reduced) == 1
 
 
 # -- sparse points -------------------------------------------------------------------
