@@ -472,8 +472,9 @@ def _header_int(parts: list[str], key: str, lo: int, hi: int | None = None) -> i
 
 # The largest matrix dimension ncrat accepts: a tuple file's `dim`, so that
 # a header with no matrices cannot ask eval for a d x d identity of any size,
-# and the blow-up dimensions of rit's --max-dim, ncrank's and bootstrap's
-# --dims, hitgen's --dim and series-zero's test (each refused above it).
+# and the blow-up dimensions of rit's --max-dim and RitParams.dim_cap,
+# ncrank's and bootstrap's --dims, hitgen's --dim and series-zero's test
+# (each refused above it).
 # Every dimension ncrat picks itself is far below: a witness of rit (at most
 # 8) or of ncrank (at most 2m for an m x m skew matrix).  At d = 4096, one
 # product or elimination of d x d matrices in Python arithmetic takes

@@ -12,21 +12,21 @@ The composition requires every placeholder variable to occur in exactly
 one entry of the host pencil.  That is precisely the shape produced by
 the tree-normalized compiler (each inverse gate feeds one edge of the
 top branching program); sharing a placeholder across entries is rejected
-rather than silently duplicated.  The compiler sizes every level first,
-then writes each base pencil, border and link once, at its offset in one
-map, so compile time is linear in the inversion height.  The same walk
-writes either layout of the composition: the paper's (compile_idrrsc, for
-`ncrat compile`, ncrank and the series), or rit's condensed one
-(compile_condensed), its Schur complement at the unit pivots of its two
-identity blocks, which realizes the same element.
+rather than silently duplicated.  The compiler sizes every level first
+(compiled_size is that pass alone), then writes each base pencil, border
+and link once, at its offset in one map, so compile time is linear in the
+inversion height.  The same walk writes either layout of the composition:
+the paper's (compile_idrrsc, for `ncrat compile`, ncrank and the series),
+or rit's condensed one (compile_condensed), its Schur complement at the
+unit pivots of its two identity blocks, which realizes the same element.
 
 Storage is sparse, (row, col) -> {k: value} with no zero stored: the
 compiler's pencils hold a few nonzeros per row at sizes in the thousands.
 Builders write blocks into that map with `place_block`, the compiler its
 branching programs' entries straight at their offsets, and nothing writes
 to a pencil's entries once it is built, so pencils share entry dicts.  A
-PencilOracle reduces a pencil once, on first use, by exact elimination at
-constant pivots, which reads those dicts in place and copies one only to
+PencilOracle reduces a pencil once, at construction, by exact elimination
+at constant pivots, which reads those dicts in place and copies one only to
 write fill into it; most of the compiler's pivots fill in, mostly scaling
 by +-1, which needs no multiplication.  A realized entry owns one, which
 keeps its element (RealizedEntry.oracle).  Evaluations at a matrix tuple
@@ -361,19 +361,15 @@ def compose(L: LinearPencil, gs: list[RealizedEntry], nx: int) -> RealizedGrid:
     return RealizedGrid(LinearPencil(L.field, N, nx, entries), N - s, s)
 
 
-def _compile(idr: IdrCircuit, field: Field, paper: bool) -> tuple[RealizedEntry, int]:
-    """The compiled entry in _place_composition's paper or condensed layout,
-    and the unit pivots, 2 s^2 per composition, that the condensed layout
-    leaves out.  Each node is realized at (size - s + 1, size), s its top's
-    size, so the sizes are worked out first, subs first; then one pass from
-    the root writes each block once.  Both walks are flat lists, not
-    recursion."""
-    if not idr.subs:
-        return from_abp(idr.top, field, nvars=idr.nx), 0
+def _sizes(idr: IdrCircuit, paper: bool) -> tuple[list, dict[int, int], int]:
+    """_compile's size pass: the nodes in order, hosts before their subs;
+    each one's size by id (its dict forms make an IdrCircuit unhashable),
+    worked out subs first; and the unit pivots, 2 s^2 per composition,
+    that the condensed layout leaves out.  A flat list, not recursion."""
     order = [idr]
     for node in order:                   # hosts before their subs
         order.extend(node.subs)
-    size: dict[int, int] = {}            # by id: its dict forms make an IdrCircuit unhashable
+    size: dict[int, int] = {}
     pivots = 0
     for node in reversed(order):
         s = node.top.size
@@ -381,6 +377,23 @@ def _compile(idr: IdrCircuit, field: Field, paper: bool) -> tuple[RealizedEntry,
         if not paper:
             ident, pivots = 0, pivots + ident
         size[id(node)] = sum(size[id(g)] + 1 for g in node.subs) + ident + s
+    return order, size, pivots
+
+
+def compiled_size(idr: IdrCircuit) -> int:
+    """The size of compile_idrrsc's pencil, from the size pass alone."""
+    return _sizes(idr, paper=True)[1][id(idr)]
+
+
+def _compile(idr: IdrCircuit, field: Field, paper: bool) -> tuple[RealizedEntry, int]:
+    """The compiled entry in _place_composition's paper or condensed layout,
+    and the unit pivots that the condensed layout leaves out.  Each node is
+    realized at (size - s + 1, size), s its top's size, so the size pass
+    (_sizes) comes first; then one pass from the root writes each block
+    once."""
+    if not idr.subs:
+        return from_abp(idr.top, field, nvars=idr.nx), 0
+    order, size, pivots = _sizes(idr, paper)
     entries: Entries = {}
     at = {id(idr): 0}
     for node in order:
@@ -625,13 +638,9 @@ def _reduce(L: LinearPencil, keep: tuple[int, int] | None = None):
         todo_cols = [c for c in range(n - 1, -1, -1) if cols[c] is not None and not cvar[c]]
 
 
-# what PencilOracle sets when it reduces, on the first read of one
-_REDUCED = frozenset(("base", "core", "kept", "invertible_everywhere", "_eval_rows"))
-
-
 class PencilOracle:
     """Rank and invertibility of a pencil at matrix tuples, through an
-    exact structural reduction done once, on first use: rank(L(t)) =
+    exact structural reduction done once, at construction: rank(L(t)) =
     base * d + rank(core(t)) for every tuple t.  The reduction (_reduce)
     pivots out constant rows, then constant columns, reading L's entries in
     place and doing field arithmetic only where a pivot fills in, the same
@@ -647,34 +656,18 @@ class PencilOracle:
     pivoted counts the unit pivots L's builder already took (those
     compile_condensed leaves out of rit's gate), and size and base count
     them too.  invertible_everywhere is _reduce's full: the elimination,
-    finished with any keep released, pivots every row.
-
-    size is known at construction; the reduction runs at the first read of
-    base, core, kept or invertible_everywhere, or the first rank_at or
-    search, and sets them as plain attributes.  Until then the oracle holds
-    L, so an oracle that is never asked (rit's gate at a formula its first
-    evaluation hits) costs no elimination."""
+    finished with any keep released, pivots every row."""
 
     def __init__(self, L: LinearPencil, keep: tuple[int, int] | None = None,
                  pivoted: int = 0):
         self.field = L.field
         self.size = L.size + pivoted
-        self._unreduced = (L, keep, pivoted)
-        self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
-        self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched
-        self._last = None            # (t, _sparse.Record of core(t)), the last eliminated
-
-    def __getattr__(self, name: str):
-        """Reached only for an attribute not set: the reduction's, before
-        it has run."""
-        if name not in _REDUCED:
-            raise AttributeError(name)
-        L, keep, pivoted = self._unreduced
         base, self.core, self.kept, self.invertible_everywhere = _reduce(L, keep)
         self.base = base + pivoted
         self._eval_rows = _SparseEval(self.core)
-        del self._unreduced
-        return self.__dict__[name]
+        self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
+        self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched
+        self._last = None            # (t, _sparse.Record of core(t)), the last eliminated
 
     @property
     def core_size(self) -> int:
@@ -714,10 +707,11 @@ class PencilOracle:
         deficit, found from A = core(t) and returned as a core.size x dim S
         matrix whose columns are S's reduced echelon basis (which depends
         only on the span), once check_shrunk accepts it; None when none is
-        found, and where rank_at evaluates core(t) densely, because the
-        search stays sparse to the end (n = 120, every core entry holding a
-        variable, d = 1: 1.5-1.7 s, against 0.02 s for a warm rank_at).  The
-        search is exact over every field, Q included.
+        found, at once where core(t) is invertible (its kernel is 0), and
+        where rank_at evaluates core(t) densely, because the search stays
+        sparse to the end (n = 120, every core entry holding a variable, d =
+        1: 1.5-1.7 s, against 0.02 s for a warm rank_at).  The search is
+        exact over every field, Q included.
 
         What S proves, with A_0 the constant term: at any tuple t' of any
         dimension e, core(t') = sum_k A_k x t'_k (t'_0 = I) maps S x F^e

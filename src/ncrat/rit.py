@@ -6,15 +6,15 @@ invertible wherever the circuit is defined with an invertible value, and
 may be elsewhere: inv(x1 - x1)'s is invertible everywhere.  So the
 randomized test samples tuples of growing dimension and evaluates the
 circuit at each: a defined, invertible value is a NONZERO verdict with its
-witness, sound as it stands.  Only a trial that misses asks the gate, whose
-oracle reduces it at that first question; a gate singular there is where
-the search starts.  Zero verdicts are one-sided Monte Carlo, except where
-the oracle finds a shrunk subspace of the core (over every field, Q
-included, searched from the first trial of each dimension below the last
-that misses at a singular gate): that proves the gate singular
-everywhere, so the circuit is nowhere defined with an invertible value,
-and the test ends there with the exact ZERO verdict, trial count and
-error bound the remaining trials would give.
+witness, sound as it stands.  The gate is compiled and reduced only where
+a trial misses, and asked one question there: the first miss of each
+dimension below the last searches its core for a shrunk subspace.  Zero
+verdicts are one-sided Monte Carlo, except where one is found (over every
+field, Q included): that proves the gate singular everywhere, so the
+circuit is nowhere defined with an invertible value, and the test ends
+there with the exact ZERO verdict, trial count and error bound the
+remaining trials would give.  The gate's size, which the verdict reports,
+comes from the compiler's size pass alone.
 
 The hitting-set generator runs the desk-scale version of the pipeline:
 variable reduction to 2(h+1) variables, generic matrices of an explicit
@@ -30,13 +30,13 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .circuit import (MAX_VARS, BlowupExceeded, RationalCircuit, Undefined,
-                      classify, eval_circuit, parse_expr, to_idrrsc,
+from .circuit import (MAX_VARS, BlowupExceeded, IdrCircuit, RationalCircuit,
+                      Undefined, classify, eval_circuit, parse_expr, to_idrrsc,
                       transport_tuple)
 from .field import (MAX_DIM, DenseMatrix, Field, MatrixTuple, is_invertible,
                     sample_tuple)
 from .pencil import (PencilOracle, RealizedEntry, compile_condensed, compile_idrrsc,
-                     realize_inverse)
+                     compiled_size, realize_inverse)
 from .series import (FieldTooSmall, assemble_shift_point, scaling_search,
                      series_is_zero, shifted_entry_series)
 
@@ -57,8 +57,10 @@ class RitParams:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if self.max_dim is not None and self.max_dim > MAX_DIM:
-            raise ValueError(f"max_dim must be at most {MAX_DIM}, got {self.max_dim}")
+        for name in ("max_dim", "dim_cap"):         # a dimension rit may sample
+            value = getattr(self, name)
+            if value is not None and value > MAX_DIM:
+                raise ValueError(f"{name} must be at most {MAX_DIM}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,23 @@ def compile_circuit(c: RationalCircuit, field: Field) -> RealizedEntry:
 
 
 @functools.lru_cache(maxsize=16)
+def _normal_form(c: RationalCircuit) -> IdrCircuit:
+    """to_idrrsc(c), shared by rit_test's size pass and the gate's compile."""
+    return to_idrrsc(c)
+
+
+@functools.lru_cache(maxsize=16)
 def _gate_oracle(c: RationalCircuit, field: Field) -> PencilOracle:
     """The oracle of the bordered pencil for the circuit's inverse (its
-    size is the gate's): invertible wherever the circuit is defined with an
-    invertible value, but not only there.  The oracle holds the pencil
-    until its first use reduces it (see PencilOracle).
+    size is the gate's), compiled and reduced as it is built: invertible
+    wherever the circuit is defined with an invertible value, but not only
+    there.  rit_test and verify_strong build it only at a trial that
+    misses, and this cache shares it between them and strong_witness.
 
     The border goes around compile_condensed's entry, not compile_circuit's.
     It touches none of the P unit pivots that entry leaves out, so the
     oracle, told of them, has the paper gate's size, base and core."""
-    entry, pivoted = compile_condensed(to_idrrsc(c), field)
+    entry, pivoted = compile_condensed(_normal_form(c), field)
     return PencilOracle(realize_inverse(entry).pencil, pivoted=pivoted)
 
 
@@ -101,18 +110,17 @@ def rit_test(c: RationalCircuit, field: Field,
     which the circuit is defined with an invertible value, found by direct
     evaluation.
 
-    Each trial evaluates first.  A miss (undefined, or a singular value)
-    asks the gate oracle, until a search has run at this dimension: at the
-    first tuple of a dimension below max_dim where the gate is singular,
-    the oracle searches for a shrunk subspace of its core.  One that
-    check_shrunk accepts makes every later trial singular, so the test
-    returns the ZERO verdict the full trial loop would give (the nominal
-    max_dim * trials and the per-trial bound) at once, and that verdict is
-    exact.  Where the evaluation hits, the gate is invertible, so asking it
-    first would change no verdict, witness or trial count; a circuit hit at
-    once leaves its gate unreduced."""
-    oracle = _gate_oracle(c, field)
-    size = oracle.size
+    pencil_size, which sets max_dim, is the paper gate's: compile_idrrsc's
+    size pass, plus the border.  Each trial evaluates.  The first miss
+    (undefined, or a singular value) of each dimension below max_dim builds
+    the gate oracle, once per circuit and field, and searches its core at
+    that tuple for a shrunk subspace, none at once where core(t) is
+    invertible.  One that check_shrunk accepts makes every later trial
+    miss, so the test returns the ZERO verdict the full trial loop would
+    give (the nominal max_dim * trials and the per-trial bound) at once,
+    and exact.  The gate is invertible wherever the evaluation hits, so
+    asking it only at a miss changes no verdict, witness or trial count."""
+    size = compiled_size(_normal_form(c)) + 1       # realize_inverse's border
     max_dim = params.max_dim or min(size, params.dim_cap)
     zero = RitVerdict("zero", pencil_size=size,
                       trials_run=max_dim * params.trials, max_dim=max_dim,
@@ -133,11 +141,11 @@ def rit_test(c: RationalCircuit, field: Field,
                                       max_dim=max_dim)
             except Undefined:
                 pass
-            if not searched and not oracle.is_invertible_at(t):
-                # a shrunk subspace fails the oracle at every later trial,
-                # so the loop's verdict is known: the same ZERO, now exact
+            if not searched:
+                # a shrunk subspace fails the gate at every later trial, so
+                # the loop's verdict is known: the same ZERO, now exact
                 searched = True
-                if oracle.shrunk_subspace(t) is not None:
+                if _gate_oracle(c, field).shrunk_subspace(t) is not None:
                     return zero
     return zero
 
@@ -228,32 +236,16 @@ class StrongReport:
         return self.hits / self.total if self.total else 1.0
 
 
-def _certified_nowhere_invertible(c: RationalCircuit, field: Field,
-                                  t: MatrixTuple) -> bool:
-    """Whether c's gate oracle is singular at t and a shrunk subspace found
-    from t proves it singular at every tuple of every dimension: then c is
-    nowhere defined with an invertible value.  False, with nothing proved,
-    when c does not compile."""
-    try:
-        oracle = _gate_oracle(c, field)
-    except BlowupExceeded:
-        return False
-    return not oracle.is_invertible_at(t) and oracle.shrunk_subspace(t) is not None
-
-
 def verify_strong(H: HittingSet, corpus, field: Field) -> StrongReport:
     """Per circuit: does some tuple give a defined, invertible value.  A
-    circuit whose gate oracle is certified singular from the first tuple
-    (see rit_test) is hit by none, so its tuples are not evaluated."""
+    miss at the first tuple asks the circuit's gate, as rit_test's first
+    miss does: a shrunk subspace found there proves that no tuple hits, so
+    the rest are not evaluated.  A circuit past the tree cap has no gate,
+    and all its tuples are evaluated."""
     results = []
-    hits = 0
     for label, circ in corpus:
         found = None
-        tuples = H.tuples
-        if circ.nvars <= H.n and tuples \
-                and _certified_nowhere_invertible(circ, field, tuples[0]):
-            tuples = ()
-        for idx, t in enumerate(tuples):
+        for idx, t in enumerate(H.tuples):
             if circ.nvars > t.n:
                 continue
             try:
@@ -261,10 +253,16 @@ def verify_strong(H: HittingSet, corpus, field: Field) -> StrongReport:
                     found = idx
                     break
             except Undefined:
-                continue
-        if found is not None:
-            hits += 1
+                pass
+            if idx == 0:
+                try:
+                    oracle = _gate_oracle(circ, field)
+                except BlowupExceeded:
+                    continue
+                if oracle.shrunk_subspace(t) is not None:
+                    break
         results.append((label, found))
+    hits = sum(found is not None for _, found in results)
     return StrongReport(tuple(results), total=len(results), hits=hits)
 
 

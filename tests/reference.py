@@ -8,10 +8,12 @@ dense kernel), so tests check rank_of, solve, invert, PencilOracle.rank_at
 and RealizedEntry.value_at against it rather than against each other.
 
 Also the reference for rit_test's early ZERO: rit_full_loop, the
-randomized test with no shrunk-subspace search.  And the references for the
-search itself: shrunk_subspace_reference, the second Wong sequence with
-[A | -W] eliminated afresh at every step by nullspace_sparse and S and T
-kept as row_basis (both read off the reduced row echelon form by dense
+randomized test with no shrunk-subspace search; and for verify_strong,
+verify_strong_gate_first, which asks the gate at the first tuple before
+it evaluates any.  And the references for the search itself:
+shrunk_subspace_reference, the second Wong sequence with [A | -W]
+eliminated afresh at every step by nullspace_sparse and S and T kept as
+row_basis (both read off the reduced row echelon form by dense
 Gauss-Jordan elimination), and check_shrunk_dense, its check on dense
 products and rank_of.
 
@@ -37,7 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import freepoly
-from ncrat.circuit import Abp, IdrCircuit, LinForm, Undefined, eval_circuit
+from ncrat.circuit import (Abp, BlowupExceeded, IdrCircuit, LinForm, Undefined,
+                           eval_circuit)
 from ncrat.field import (DenseMatrix, Field, MatrixTuple, PrimeField,
                          Singular, invert, is_invertible, kron, rank_of,
                          sample_tuple, solve)
@@ -45,7 +48,7 @@ from ncrat.pencil import (LinearPencil, PencilOracle, dense_block,
                           eval_pencil, place_block)
 from ncrat.rank import (DivisibilityAnomaly, RankParams, RankResult, SkewMatrix,
                         build_reduction_pencil, ncrank_pencil)
-from ncrat.rit import RitParams, RitVerdict, _gate_oracle
+from ncrat.rit import RitParams, RitVerdict, StrongReport, _gate_oracle
 from ncrat.series import RecognizableSeries
 
 
@@ -128,6 +131,38 @@ def rit_full_loop(c, field, params: RitParams = RitParams()) -> RitVerdict:
                       trials_run=max_dim * params.trials, max_dim=max_dim,
                       error_bound_num=size * max_dim,
                       error_bound_den=field.sample_set_size())
+
+
+def verify_strong_gate_first(H, corpus, field) -> StrongReport:
+    """verify_strong with the gate asked first: a circuit whose gate
+    oracle is singular at the first tuple, and proved singular everywhere
+    by a shrunk subspace found there, is hit by none and not evaluated;
+    every other circuit, one past the tree cap included, is evaluated at
+    each tuple in turn."""
+    results = []
+    for label, circ in corpus:
+        tuples = H.tuples
+        if circ.nvars <= H.n and tuples:
+            try:
+                oracle = _gate_oracle(circ, field)
+                if not oracle.is_invertible_at(tuples[0]) \
+                        and oracle.shrunk_subspace(tuples[0]) is not None:
+                    tuples = ()
+            except BlowupExceeded:
+                pass
+        found = None
+        for idx, t in enumerate(tuples):
+            if circ.nvars > t.n:
+                continue
+            try:
+                if is_invertible(eval_circuit(circ, t)):
+                    found = idx
+                    break
+            except Undefined:
+                continue
+        results.append((label, found))
+    return StrongReport(tuple(results), total=len(results),
+                        hits=sum(found is not None for _, found in results))
 
 
 def _reduced_echelon(rows: dict, ncols: int, p: int) -> tuple[list, list]:

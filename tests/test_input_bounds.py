@@ -132,3 +132,13 @@ def test_blow_up_dimension_bound(monkeypatch, command, argv):
         run(MAX_DIM + 1)
     monkeypatch.undo()
     _exits_two_with_one_line(argv + [str(MAX_DIM + 1)])
+
+
+def test_dim_cap_is_bounded_like_max_dim():
+    # max_dim defaults to min(gate size, dim_cap), and the gate of inv(
+    # nested 4000 deep has 44003 rows: a dim_cap above MAX_DIM would let
+    # rit sample tuples past it
+    assert rit.RitParams(dim_cap=MAX_DIM).dim_cap == MAX_DIM
+    with pytest.raises(ValueError, match=f"dim_cap must be at most {MAX_DIM}, "
+                                         f"got {MAX_DIM + 1}"):
+        rit.RitParams(dim_cap=MAX_DIM + 1)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from conftest import random_formula
+from reference import verify_strong_gate_first
 from hypothesis import strategies as st
 
-from ncrat.circuit import (BlowupExceeded, Undefined, classify, eval_circuit,
-                           parse_expr, to_idrrsc, transport_tuple,
+from ncrat.circuit import (BlowupExceeded, CircuitBuilder, Undefined, classify,
+                           eval_circuit, parse_expr, to_idrrsc, transport_tuple,
                            variable_reduction)
 from ncrat.field import (QQ, DenseMatrix, MatrixTuple, PrimeField, is_invertible,
                          prime_field, sample_tuple)
@@ -92,9 +93,8 @@ def test_strong_witness_corpus_dimension_bound():
         assert is_invertible(eval_circuit(circ, w))
 
 
-def test_rit_then_strong_witness_compiles_once(monkeypatch):
-    # the gate oracle is rit's one compile cache; a witness request after a
-    # test of the same circuit reuses it
+def _count_compiles(monkeypatch):
+    """The idr of every compile_condensed call rit makes, from a cold cache."""
     from ncrat import rit
     calls = []
 
@@ -103,10 +103,23 @@ def test_rit_then_strong_witness_compiles_once(monkeypatch):
         return compile_condensed(idr, field)
     monkeypatch.setattr(rit, "compile_condensed", counted)
     rit._gate_oracle.cache_clear()
-    circ = parse_expr("inv(x1 + inv(x2))*x3")
+    return calls
+
+
+def test_rit_then_strong_witness_compiles_once(monkeypatch):
+    # a circuit hit at its first trial is never compiled; one that misses is
+    # compiled at its first miss, and the gate oracle, rit's one compile
+    # cache, serves a witness request after a test of the same circuit
+    calls = _count_compiles(monkeypatch)
     params = RitParams(trials=4, seed=0)
-    assert rit_test(circ, F, params).kind == "nonzero"
-    strong_witness(circ, F, params)
+    hit = parse_expr("inv(x1 + inv(x2))*x3")
+    assert rit_test(hit, F, params).kind == "nonzero"
+    strong_witness(hit, F, params)
+    assert calls == []
+    missed = parse_expr("inv(x1*x2 - x2*x1)*x3")     # undefined at d = 1
+    v = rit_test(missed, F, params)
+    assert v.kind == "nonzero" and v.dimension == 2
+    strong_witness(missed, F, params)
     assert len(calls) == 1
 
 
@@ -134,8 +147,9 @@ def test_gate_is_invertible_wherever_the_value_is(field):
     assert hits > len(circuits)
 
 
-def test_a_hit_at_the_first_trial_leaves_the_gate_unreduced(monkeypatch):
-    from ncrat import pencil, rit
+def _count_reductions(monkeypatch):
+    """The size of every pencil _reduce is called on."""
+    from ncrat import pencil
     reduced = []
     reduce = pencil._reduce
 
@@ -143,35 +157,35 @@ def test_a_hit_at_the_first_trial_leaves_the_gate_unreduced(monkeypatch):
         reduced.append(L.size)
         return reduce(L, keep)
     monkeypatch.setattr(pencil, "_reduce", counted)
-    rit._gate_oracle.cache_clear()
+    return reduced
+
+
+def test_a_hit_at_the_first_trial_leaves_the_gate_unreduced(monkeypatch):
+    # the reported size comes from the size pass: nothing is compiled or
+    # reduced, and it is still the paper gate's
+    calls = _count_compiles(monkeypatch)
+    reduced = _count_reductions(monkeypatch)
     circ = parse_expr("inv(x1) + x2")
     v = rit_test(circ, F, RitParams(seed=0))
     assert v.kind == "nonzero" and v.trials_run == 1
-    assert reduced == []
-    oracle = _gate_oracle(circ, F)
+    assert calls == [] and reduced == []
     paper = realize_inverse(compile_circuit(circ, F)).pencil
-    assert oracle.size == v.pencil_size == paper.size
-    assert reduced == []
+    assert v.pencil_size == paper.size == _gate_oracle(circ, F).size
 
 
 @pytest.mark.parametrize("first", ["base", "core"])
 def test_the_gate_reduces_once_at_its_first_read(monkeypatch, first):
-    from ncrat import pencil, rit
+    # the oracle reduces at construction, to _reduce's values; reading them,
+    # ranking and searching reduce nothing more
     circ = parse_expr("inv(x1 + x1*inv(x2)*x1) + x2")
     entry, pivoted = compile_condensed(to_idrrsc(circ), F)
-    base, core, kept, full = _reduce(realize_inverse(entry).pencil)
-    reduced = []
-    reduce = pencil._reduce
-
-    def counted(L, keep=None):
-        reduced.append(L.size)
-        return reduce(L, keep)
-    monkeypatch.setattr(pencil, "_reduce", counted)
-    rit._gate_oracle.cache_clear()
+    gate = realize_inverse(entry).pencil
+    base, core, kept, full = _reduce(gate)
+    _count_compiles(monkeypatch)
+    reduced = _count_reductions(monkeypatch)
     oracle = _gate_oracle(circ, F)
-    assert reduced == []
+    assert reduced == [gate.size]
     getattr(oracle, first)
-    assert len(reduced) == 1
     assert (oracle.base, oracle.core.size, oracle.core.entries, oracle.kept,
             oracle.invertible_everywhere) == (base + pivoted, core.size,
                                               core.entries, kept, full)
@@ -307,6 +321,37 @@ def test_verify_strong_single_variable():
     hs = hitting_set_generate(1, 2, 0, 1, 2, F)
     rep = verify_strong(hs, [("x1", parse_expr("x1"))], F)
     assert rep.hits == 1
+
+
+@pytest.mark.parametrize("field", [F, prime_field(101), QQ], ids=["M61", "F101", "Q"])
+def test_verify_strong_equals_the_gate_first_loop(field):
+    # evaluating first and searching at a miss on the first tuple gives the
+    # report of asking the gate at the first tuple before any evaluation
+    members = [(name, circ) for name, circ, _ in corpus()]
+    for hs in (hitting_set_generate(3, 12, 1, 2, 8, field),
+               hitting_set_generate(3, 4, 0, 1, 6, field)):
+        rep = verify_strong(hs, members, field)
+        assert rep == verify_strong_gate_first(hs, members, field)
+        assert 0 < rep.hits < rep.total
+
+
+def test_verify_strong_evaluates_a_dag_past_the_tree_cap():
+    # no gate compiles past the tree cap: a miss at the first tuple leaves
+    # every tuple to evaluation
+    def doubled(zero):
+        b = CircuitBuilder()
+        node = b.var(1)
+        if zero:
+            node = b.sub(node, node)
+        for _ in range(11):
+            node = b.add(node, node)
+        return b.build(node)
+    members = [("x1", doubled(False)), ("zero", doubled(True))]
+    for _, circ in members:
+        with pytest.raises(BlowupExceeded):
+            to_idrrsc(circ)
+    rep = verify_strong(hitting_set_generate(1, 4, 0, 2, 6, F), members, F)
+    assert rep.results == (("x1", 1), ("zero", None))
 
 
 # -- variable reduction interplay ----------------------------------------------------------

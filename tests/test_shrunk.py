@@ -366,7 +366,7 @@ def rit_circuits(draw):
 @given(rit_circuits(), st.sampled_from(RIT_FIELDS), st.integers(1, 4),
        st.integers(0, 2 ** 16))
 # the commutator is singular at every scalar tuple, and no search there
-# can succeed: every trial of d = 1 is a chance to search again
+# can succeed: every trial of d = 1 misses, and only the first searches
 @example(parse_expr("x1*x2 - x2*x1"), PrimeField(7), 4, 0)
 @example(parse_expr("x1*x2 - x2*x1"), QQ, 4, 0)
 def test_search_at_the_first_singular_trial_gives_the_full_loop_verdict(
@@ -388,7 +388,9 @@ def test_search_at_the_first_singular_trial_gives_the_full_loop_verdict(
     assert all(d < verdict.max_dim for d in searched)
 
 
-def test_hua_ranks_one_tuple_and_searches_once(monkeypatch):
+def _questions(monkeypatch):
+    """The dimensions at which gate oracles rank, and (dimension, found) for
+    each search."""
     ranked, searched = [], []
     rank_at, finder = PencilOracle.rank_at, PencilOracle.shrunk_subspace
 
@@ -402,6 +404,29 @@ def test_hua_ranks_one_tuple_and_searches_once(monkeypatch):
         return S
     monkeypatch.setattr(PencilOracle, "rank_at", counted_rank)
     monkeypatch.setattr(PencilOracle, "shrunk_subspace", counted_search)
+    return ranked, searched
+
+
+def test_hua_ranks_one_tuple_and_searches_once(monkeypatch):
+    # the first trial misses, and the one search there settles the verdict
+    # without a rank: hua ranks no tuple
+    ranked, searched = _questions(monkeypatch)
     hua = dict(rit.ZERO_EXPRESSIONS)["hua"]
     assert rit_test(parse_expr(hua), F, RitParams()).is_zero
-    assert ranked == [1] and searched == [(1, True)]
+    assert ranked == [] and searched == [(1, True)]
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(101), QQ], ids=["M61", "F101", "Q"])
+@pytest.mark.parametrize("expr", ["inv(x1 - x1)", "inv(x1*x2 - x2*x1)"])
+def test_a_miss_is_asked_one_search_per_dimension(monkeypatch, expr, field):
+    # inv(x1 - x1) is undefined everywhere, at a gate invertible everywhere,
+    # and the commutator's inverse at every scalar tuple: each dimension
+    # below max_dim searches at its first miss, and no gate tuple is ranked
+    circ, params = parse_expr(expr), RitParams()
+    want = rit_full_loop(circ, field, params)
+    ranked, searched = _questions(monkeypatch)
+    verdict = rit_test(circ, field, params)
+    assert verdict == want
+    dims = [d for d, _ in searched]
+    assert ranked == [] and len(dims) == len(set(dims))
+    assert all(d < verdict.max_dim for d in dims)
