@@ -14,16 +14,16 @@ one elimination serves any number of right-hand sides; the first
 back-substitution inverts all the record's pivots with one pow
 (Montgomery's trick), and the record keeps them.  solve, the one linear
 solver of ncrat, is that elimination followed by a preimage per
-right-hand side, and PencilOracle.rank_at keeps its last record for a
-search at the same tuple.  extend_basis adds a vector to the reduced
-echelon basis of a span that grows.  fills is the one rule that sends a
-matrix, or the active block of an elimination, to the dense kernel in
-_modnum, which is imported only then and serves only the primes for which
-supported holds: the Mersenne prime 2^61 - 1 and the primes below 2^31.
-rank_sparse hands it the active block once that fills in, and solve a
-system whose matrix fills in from the start.  Over Q and every other prime
-the elimination stays here to the end.  This module imports nothing beyond
-the standard library.
+right-hand side, and PencilOracle.shrunk_subspace records its own.
+extend_basis adds a vector to the reduced echelon basis of a span that
+grows.  fills is the one rule that sends a matrix, or the active block of
+an elimination, to the dense kernel in _modnum, which is imported only then
+and serves only the primes for which supported holds: the Mersenne prime
+2^61 - 1 and the primes below 2^31.  rank_sparse without a record hands it
+the active block once that fills in, and solve a system whose matrix fills
+in from the start.  Over Q and every other prime, and wherever a record is
+kept, the elimination stays here to the end.  This module imports nothing
+beyond the standard library.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class Record(list):
     inverses: list | None = None
 
 
-def rank_sparse(rows: dict, p: int, record: Record | None = None,
-                hand_off: bool = False) -> int:
+def rank_sparse(rows: dict, p: int, record: Record | None = None) -> int:
     """Rank over the field of characteristic p (0 for Q) of the matrix with
     rows {i: {j: value}}, no zero stored.  The rows are consumed.
 
@@ -80,12 +79,12 @@ def rank_sparse(rows: dict, p: int, record: Record | None = None,
     reduced mod p as they are made, fractions in lowest terms.  Over a
     prime, a row holding f where the pivot row holds alpha becomes alpha
     row - f (pivot row), with no inverse and the support dividing by alpha
-    gives.  Over the supported primes, the active block (rows left, columns
-    not yet eliminated) goes to _modnum's dense rank_mod once it fills in.
+    gives.  Without a record, over the supported primes, the active block
+    (rows left, columns not yet eliminated) goes to _modnum's dense
+    rank_mod once it fills in.
 
     Given a Record, the elimination fills it in and stays sparse to the
-    end; with hand_off too, a block that fills in still goes to rank_mod,
-    and the record then holds fewer pivots than the rank.  The pivot rows
+    end, so the record holds one pivot per unit of rank.  The pivot rows
     are an echelon basis of the row space, and the updates say how every
     row was reduced to them (kernel, preimage)."""
     live = {i: row for i, row in rows.items() if row}
@@ -96,7 +95,7 @@ def rank_sparse(rows: dict, p: int, record: Record | None = None,
     nnz = sum(map(len, live.values()))
     order = sorted(cols)
     rank = 0
-    dense = (record is None or hand_off) and len(live) >= _DENSE_ROWS   # rows only leave
+    dense = record is None and len(live) >= _DENSE_ROWS   # rows only leave
     for n, j in enumerate(order):
         if dense and fills(p, len(live), len(order) - n, nnz):
             from . import _modnum

@@ -35,9 +35,10 @@ every field, Q included: an oracle ranks its core's, an entry's value is
 solved from them by _sparse.solve, which hands rows that fill in to the
 dense kernel, and `eval_pencil` scatters them into a dense matrix.  Only a
 core whose evaluations fill in over a prime the dense kernel serves
-(_sparse.fills) is evaluated by that kernel instead.  From the same rows the oracle can look
-for a shrunk subspace of its core (the second Wong sequence), which bounds
-the pencil's rank at every tuple and, shrinking by one dimension, proves it
+(_sparse.fills) is evaluated by that kernel instead.  From the same rows,
+eliminated anew with a record of the elimination, the oracle can look for a
+shrunk subspace of its core (the second Wong sequence), which bounds the
+pencil's rank at every tuple and, shrinking by one dimension, proves it
 singular; check_shrunk re-checks one by exact ranks.
 """
 
@@ -649,9 +650,9 @@ class PencilOracle:
     RealizedEntry).  Over every field, core(t) is built as sparse rows
     straight from the core's entries and ranked by _sparse.rank_sparse,
     unless it fills in over a prime the dense kernel supports
-    (_sparse.fills) and goes there.  rank_at keeps the record of its last
-    sparse elimination, with no inverse taken, for shrunk_subspace at the
-    same tuple.
+    (_sparse.fills) and goes there.  Each question evaluates and eliminates
+    core(t) itself: nothing but the core's own views (_coeffs, _by_col)
+    carries over from one question to the next.
 
     pivoted counts the unit pivots L's builder already took (those
     compile_condensed leaves out of rit's gate), and size and base count
@@ -667,7 +668,6 @@ class PencilOracle:
         self._eval_rows = _SparseEval(self.core)
         self._coeffs = None          # _modnum.pencil_coeffs(core), once needed
         self._by_col = None          # column -> [(k - 1, row, value)] for k >= 1, once searched
-        self._last = None            # (t, _sparse.Record of core(t)), the last eliminated
 
     @property
     def core_size(self) -> int:
@@ -682,10 +682,9 @@ class PencilOracle:
         return _sparse.fills(self.field.p, n, n, self._eval_rows.nnz(d))
 
     def rank_at(self, t: MatrixTuple) -> int:
-        """base d + rank core(t).  Where core(t) is eliminated sparse to the
-        end, its record replaces the last tuple's, kept with t."""
+        """base d + rank core(t), with no record kept: a block of core(t)
+        that fills in may go to the dense kernel."""
         d = t.d
-        self._last = None
         if self.core.size == 0:
             return self.base * d
         if self._dense_at(d):
@@ -694,10 +693,7 @@ class PencilOracle:
                 self._coeffs = _modnum.pencil_coeffs(self.core)
             ev = _modnum.eval_pencil_mod(self._coeffs, _modnum.stack(t), d, self.field.p)
             return self.base * d + _modnum.rank_mod(ev, self.field.p)
-        record = _sparse.Record()
-        rank = _sparse.rank_sparse(self._eval_rows(t), self.field.p, record, hand_off=True)
-        self._last = (t, record) if len(record) == rank else None
-        return self.base * d + rank
+        return self.base * d + _sparse.rank_sparse(self._eval_rows(t), self.field.p)
 
     def is_invertible_at(self, t: MatrixTuple) -> bool:
         return self.rank_at(t) == self.size * t.d
@@ -725,31 +721,27 @@ class PencilOracle:
         subspaces T of F^n (n = core.size).  From T_0 = 0, U = A^-1(T x F^d)
         holds the u with A u in T x F^d, S is the span of the columns of
         each u of U read as an n x d matrix (u[i d + a] at (i, a)), the
-        least S with U inside S x F^d, and T' = sum_k A_k S.  A is factored
-        once: the search reads the record rank_at kept at this tuple object,
-        or has rank_sparse record an elimination of A, and U is ker A, read
-        off the pivot rows, plus a preimage (_sparse.preimage) of tau x e_a
-        for each direction tau of T and each a < d.  T and S only grow, so a
-        step solves for T's new directions only, and S's new directions are
-        the slices of their preimages that extend S.  T' needs only the
-        images A_k s, k >= 1, of S's new directions, added to T's reduced
-        echelon basis: slice b of A u is A_0 s_b + sum_(k >= 1, a)
-        t_k[b, a] A_k s_a, which lies in T, so A_0 S lies in T + sum_(k >=
-        1) A_k S, and T lies in T'.  Within n steps the sequence meets an S
-        that shrinks by deficit, stops growing, or gives up when a preimage
-        is missing: T x F^d has left im A (some tuple of a larger dimension
-        then has a larger rank).  While T x F^d stays in im A, dim U = nd -
-        rank A + d dim T <= d dim S, so once T stops growing dim S - dim
-        sum_k A_k S >= n - rank A / d, which is the deficit asked for when
-        rank A = (r - base) d."""
+        least S with U inside S x F^d, and T' = sum_k A_k S.  A is evaluated
+        and factored once per search: rank_sparse records its elimination,
+        sparse to the end, and U is ker A, read off the pivot rows, plus a
+        preimage (_sparse.preimage) of tau x e_a for each direction tau of T
+        and each a < d.  T and S only grow, so a step solves for T's new
+        directions only, and S's new directions are the slices of their
+        preimages that extend S.  T' needs only the images A_k s, k >= 1, of
+        S's new directions, added to T's reduced echelon basis: slice b of A
+        u is A_0 s_b + sum_(k >= 1, a) t_k[b, a] A_k s_a, which lies in T,
+        so A_0 S lies in T + sum_(k >= 1) A_k S, and T lies in T'.  Within n
+        steps the sequence meets an S that shrinks by deficit, stops
+        growing, or gives up when a preimage is missing: T x F^d has left im
+        A (some tuple of a larger dimension then has a larger rank).  While
+        T x F^d stays in im A, dim U = nd - rank A + d dim T <= d dim S, so
+        once T stops growing dim S - dim sum_k A_k S >= n - rank A / d,
+        which is the deficit asked for when rank A = (r - base) d."""
         n, d = self.core.size, t.d
         if n == 0 or self._dense_at(d):
             return None
-        p = self.field.p
-        if self._last is None or self._last[0] is not t:
-            self._last = (t, _sparse.Record())
-            _sparse.rank_sparse(self._eval_rows(t), p, self._last[1])
-        record = self._last[1]
+        p, record = self.field.p, _sparse.Record()
+        _sparse.rank_sparse(self._eval_rows(t), p, record)
         S: dict = {}                    # S's reduced echelon basis
         T: dict = {}                    # T's reduced echelon basis
         fresh = self._new_slices(S, _sparse.kernel(record, n * d, p).values(), d)

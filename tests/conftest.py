@@ -41,9 +41,9 @@ def dense_route(monkeypatch):
         calls.append(args[0].shape)
         return solve_mod(*args)
 
-    def unrecorded(rows, p, record=None, hand_off=False):
-        assert record is None or hand_off, "a dense system took the recorded sparse path"
-        return rank_sparse(rows, p, record, hand_off)
+    def unrecorded(rows, p, record=None):
+        assert record is None, "a dense system took the recorded sparse path"
+        return rank_sparse(rows, p, record)
 
     def preimage(*args):
         raise AssertionError("a dense system was solved by preimages")

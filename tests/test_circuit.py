@@ -478,6 +478,12 @@ def test_variable_reduction_is_substitution(rng):
             assert lhs == rhs
 
 
+def test_transport_tuple_refuses_a_short_tuple():
+    # height 1 reads 2(h + 1) = 4 matrices
+    with pytest.raises(ValueError, match="tuple too short"):
+        transport_tuple(sample_tuple(F, 3, 2, 0), n=2, h=1)
+
+
 # -- circuit files ------------------------------------------------------------------
 
 def test_circuit_file_round_trip(rng):

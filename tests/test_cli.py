@@ -366,6 +366,15 @@ def test_eval_point_field_must_match_working_field(tmp_path, capsys, flags, stat
         assert f"\n{field}\n" in out and out.endswith("\n5\n")
 
 
+def test_eval_point_with_fewer_matrices_than_variables_exits_two(tmp_path, capsys):
+    path = tmp_path / "f7.mt"
+    path.write_text("field prime 7\nnvars 1\ndim 1\n3\n")
+    status, out = run(["eval", "x1*x2", "--prime", "7", "--point", str(path)])
+    assert status == 2 and not out
+    assert capsys.readouterr().err == \
+        "error: tuple has fewer matrices than the circuit has variables\n"
+
+
 HIGMAN = os.path.join(os.path.dirname(__file__), "..", "data", "higman.skm")
 
 NON_POSITIVE_COUNTS = {

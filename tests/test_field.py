@@ -231,8 +231,10 @@ def test_rank_mod_matches_generic(case):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, (1 << 31) - 1])
 def test_filled_matrix_rank_goes_through_the_dense_kernel(monkeypatch, p):
     # an 80 x 80 product of planted rank 61 fills in, so rank_sparse hands
-    # the whole matrix to the blocked kernel before eliminating a column
+    # the whole matrix to the blocked kernel before eliminating a column;
+    # given a Record, it eliminates the same matrix sparse to the end
     from ncrat import _modnum
+    from ncrat._sparse import Record, kernel, rank_sparse
     field, rng = PrimeField(p), random.Random(80)
     a = rand_mat(field, 80, 61, rng).matmul(rand_mat(field, 61, 80, rng))
     seen = []
@@ -241,6 +243,14 @@ def test_filled_matrix_rank_goes_through_the_dense_kernel(monkeypatch, p):
                         seen.append((len(live), len(order))) or rank_rows(live, order, p))
     assert rank_of(a) == _rank_generic(a) == 61
     assert seen == [(80, 80)]
+
+    def rows():
+        return {i: {j: x for j, x in enumerate(a.row(i)) if x} for i in range(80)}
+    record = Record()
+    assert rank_sparse(rows(), p, record) == 61 and seen == [(80, 80)]
+    assert len(record) == 61
+    assert kernel(record, 80, p) == nullspace_sparse(rows(), 80, p)
+    assert rank_sparse(rows(), p) == 61 and seen == [(80, 80)] * 2
 
 
 @st.composite

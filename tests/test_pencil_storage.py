@@ -135,6 +135,12 @@ def test_core_rows_are_the_kron_sum_entry_by_entry(case):
         if L.field.p else all(type(x) is Fraction for row in rows.values() for x in row.values())
 
 
+def test_core_rows_refuse_a_tuple_with_fewer_matrices():
+    L = LinearPencil(QQ, 1, 2, {(0, 0): {0: Fraction(1), 2: Fraction(1)}})
+    with pytest.raises(ValueError, match="fewer matrices than the pencil has variables"):
+        pencil._SparseEval(L)(sample_tuple(QQ, 1, 2, 0))
+
+
 @pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1])
 def test_dense_core_is_ranked_densely(monkeypatch, p):
     # every entry holds a variable, and core rows 0 and 1 are equal: the rows

@@ -323,6 +323,13 @@ def test_verify_strong_single_variable():
     assert rep.hits == 1
 
 
+def test_verify_strong_skips_a_member_with_more_variables_than_the_points():
+    # every point holds one matrix: x1*x2 is never evaluated, and misses
+    members = [("x1*x2", parse_expr("x1*x2")), ("x1", parse_expr("x1"))]
+    rep = verify_strong(hitting_set_generate(1, 4, 0, 2, 4, F), members, F)
+    assert rep.results == (("x1*x2", None), ("x1", 1))
+
+
 @pytest.mark.parametrize("field", [F, prime_field(101), QQ], ids=["M61", "F101", "Q"])
 def test_verify_strong_equals_the_gate_first_loop(field):
     # evaluating first and searching at a miss on the first tuple gives the
